@@ -278,8 +278,9 @@ func BenchmarkSolverRaw(b *testing.B) {
 // T1 program and bbgen chains at 4× and 16× its size. Each op performs what
 // the IPM does per solve — allocate the factor storage, assemble H, factorize
 // with static regularization, and run one refined solve — so the per-op time
-// and allocated bytes compare the dense O(n³)/O(n²) path against the sparse
-// symbolic + numeric pipeline end to end.
+// and allocated bytes compare the dense O(n³)/O(n²) reference (a dense copy
+// of G, Matrix.AtAInto, dense Cholesky) against the solver's sparse symbolic
+// + numeric pipeline end to end.
 func BenchmarkFactorizeSparseVsDense(b *testing.B) {
 	for _, inst := range []struct {
 		name string
@@ -293,21 +294,22 @@ func BenchmarkFactorizeSparseVsDense(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		n := p.G.Cols
-		gsp := linalg.NewSparseFromDense(p.G)
+		gsp := p.GSparse
+		gd := gsp.ToDense()
+		n := gsp.Cols
 		rhs := linalg.NewVector(n)
 		for i := range rhs {
 			rhs[i] = 1 + float64(i%7)
 		}
 		hd := linalg.NewMatrix(n, n)
-		p.G.AtAInto(hd)
+		gd.AtAInto(hd)
 		reg := 1e-13 * (1 + hd.NormInf())
 		b.Run(fmt.Sprintf("%s/n=%d/dense", inst.name, n), func(b *testing.B) {
 			b.ReportAllocs()
 			x := linalg.NewVector(n)
 			for i := 0; i < b.N; i++ {
 				h := linalg.NewMatrix(n, n)
-				p.G.AtAInto(h)
+				gd.AtAInto(h)
 				hreg := linalg.NewMatrix(n, n)
 				copy(hreg.Data, h.Data)
 				for j := 0; j < n; j++ {
@@ -365,9 +367,6 @@ func dagNormalEq(b *testing.B, tasks int) (gsp *linalg.SparseMatrix, h *linalg.S
 		b.Fatal(err)
 	}
 	gsp = p.GSparse
-	if gsp == nil {
-		gsp = linalg.NewSparseFromDense(p.G)
-	}
 	h = linalg.NewSparseAtA(gsp)
 	h.Compute(gsp)
 	return gsp, h
@@ -421,9 +420,6 @@ func BenchmarkFactorization(b *testing.B) {
 			b.Fatal(err)
 		}
 		gsp := p.GSparse
-		if gsp == nil {
-			gsp = linalg.NewSparseFromDense(p.G)
-		}
 		ata := linalg.NewSparseAtA(gsp)
 		ata.Compute(gsp)
 		h := ata.Result

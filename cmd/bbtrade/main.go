@@ -5,7 +5,7 @@
 // Usage:
 //
 //	bbtrade -experiment fig2a|fig2b|fig3|runtime|scalability|compare|ablation|pareto|latency|dse|all
-//	        [-csv] [-parallel N] [-factor auto|sparse|supernodal|dense|densekkt]
+//	        [-csv] [-parallel N] [-factor auto|sparse|supernodal]
 //	        [-factorworkers N] [-dse-tasks N] [-dse-cap D] [-dse-bound B]
 //	        [-cpuprofile FILE] [-memprofile FILE]
 package main
@@ -45,7 +45,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		parallel = fs.Int("parallel", 0,
 			"worker pool size for sweep experiments (0 = GOMAXPROCS, 1 = sequential)")
 		factor = fs.String("factor", "auto",
-			"KKT backend: auto | sparse (simplicial LDLT) | supernodal (blocked LDLT) | dense (sparse assembly, dense factor) | densekkt (all-dense oracle)")
+			"KKT factorization: auto (by KKT dimension) | sparse (simplicial LDLT) | supernodal (blocked LDLT)")
 		factorWorkers = fs.Int("factorworkers", 0,
 			"supernodal factorization worker pool size (<=1 = serial; results are bitwise identical at every setting)")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -68,12 +68,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		opt.Solver.Factorization = socp.FactorSparse
 	case "supernodal":
 		opt.Solver.Factorization = socp.FactorSupernodal
-	case "dense":
-		opt.Solver.Factorization = socp.FactorDense
-	case "densekkt":
-		opt.Solver.DenseKKT = true
 	default:
-		fmt.Fprintf(stderr, "bbtrade: unknown -factor %q (want auto, sparse, supernodal, dense, or densekkt)\n", *factor)
+		fmt.Fprintf(stderr, "bbtrade: unknown -factor %q (want auto, sparse, or supernodal)\n", *factor)
 		return 2
 	}
 	opt.Solver.FactorWorkers = *factorWorkers

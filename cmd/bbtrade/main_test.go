@@ -94,11 +94,12 @@ func TestTradeUnknownExperiment(t *testing.T) {
 }
 
 // TestTradeFactorBackends runs the same experiment under every -factor
-// backend; all four must succeed and produce the same reproduced figures (the
-// backends agree far beyond the 4-digit table precision).
+// backend; all three must succeed and produce the same reproduced figures
+// (the backends agree far beyond the 4-digit table precision). Any other
+// name, dense and densekkt included, exits 2 with the list of valid ones.
 func TestTradeFactorBackends(t *testing.T) {
 	var want string
-	for _, factor := range []string{"auto", "sparse", "dense", "densekkt"} {
+	for _, factor := range []string{"auto", "sparse", "supernodal"} {
 		var out, errb bytes.Buffer
 		if code := run(context.Background(), []string{"-experiment", "fig2a", "-csv", "-factor", factor}, &out, &errb); code != 0 {
 			t.Fatalf("factor %s: exit %d: %s", factor, code, errb.String())
@@ -109,12 +110,14 @@ func TestTradeFactorBackends(t *testing.T) {
 			t.Fatalf("factor %s output differs:\n%s\nwant:\n%s", factor, out.String(), want)
 		}
 	}
-	var out, errb bytes.Buffer
-	if code := run(context.Background(), []string{"-experiment", "fig2a", "-factor", "bogus"}, &out, &errb); code != 2 {
-		t.Fatalf("bogus factor: exit %d, want 2", code)
-	}
-	if !strings.Contains(errb.String(), "unknown -factor") {
-		t.Fatal("missing -factor error")
+	for _, factor := range []string{"dense", "densekkt", "bogus"} {
+		var out, errb bytes.Buffer
+		if code := run(context.Background(), []string{"-experiment", "fig2a", "-factor", factor}, &out, &errb); code != 2 {
+			t.Fatalf("factor %s: exit %d, want 2", factor, code)
+		}
+		if !strings.Contains(errb.String(), "unknown -factor") || !strings.Contains(errb.String(), "auto, sparse, or supernodal") {
+			t.Fatalf("factor %s: error %q does not list the valid backends", factor, errb.String())
+		}
 	}
 }
 

@@ -8,13 +8,13 @@ import (
 )
 
 // The recovery ladder: a numerically degenerate instance that breaks the
-// default sparse KKT pipeline is retried with progressively more
-// conservative solver configurations before the failure is surfaced —
-// escalated static regularization first (the cheap fix that rescues most
-// near-singular scalings, cf. ECOS's delta-regularization), then the dense
-// factorization of the sparsely assembled KKT system, then the all-dense
-// oracle path. Every attempt is recorded in a SolveReport so operators can
-// see which rung rescued a solve and how much it cost.
+// caller's solver configuration is retried with progressively more
+// conservative ones before the failure is surfaced — a cold start when the
+// first attempt was warm, escalated static regularization (the cheap fix
+// that rescues most near-singular scalings, cf. ECOS's
+// delta-regularization), then the simplicial factorization when the solve
+// started on the supernodal one. Every attempt is recorded in a SolveReport
+// so operators can see which rung rescued a solve and how much it cost.
 
 // kktRegEscalation multiplies the effective static regularization on the
 // first retry (1e-13 default → 1e-9, the same order CVXOPT-style solvers
@@ -23,9 +23,8 @@ const kktRegEscalation = 1e4
 
 // SolveAttempt records one rung of the recovery ladder.
 type SolveAttempt struct {
-	// Backend names the KKT configuration: "supernodal" (blocked sparse
-	// LDLᵀ), "sparse" (simplicial LDLᵀ), "dense-factor" (sparse assembly,
-	// dense factorization), or "dense-kkt" (the all-dense oracle).
+	// Backend names the KKT factorization: "supernodal" (blocked sparse
+	// LDLᵀ) or "sparse" (simplicial LDLᵀ).
 	Backend string
 	// KKTReg is the static regularization requested from the solver
 	// (0 means the solver default).
@@ -62,10 +61,10 @@ type SolveReport struct {
 }
 
 // OptionsForBackend returns base reconfigured to start solving directly at
-// the named recovery-ladder rung — "sparse", "supernodal", "dense-factor",
-// or "dense-kkt", the names SolveAttempt.Backend reports — with the
-// ladder's escalated regularization already applied and any warm start
-// dropped, exactly as if the earlier rungs had been tried and skipped.
+// the named recovery-ladder rung — "sparse" or "supernodal", the names
+// SolveAttempt.Backend reports — with the ladder's escalated regularization
+// already applied and any warm start dropped, exactly as if the earlier
+// rungs had been tried and skipped.
 // The serving layer's per-pattern circuit breaker uses it to send requests
 // for a topology that repeatedly needed recovery straight to the rung that
 // rescued it. The bool is false for an unknown backend name, with base
@@ -79,16 +78,9 @@ func OptionsForBackend(base socp.Options, backend string) (socp.Options, bool) {
 	o.KKTReg *= kktRegEscalation
 	switch backend {
 	case "sparse":
-		o.DenseKKT = false
 		o.Factorization = socp.FactorSparse
 	case "supernodal":
-		o.DenseKKT = false
 		o.Factorization = socp.FactorSupernodal
-	case "dense-factor":
-		o.DenseKKT = false
-		o.Factorization = socp.FactorDense
-	case "dense-kkt":
-		o.DenseKKT = true
 	default:
 		return base, false
 	}
@@ -99,32 +91,21 @@ func OptionsForBackend(base socp.Options, backend string) (socp.Options, bool) {
 // whose reduced KKT system has dimension kktDim (a FactorAuto choice
 // resolves by dimension, so the report names the backend that actually ran).
 func backendName(opt socp.Options, kktDim int) string {
-	switch {
-	case opt.DenseKKT:
-		return "dense-kkt"
-	case opt.Factorization == socp.FactorDense:
-		return "dense-factor"
-	case socp.ResolveFactorization(opt.Factorization, kktDim) == socp.FactorSupernodal:
+	if socp.ResolveFactorization(opt.Factorization, kktDim) == socp.FactorSupernodal {
 		return "supernodal"
-	default:
-		return "sparse"
 	}
+	return "sparse"
 }
 
 // ladder returns the solver configurations to try in order: the caller's
 // own options first (so unfaulted solves are bit-identical to a direct
 // socp.Solve), then — when the first attempt was warm-started — the same
 // configuration from the cold start, then escalated regularization on the
-// same backend, then each structurally simpler backend — the simplicial
-// sparse factorization when the resolved starting point was supernodal, the
-// dense factorization, and finally the all-dense oracle — skipping rungs
-// the starting configuration already is at or past. Every rung after the
-// first runs cold: reusing a warm start that just failed would re-import
-// the failure. kktDim resolves FactorAuto; hasDenseG gates the dense-kkt
-// rung, which cannot run when the problem carries its constraint matrix
-// only in CSR form (materializing the dense G would be gigabytes on
-// exactly the instances that select the supernodal backend).
-func ladder(opt socp.Options, kktDim int, hasDenseG bool) []socp.Options {
+// same backend, then — when the resolved starting point was supernodal —
+// the simplicial factorization with the escalated regularization. Every
+// rung after the first runs cold: reusing a warm start that just failed
+// would re-import the failure. kktDim resolves FactorAuto.
+func ladder(opt socp.Options, kktDim int) []socp.Options {
 	steps := []socp.Options{opt}
 	if opt.WarmStart != nil {
 		cold := opt
@@ -138,20 +119,10 @@ func ladder(opt socp.Options, kktDim int, hasDenseG bool) []socp.Options {
 	}
 	esc.KKTReg *= kktRegEscalation
 	steps = append(steps, esc)
-	if !opt.DenseKKT && socp.ResolveFactorization(opt.Factorization, kktDim) == socp.FactorSupernodal {
+	if socp.ResolveFactorization(opt.Factorization, kktDim) == socp.FactorSupernodal {
 		sp := esc
 		sp.Factorization = socp.FactorSparse
 		steps = append(steps, sp)
-	}
-	if !opt.DenseKKT && opt.Factorization != socp.FactorDense {
-		df := esc
-		df.Factorization = socp.FactorDense
-		steps = append(steps, df)
-	}
-	if !opt.DenseKKT && hasDenseG {
-		dk := esc
-		dk.DenseKKT = true
-		steps = append(steps, dk)
 	}
 	return steps
 }
@@ -176,7 +147,7 @@ func solveConic(ctx context.Context, prob *socp.Problem, opt socp.Options) (*soc
 	}
 	var sol *socp.Solution
 	var err error
-	for k, aopt := range ladder(opt, kktDim, prob.G != nil) {
+	for k, aopt := range ladder(opt, kktDim) {
 		if k > 0 && ctx.Err() != nil {
 			// Canceled between rungs: stop retrying, keep the report of the
 			// attempts that did run. The last attempt's solution (a

@@ -57,52 +57,65 @@ func TestLadderEscalatedRegRecovers(t *testing.T) {
 	}
 }
 
-func TestLadderFallsBackToDenseFactor(t *testing.T) {
-	// Sparse factorization broken for good: both sparse rungs fail and the
-	// dense factorization of the sparse assembly rescues the solve.
+func TestLadderFallsBackToSimplicial(t *testing.T) {
+	// Supernodal factorization broken for good: the caller's supernodal
+	// attempt and its escalated-regularization retry both fail, and the
+	// simplicial rung rescues the solve.
 	defer faultinject.Activate(faultinject.Rule{
-		Site: faultinject.SiteSparseLDLT, Kind: faultinject.KindError,
+		Site: faultinject.SiteSupernodalPanel, Kind: faultinject.KindError,
 	})()
-	res := ladderSolve(t, Options{})
+	res := ladderSolve(t, Options{Solver: socp.Options{Factorization: socp.FactorSupernodal}})
 	rep := res.Report
 	if rep == nil || len(rep.Attempts) != 3 {
 		t.Fatalf("report = %+v, want 3 attempts", rep)
 	}
 	for k := 0; k < 2; k++ {
-		if rep.Attempts[k].Status != socp.StatusNumericalError || rep.Attempts[k].Backend != "sparse" {
-			t.Fatalf("attempt %d = %+v, want sparse numerical error", k, rep.Attempts[k])
+		if rep.Attempts[k].Status != socp.StatusNumericalError || rep.Attempts[k].Backend != "supernodal" {
+			t.Fatalf("attempt %d = %+v, want supernodal numerical error", k, rep.Attempts[k])
 		}
 	}
-	if rep.Attempts[2].Status != socp.StatusOptimal || rep.Attempts[2].Backend != "dense-factor" {
-		t.Fatalf("attempt 2 = %+v, want optimal on dense-factor", rep.Attempts[2])
+	want := 1e-13 * kktRegEscalation
+	if rep.Attempts[1].KKTReg != want || rep.Attempts[2].KKTReg != want {
+		t.Fatalf("attempts 1, 2 KKTReg = %v, %v, want %v", rep.Attempts[1].KKTReg, rep.Attempts[2].KKTReg, want)
 	}
-	if !rep.Recovered || rep.FinalBackend != "dense-factor" {
-		t.Fatalf("report = %+v, want recovered on dense-factor", rep)
+	if rep.Attempts[2].Status != socp.StatusOptimal || rep.Attempts[2].Backend != "sparse" {
+		t.Fatalf("attempt 2 = %+v, want optimal on sparse", rep.Attempts[2])
+	}
+	if !rep.Recovered || rep.FinalBackend != "sparse" {
+		t.Fatalf("report = %+v, want recovered on sparse", rep)
 	}
 }
 
-func TestLadderFallsBackToDenseOracle(t *testing.T) {
-	// Sparse broken for good, and the dense factorization's first hit (the
-	// dense-factor rung's initial point) broken too: only the all-dense
-	// oracle rung survives.
-	defer faultinject.Activate(
-		faultinject.Rule{Site: faultinject.SiteSparseLDLT, Kind: faultinject.KindError},
-		faultinject.Rule{Site: faultinject.SiteDenseCholesky, Kind: faultinject.KindError, Count: 1},
-		faultinject.Rule{Site: faultinject.SiteDenseLDLT, Kind: faultinject.KindError, Count: 1},
-	)()
-	res := ladderSolve(t, Options{})
+func TestLadderColdRetryRecovers(t *testing.T) {
+	// A warm-started solve whose first factorization breaks: the ladder's
+	// first retry drops the warm start and keeps everything else — the
+	// backend and the caller's own regularization.
+	_, warm, err := solveWarm(context.Background(), gen.PaperT1(3), Options{}, nil)
+	if err != nil || warm == nil {
+		t.Fatalf("seed solve: warm %v err %v", warm, err)
+	}
+	defer faultinject.Activate(faultinject.Rule{
+		Site: faultinject.SiteSparseLDLT, Kind: faultinject.KindError, Count: 1,
+	})()
+	res, _, err := solveWarm(context.Background(), gen.PaperT1(4), Options{}, warm)
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	if res.Status != StatusOptimal {
+		t.Fatalf("status = %v, want optimal", res.Status)
+	}
 	rep := res.Report
-	if rep == nil || len(rep.Attempts) != 4 {
-		t.Fatalf("report = %+v, want 4 attempts", rep)
+	if rep == nil || len(rep.Attempts) != 2 {
+		t.Fatalf("report = %+v, want 2 attempts", rep)
 	}
-	if rep.Attempts[2].Status != socp.StatusNumericalError || rep.Attempts[2].Backend != "dense-factor" {
-		t.Fatalf("attempt 2 = %+v, want dense-factor numerical error", rep.Attempts[2])
+	if a := rep.Attempts[0]; !a.Warm || a.Status != socp.StatusNumericalError {
+		t.Fatalf("attempt 0 = %+v, want a warm numerical error", a)
 	}
-	if rep.Attempts[3].Status != socp.StatusOptimal || rep.Attempts[3].Backend != "dense-kkt" {
-		t.Fatalf("attempt 3 = %+v, want optimal on dense-kkt", rep.Attempts[3])
+	if a := rep.Attempts[1]; a.Warm || a.KKTReg != 0 || a.Backend != "sparse" || a.Status != socp.StatusOptimal {
+		t.Fatalf("attempt 1 = %+v, want optimal cold retry on sparse at the default KKTReg", a)
 	}
-	if !rep.Recovered || rep.FinalBackend != "dense-kkt" {
-		t.Fatalf("report = %+v, want recovered on dense-kkt", rep)
+	if !rep.Recovered || rep.FinalBackend != "sparse" {
+		t.Fatalf("report = %+v, want recovered on sparse", rep)
 	}
 }
 

@@ -9,8 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/gen"
-	"repro/internal/socp"
-	"repro/internal/taskgraph"
 )
 
 func TestRunSweepOrdering(t *testing.T) {
@@ -102,60 +100,6 @@ func TestParetoFrontierParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestSolveSparseMatchesDenseOracleCore: end-to-end property test on the gen
-// instances — the default pipeline (sparse assembly + sparse simplicial
-// factorization) and the dense oracle must agree on the relaxed optimum and
-// the continuous variables to 1e-6. Iteration counts are not compared: the
-// sparse factor eliminates in AMD order, so its iterates round differently
-// from the dense factorization and the paths may converge in different
-// iteration counts while agreeing on the answer.
-func TestSolveSparseMatchesDenseOracleCore(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		cfg  *taskgraph.Config
-	}{
-		{"T1", gen.PaperT1(3)},
-		{"T1slack1", gen.PaperT1(1)},
-		{"T1slack10", gen.PaperT1(10)},
-		{"T2", gen.PaperT2(5)},
-		{"T2slack10", gen.PaperT2(10)},
-		{"chain", gen.Chain(gen.ChainOptions{Tasks: 5})},
-		{"random17", gen.RandomJobs(gen.RandomOptions{Seed: 17})},
-		{"random99", gen.RandomJobs(gen.RandomOptions{Seed: 99})},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			sp, err := Solve(context.Background(), tc.cfg, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var de *Result
-			de, err = Solve(context.Background(), tc.cfg, Options{Solver: socp.Options{DenseKKT: true}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sp.Status != de.Status {
-				t.Fatalf("status sparse=%v dense=%v", sp.Status, de.Status)
-			}
-			if sp.Status != StatusOptimal {
-				t.Skipf("instance not optimal (%v)", sp.Status)
-			}
-			if d := abs(sp.ContinuousObjective - de.ContinuousObjective); d > 1e-6*(1+abs(de.ContinuousObjective)) {
-				t.Fatalf("objective differs by %g: sparse %v, dense %v", d, sp.ContinuousObjective, de.ContinuousObjective)
-			}
-			for k, v := range de.ContinuousBudgets {
-				if d := abs(sp.ContinuousBudgets[k] - v); d > 1e-6*(1+abs(v)) {
-					t.Fatalf("budget %s differs by %g", k, d)
-				}
-			}
-			for k, v := range de.ContinuousDeltas {
-				if d := abs(sp.ContinuousDeltas[k] - v); d > 1e-6*(1+abs(v)) {
-					t.Fatalf("delta %s differs by %g", k, d)
-				}
-			}
-		})
-	}
-}
-
 // clearDurations zeroes the report-only wall-clock fields so DeepEqual
 // compares the numeric payload; everything else must be bit-identical
 // between sequential and parallel runs.
@@ -168,11 +112,4 @@ func clearDurations(results ...*Result) {
 			r.Report.Attempts[i].Duration = 0
 		}
 	}
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -35,10 +35,6 @@ import (
 // (rather than in each package) gives tests one place to discover what can
 // be broken.
 const (
-	// SiteDenseCholesky fires inside linalg.Cholesky.Factorize.
-	SiteDenseCholesky = "linalg/dense-cholesky"
-	// SiteDenseLDLT fires inside linalg.LDLT.Factorize.
-	SiteDenseLDLT = "linalg/dense-ldlt"
 	// SiteSparseLDLT fires inside linalg.SparseCholesky.Factorize and
 	// FactorizeQuasiDef (the sparse simplicial pipeline), and at the entry of
 	// the supernodal equivalents, so ladder tests can break either backend

@@ -3,8 +3,6 @@ package linalg
 import (
 	"errors"
 	"math"
-
-	"repro/internal/faultinject"
 )
 
 // ErrNotPositiveDefinite is returned when a Cholesky factorization encounters
@@ -50,11 +48,6 @@ func (c *Cholesky) Factorize(a *Matrix, reg float64) error {
 	}
 	if a.Rows != c.n {
 		panic("linalg: Cholesky.Factorize dimension mismatch")
-	}
-	if faultinject.Enabled() {
-		if err := faultinject.Hit(faultinject.SiteDenseCholesky); err != nil {
-			return err
-		}
 	}
 	shift := 0.0
 	for attempt := 0; ; attempt++ {
@@ -186,11 +179,6 @@ func (f *LDLT) Factorize(a *Matrix, eps float64) error {
 	}
 	if a.Rows != f.n {
 		panic("linalg: LDLT.Factorize dimension mismatch")
-	}
-	if faultinject.Enabled() {
-		if err := faultinject.Hit(faultinject.SiteDenseLDLT); err != nil {
-			return err
-		}
 	}
 	n, l, d := f.n, f.l, f.d
 	for j := 0; j < n; j++ {

@@ -163,16 +163,15 @@ func TestInjectedEnqueueError(t *testing.T) {
 	}
 }
 
-// TestLadderExhaustionIsSolverError breaks every factorization backend so
+// TestLadderExhaustionIsSolverError breaks every factorization backend (the
+// sparse-LDLᵀ site fires in both the simplicial and the supernodal one) so
 // the recovery ladder runs dry, and checks the failure surfaces as a 500
 // with the full per-rung report rather than a panic or an empty body.
 func TestLadderExhaustionIsSolverError(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
-	defer faultinject.Activate(
-		faultinject.Rule{Site: faultinject.SiteSparseLDLT, Kind: faultinject.KindError},
-		faultinject.Rule{Site: faultinject.SiteDenseCholesky, Kind: faultinject.KindError},
-		faultinject.Rule{Site: faultinject.SiteDenseLDLT, Kind: faultinject.KindError},
-	)()
+	defer faultinject.Activate(faultinject.Rule{
+		Site: faultinject.SiteSparseLDLT, Kind: faultinject.KindError,
+	})()
 	w := do(s, nil, "POST", "/v1/solve", SolveRequest{Config: testConfigJSON(t, 3)})
 	if w.Code != http.StatusInternalServerError {
 		t.Fatalf("status %d, body %s, want 500", w.Code, w.Body)

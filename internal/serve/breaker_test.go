@@ -49,7 +49,7 @@ func TestBreakerStateMachine(t *testing.T) {
 		if mode != modeNormal {
 			t.Fatalf("request %d routed %v before trip", i, mode)
 		}
-		p.record(mode, recoveredReport("dense-factor"), trip)
+		p.record(mode, recoveredReport("sparse"), trip)
 	}
 	if !p.open {
 		t.Fatal("breaker closed after trip consecutive recoveries")
@@ -57,8 +57,8 @@ func TestBreakerStateMachine(t *testing.T) {
 
 	// Open: the first open-state request degrades to the known-good rung...
 	mode, backend := p.plan(probeEvery)
-	if mode != modeDegraded || backend != "dense-factor" {
-		t.Fatalf("open-state routing %v/%q, want degraded/dense-factor", mode, backend)
+	if mode != modeDegraded || backend != "sparse" {
+		t.Fatalf("open-state routing %v/%q, want degraded/sparse", mode, backend)
 	}
 	p.record(mode, cleanReport(), trip)
 	if !p.open {
@@ -72,9 +72,9 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 	// A probe that still needs the ladder keeps the breaker open and follows
 	// the rung that worked.
-	p.record(mode, recoveredReport("dense-kkt"), trip)
-	if !p.open || p.goodBackend != "dense-kkt" {
-		t.Fatalf("after failed probe: open=%v good=%q, want open/dense-kkt", p.open, p.goodBackend)
+	p.record(mode, recoveredReport("supernodal"), trip)
+	if !p.open || p.goodBackend != "supernodal" {
+		t.Fatalf("after failed probe: open=%v good=%q, want open/supernodal", p.open, p.goodBackend)
 	}
 
 	// Walk to the next probe; a clean probe closes the breaker.
@@ -101,7 +101,7 @@ func TestBreakerIgnoresNonSignals(t *testing.T) {
 	const trip = 2
 	p := &pattern{}
 
-	p.record(modeNormal, recoveredReport("dense-factor"), trip)
+	p.record(modeNormal, recoveredReport("sparse"), trip)
 	// Cancellations between recoveries neither reset nor advance the streak.
 	p.record(modeNormal, canceledReport(), trip)
 	if p.consecutive != 1 {
@@ -111,8 +111,8 @@ func TestBreakerIgnoresNonSignals(t *testing.T) {
 	// the breaker must not open on it even at the trip threshold.
 	p.record(modeNormal, &core.SolveReport{
 		Recovered:    false,
-		FinalBackend: "dense-kkt",
-		Attempts:     []core.SolveAttempt{{Backend: "dense-kkt", Status: socp.StatusNumericalError}},
+		FinalBackend: "sparse",
+		Attempts:     []core.SolveAttempt{{Backend: "sparse", Status: socp.StatusNumericalError}},
 	}, trip)
 	if p.open {
 		t.Fatal("breaker opened on an exhausted ladder with no good backend")
@@ -130,19 +130,23 @@ func TestBreakerIgnoresNonSignals(t *testing.T) {
 	}
 }
 
-// TestBreakerIntegration drives the breaker through real solves: an injected
-// sparse-factorization fault makes every solve of one topology recover to
-// the dense rung; after BreakerTrip of those the server routes the pattern
-// straight to dense-factor (one attempt, no ladder tax), and once the fault
-// clears, the scheduled probe closes the breaker again.
+// TestBreakerIntegration drives the breaker through real solves on a server
+// that factorizes supernodally: an injected supernodal-panel fault makes
+// every solve of one topology recover to the simplicial rung; after
+// BreakerTrip of those the server routes the pattern straight to sparse
+// (one attempt, no ladder tax), and once the fault clears, the scheduled
+// probe closes the breaker again.
 func TestBreakerIntegration(t *testing.T) {
 	const trip, probeEvery = 2, 2
-	s := newTestServer(t, Config{Workers: 1, BreakerTrip: trip, BreakerProbeEvery: probeEvery})
+	s := newTestServer(t, Config{
+		Workers: 1, BreakerTrip: trip, BreakerProbeEvery: probeEvery,
+		Solve: core.Options{Solver: socp.Options{Factorization: socp.FactorSupernodal}},
+	})
 	cfg := gen.Chain(gen.ChainOptions{Tasks: 4})
 
-	// Both sparse pipelines fail: the ladder lands on dense-factor.
+	// Both supernodal rungs fail: the ladder lands on sparse.
 	deactivate := faultinject.Activate(faultinject.Rule{
-		Site: faultinject.SiteSparseLDLT, Kind: faultinject.KindError,
+		Site: faultinject.SiteSupernodalPanel, Kind: faultinject.KindError,
 	})
 	for i := 0; i < trip; i++ {
 		res, mode, err := s.Solve(context.Background(), cfg, false)
@@ -152,14 +156,14 @@ func TestBreakerIntegration(t *testing.T) {
 		if mode != modeNormal {
 			t.Fatalf("solve %d routed %v before trip", i, mode)
 		}
-		if !res.Report.Recovered || res.Report.FinalBackend != "dense-factor" {
-			t.Fatalf("solve %d report %+v, want recovery to dense-factor", i, res.Report)
+		if !res.Report.Recovered || res.Report.FinalBackend != "sparse" || len(res.Report.Attempts) != 3 {
+			t.Fatalf("solve %d report %+v, want recovery to sparse on the third rung", i, res.Report)
 		}
 	}
 
-	// Open: the degraded solve starts directly at dense-factor, so the
-	// sparse fault site is never reached and the report shows one clean
-	// attempt — the ladder tax is gone while the fault persists.
+	// Open: the degraded solve starts directly at sparse, so the supernodal
+	// fault site is never reached and the report shows one clean attempt —
+	// the ladder tax is gone while the fault persists.
 	res, mode, err := s.Solve(context.Background(), cfg, false)
 	if err != nil || res.Status != core.StatusOptimal {
 		t.Fatalf("degraded solve: status %v err %v", res.Status, err)
@@ -168,10 +172,10 @@ func TestBreakerIntegration(t *testing.T) {
 		t.Fatalf("routed %v, want degraded after trip", mode)
 	}
 	if res.Report.Recovered || len(res.Report.Attempts) != 1 {
-		t.Fatalf("degraded report %+v, want a single clean dense attempt", res.Report)
+		t.Fatalf("degraded report %+v, want a single clean sparse attempt", res.Report)
 	}
-	if got := res.Report.FinalBackend; got != "dense-factor" {
-		t.Fatalf("degraded backend %q, want dense-factor", got)
+	if got := res.Report.FinalBackend; got != "sparse" {
+		t.Fatalf("degraded backend %q, want sparse", got)
 	}
 
 	// The probe retries the full ladder while the fault persists: it pays
@@ -217,8 +221,10 @@ func TestBreakerIsPerPattern(t *testing.T) {
 	bad := gen.Chain(gen.ChainOptions{Tasks: 4})
 	other := gen.FanOut(gen.FanOutOptions{Width: 3})
 
+	// One broken factorization: the escalated-regularization rung recovers,
+	// which trips the breaker at BreakerTrip 1.
 	deactivate := faultinject.Activate(faultinject.Rule{
-		Site: faultinject.SiteSparseLDLT, Kind: faultinject.KindError,
+		Site: faultinject.SiteSparseLDLT, Kind: faultinject.KindError, Count: 1,
 	})
 	if _, mode, err := s.Solve(context.Background(), bad, false); err != nil || mode != modeNormal {
 		t.Fatalf("trip solve: mode %v err %v", mode, err)

@@ -3,6 +3,7 @@ package socp
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/cone"
@@ -42,11 +43,16 @@ func TestPatternCacheReacquireAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector drops sync.Pool items at random; steady state is not alloc-free under -race")
 	}
+	// A sync.Pool keeps a released item in the private slot of the P that
+	// released it, where a Get from another P cannot see it. AllocsPerRun
+	// pins GOMAXPROCS to 1; pin it for the registering cycle too, so the
+	// test never depends on which P the goroutine ran on.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rng := rand.New(rand.NewSource(12))
 	for _, eq := range []bool{false, true} {
 		for _, backend := range []Factorization{FactorSparse, FactorSupernodal} {
 			p := randomProblem(rng, 14, 10, 2, 0.3, eq)
-			sv := p.sparse()
+			sv := newSparseView(withCSR(p))
 			pc := NewPatternCache()
 			m := p.Dims.Dim()
 			s, z := linalg.NewVector(m), linalg.NewVector(m)
@@ -94,7 +100,7 @@ func TestPerIterationRefactorizationAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, eq := range []bool{false, true} {
 		p := randomProblem(rng, 14, 10, 2, 0.3, eq)
-		sv := p.sparse()
+		sv := newSparseView(withCSR(p))
 		ne := sv.normalEq(nil, FactorSparse, 1)
 		m := p.Dims.Dim()
 		s, z := linalg.NewVector(m), linalg.NewVector(m)

@@ -26,12 +26,11 @@ import (
 
 // Problem is a conic program in inequality/equality standard form.
 // A and b may be nil (no equality constraints). The constraint matrix is
-// given either densely in G or in CSR form in GSparse — exactly one of the
-// two — and must have Dims.Dim() rows. Large generated instances use GSparse
-// (the Builder switches automatically past a size threshold): their dense G
-// would be gigabytes while the actual structure is a few entries per row.
-// The GSparse path requires a sparse-capable configuration: Options.DenseKKT
-// is rejected by Solve when no dense G exists.
+// given either in CSR form in GSparse — what the Builder emits — or densely
+// in G, exactly one of the two, and must have Dims.Dim() rows. The solver
+// works on CSR only: a dense G is converted once at the start of a solve,
+// to the same pattern and values the Builder would emit, so the two
+// carriers solve bit-identically.
 type Problem struct {
 	C       linalg.Vector
 	G       *linalg.Matrix
@@ -40,20 +39,6 @@ type Problem struct {
 	A       *linalg.Matrix // optional
 	B       linalg.Vector  // optional, len = A.Rows
 	Dims    cone.Dims
-
-	// sv is the lazily-built sparse view of G and A used by the solver's
-	// sparse KKT path. It caches the symbolic sparsity pattern of the scaled
-	// constraint matrix, which is fixed across all interior-point iterations.
-	// Callers must not mutate G or A after the first Solve.
-	sv *sparseView
-}
-
-// sparse returns the problem's sparse view, building it on first use.
-func (p *Problem) sparse() *sparseView {
-	if p.sv == nil {
-		p.sv = newSparseView(p)
-	}
-	return p.sv
 }
 
 // Validate checks the problem shapes.
@@ -165,32 +150,22 @@ type Options struct {
 	// KKTReg is the static regularization added to the normal-equations
 	// diagonal; default 1e-13 (scaled by the matrix norm).
 	KKTReg float64
-	// DenseKKT disables the sparse normal-equations fast path and assembles
-	// Gᵀ W⁻² G from a dense copy of G every iteration, as the solver did
-	// before the sparse path existed. The dense path is the correctness
-	// oracle the sparse path is tested against; it always factorizes
-	// densely, regardless of Factorization.
-	DenseKKT bool
-	// Factorization selects the factorization backend used with the sparse
-	// assembly path. FactorSparse runs the sparse simplicial LDLᵀ pipeline
+	// Factorization selects the sparse factorization backend of the KKT
+	// system. FactorSparse runs the simplicial LDLᵀ pipeline
 	// (fill-reducing AMD ordering, elimination tree, and symbolic
 	// factorization computed once per problem; numeric refactorization per
 	// iteration). FactorSupernodal runs the blocked supernodal LDLᵀ on the
 	// same symbolic analysis — dense column panels, register-blocked update
 	// kernels, and an optional worker pool (see FactorWorkers) — which wins
 	// on large systems where panels grow wide. FactorAuto picks between the
-	// two by KKT dimension (ResolveFactorization). FactorDense keeps the
-	// sparse assembly but hands the dense normal-equations matrix to the
-	// dense Cholesky/LDLᵀ — the configuration before the sparse factor
-	// existed, kept for isolating assembly effects from factorization
-	// effects.
+	// two by KKT dimension (ResolveFactorization).
 	Factorization Factorization
 	// FactorWorkers bounds the supernodal backend's intra-factorization
 	// worker pool. Values ≤ 1 run serially — the default, because sweep
 	// drivers already parallelize across solves and oversubscription helps
 	// nothing. Results are bitwise identical at every setting: the scheduler
 	// assigns each panel to exactly one worker and fixes every reduction
-	// order. Ignored by the other backends.
+	// order. Ignored by the simplicial backend.
 	FactorWorkers int
 	// WarmStart optionally supplies an initial primal/dual iterate in the
 	// problem's original coordinates, usually a neighboring problem's
@@ -228,8 +203,6 @@ const (
 	FactorAuto Factorization = iota
 	// FactorSparse forces the sparse simplicial factorization.
 	FactorSparse
-	// FactorDense forces the dense Cholesky/LDLᵀ factorization.
-	FactorDense
 	// FactorSupernodal forces the blocked supernodal factorization.
 	FactorSupernodal
 )
@@ -241,8 +214,6 @@ func (f Factorization) String() string {
 		return "auto"
 	case FactorSparse:
 		return "sparse"
-	case FactorDense:
-		return "dense"
 	case FactorSupernodal:
 		return "supernodal"
 	default:

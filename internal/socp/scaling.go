@@ -6,18 +6,17 @@ import (
 	"repro/internal/linalg"
 )
 
-// eqScales records the diagonal scalings equilibrate applied, so solutions
+// eqScales records the diagonal scalings equilibrateSparse applied, so solutions
 // can be mapped back to the original coordinates and caller-supplied warm
 // starts can be mapped forward into the equilibrated ones.
 type eqScales struct {
-	costScale float64        // c̃ = c / σc
-	rowScale  linalg.Vector  // row i of (G̃ | h̃) = row i of (G | h) / rowScale[i]
-	eqScale   linalg.Vector  // row i of (Ã | b̃) = row i of (A | b) / eqScale[i]; nil without equalities
-	pooledG   *linalg.Matrix // scaled-G workspace borrowed from a PatternCache; returned after the solve
+	costScale float64       // c̃ = c / σc
+	rowScale  linalg.Vector // row i of (G̃ | h̃) = row i of (G | h) / rowScale[i]
+	eqScale   linalg.Vector // row i of (Ã | b̃) = row i of (A | b) / eqScale[i]; nil without equalities
 }
 
-// equilibrate rescales the problem so the interior-point iterations are
-// well conditioned regardless of the magnitudes of objective weights,
+// equilibrateSparse rescales the problem so the interior-point iterations
+// are well conditioned regardless of the magnitudes of objective weights,
 // constraint coefficients, or resource capacities:
 //
 //   - every orthant row of (G | h) is divided by its coefficient inf-norm
@@ -27,11 +26,10 @@ type eqScales struct {
 //
 // It returns the scaled problem plus the applied scales; unscale restores
 // the solution of the original problem (x is unchanged; slacks, duals, and
-// objective values are rescaled).
-func equilibrate(p *Problem, pc *PatternCache) (*Problem, *eqScales) {
-	if p.GSparse != nil {
-		return equilibrateSparse(p)
-	}
+// objective values are rescaled). csr is p's constraint matrix in CSR form;
+// the scaled copy shares its immutable pattern arrays and clones only the
+// values.
+func equilibrateSparse(p *Problem, csr *linalg.SparseMatrix) (*Problem, *eqScales) {
 	n := len(p.C)
 	m := p.Dims.Dim()
 
@@ -39,23 +37,16 @@ func equilibrate(p *Problem, pc *PatternCache) (*Problem, *eqScales) {
 	c := p.C.Clone()
 	c.Scale(1 / costScale)
 
-	// The scaled copy of G is the largest per-solve allocation; borrow it
-	// from the pattern cache's dimension-keyed pool when one is in play.
-	// Every entry is overwritten by the copy below, so the borrowed buffer
-	// cannot leak values between solves.
-	var g *linalg.Matrix
-	var pooled *linalg.Matrix
-	if pc != nil {
-		pooled = pc.acquireDense(p.G.Rows, p.G.Cols)
-		copy(pooled.Data, p.G.Data)
-		g = pooled
-	} else {
-		g = p.G.Clone()
+	//bbvet:allow csralias the pattern is immutable and shared by design; only Val is private
+	g := &linalg.SparseMatrix{
+		Rows: csr.Rows, Cols: csr.Cols,
+		RowPtr: csr.RowPtr, ColIdx: csr.ColIdx,
+		Val: append([]float64(nil), csr.Val...),
 	}
 	h := p.H.Clone()
 	rowScale := make(linalg.Vector, m)
 	rowNorm := func(i int) float64 {
-		return linalg.NormInf(g.Data[i*n : (i+1)*n])
+		return linalg.NormInf(g.Val[g.RowPtr[i]:g.RowPtr[i+1]])
 	}
 	// Orthant rows scale independently. Including |h| in the scale keeps
 	// loose capacity constraints (tiny coefficients, huge bound) from
@@ -68,70 +59,6 @@ func equilibrate(p *Problem, pc *PatternCache) (*Problem, *eqScales) {
 		rowScale[i] = r
 	}
 	// SOC blocks share one factor to stay a cone constraint.
-	off := p.Dims.NonNeg
-	for _, q := range p.Dims.SOC {
-		r := 0.0
-		for i := off; i < off+q; i++ {
-			if v := math.Max(rowNorm(i), math.Abs(h[i])); v > r {
-				r = v
-			}
-		}
-		if r == 0 {
-			r = 1
-		}
-		for i := off; i < off+q; i++ {
-			rowScale[i] = r
-		}
-		off += q
-	}
-	for i := 0; i < m; i++ {
-		inv := 1 / rowScale[i]
-		row := g.Data[i*n : (i+1)*n]
-		for j := range row {
-			row[j] *= inv
-		}
-		h[i] *= inv
-	}
-
-	sp := &Problem{C: c, G: g, H: h, Dims: p.Dims}
-	sc := &eqScales{costScale: costScale, rowScale: rowScale, pooledG: pooled}
-	equilibrateEq(p, sp, sc, n)
-	return sp, sc
-}
-
-// equilibrateSparse is equilibrate for problems carrying the constraint
-// matrix in CSR form. The row norms and applied scales are identical to the
-// dense path's — a row's inf-norm over stored nonzeros equals its inf-norm
-// over the full dense row — so a problem solved through either
-// representation produces bit-identical iterates. The scaled copy shares the
-// immutable pattern arrays with the caller's matrix and clones only the
-// values.
-func equilibrateSparse(p *Problem) (*Problem, *eqScales) {
-	n := len(p.C)
-	m := p.Dims.Dim()
-
-	costScale := math.Max(1, linalg.NormInf(p.C))
-	c := p.C.Clone()
-	c.Scale(1 / costScale)
-
-	//bbvet:allow csralias the pattern is immutable and shared by design; only Val is private
-	g := &linalg.SparseMatrix{
-		Rows: p.GSparse.Rows, Cols: p.GSparse.Cols,
-		RowPtr: p.GSparse.RowPtr, ColIdx: p.GSparse.ColIdx,
-		Val: append([]float64(nil), p.GSparse.Val...),
-	}
-	h := p.H.Clone()
-	rowScale := make(linalg.Vector, m)
-	rowNorm := func(i int) float64 {
-		return linalg.NormInf(g.Val[g.RowPtr[i]:g.RowPtr[i+1]])
-	}
-	for i := 0; i < p.Dims.NonNeg; i++ {
-		r := math.Max(rowNorm(i), math.Abs(h[i]))
-		if r == 0 {
-			r = 1
-		}
-		rowScale[i] = r
-	}
 	off := p.Dims.NonNeg
 	for _, q := range p.Dims.SOC {
 		r := 0.0
@@ -163,8 +90,8 @@ func equilibrateSparse(p *Problem) (*Problem, *eqScales) {
 	return sp, sc
 }
 
-// equilibrateEq scales the equality rows of (A | b) into sp — the shared
-// tail of both equilibrate paths. No-op without equalities.
+// equilibrateEq scales the equality rows of (A | b) into sp. No-op without
+// equalities.
 func equilibrateEq(p, sp *Problem, sc *eqScales, n int) {
 	if p.A == nil {
 		return

@@ -31,29 +31,24 @@ func SolveContext(ctx context.Context, p *Problem, opt Options) (*Solution, erro
 	if p.Dims.Dim() == 0 {
 		return nil, errors.New("socp: cone dimension is zero")
 	}
-	o := opt.withDefaults()
-	if o.DenseKKT && p.G == nil {
-		return nil, errors.New("socp: DenseKKT needs a dense G, but the problem carries GSparse")
+	// The solver runs on CSR only: a dense G is converted once, to the
+	// pattern and values the Builder emits for the same rows.
+	g := p.GSparse
+	if g == nil {
+		g = linalg.NewSparseFromDense(p.G)
 	}
-	sp, scales := equilibrate(p, o.Cache)
-	s := &state{ctx: ctx, p: sp, opt: o}
+	sp, scales := equilibrateSparse(p, g)
+	s := &state{ctx: ctx, p: sp, opt: opt.withDefaults()}
 	// The warm start arrives in the original coordinates; map it into the
 	// equilibrated ones (nil on dimension mismatch or non-finite entries,
 	// which silently selects the cold start).
 	s.warm = scales.scaleWarm(s.opt.WarmStart, len(p.C))
 	sol, err := s.run()
-	// Return the borrowed pieces to the pattern cache: the factorization
-	// pipeline and the scaled-G workspace. sp (and its sparse view) is
-	// per-solve, so nothing references either after this.
-	if pc := s.opt.Cache; pc != nil {
-		if sp.sv != nil {
-			pc.release(sp.sv.ne)
-			sp.sv.ne = nil
-		}
-		if scales.pooledG != nil {
-			pc.releaseDense(scales.pooledG)
-			sp.G = nil
-		}
+	// Return the borrowed factorization pipeline to the pattern cache. The
+	// sparse view is per-solve, so nothing references it after this.
+	if pc := s.opt.Cache; pc != nil && s.sv != nil {
+		pc.release(s.sv.ne)
+		s.sv.ne = nil
 	}
 	scales.unscale(sol)
 	return sol, err
@@ -85,11 +80,10 @@ type state struct {
 	cnorm float64
 
 	// sv is the sparse view of the (equilibrated) problem's constraint
-	// matrices; nil when Options.DenseKKT selects the dense oracle path.
+	// matrices, built by initWorkspace.
 	sv *sparseView
 	// factorBackend is the resolved sparse factorization backend
-	// (FactorSparse or FactorSupernodal, never FactorAuto); meaningful only
-	// when sparseFactor() is true.
+	// (FactorSparse or FactorSupernodal, never FactorAuto).
 	factorBackend Factorization
 	ws            workspace
 }
@@ -98,13 +92,6 @@ type state struct {
 // after initWorkspace the hot loop performs no matrix allocations and no
 // per-iteration vector allocations.
 type workspace struct {
-	// KKT assembly and factorization (reused every iteration).
-	hmat *linalg.Matrix // Gᵀ W⁻² G (unregularized, for refinement)
-	hreg *linalg.Matrix // hmat + reg·I, the factorized matrix (pe == 0)
-	chol *linalg.Cholesky
-	kkt  *linalg.Matrix // assembled [[H,Aᵀ],[A,0]] (pe > 0)
-	ldlt *linalg.LDLT
-
 	// kktFactor.solve: iterative-refinement scratch.
 	r1, r2, r3          linalg.Vector // n, pe, m residuals
 	w2z                 linalg.Vector // m
@@ -126,30 +113,15 @@ type workspace struct {
 	ns, nz             linalg.Vector // m, step back-off double buffers
 }
 
-// initWorkspace allocates the per-solve buffers once; the iteration loop
-// reuses them instead of calling NewMatrix/Clone each pass. With the sparse
-// factorization backend the dense factor storage (n² and larger) is never
-// allocated: the sparse pipeline owns pattern-sized buffers instead.
+// initWorkspace builds the sparse view and allocates the per-solve buffers
+// once; the iteration loop reuses them instead of calling Clone each pass.
+// The factorization pipeline owns its own pattern-sized buffers.
 func (st *state) initWorkspace() {
 	n, m, pe := st.n, st.m, st.pe
 	ws := &st.ws
-	if !st.opt.DenseKKT {
-		st.sv = st.p.sparse()
-	}
-	if st.sparseFactor() {
-		st.factorBackend = ResolveFactorization(st.opt.Factorization, n+pe)
-		if pe > 0 {
-			ws.full = linalg.NewVector(n + pe)
-			ws.fsol = linalg.NewVector(n + pe)
-		}
-	} else if pe == 0 {
-		ws.hmat = linalg.NewMatrix(n, n)
-		ws.hreg = linalg.NewMatrix(n, n)
-		ws.chol = linalg.NewCholeskyWorkspace(n)
-	} else {
-		ws.hmat = linalg.NewMatrix(n, n)
-		ws.kkt = linalg.NewMatrix(n+pe, n+pe)
-		ws.ldlt = linalg.NewLDLTWorkspace(n + pe)
+	st.sv = newSparseView(st.p)
+	st.factorBackend = ResolveFactorization(st.opt.Factorization, n+pe)
+	if pe > 0 {
 		ws.full = linalg.NewVector(n + pe)
 		ws.fsol = linalg.NewVector(n + pe)
 	}
@@ -183,64 +155,6 @@ func (st *state) initWorkspace() {
 	ws.nz = linalg.NewVector(m)
 }
 
-// sparseFactor reports whether the sparse simplicial factorization backend
-// is active: sparse assembly must be on (no DenseKKT) and the factorization
-// choice must not force the dense factor.
-func (st *state) sparseFactor() bool {
-	return !st.opt.DenseKKT && st.opt.Factorization != FactorDense
-}
-
-// Sparse-aware mat-vec dispatch: the CSR view when the sparse path is
-// active, the dense matrices under Options.DenseKKT.
-
-func (st *state) gMulVec(dst, x linalg.Vector) {
-	if st.sv != nil {
-		st.sv.g.MulVec(dst, x)
-	} else {
-		st.p.G.MulVec(dst, x)
-	}
-}
-
-func (st *state) gMulVecAdd(dst linalg.Vector, alpha float64, x linalg.Vector) {
-	if st.sv != nil {
-		st.sv.g.MulVecAdd(dst, alpha, x)
-	} else {
-		st.p.G.MulVecAdd(dst, alpha, x)
-	}
-}
-
-func (st *state) gMulVecTAdd(dst linalg.Vector, alpha float64, x linalg.Vector) {
-	if st.sv != nil {
-		st.sv.g.MulVecTAdd(dst, alpha, x)
-	} else {
-		st.p.G.MulVecTAdd(dst, alpha, x)
-	}
-}
-
-func (st *state) aMulVec(dst, x linalg.Vector) {
-	if st.sv != nil && st.sv.a != nil {
-		st.sv.a.MulVec(dst, x)
-	} else {
-		st.p.A.MulVec(dst, x)
-	}
-}
-
-func (st *state) aMulVecAdd(dst linalg.Vector, alpha float64, x linalg.Vector) {
-	if st.sv != nil && st.sv.a != nil {
-		st.sv.a.MulVecAdd(dst, alpha, x)
-	} else {
-		st.p.A.MulVecAdd(dst, alpha, x)
-	}
-}
-
-func (st *state) aMulVecTAdd(dst linalg.Vector, alpha float64, x linalg.Vector) {
-	if st.sv != nil && st.sv.a != nil {
-		st.sv.a.MulVecTAdd(dst, alpha, x)
-	} else {
-		st.p.A.MulVecTAdd(dst, alpha, x)
-	}
-}
-
 // kktFactor is a factorized KKT system for a fixed NT scaling. It solves
 //
 //	[ 0   Aᵀ   Gᵀ ] [x]   [bx]
@@ -249,87 +163,30 @@ func (st *state) aMulVecTAdd(dst linalg.Vector, alpha float64, x linalg.Vector) 
 //
 // via the normal equations H = Gᵀ W⁻² G (pe == 0) or an LDLᵀ factorization of
 // the reduced KKT matrix [[H, Aᵀ], [A, 0]]. Its storage is owned by the
-// state's workspace; only one factor is live at a time.
+// state's factorization pipeline; only one factor is live at a time.
 type kktFactor struct {
 	st *state
 	w  *cone.Scaling // nil means W = I
 
-	hmat *linalg.Matrix // Gᵀ W⁻² G (unregularized, for refinement)
-	chol *linalg.Cholesky
-	kkt  *linalg.Matrix // assembled [[H,Aᵀ],[A,0]] when pe > 0
-	ldlt *linalg.LDLT
-
-	// Sparse backend: schol is the sparse LDLᵀ (simplicial or supernodal)
-	// of hs, which is the sparse H (pe == 0, unregularized — refinement
-	// sweeps the shift out) or the sparse reduced KKT matrix (pe > 0).
-	// nil on the dense backend.
+	// schol is the sparse LDLᵀ (simplicial or supernodal) of hs, which is
+	// the sparse H (pe == 0, unregularized — refinement sweeps the shift
+	// out) or the sparse reduced KKT matrix (pe > 0).
 	schol linalg.SparseLDLT
 	hs    *linalg.SparseMatrix
 }
 
+// factor rewrites the values of the fixed W⁻¹G pattern for the scaling w
+// and refactorizes the KKT system.
 func (st *state) factor(w *cone.Scaling) (*kktFactor, error) {
-	ws := &st.ws
-	f := &kktFactor{st: st, w: w, hmat: ws.hmat}
-	if st.opt.DenseKKT {
-		// Dense oracle: scale a fresh copy of G and assemble H densely.
-		gs := st.p.G.Clone()
-		if w != nil {
-			w.ScaleRows(gs)
-		}
-		gs.AtAInto(ws.hmat)
-	} else {
-		// Sparse fast path: rewrite the values of the fixed W⁻¹G pattern,
-		// then either run the fully sparse factorization pipeline or fall
-		// back to sparse assembly into the dense factor (FactorDense).
-		st.sv.fillScaled(w)
-		if st.sparseFactor() {
-			return st.factorSparse(f)
-		}
-		st.sv.gs.AtAInto(ws.hmat)
-	}
-	reg := st.opt.KKTReg * (1 + ws.hmat.NormInf())
-	if st.pe == 0 {
-		hreg := ws.hreg
-		copy(hreg.Data, ws.hmat.Data)
-		for i := 0; i < st.n; i++ {
-			hreg.Add(i, i, reg)
-		}
-		if err := ws.chol.Factorize(hreg, reg); err != nil {
-			return nil, err
-		}
-		f.chol = ws.chol
-		return f, nil
-	}
-	// Assemble the quasi-definite reduced KKT matrix.
-	k := ws.kkt
-	k.Zero()
-	nt := st.n + st.pe
-	for i := 0; i < st.n; i++ {
-		copy(k.Data[i*nt:i*nt+st.n], ws.hmat.Data[i*st.n:(i+1)*st.n])
-		k.Add(i, i, reg)
-	}
-	for i := 0; i < st.pe; i++ {
-		for j := 0; j < st.n; j++ {
-			v := st.p.A.At(i, j)
-			k.Set(st.n+i, j, v)
-			k.Set(j, st.n+i, v)
-		}
-		k.Set(st.n+i, st.n+i, -reg)
-	}
-	if err := ws.ldlt.Factorize(k, reg); err != nil {
-		return nil, err
-	}
-	f.kkt = k
-	f.ldlt = ws.ldlt
-	return f, nil
+	st.sv.fillScaled(w)
+	return st.factorSparse(&kktFactor{st: st, w: w})
 }
 
-// factorSparse runs the sparse simplicial pipeline: refill H = (W⁻¹G)ᵀ(W⁻¹G)
-// on its fixed pattern and refactorize numerically against the symbolic
-// structure computed on first use. pe == 0 factorizes H directly with a
-// static diagonal shift; pe > 0 factorizes the quasi-definite reduced KKT
-// matrix with the ±reg diagonal floor, matching the dense backend's
-// regularization semantics.
+// factorSparse runs the sparse pipeline: refill H = (W⁻¹G)ᵀ(W⁻¹G) on its
+// fixed pattern and refactorize numerically against the symbolic structure
+// computed on first use. pe == 0 factorizes H directly with a static
+// diagonal shift; pe > 0 factorizes the quasi-definite reduced KKT matrix
+// with the ±reg diagonal floor.
 //
 //bbvet:hotpath
 func (st *state) factorSparse(f *kktFactor) (*kktFactor, error) {
@@ -394,18 +251,18 @@ func (f *kktFactor) residual(bx, by, bz, x, y, z linalg.Vector) {
 	ws := &st.ws
 	r1 := ws.r1 // bx − Gᵀz − Aᵀy
 	r1.CopyFrom(bx)
-	st.gMulVecTAdd(r1, -1, z)
+	st.sv.g.MulVecTAdd(r1, -1, z)
 	if st.pe > 0 {
-		st.aMulVecTAdd(r1, -1, y)
+		st.sv.a.MulVecTAdd(r1, -1, y)
 	}
 	r2 := ws.r2 // by − Ax
 	r2.CopyFrom(by)
 	if st.pe > 0 {
-		st.aMulVecAdd(r2, -1, x)
+		st.sv.a.MulVecAdd(r2, -1, x)
 	}
 	r3 := ws.r3 // bz − (Gx − W²z)
 	r3.CopyFrom(bz)
-	st.gMulVecAdd(r3, -1, x)
+	st.sv.g.MulVecAdd(r3, -1, x)
 	w2z := ws.w2z
 	w2z.CopyFrom(z)
 	if f.w != nil {
@@ -430,31 +287,23 @@ func (f *kktFactor) solveOnce(bx, by, bz, dx, dy, dz linalg.Vector) {
 	// rhs = bx + Gᵀ W⁻² bz.
 	rhs := ws.rhs
 	rhs.CopyFrom(bx)
-	st.gMulVecTAdd(rhs, 1, t)
+	st.sv.g.MulVecTAdd(rhs, 1, t)
 	if faultinject.Enabled() {
 		faultinject.CorruptNaN(faultinject.SiteKKTRHS, rhs)
 	}
 	if st.pe == 0 {
-		if f.schol != nil {
-			f.schol.SolveRefined(f.hs, rhs, dx)
-		} else {
-			f.chol.SolveRefined(f.hmat, rhs, dx)
-		}
+		f.schol.SolveRefined(f.hs, rhs, dx)
 	} else {
 		full := ws.full
 		copy(full[:st.n], rhs)
 		copy(full[st.n:], by)
 		sol := ws.fsol
-		if f.schol != nil {
-			f.schol.SolveRefined(f.hs, full, sol)
-		} else {
-			f.ldlt.SolveRefined(f.kkt, full, sol)
-		}
+		f.schol.SolveRefined(f.hs, full, sol)
 		copy(dx, sol[:st.n])
 		copy(dy, sol[st.n:])
 	}
 	// dz = W⁻² (G dx − bz).
-	st.gMulVec(dz, dx)
+	st.sv.g.MulVec(dz, dx)
 	dz.AddScaled(-1, bz)
 	if f.w != nil {
 		f.w.ApplyInv(dz, dz)
@@ -507,17 +356,17 @@ func (st *state) run() (*Solution, error) {
 		// Residuals.
 		rx := ws.rx // rx = c + Gᵀz + Aᵀy
 		rx.CopyFrom(p.C)
-		st.gMulVecTAdd(rx, 1, st.z)
+		st.sv.g.MulVecTAdd(rx, 1, st.z)
 		if st.pe > 0 {
-			st.aMulVecTAdd(rx, 1, st.y)
+			st.sv.a.MulVecTAdd(rx, 1, st.y)
 		}
 		ry := ws.ry // ry = Ax − b
 		if st.pe > 0 {
-			st.aMulVec(ry, st.x)
+			st.sv.a.MulVec(ry, st.x)
 			ry.AddScaled(-1, p.B)
 		}
 		rz := ws.rz // rz = Gx + s − h
-		st.gMulVec(rz, st.x)
+		st.sv.g.MulVec(rz, st.x)
 		linalg.Add(rz, rz, st.s)
 		rz.AddScaled(-1, p.H)
 
@@ -560,11 +409,11 @@ func (st *state) run() (*Solution, error) {
 		}
 		if pcost < 0 {
 			gx := ws.gx
-			st.gMulVec(gx, st.x)
+			st.sv.g.MulVec(gx, st.x)
 			linalg.Add(gx, gx, st.s)
 			ax := ws.ax
 			if st.pe > 0 {
-				st.aMulVec(ax, st.x)
+				st.sv.a.MulVec(ax, st.x)
 			}
 			if math.Max(linalg.Norm2(gx), linalg.Norm2(ax))/(-pcost) <= st.opt.FeasTol {
 				scaleCert(st.x, -1/pcost)
@@ -609,11 +458,11 @@ func (st *state) run() (*Solution, error) {
 			st.shiftWarm(st.s)
 			st.shiftWarm(st.z)
 			rx.CopyFrom(p.C)
-			st.gMulVecTAdd(rx, 1, st.z)
+			st.sv.g.MulVecTAdd(rx, 1, st.z)
 			if st.pe > 0 {
-				st.aMulVecTAdd(rx, 1, st.y)
+				st.sv.a.MulVecTAdd(rx, 1, st.y)
 			}
-			st.gMulVec(rz, st.x)
+			st.sv.g.MulVec(rz, st.x)
 			linalg.Add(rz, rz, st.s)
 			rz.AddScaled(-1, p.H)
 			gap = linalg.Dot(st.s, st.z)
@@ -789,7 +638,7 @@ func (st *state) warmPoint() bool {
 		return false
 	}
 	s := linalg.NewVector(st.m)
-	st.gMulVec(s, w.X)
+	st.sv.g.MulVec(s, w.X)
 	s.Scale(-1)
 	linalg.Add(s, s, st.p.H)
 	if st.p.Dims.Interior(s) {

@@ -7,7 +7,7 @@ import (
 	"repro/internal/linalg"
 )
 
-// sparseView caches the iteration-invariant sparse structure of a problem's
+// sparseView holds the iteration-invariant sparse structure of one solve's
 // constraint matrices: CSR forms of G and A for the mat-vecs of the main
 // loop, and a value template gs for the NT-scaled matrix W⁻¹G. The symbolic
 // pattern of gs is fixed across all IPM iterations of a solve — only the
@@ -47,17 +47,10 @@ type socBlockView struct {
 	gv []float64
 }
 
-// newSparseView builds the sparse structure for a validated problem. A
-// problem carrying GSparse uses the caller's CSR matrix directly; a dense G
-// is converted. Both give the same pattern and values, so the views solve
-// identically.
+// newSparseView builds the sparse structure for a validated problem
+// carrying GSparse, which the view uses directly.
 func newSparseView(p *Problem) *sparseView {
-	sv := &sparseView{dims: p.Dims}
-	if p.GSparse != nil {
-		sv.g = p.GSparse
-	} else {
-		sv.g = linalg.NewSparseFromDense(p.G)
-	}
+	sv := &sparseView{dims: p.Dims, g: p.GSparse}
 	if p.A != nil {
 		sv.a = linalg.NewSparseFromDense(p.A)
 	}

@@ -80,51 +80,76 @@ func randomProblem(rng *rand.Rand, n, l, nsoc int, fill float64, eq bool) *Probl
 	return p
 }
 
-// TestSparseAssemblyMatchesDenseOracle pins the sparse *assembly* path
-// (FactorDense: sparse Gᵀ W⁻² G refill handed to the dense factorization)
-// against the dense oracle (Options.DenseKKT). The two paths assemble
-// Gᵀ W⁻² G in the same summation order and factorize identically, so the
-// iterates are bit-identical in practice: the test demands matching
-// iteration counts and 1e-6 agreement.
+// withCSR returns a shallow copy of p carrying its dense G in CSR form, the
+// form the solver and the Builder work in.
+func withCSR(p *Problem) *Problem {
+	q := *p
+	q.GSparse, q.G = linalg.NewSparseFromDense(p.G), nil
+	return &q
+}
+
+// realScalings returns NT scalings of real interior-point iterates of p:
+// the best iterate after each of the first 4 iterations (in p's
+// coordinates), plus nil for the identity scaling of the initial
+// factorization.
+func realScalings(t *testing.T, p *Problem) []*cone.Scaling {
+	t.Helper()
+	ws := []*cone.Scaling{nil}
+	for k := 1; k <= 4; k++ {
+		sol, err := Solve(p, Options{MaxIter: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Iterations < k {
+			break // converged before iteration k
+		}
+		w, err := cone.NewScaling(p.Dims, sol.S, sol.Z)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws = append(ws, w)
+	}
+	return ws
+}
+
+// TestSparseAssemblyMatchesDenseOracle pins the production normal-equations
+// assembly — fillScaled on the fixed W⁻¹G pattern, then SparseAtA — against
+// the dense reference: W⁻¹G by cone.Scaling.ScaleRows on a dense copy of G,
+// then Matrix.AtAInto. Both sum every entry of GᵀW⁻²G over the rows in
+// ascending order, so the two agree bit for bit, on the pattern and off it,
+// for NT scalings taken from real iterates.
 func TestSparseAssemblyMatchesDenseOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 40; trial++ {
 		p := randomProblem(rng, 2+rng.Intn(5), 1+rng.Intn(4), rng.Intn(3), 0.8, trial%3 == 0)
-		sparse, err := Solve(p, Options{Factorization: FactorDense})
-		if err != nil {
-			t.Fatalf("trial %d: sparse solve: %v", trial, err)
-		}
-		dense, err := Solve(p, Options{DenseKKT: true})
-		if err != nil {
-			t.Fatalf("trial %d: dense solve: %v", trial, err)
-		}
-		if sparse.Status != dense.Status {
-			t.Fatalf("trial %d: status sparse=%v dense=%v", trial, sparse.Status, dense.Status)
-		}
-		if sparse.Status != StatusOptimal {
-			t.Fatalf("trial %d: status %v", trial, sparse.Status)
-		}
-		scale := math.Max(1, math.Abs(dense.PrimalObj))
-		if d := math.Abs(sparse.PrimalObj - dense.PrimalObj); d > 1e-6*scale {
-			t.Fatalf("trial %d: objective differs by %g (sparse %v, dense %v)",
-				trial, d, sparse.PrimalObj, dense.PrimalObj)
-		}
-		for i := range sparse.X {
-			if d := math.Abs(sparse.X[i] - dense.X[i]); d > 1e-6*scale {
-				t.Fatalf("trial %d: x[%d] differs by %g (sparse %v, dense %v)",
-					trial, i, d, sparse.X[i], dense.X[i])
+		n := p.NumVars()
+		sv := newSparseView(withCSR(p))
+		ata := linalg.NewSparseAtA(sv.gs)
+		want := linalg.NewMatrix(n, n)
+		for k, w := range realScalings(t, p) {
+			sv.fillScaled(w)
+			ata.Compute(sv.gs)
+			gd := p.G.Clone()
+			if w != nil {
+				w.ScaleRows(gd)
 			}
-		}
-		if sparse.Iterations != dense.Iterations {
-			t.Fatalf("trial %d: iteration counts diverge: sparse %d, dense %d",
-				trial, sparse.Iterations, dense.Iterations)
+			gd.AtAInto(want)
+			got := ata.Result.ToDense()
+			for i := range want.Data {
+				//bbvet:allow floatcmp bitwise agreement of the two assemblies is the property under test
+				if got.Data[i] != want.Data[i] {
+					t.Fatalf("trial %d scaling %d: H entry (%d,%d) = %v, dense oracle %v",
+						trial, k, i/n, i%n, got.Data[i], want.Data[i])
+				}
+			}
 		}
 	}
 }
 
 // TestSparseFactorMatchesDenseOracle is the property test of the full sparse
 // factorization pipeline: the default solve (AMD-ordered simplicial LDLᵀ with
-// symbolic reuse) must agree with the dense oracle to 1e-6 on randomized
+// symbolic reuse) must agree with the dense-factor oracle (the same sparse
+// assembly, factorized by the dense Cholesky/LDLᵀ) to 1e-7 on randomized
 // feasible instances. The elimination order differs from the dense
 // factorization, so the iterates round differently and iteration counts may
 // diverge by one or two — only the converged answers are compared. Tiny
@@ -132,8 +157,8 @@ func TestSparseAssemblyMatchesDenseOracle(t *testing.T) {
 // segment and any point on it is correct), so the test checks what is
 // invariant: both paths certify optimality within the solver's tolerances
 // and the optimal values agree tightly. Entrywise solution agreement on
-// non-degenerate instances is covered by the paper-instance oracle test in
-// internal/core.
+// non-degenerate model instances is covered by
+// TestSolveSparseMatchesDenseOracleCore.
 func TestSparseFactorMatchesDenseOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 40; trial++ {
@@ -143,7 +168,9 @@ func TestSparseFactorMatchesDenseOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: sparse solve: %v", trial, err)
 		}
-		dense, err := Solve(p, Options{DenseKKT: true})
+		restore := UseDenseFactorOracle()
+		dense, err := Solve(p, Options{})
+		restore()
 		if err != nil {
 			t.Fatalf("trial %d: dense solve: %v", trial, err)
 		}
@@ -163,15 +190,12 @@ func TestSparseFactorMatchesDenseOracle(t *testing.T) {
 	}
 }
 
-// TestSparseViewPattern sanity-checks the lazily built sparse view against
-// the dense G it mirrors.
+// TestSparseViewPattern sanity-checks the sparse view against the dense G
+// it mirrors.
 func TestSparseViewPattern(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	p := randomProblem(rng, 2+rng.Intn(5), 1+rng.Intn(4), rng.Intn(3), 0.8, true)
-	sv := p.sparse()
-	if p.sparse() != sv {
-		t.Fatal("sparse view not cached on the Problem")
-	}
+	sv := newSparseView(withCSR(p))
 	gd := sv.g.ToDense()
 	for i := 0; i < p.G.Rows; i++ {
 		for j := 0; j < p.G.Cols; j++ {
@@ -196,27 +220,28 @@ func TestSparseViewPattern(t *testing.T) {
 	}
 }
 
-// BenchmarkSolveSparseVsDense pits the KKT backends against each other on a
-// mid-size structured instance — ~6% dense G, like the model matrices the
-// builder emits, where skipping structural zeros in Gᵀ W⁻² G is the whole
-// point. Sparse is the full pipeline (sparse assembly + simplicial LDLᵀ),
-// SparseAssembly isolates the assembly win (sparse refill, dense factor),
-// Dense is the all-dense oracle.
+// BenchmarkSolveSparseVsDense pits the production pipeline against the
+// dense-factor oracle on a mid-size structured instance — ~6% dense G, like
+// the model matrices the builder emits. Sparse is the full pipeline (sparse
+// assembly + simplicial LDLᵀ); DenseFactor keeps the sparse assembly and
+// factorizes densely, isolating the factorization win.
 func BenchmarkSolveSparseVsDense(b *testing.B) {
 	rng := rand.New(rand.NewSource(43))
 	p := randomProblem(rng, 60, 120, 20, 0.06, true)
 	for _, bench := range []struct {
-		name string
-		opt  Options
+		name   string
+		oracle bool
 	}{
-		{"Sparse", Options{}},
-		{"SparseAssembly", Options{Factorization: FactorDense}},
-		{"Dense", Options{DenseKKT: true}},
+		{"Sparse", false},
+		{"DenseFactor", true},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
+			if bench.oracle {
+				defer UseDenseFactorOracle()()
+			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Solve(p, bench.opt); err != nil {
+				if _, err := Solve(p, Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -115,8 +115,10 @@ func newNEFactor(sv *sparseView, a *linalg.SparseMatrix, syms *linalg.SymbolicCa
 
 // newSparseChol builds the numeric factorization workspace for m's pattern
 // on the requested backend, sharing the symbolic analysis through syms when
-// one is supplied.
-func newSparseChol(m *linalg.SparseMatrix, syms *linalg.SymbolicCache, backend Factorization, workers int) linalg.SparseLDLT {
+// one is supplied. It runs once per pipeline build, never per iteration. It
+// is a variable only so tests can plug in a dense reference factorization
+// as an oracle; nothing else assigns it.
+var newSparseChol = func(m *linalg.SparseMatrix, syms *linalg.SymbolicCache, backend Factorization, workers int) linalg.SparseLDLT {
 	if backend == FactorSupernodal {
 		if syms != nil {
 			return syms.AcquireSupernodal(m, workers)

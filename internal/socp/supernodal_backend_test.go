@@ -3,7 +3,7 @@ package socp
 import (
 	"math"
 	"math/rand"
-	"strings"
+	"runtime"
 	"testing"
 
 	"repro/internal/linalg"
@@ -102,20 +102,6 @@ func TestGSparseMatchesDenseG(t *testing.T) {
 	}
 }
 
-// TestDenseKKTRejectsGSparse: the all-dense oracle needs the dense G it
-// would copy into the big KKT matrix; asking for it on a CSR-only problem
-// must fail loudly instead of silently materializing gigabytes.
-func TestDenseKKTRejectsGSparse(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	p := randomProblem(rng, 6, 4, 1, 0.5, false)
-	p.GSparse = linalg.NewSparseFromDense(p.G)
-	p.G = nil
-	_, err := Solve(p, Options{DenseKKT: true})
-	if err == nil || !strings.Contains(err.Error(), "DenseKKT") {
-		t.Fatalf("DenseKKT on a GSparse problem: got err %v, want a DenseKKT rejection", err)
-	}
-}
-
 // TestValidateGCarriers: exactly one of G and GSparse must be set.
 func TestValidateGCarriers(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
@@ -144,7 +130,7 @@ func TestValidateGCarriers(t *testing.T) {
 // through untouched, auto picks the supernodal backend at and above the
 // dimension threshold and the simplicial one below it.
 func TestResolveFactorization(t *testing.T) {
-	for _, f := range []Factorization{FactorSparse, FactorDense, FactorSupernodal} {
+	for _, f := range []Factorization{FactorSparse, FactorSupernodal} {
 		if got := ResolveFactorization(f, 10); got != f {
 			t.Fatalf("ResolveFactorization(%v, 10) = %v, want passthrough", f, got)
 		}
@@ -164,9 +150,12 @@ func TestResolveFactorization(t *testing.T) {
 // satisfy a supernodal acquire of the same pattern (and vice versa) — the
 // pooled numeric workspace is built for one factorization layout.
 func TestPatternCacheBackendKeying(t *testing.T) {
+	// One P, so the reacquire below sees the private pool slot the release
+	// filled (see TestPatternCacheReacquireAllocFree).
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rng := rand.New(rand.NewSource(83))
 	p := randomProblem(rng, 14, 10, 2, 0.3, false)
-	sv := p.sparse()
+	sv := newSparseView(withCSR(p))
 	pc := NewPatternCache()
 
 	fsp := pc.acquire(sv, FactorSparse, 1)
@@ -189,6 +178,9 @@ func TestPatternCacheBackendKeying(t *testing.T) {
 
 	again := pc.acquire(sv, FactorSupernodal, 4)
 	if again != fsn {
+		if raceEnabled {
+			t.Skip("the race detector's sync.Pool dropped the pooled pipeline; the pooled-hit checks need it")
+		}
 		t.Fatal("supernodal reacquire missed its own pooled pipeline")
 	}
 	if got := again.chol.(*linalg.SupernodalCholesky).Parallelism(); got != 4 {
