@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/binding"
 	"repro/internal/core"
+	"repro/internal/dfmodel"
 	"repro/internal/experiments"
 	"repro/internal/gen"
 	"repro/internal/linalg"
@@ -523,9 +524,10 @@ func BenchmarkSimulator(b *testing.B) {
 	}
 }
 
-// BenchmarkMinPeriod measures the SRDF maximum-cycle-mean analysis (the
-// verification workhorse) on a 100-actor ring with chords.
-func BenchmarkMinPeriod(b *testing.B) {
+// BenchmarkMinPeriodHoward measures the SRDF maximum-cycle-mean analysis
+// (Howard's policy iteration, which Verify reports) on a 100-actor ring with
+// chords.
+func BenchmarkMinPeriodHoward(b *testing.B) {
 	g := srdf.NewGraph()
 	const n = 100
 	ids := make([]srdf.ActorID, n)
@@ -538,8 +540,34 @@ func BenchmarkMinPeriod(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := g.MinPeriod(); err != nil {
+		if _, err := g.MinPeriodHoward(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkVerify measures dfmodel.Verify, which runs after every solve, on
+// solved mappings of the paper's T2 and of a 100-task chain.
+func BenchmarkVerify(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		cfg  *taskgraph.Config
+	}{
+		{"T2", gen.PaperT2(5)},
+		{"chain100", gen.Chain(gen.ChainOptions{Tasks: 100})},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			r, err := core.Solve(context.Background(), bc.cfg, core.Options{})
+			if err != nil || r.Status != core.StatusOptimal {
+				b.Fatalf("%v %v", r.Status, err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v, err := dfmodel.Verify(bc.cfg, r.Mapping)
+				if err != nil || !v.OK {
+					b.Fatalf("%v %v", v, err)
+				}
+			}
+		})
 	}
 }

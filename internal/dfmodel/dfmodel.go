@@ -18,6 +18,7 @@ package dfmodel
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"repro/internal/srdf"
 	"repro/internal/taskgraph"
@@ -119,7 +120,8 @@ type Verification struct {
 	// Problems lists human-readable constraint violations (empty when OK).
 	Problems []string
 	// GraphMinPeriods maps task graph name to the minimum feasible period of
-	// its SRDF model under the mapping (must be ≤ the graph's Period).
+	// its SRDF model under the mapping (must be ≤ the graph's Period), the
+	// maximum cycle mean by Howard's policy iteration.
 	GraphMinPeriods map[string]float64
 	// ProcessorLoads maps processor name to overhead + Σ budgets (must be ≤
 	// the replenishment interval).
@@ -128,13 +130,23 @@ type Verification struct {
 	MemoryUse map[string]int
 }
 
-// VerifyTol is the relative tolerance used by Verify when comparing the
-// model's minimum period against the requirement and processor loads against
-// the replenishment interval. The optimizer computes real-valued budgets to
-// a feasibility tolerance of about 1e-7, so a rounded mapping can sit on a
-// binding cycle within that noise; 1e-6 (one part per million of the period)
-// absorbs it while still catching every real violation.
+// VerifyTol is the relative tolerance used by Verify: the SRDF model must
+// admit a PAS at the required period times 1+VerifyTol, and processor loads
+// may exceed the replenishment interval by the same factor. The optimizer
+// computes real-valued budgets to a feasibility tolerance of about 1e-7, so
+// a rounded mapping can sit on a binding cycle within that noise; 1e-6 (one
+// part per million of the period) absorbs it while still catching every
+// real violation.
 const VerifyTol = 1e-6
+
+// cycleString names the actors of an SRDF cycle in firing order.
+func cycleString(g *srdf.Graph, cycle []srdf.ActorID) string {
+	names := make([]string, len(cycle))
+	for i, a := range cycle {
+		names[i] = g.Actor(a).Name
+	}
+	return strings.Join(names, " → ")
+}
 
 // Verify checks a mapping end to end: per-graph throughput via SRDF
 // analysis, per-processor budget capacity (Constraint 4 with overhead), and
@@ -159,7 +171,7 @@ func Verify(c *taskgraph.Config, m *taskgraph.Mapping) (*Verification, error) {
 		if err != nil {
 			return nil, err
 		}
-		mp, err := g.MinPeriod()
+		cycle, mp, err := g.CriticalCycle()
 		if err == srdf.ErrDeadlock {
 			fail("graph %s: dataflow model deadlocks", tg.Name)
 			continue
@@ -168,19 +180,27 @@ func Verify(c *taskgraph.Config, m *taskgraph.Mapping) (*Verification, error) {
 			return nil, err
 		}
 		v.GraphMinPeriods[tg.Name] = mp
-		if mp > tg.Period*(1+VerifyTol) {
-			fail("graph %s: minimum period %.6g exceeds required period %.6g", tg.Name, mp, tg.Period)
+		// The decision is whether a PAS with the required period exists
+		// (Constraint 1), by one strict Bellman-Ford test. Howard's MCM is
+		// only reported, and with its cycle it explains a failure.
+		if !g.FeasibleExact(tg.Period * (1 + VerifyTol)) {
+			fail("graph %s: minimum period %.6g exceeds required period %.6g on cycle %s",
+				tg.Name, mp, tg.Period, cycleString(g, cycle))
 		}
 	}
 
 	for i := range c.Processors {
-		p := &c.Processors[i]
-		load := p.Overhead
-		for _, tn := range c.TasksOn(p.Name) {
-			load += m.Budgets[tn]
+		v.ProcessorLoads[c.Processors[i].Name] = c.Processors[i].Overhead
+	}
+	// One pass over the tasks adds the budgets in TasksOn order.
+	for _, tg := range c.Graphs {
+		for _, w := range tg.Tasks {
+			v.ProcessorLoads[w.Processor] += m.Budgets[w.Name]
 		}
-		v.ProcessorLoads[p.Name] = load
-		if load > p.Replenishment*(1+VerifyTol) {
+	}
+	for i := range c.Processors {
+		p := &c.Processors[i]
+		if load := v.ProcessorLoads[p.Name]; load > p.Replenishment*(1+VerifyTol) {
 			fail("processor %s: load %.6g exceeds replenishment interval %.6g", p.Name, load, p.Replenishment)
 		}
 	}

@@ -121,7 +121,7 @@ func TestMinPeriodMatchesAnalytic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mp, err := g.MinPeriod()
+		mp, err := g.MinPeriodHoward()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,6 +173,21 @@ func TestVerifyRejectsThroughputViolation(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("expected a period problem, got %v", v.Problems)
+	}
+}
+
+// TestVerifyNamesCriticalCycle: an under-budgeted T1 mapping fails the
+// period check on the cycle through both tasks (β = 20, γ = 1: mean 44 >
+// 10), and the problem names that cycle's actors in firing order.
+func TestVerifyNamesCriticalCycle(t *testing.T) {
+	c := t1Config()
+	v, err := Verify(c, mapping(20, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "graph T1: minimum period 44 exceeds required period 10 on cycle wa.v1 → wa.v2 → wb.v1 → wb.v2"
+	if v.OK || len(v.Problems) != 1 || v.Problems[0] != want {
+		t.Fatalf("problems %q, want [%q]", v.Problems, want)
 	}
 }
 

@@ -85,7 +85,7 @@ func TestBuildGraphMultiRateStructure(t *testing.T) {
 	if !g.DeadlockFree() {
 		t.Fatal("expanded model deadlocks")
 	}
-	mp, err := g.MinPeriod()
+	mp, err := g.MinPeriodHoward()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -242,7 +242,7 @@ func (g *CSDFGraph) IterationPeriod() (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return ex.Graph.MinPeriod()
+	return ex.Graph.MinPeriodHoward()
 }
 
 // DeadlockFree reports whether the expanded graph is deadlock-free.

@@ -8,7 +8,7 @@
 // dataflow and names "more dynamic applications" as the essential next step;
 // this package provides the multi-rate analysis substrate for that
 // direction: an SDF-modelled job can be expanded and fed through the same
-// MinPeriod/PAS analyses used everywhere else in this repository.
+// period/PAS analyses used everywhere else in this repository.
 package sdf
 
 import (
@@ -295,5 +295,5 @@ func (g *Graph) IterationPeriod() (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return ex.Graph.MinPeriod()
+	return ex.Graph.MinPeriodHoward()
 }

@@ -110,7 +110,7 @@ func TestExpansionSingleRateIdentity(t *testing.T) {
 	if len(ex.Copies[a]) != 1 || len(ex.Copies[b]) != 1 {
 		t.Fatalf("copies: %v", ex.Repetitions)
 	}
-	mp, err := ex.Graph.MinPeriod()
+	mp, err := ex.Graph.MinPeriodHoward()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func (g *Graph) LongestPaths(source ActorID, period float64) ([]float64, error) 
 	if period <= 0 {
 		return nil, fmt.Errorf("srdf: period must be positive, got %v", period)
 	}
-	if !g.feasibleExact(period) {
+	if !g.FeasibleExact(period) {
 		return nil, fmt.Errorf("srdf: no PAS with period %v exists (positive cycle)", period)
 	}
 	n := len(g.actors)
@@ -131,62 +131,28 @@ func (g *Graph) FeasiblePeriod(period float64) bool {
 // token-free cycle.
 var ErrDeadlock = errors.New("srdf: graph deadlocks (cycle without tokens)")
 
-// MinPeriod returns the smallest feasible period, i.e. the maximum cycle
-// mean max_C (Σ_{v∈C} ρ(v)) / (Σ_{e∈C} δ(e)), computed by Lawler's binary
-// search with Bellman-Ford feasibility tests. The result is accurate to a
-// relative tolerance of about 1e-12. Returns 0 for acyclic graphs (any
-// positive period is feasible) and ErrDeadlock for deadlocked graphs.
-func (g *Graph) MinPeriod() (float64, error) {
-	if err := g.Validate(); err != nil {
-		return 0, err
-	}
-	if !g.DeadlockFree() {
-		return 0, ErrDeadlock
-	}
-	// Upper bound: sum of all durations (a simple cycle visits each actor at
-	// most once and carries at least one token).
-	var hi float64
-	for _, a := range g.actors {
-		hi += a.Duration
-	}
-	if hi == 0 {
-		return 0, nil
-	}
-	if g.feasibleExact(0) {
-		return 0, nil // acyclic (or all cycles have zero duration)
-	}
-	lo := 0.0
-	// hi must be feasible.
-	for !g.feasibleExact(hi) {
-		hi *= 2 // defensive; should not trigger
-		if math.IsInf(hi, 1) {
-			return 0, errors.New("srdf: failed to bracket the minimum period")
-		}
-	}
-	for iter := 0; iter < 100 && hi-lo > 1e-12*hi; iter++ {
-		mid := (lo + hi) / 2
-		if g.feasibleExact(mid) {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi, nil
-}
-
-// feasibleExact is the strict Bellman-Ford feasibility test used by the
-// binary search (no tolerance slack, unlike StartTimes, so the bisection
-// brackets the true MCM).
-func (g *Graph) feasibleExact(period float64) bool {
+// FeasibleExact reports whether a PAS with the given period exists, by one
+// strict Bellman-Ford run over the constraint graph of Constraint (1): no
+// tolerance slack, unlike StartTimes and FeasiblePeriod, so a period just
+// below the maximum cycle mean is rejected. It decides the period check of
+// dfmodel.Verify. A token-free cycle of positive duration is infeasible at
+// every period. The graph is assumed valid (see Validate).
+func (g *Graph) FeasibleExact(period float64) bool {
 	n := len(g.actors)
 	s := make([]float64, n)
 	for round := 0; round <= n; round++ {
 		changed := false
-		for _, e := range g.edges {
-			w := g.actors[e.From].Duration - float64(e.Tokens)*period
-			if cand := s[e.From] + w; cand > s[e.To]+1e-15*(1+math.Abs(s[e.To])) {
-				s[e.To] = cand
-				changed = true
+		// Relaxing each actor's out-edges in actor order settles, in one
+		// round, a path whose actors were added in order: a pipeline, or
+		// a DAG built in topological order.
+		for v, a := range g.actors {
+			for _, eid := range g.out[v] {
+				e := g.edges[eid]
+				w := a.Duration - float64(e.Tokens)*period
+				if cand := s[v] + w; cand > s[e.To]+1e-15*(1+math.Abs(s[e.To])) {
+					s[e.To] = cand
+					changed = true
+				}
 			}
 		}
 		if !changed {
@@ -196,16 +162,26 @@ func (g *Graph) feasibleExact(period float64) bool {
 	return false
 }
 
-// MinPeriodHoward computes the maximum cycle ratio by Howard's multi-chain
-// policy iteration, an independent algorithm used to cross-check MinPeriod.
-// Semantics match MinPeriod: 0 for acyclic graphs, ErrDeadlock on token-free
-// cycles.
+// MinPeriodHoward returns the smallest feasible period, i.e. the maximum
+// cycle mean max_C (Σ_{v∈C} ρ(v)) / (Σ_{e∈C} δ(e)), computed by Howard's
+// policy iteration (see CriticalCycle). It returns 0 for acyclic graphs
+// (any positive period is feasible) and ErrDeadlock for deadlocked graphs.
 func (g *Graph) MinPeriodHoward() (float64, error) {
+	_, mcm, err := g.CriticalCycle()
+	return mcm, err
+}
+
+// CriticalCycle computes the maximum cycle ratio by Howard's multi-chain
+// policy iteration and returns a cycle that attains it, as its actors in
+// firing order starting from the one with the smallest id, together with
+// the ratio. Acyclic graphs give a nil cycle and ratio 0; graphs with a
+// token-free cycle give ErrDeadlock.
+func (g *Graph) CriticalCycle() ([]ActorID, float64, error) {
 	if err := g.Validate(); err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	if !g.DeadlockFree() {
-		return 0, ErrDeadlock
+		return nil, 0, ErrDeadlock
 	}
 	n := len(g.actors)
 	// Strip actors that cannot lie on or reach a cycle: repeatedly remove
@@ -243,7 +219,7 @@ func (g *Graph) MinPeriodHoward() (float64, error) {
 		}
 	}
 	if !anyAlive {
-		return 0, nil // acyclic
+		return nil, 0, nil // acyclic
 	}
 
 	cost := func(eid EdgeID) float64 { return g.actors[g.edges[eid].From].Duration }
@@ -263,13 +239,14 @@ func (g *Graph) MinPeriodHoward() (float64, error) {
 		}
 	}
 
-	lam := make([]float64, n) // per-node cycle ratio under the policy
-	d := make([]float64, n)   // relative values
+	lam := make([]float64, n)  // per-node cycle ratio under the policy
+	d := make([]float64, n)    // relative values
+	state := make([]int8, n)   // 0 new, 1 on current walk, 2 resolved
+	order := make([]int, 0, n) // the current walk
 	const maxIters = 100000
 	for iter := 0; iter < maxIters; iter++ {
 		// ---- Value determination for the functional policy graph ----
-		state := make([]int, n) // 0 new, 1 on current walk, 2 resolved
-		order := make([]int, 0, n)
+		clear(state)
 		for a0 := 0; a0 < n; a0++ {
 			if !alive[a0] || state[a0] != 0 {
 				continue
@@ -295,7 +272,7 @@ func (g *Graph) MinPeriodHoward() (float64, error) {
 					tSum += tTime(policy[v])
 				}
 				if tSum <= 0 {
-					return 0, ErrDeadlock
+					return nil, 0, ErrDeadlock
 				}
 				r := cSum / tSum
 				// Anchor the cycle head at 0 and propagate backwards so
@@ -354,22 +331,47 @@ func (g *Graph) MinPeriodHoward() (float64, error) {
 			}
 		}
 		if !improved {
-			best := 0.0
-			for v := 0; v < n; v++ {
-				if alive[v] && lam[v] > best {
-					best = lam[v]
-				}
-			}
-			return best, nil
+			cycle, mcm := g.policyCycle(alive, lam, policy, state)
+			return cycle, mcm, nil
 		}
 	}
-	return 0, errors.New("srdf: Howard iteration did not converge")
+	return nil, 0, errors.New("srdf: Howard iteration did not converge")
+}
+
+// policyCycle returns the cycle of the final Howard policy that carries the
+// largest ratio, rotated to start at its smallest actor id, and that ratio.
+// state is scratch space of length NumActors.
+func (g *Graph) policyCycle(alive []bool, lam []float64, policy []EdgeID, state []int8) ([]ActorID, float64) {
+	best, start := 0.0, -1
+	for v := range lam {
+		if alive[v] && (start < 0 || lam[v] > best) {
+			best, start = lam[v], v
+		}
+	}
+	next := func(v int) int { return int(g.edges[policy[v]].To) }
+	// Every alive node's policy walk ends on the cycle whose ratio it
+	// carries; the first node seen twice lies on that cycle.
+	clear(state)
+	cur := start
+	for state[cur] == 0 {
+		state[cur] = 1
+		cur = next(cur)
+	}
+	head := cur
+	for v := next(cur); v != cur; v = next(v) {
+		head = min(head, v)
+	}
+	cycle := []ActorID{ActorID(head)}
+	for v := next(head); v != head; v = next(v) {
+		cycle = append(cycle, ActorID(v))
+	}
+	return cycle, best
 }
 
 // SelfTimed simulates self-timed (ASAP) execution for k firings of every
 // actor and returns the start time of each firing: start[a][i] is the start
 // of firing i+1 of actor a. SRDF theory guarantees the steady-state rate
-// equals 1/MCM, which makes this an independent oracle for MinPeriod.
+// equals 1/MCM, which makes this an independent oracle for MinPeriodHoward.
 func (g *Graph) SelfTimed(k int) ([][]float64, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err

@@ -76,12 +76,16 @@ func TestMCMAgainstBruteForce(t *testing.T) {
 	}
 }
 
-// TestHowardAgreesWithLawler cross-checks the two MCM algorithms on larger
-// random graphs.
+// TestHowardAgreesWithLawler cross-checks the two MCM algorithms on random
+// graphs of up to a few hundred actors.
 func TestHowardAgreesWithLawler(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	for trial := 0; trial < 60; trial++ {
-		g := randLiveGraph(rng, 2+rng.Intn(20))
+		n := 2 + rng.Intn(20)
+		if trial%3 == 0 {
+			n = 100 + rng.Intn(300)
+		}
+		g := randLiveGraph(rng, n)
 		lawler, err := g.MinPeriod()
 		if err != nil {
 			t.Fatalf("trial %d lawler: %v", trial, err)
@@ -90,8 +94,95 @@ func TestHowardAgreesWithLawler(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d howard: %v", trial, err)
 		}
-		if !almostEqual(lawler, howard, 1e-7) {
-			t.Fatalf("trial %d: lawler %v != howard %v", trial, lawler, howard)
+		if !almostEqual(lawler, howard, 1e-9) {
+			t.Fatalf("trial %d (%d actors): lawler %v != howard %v", trial, n, lawler, howard)
+		}
+	}
+}
+
+// TestCriticalCycleIsACycleAtTheMCM: the cycle CriticalCycle returns is a
+// cycle of the graph, starts at its smallest actor, and its mean is the
+// MCM.
+func TestCriticalCycleIsACycleAtTheMCM(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	for trial := 0; trial < 60; trial++ {
+		g := randLiveGraph(rng, 2+rng.Intn(40))
+		cycle, mcm, err := g.CriticalCycle()
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if len(cycle) == 0 {
+			t.Fatalf("trial %d: no cycle in a graph with a ring", trial)
+		}
+		var dur float64
+		tokens := 0
+		for i, a := range cycle {
+			if a < cycle[0] {
+				t.Fatalf("trial %d: cycle %v does not start at its smallest actor", trial, cycle)
+			}
+			// Of parallel edges, the one with the fewest tokens gives the
+			// largest mean, which a critical cycle must use.
+			next := cycle[(i+1)%len(cycle)]
+			best := -1
+			for _, eid := range g.OutEdges(a) {
+				if e := g.Edge(eid); e.To == next && (best < 0 || e.Tokens < best) {
+					best = e.Tokens
+				}
+			}
+			if best < 0 {
+				t.Fatalf("trial %d: no edge %d→%d on cycle %v", trial, a, next, cycle)
+			}
+			dur += g.Actor(a).Duration
+			tokens += best
+		}
+		if mean := dur / float64(tokens); !almostEqual(mean, mcm, 1e-9) {
+			t.Fatalf("trial %d: cycle %v has mean %v, MCM %v", trial, cycle, mean, mcm)
+		}
+	}
+}
+
+func TestCriticalCycleSimpleCases(t *testing.T) {
+	// Two cycles through a; the one through c dominates.
+	g := NewGraph()
+	a := g.AddActor("a", 1)
+	b := g.AddActor("b", 1)
+	c := g.AddActor("c", 10)
+	g.AddEdge("ab", a, b, 1)
+	g.AddEdge("ba", b, a, 1)
+	g.AddEdge("ca", c, a, 1)
+	g.AddEdge("ac", a, c, 1)
+	cycle, mcm, err := g.CriticalCycle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cycle) != 2 || cycle[0] != a || cycle[1] != c || !almostEqual(mcm, 5.5, 1e-12) {
+		t.Fatalf("critical cycle %v at %v, want [a c] at 5.5", cycle, mcm)
+	}
+	// Acyclic: no cycle, period 0.
+	g2 := NewGraph()
+	x := g2.AddActor("x", 5)
+	y := g2.AddActor("y", 2)
+	g2.AddEdge("xy", x, y, 0)
+	if cycle, mcm, err := g2.CriticalCycle(); err != nil || cycle != nil || mcm != 0 {
+		t.Fatalf("acyclic: cycle %v, mcm %v, err %v", cycle, mcm, err)
+	}
+}
+
+// TestFeasibleExactBracketsMCM: the strict test accepts periods just above
+// the MCM and rejects periods just below it.
+func TestFeasibleExactBracketsMCM(t *testing.T) {
+	rng := rand.New(rand.NewSource(68))
+	for trial := 0; trial < 40; trial++ {
+		g := randLiveGraph(rng, 2+rng.Intn(60))
+		mcm, err := g.MinPeriod()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !g.FeasibleExact(mcm * (1 + 1e-9)) {
+			t.Fatalf("trial %d: period just above MCM %v rejected", trial, mcm)
+		}
+		if g.FeasibleExact(mcm * (1 - 1e-9)) {
+			t.Fatalf("trial %d: period just below MCM %v accepted", trial, mcm)
 		}
 	}
 }

@@ -4,9 +4,12 @@
 //
 //   - existence of a periodic admissible schedule (PAS) with a given period
 //     (the paper's Constraint (1)),
+//   - a strict Bellman-Ford decision of whether a PAS with a given period
+//     exists (FeasibleExact),
 //   - the minimum feasible period, i.e. the maximum cycle mean
-//     max over cycles of (Σ firing durations)/(Σ tokens), computed both by
-//     Lawler's binary search and by Howard's policy iteration,
+//     max over cycles of (Σ firing durations)/(Σ tokens), and a cycle
+//     attaining it, by Howard's policy iteration (Lawler's binary search
+//     survives in the tests as the oracle),
 //   - PAS start times via Bellman-Ford longest paths,
 //   - self-timed (ASAP) execution, whose steady-state rate equals 1/MCM by
 //     SRDF theory and which provides an independent check on the analyses.
