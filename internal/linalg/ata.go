@@ -39,19 +39,34 @@ type SparseAtA struct {
 
 // NewSparseAtA analyzes the pattern of a and builds the scatter plan. Every
 // matrix later passed to Compute must carry this exact pattern.
-func NewSparseAtA(a *SparseMatrix) *SparseAtA {
+func NewSparseAtA(a *SparseMatrix) *SparseAtA { return NewSparseAtASkip(a, nil) }
+
+// NewSparseAtASkip is NewSparseAtA with a row mask: rows r with skip[r]
+// set are left out of the product, so Result = Σ_{r not skipped} a_rᵀa_r
+// on the pattern of the kept rows only. Compute still takes the full a. A
+// nil skip keeps every row.
+func NewSparseAtASkip(a *SparseMatrix, skip []bool) *SparseAtA {
+	kept := func(r int) bool { return skip == nil || !skip[r] }
 	n := a.Cols
 	// CSC-style row lists: which rows of A touch each column.
 	colPtr := make([]int, n+1)
-	for _, j := range a.ColIdx {
-		colPtr[j+1]++
+	for i := 0; i < a.Rows; i++ {
+		if !kept(i) {
+			continue
+		}
+		for _, j := range a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]] {
+			colPtr[j+1]++
+		}
 	}
 	for j := 0; j < n; j++ {
 		colPtr[j+1] += colPtr[j]
 	}
-	colRows := make([]int, len(a.ColIdx))
+	colRows := make([]int, colPtr[n])
 	next := append([]int(nil), colPtr[:n]...)
 	for i := 0; i < a.Rows; i++ {
+		if !kept(i) {
+			continue
+		}
 		for t := a.RowPtr[i]; t < a.RowPtr[i+1]; t++ {
 			j := a.ColIdx[t]
 			colRows[next[j]] = i
@@ -105,16 +120,21 @@ func NewSparseAtA(a *SparseMatrix) *SparseAtA {
 	// the diagonal plan, the x < z pairs the mirrored off-diagonal one.
 	offPlan := 0
 	for r := 0; r < a.Rows; r++ {
-		w := a.RowPtr[r+1] - a.RowPtr[r]
-		offPlan += w * (w - 1) / 2
+		if kept(r) {
+			w := a.RowPtr[r+1] - a.RowPtr[r]
+			offPlan += w * (w - 1) / 2
+		}
 	}
-	p.dka = make([]int32, 0, a.NNZ())
-	p.ddst = make([]int32, 0, a.NNZ())
+	p.dka = make([]int32, 0, colPtr[n])
+	p.ddst = make([]int32, 0, colPtr[n])
 	p.ka = make([]int32, 0, offPlan)
 	p.kb = make([]int32, 0, offPlan)
 	p.dst = make([]int32, 0, offPlan)
 	p.mir = make([]int32, 0, offPlan)
 	for r := 0; r < a.Rows; r++ {
+		if !kept(r) {
+			continue
+		}
 		lo, hi := a.RowPtr[r], a.RowPtr[r+1]
 		for x := lo; x < hi; x++ {
 			i := a.ColIdx[x]

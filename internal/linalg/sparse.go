@@ -9,11 +9,12 @@ import (
 // ColIdx[RowPtr[i]:RowPtr[i+1]] (column indices, strictly increasing) and
 // Val[RowPtr[i]:RowPtr[i+1]] (the corresponding values).
 //
-// The intended use in this repository is structural: the SRDF-derived
+// The intended use in this repository is structural: most SRDF-derived
 // constraint rows of the cone program touch only a handful of variables
 // each, so the normal-equations assembly Gᵀ W⁻² G — the hot loop of every
 // interior-point iteration — only needs to visit the structural nonzeros
-// instead of full dense rows.
+// instead of full dense rows. (The few long coupling rows are factored
+// outside Gᵀ W⁻² G; see socp's sparseView.)
 type SparseMatrix struct {
 	Rows, Cols int
 	RowPtr     []int // len Rows+1

@@ -156,6 +156,42 @@ func TestSparseAtAIntoMatchesDense(t *testing.T) {
 	}
 }
 
+// TestSparseAtASkipMatchesRowsRemoved: the row-masked plan must compute
+// exactly AᵀA of the matrix with the skipped rows deleted — the same
+// pattern, and the same values bit for bit — while Compute still takes the
+// full matrix.
+func TestSparseAtASkipMatchesRowsRemoved(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	for trial := 0; trial < 50; trial++ {
+		rows, cols := 1+rng.Intn(15), 1+rng.Intn(10)
+		d := randSparseDense(rng, rows, cols, 0.1+0.5*rng.Float64())
+		skip := make([]bool, rows)
+		kept := NewMatrix(0, cols)
+		for r := 0; r < rows; r++ {
+			skip[r] = rng.Intn(3) == 0
+			if !skip[r] {
+				kept.Data = append(kept.Data, d.Data[r*cols:(r+1)*cols]...)
+				kept.Rows++
+			}
+		}
+		a := NewSparseFromDense(d)
+		got := NewSparseAtASkip(a, skip)
+		got.Compute(a)
+		ak := NewSparseFromDense(kept)
+		want := NewSparseAtA(ak)
+		want.Compute(ak)
+		if got.Result.NNZ() != want.Result.NNZ() {
+			t.Fatalf("trial %d: %d nonzeros, rows removed %d", trial, got.Result.NNZ(), want.Result.NNZ())
+		}
+		for k, j := range want.Result.ColIdx {
+			if got.Result.ColIdx[k] != j || got.Result.Val[k] != want.Result.Val[k] {
+				t.Fatalf("trial %d: entry %d = (col %d, %v), rows removed (col %d, %v)",
+					trial, k, got.Result.ColIdx[k], got.Result.Val[k], j, want.Result.Val[k])
+			}
+		}
+	}
+}
+
 func TestSparseFromPattern(t *testing.T) {
 	s := NewSparseFromPattern(3, 4, [][]int{{0, 2}, nil, {1, 2, 3}})
 	if s.NNZ() != 5 {

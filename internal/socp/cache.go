@@ -13,14 +13,26 @@ import (
 // weights, and the NT scaling values change — so the pattern-dependent
 // setup (the AᵀA scatter plan for H = (W⁻¹G)ᵀ(W⁻¹G), the fill-reducing AMD
 // ordering, the elimination tree, the symbolic factorization, and the
-// reduced-KKT scatter maps) is identical at every point. The cache pools
-// the whole assembled pipeline (neFactor) per pattern:
+// KKT scatter maps) is identical at every point. The cache keeps released
+// pipelines (neFactor) on a free list per pattern:
 //
-//   - a pool hit skips every symbolic step and goes straight to numeric
+//   - a hit skips every symbolic step and goes straight to numeric
 //     refactorization, allocation-free;
-//   - a pool miss still shares the factorization's symbolic analysis
-//     through an embedded linalg.SymbolicCache, so concurrent first solves
-//     of one pattern analyze it once.
+//   - a miss still shares the factorization's symbolic analysis through an
+//     embedded linalg.SymbolicCache, so concurrent first solves of one
+//     pattern analyze it once.
+//
+// The free lists are plain mutex-guarded stacks, so whether an acquire hits
+// depends only on the order of acquires and releases — never on which
+// processor ran the goroutine or on garbage collection. A release always
+// keeps its pipeline, so a pattern holds at most as many pipelines as it
+// has had in flight at once, whatever the worker counts of the callers.
+// All idle pipelines together are bounded by their estimated size,
+// idleBudget bytes; past it, idle pipelines of the least recently released
+// patterns are dropped, and a pattern with nothing idle and nothing in
+// flight is forgotten. Least-recently-used eviction has a cliff: a stream
+// that cycles through more patterns than the budget holds evicts each one
+// just before it comes round again, and misses on every solve.
 //
 // Pooled pipelines carry no values from previous solves into new results:
 // every numeric buffer a solve reads is fully rewritten before use (AᵀA
@@ -35,19 +47,33 @@ import (
 type PatternCache struct {
 	syms *linalg.SymbolicCache
 
+	maxIdleBytes int // bound on idleBytes, fixed at construction
+
 	mu      sync.Mutex
 	entries map[uint64][]*patternEntry
+	// head and tail end the recency list of the entries that have idle
+	// pipelines, most recently released first.
+	head, tail *patternEntry
+	idleBytes  int // footprint of the pipelines on all free lists
 
 	hits   atomic.Int64
 	misses atomic.Int64
 }
 
-// patternEntry pools the factorization pipelines of one (G-pattern,
+// idleBudget bounds the estimated bytes (neFactor.footprint) of the idle
+// pipelines a cache keeps. A pipeline of a bbserve-sized topology (6 jobs
+// of 6 tasks) is estimated at 0.07 MB, one of chain-380 at 0.7 MB and one
+// of dag-2000 at 6 MB (EXPERIMENTS.md §P10), so a daemon keeps hundreds of
+// topologies warm; a single pipeline larger than the budget is never kept.
+const idleBudget = 64 << 20
+
+// patternEntry keeps the factorization pipelines of one (G-pattern,
 // A-pattern, backend) triple. The pattern copies rule out hash collisions;
 // the backend is part of the identity because a pooled pipeline's numeric
 // workspace is built for one factorization layout — a simplicial pipeline
 // must never be handed to a solve that asked for the supernodal backend.
 type patternEntry struct {
+	h              uint64 // key of the entry in PatternCache.entries
 	gsRows, gsCols int
 	gsRowPtr       []int
 	gsColIdx       []int
@@ -57,18 +83,24 @@ type patternEntry struct {
 	aColIdx        []int
 	backend        Factorization
 
-	pool sync.Pool // of *neFactor
+	// free holds the idle pipelines, inFlight counts the acquired ones not
+	// yet released, and prev/next link the entry into the cache's recency
+	// list while free is non-empty. All are guarded by PatternCache.mu.
+	free       []*neFactor
+	inFlight   int
+	prev, next *patternEntry
 }
 
 // NewPatternCache returns an empty cache.
 func NewPatternCache() *PatternCache {
 	return &PatternCache{
-		syms:    linalg.NewSymbolicCache(),
-		entries: map[uint64][]*patternEntry{},
+		syms:         linalg.NewSymbolicCache(),
+		entries:      map[uint64][]*patternEntry{},
+		maxIdleBytes: idleBudget,
 	}
 }
 
-// Stats reports the cache's lifetime pool hits (symbolic and numeric work
+// Stats reports the cache's lifetime hits (symbolic and numeric work
 // skipped entirely) and misses (pipeline built, with at most the
 // factorization's symbolic analysis shared).
 func (pc *PatternCache) Stats() (hits, misses int64) {
@@ -123,15 +155,15 @@ func patternEqual(rows, cols int, rowPtr, colIdx []int, m *linalg.SparseMatrix) 
 }
 
 // acquire returns a factorization pipeline for the view's pattern pair on
-// the resolved backend: a pooled one when available (equality block
-// rewritten for this problem, supernodal worker bound refreshed), otherwise
-// a freshly built one registered under the pattern. The caller owns the
-// pipeline until release.
+// the resolved backend: an idle one when the pattern has one (equality
+// block rewritten for this problem, supernodal worker bound refreshed),
+// otherwise a freshly built one registered under the pattern. The caller
+// owns the pipeline until release.
 //
 //bbvet:hotpath
 func (pc *PatternCache) acquire(sv *sparseView, backend Factorization, workers int) *neFactor {
-	e := pc.entry(sv.gs, sv.a, backend)
-	if f, ok := e.pool.Get().(*neFactor); ok {
+	e, f := pc.take(sv.gs, sv.a, backend)
+	if f != nil {
 		pc.hits.Add(1)
 		// The equality block of the pooled KKT matrix holds the previous
 		// problem's A values; rewrite it from this one.
@@ -146,32 +178,56 @@ func (pc *PatternCache) acquire(sv *sparseView, backend Factorization, workers i
 	}
 	pc.misses.Add(1)
 	//bbvet:allow hotalloc cache miss: the pipeline is built once per pattern and backend pair
-	f := newNEFactor(sv, sv.a, pc.syms, backend, workers)
+	f = newNEFactor(sv, sv.a, pc.syms, backend, workers)
 	f.cacheEntry = e
 	return f
 }
 
-// entry finds or creates the pool entry of a pattern pair and backend.
+// take finds the entry of a pattern pair and backend, registering it on
+// first sight, counts one more of its pipelines in flight, and pops its
+// most recently released idle pipeline (nil when it has none).
 //
 //bbvet:hotpath
-func (pc *PatternCache) entry(gs, a *linalg.SparseMatrix, backend Factorization) *patternEntry {
+func (pc *PatternCache) take(gs, a *linalg.SparseMatrix, backend Factorization) (*patternEntry, *neFactor) {
 	h := key(gs, a, backend)
 	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	e := pc.lookup(h, gs, a, backend)
+	if e == nil {
+		// Copy the patterns without holding the lock; a concurrent take of
+		// the same pair may register it first.
+		pc.mu.Unlock()
+		//bbvet:allow hotalloc first sighting of this pattern pair, measured cold
+		ne := newPatternEntry(h, gs, a, backend)
+		pc.mu.Lock()
+		if e = pc.lookup(h, gs, a, backend); e == nil {
+			e = ne
+			//bbvet:allow hotalloc first sighting of this pattern pair, measured cold
+			pc.entries[h] = append(pc.entries[h], e)
+		}
+	}
+	e.inFlight++
+	return e, pc.pop(e)
+}
+
+// lookup returns the registered entry of a pattern pair and backend, nil
+// when there is none. The caller holds pc.mu.
+//
+//bbvet:hotpath
+func (pc *PatternCache) lookup(h uint64, gs, a *linalg.SparseMatrix, backend Factorization) *patternEntry {
 	for _, e := range pc.entries[h] {
 		if e.matches(gs, a, backend) {
-			pc.mu.Unlock()
 			return e
 		}
 	}
-	pc.mu.Unlock()
-	//bbvet:allow hotalloc first sighting of this pattern pair, measured cold
-	return pc.insert(h, gs, a, backend)
+	return nil
 }
 
-// insert registers a new pattern pair, copying the patterns for collision
-// verification; a concurrent insert of the same pair wins the race cleanly.
-func (pc *PatternCache) insert(h uint64, gs, a *linalg.SparseMatrix, backend Factorization) *patternEntry {
+// newPatternEntry returns an entry for a pattern pair and backend, with
+// copies of the patterns for collision verification.
+func newPatternEntry(h uint64, gs, a *linalg.SparseMatrix, backend Factorization) *patternEntry {
 	e := &patternEntry{
+		h:      h,
 		gsRows: gs.Rows, gsCols: gs.Cols,
 		gsRowPtr: append([]int(nil), gs.RowPtr...),
 		gsColIdx: append([]int(nil), gs.ColIdx...),
@@ -183,26 +239,107 @@ func (pc *PatternCache) insert(h uint64, gs, a *linalg.SparseMatrix, backend Fac
 		e.aRowPtr = append([]int(nil), a.RowPtr...)
 		e.aColIdx = append([]int(nil), a.ColIdx...)
 	}
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	for _, prev := range pc.entries[h] {
-		if prev.matches(gs, a, backend) {
-			return prev
-		}
-	}
-	pc.entries[h] = append(pc.entries[h], e)
 	return e
 }
 
+// pop takes the most recently released idle pipeline of e, nil when there
+// is none. The caller holds pc.mu.
+//
+//bbvet:hotpath
+func (pc *PatternCache) pop(e *patternEntry) *neFactor {
+	k := len(e.free) - 1
+	if k < 0 {
+		return nil
+	}
+	f := e.free[k]
+	e.free[k] = nil
+	e.free = e.free[:k]
+	pc.idleBytes -= f.bytes
+	if k == 0 {
+		pc.unlink(e)
+	}
+	return f
+}
+
 // release returns a pipeline acquired from this cache to its pattern's
-// pool. Pipelines built outside any cache (cacheEntry == nil) are ignored.
-// The caller must not use f after releasing it.
+// free list, then drops idle pipelines of the least recently released
+// patterns while their footprint exceeds the budget. Pipelines built
+// outside any cache (cacheEntry == nil) are ignored. The caller must not
+// use f after releasing it.
 //
 //bbvet:hotpath
 func (pc *PatternCache) release(f *neFactor) {
 	if f == nil || f.cacheEntry == nil {
 		return
 	}
-	//bbvet:allow hotalloc pointer stored in interface directly, no allocation; AllocsPerRun guards pin it
-	f.cacheEntry.pool.Put(f)
+	e := f.cacheEntry
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	e.inFlight--
+	if len(e.free) > 0 {
+		pc.unlink(e)
+	}
+	//bbvet:allow hotalloc grows only to the pattern's peak number of pipelines in flight, then stays within capacity
+	e.free = append(e.free, f)
+	pc.idleBytes += f.bytes
+	pc.pushFront(e)
+	for pc.idleBytes > pc.maxIdleBytes {
+		lru := pc.tail
+		pc.pop(lru)
+		if len(lru.free) == 0 && lru.inFlight == 0 {
+			//bbvet:allow hotalloc forget only shrinks the index: its map write overwrites an existing key
+			pc.forget(lru)
+		}
+	}
+}
+
+// pushFront links e at the head of the recency list. The caller holds
+// pc.mu.
+//
+//bbvet:hotpath
+func (pc *PatternCache) pushFront(e *patternEntry) {
+	e.prev, e.next = nil, pc.head
+	if pc.head != nil {
+		pc.head.prev = e
+	} else {
+		pc.tail = e
+	}
+	pc.head = e
+}
+
+// unlink removes e from the recency list. The caller holds pc.mu.
+//
+//bbvet:hotpath
+func (pc *PatternCache) unlink(e *patternEntry) {
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		pc.head = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		pc.tail = e.prev
+	}
+	e.prev, e.next = nil, nil
+}
+
+// forget removes an entry with no pipelines left from the index, so a
+// long tail of one-off patterns does not accumulate. The caller holds
+// pc.mu.
+func (pc *PatternCache) forget(e *patternEntry) {
+	es := pc.entries[e.h]
+	for i, x := range es {
+		if x == e {
+			last := len(es) - 1
+			es[i], es[last] = es[last], nil
+			es = es[:last]
+			break
+		}
+	}
+	if len(es) == 0 {
+		delete(pc.entries, e.h)
+	} else {
+		pc.entries[e.h] = es
+	}
 }

@@ -1,6 +1,10 @@
 package socp
 
-import "repro/internal/linalg"
+import (
+	"math"
+
+	"repro/internal/linalg"
+)
 
 // denseLDLT is the dense reference factorization behind the
 // linalg.SparseLDLT interface. The positive-definite path (normal
@@ -76,4 +80,24 @@ func UseDenseFactorOracle() (restore func()) {
 		return newDenseLDLT(m.Rows)
 	}
 	return func() { newSparseChol = prev }
+}
+
+// UseUnsplitNormalEq makes every solve started until the returned restore
+// runs assemble all rows of W⁻¹G into H, however long: the normal-equations
+// path without the split. Tests using it must not run in parallel with
+// other solves.
+func UseUnsplitNormalEq() (restore func()) {
+	prev := maxNormalEqRow
+	maxNormalEqRow = math.MaxInt
+	return func() { maxNormalEqRow = prev }
+}
+
+// KKTStructure reports, for p's unequilibrated pattern on the simplicial
+// backend, how many rows of W⁻¹G are split off H, the nonzeros of H, the
+// dimension of the factored matrix, and the nonzeros of its L factor.
+func KKTStructure(p *Problem) (split, nnzH, dim, nnzL int) {
+	sv := newSparseView(p)
+	ne := sv.normalEq(nil, FactorSparse, 1)
+	sym := ne.chol.Symbolic()
+	return len(sv.split), ne.ata.Result.NNZ(), sym.N(), sym.NNZL()
 }

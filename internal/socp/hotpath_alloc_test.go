@@ -3,7 +3,6 @@ package socp
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/cone"
@@ -27,52 +26,76 @@ func interiorPoint(rng *rand.Rand, dims cone.Dims, v linalg.Vector) {
 	}
 }
 
-// TestPerIterationRefactorizationAllocFree pins the zero-alloc guarantee of
-// the sparse per-iteration pipeline end to end: NT rescale of the fixed
-// W⁻¹G pattern, AᵀA refill, and numeric refactorization — for both the
-// pe == 0 normal-equations path and the quasi-definite reduced-KKT path —
-// allocate nothing after the first iteration's symbolic analysis. This is
-// the dynamic check backing the //bbvet:hotpath annotations that the
-// hotalloc analyzer enforces statically.
+// allocCase is one pipeline shape of the allocation guards.
+type allocCase struct {
+	name  string
+	p     *Problem
+	split bool // the problem has a row longer than maxNormalEqRow
+}
+
+// allocCases covers every shape of the factorization pipeline: plain
+// normal equations, equality rows, a split coupling row, and both.
+func allocCases(rng *rand.Rand) []allocCase {
+	return []allocCase{
+		{"plain", randomProblem(rng, 14, 10, 2, 0.1, false), false},
+		{"eq", randomProblem(rng, 14, 10, 2, 0.1, true), false},
+		{"split", longRowProblem(rng, 14, 12, 2, 0), true},
+		{"split+eq", longRowProblem(rng, 14, 12, 2, 2), true},
+	}
+}
+
+// refactorize runs one iteration's numeric work on a pipeline, as
+// factorSparse does: NT rescale of the fixed W⁻¹G pattern, AᵀA refill,
+// regularization scale, KKT refill (equality and split rows), numeric
+// refactorization and removal of the shift for refinement.
+func refactorize(sv *sparseView, ne *neFactor, w *cone.Scaling) error {
+	sv.fillScaled(w)
+	ne.ata.Compute(sv.gs)
+	reg := 1e-10 * (1 + ne.hMax(sv.gs))
+	if ne.kkt == nil {
+		return ne.chol.Factorize(ne.ata.Result, reg, reg)
+	}
+	ne.fillKKT(sv.gs, reg)
+	if err := ne.chol.FactorizeQuasiDef(ne.kkt, reg); err != nil {
+		return err
+	}
+	ne.unshift()
+	return nil
+}
+
+// interiorScaling returns the NT scaling of a random interior pair.
+func interiorScaling(t *testing.T, rng *rand.Rand, dims cone.Dims) *cone.Scaling {
+	t.Helper()
+	m := dims.Dim()
+	s, z := linalg.NewVector(m), linalg.NewVector(m)
+	interiorPoint(rng, dims, s)
+	interiorPoint(rng, dims, z)
+	w, err := cone.NewScaling(dims, s, z)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
 // TestPatternCacheReacquireAllocFree pins the steady state of the pattern
 // cache: once a pipeline for a pattern has been built and released, the
 // acquire → rewrite equality block → refactorize → release cycle a cached
 // sweep solve performs is allocation-free. (The first acquire of a pattern
 // pays the build; every later one must not.)
 func TestPatternCacheReacquireAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector drops sync.Pool items at random; steady state is not alloc-free under -race")
-	}
-	// A sync.Pool keeps a released item in the private slot of the P that
-	// released it, where a Get from another P cannot see it. AllocsPerRun
-	// pins GOMAXPROCS to 1; pin it for the registering cycle too, so the
-	// test never depends on which P the goroutine ran on.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rng := rand.New(rand.NewSource(12))
-	for _, eq := range []bool{false, true} {
+	for _, tc := range allocCases(rng) {
 		for _, backend := range []Factorization{FactorSparse, FactorSupernodal} {
-			p := randomProblem(rng, 14, 10, 2, 0.3, eq)
-			sv := newSparseView(withCSR(p))
+			sv := newSparseView(withCSR(tc.p))
 			pc := NewPatternCache()
-			m := p.Dims.Dim()
-			s, z := linalg.NewVector(m), linalg.NewVector(m)
-			interiorPoint(rng, p.Dims, s)
-			interiorPoint(rng, p.Dims, z)
-			w, err := cone.NewScaling(p.Dims, s, z)
-			if err != nil {
-				t.Fatal(err)
-			}
-			const reg = 1e-10
+			w := interiorScaling(t, rng, tc.p.Dims)
 			cycle := func() error {
 				ne := pc.acquire(sv, backend, 1)
 				defer pc.release(ne)
-				sv.fillScaled(w)
-				ne.ata.Compute(sv.gs)
-				if ne.pe == 0 {
-					return ne.chol.Factorize(ne.ata.Result, reg, reg)
+				if (ne.nd > 0) != tc.split {
+					t.Fatalf("%s: pipeline has %d split rows", tc.name, ne.nd)
 				}
-				ne.fillKKT(reg)
-				return ne.chol.FactorizeQuasiDef(ne.kkt, reg)
+				return refactorize(sv, ne, w)
 			}
 			if err := cycle(); err != nil { // build + register the pattern
 				t.Fatal(err)
@@ -87,53 +110,48 @@ func TestPatternCacheReacquireAllocFree(t *testing.T) {
 				t.Fatal(ferr)
 			}
 			if allocs != 0 {
-				t.Fatalf("eq=%v backend=%v: cached reacquire cycle allocated %.1f times per run, want 0", eq, backend, allocs)
+				t.Fatalf("%s backend=%v: cached reacquire cycle allocated %.1f times per run, want 0", tc.name, backend, allocs)
 			}
 			if hits, misses := pc.Stats(); hits < 20 || misses != 1 {
-				t.Fatalf("eq=%v backend=%v: stats hits=%d misses=%d", eq, backend, hits, misses)
+				t.Fatalf("%s backend=%v: stats hits=%d misses=%d", tc.name, backend, hits, misses)
 			}
 		}
 	}
 }
 
+// TestPerIterationRefactorizationAllocFree pins the zero-alloc guarantee of
+// the sparse per-iteration pipeline end to end: NT rescale of the fixed
+// W⁻¹G pattern, AᵀA refill, KKT refill and numeric refactorization — for
+// the plain normal equations and for the quasi-definite KKT matrix with
+// equality rows, split rows or both — allocate nothing after the first
+// iteration's symbolic analysis. This is the dynamic check backing the
+// //bbvet:hotpath annotations that the hotalloc analyzer enforces
+// statically.
 func TestPerIterationRefactorizationAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, eq := range []bool{false, true} {
-		p := randomProblem(rng, 14, 10, 2, 0.3, eq)
-		sv := newSparseView(withCSR(p))
-		ne := sv.normalEq(nil, FactorSparse, 1)
-		m := p.Dims.Dim()
-		s, z := linalg.NewVector(m), linalg.NewVector(m)
-		interiorPoint(rng, p.Dims, s)
-		interiorPoint(rng, p.Dims, z)
-		w, err := cone.NewScaling(p.Dims, s, z)
-		if err != nil {
-			t.Fatal(err)
-		}
-		const reg = 1e-10
-		iterate := func() error {
-			sv.fillScaled(w)
-			ne.ata.Compute(sv.gs)
-			if ne.pe == 0 {
-				return ne.chol.Factorize(ne.ata.Result, reg, reg)
+	for _, tc := range allocCases(rng) {
+		for _, backend := range []Factorization{FactorSparse, FactorSupernodal} {
+			sv := newSparseView(withCSR(tc.p))
+			ne := sv.normalEq(nil, backend, 1)
+			if (ne.nd > 0) != tc.split {
+				t.Fatalf("%s: pipeline has %d split rows", tc.name, ne.nd)
 			}
-			ne.fillKKT(reg)
-			return ne.chol.FactorizeQuasiDef(ne.kkt, reg)
-		}
-		if err := iterate(); err != nil { // symbolic analysis + warm-up
-			t.Fatal(err)
-		}
-		var ferr error
-		allocs := testing.AllocsPerRun(20, func() {
-			if err := iterate(); err != nil {
-				ferr = err
+			w := interiorScaling(t, rng, tc.p.Dims)
+			if err := refactorize(sv, ne, w); err != nil { // warm-up
+				t.Fatal(err)
 			}
-		})
-		if ferr != nil {
-			t.Fatal(ferr)
-		}
-		if allocs != 0 {
-			t.Fatalf("eq=%v: per-iteration refactorization allocated %.1f times per run, want 0", eq, allocs)
+			var ferr error
+			allocs := testing.AllocsPerRun(20, func() {
+				if err := refactorize(sv, ne, w); err != nil {
+					ferr = err
+				}
+			})
+			if ferr != nil {
+				t.Fatal(ferr)
+			}
+			if allocs != 0 {
+				t.Fatalf("%s backend=%v: per-iteration refactorization allocated %.1f times per run, want 0", tc.name, backend, allocs)
+			}
 		}
 	}
 }

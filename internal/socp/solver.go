@@ -101,7 +101,7 @@ type workspace struct {
 
 	// solveOnce scratch.
 	t, rhs     linalg.Vector // m, n
-	full, fsol linalg.Vector // n+pe (pe > 0)
+	full, fsol linalg.Vector // n+pe+nd, nil when H is factored alone
 
 	// Main-loop scratch.
 	rx, ry, rz         linalg.Vector // residuals
@@ -121,9 +121,9 @@ func (st *state) initWorkspace() {
 	ws := &st.ws
 	st.sv = newSparseView(st.p)
 	st.factorBackend = ResolveFactorization(st.opt.Factorization, n+pe)
-	if pe > 0 {
-		ws.full = linalg.NewVector(n + pe)
-		ws.fsol = linalg.NewVector(n + pe)
+	if kdim := n + pe + len(st.sv.split); kdim > n {
+		ws.full = linalg.NewVector(kdim)
+		ws.fsol = linalg.NewVector(kdim)
 	}
 	ws.r1 = linalg.NewVector(n)
 	ws.r2 = linalg.NewVector(pe)
@@ -161,16 +161,18 @@ func (st *state) initWorkspace() {
 //	[ A   0    0  ] [y] = [by]
 //	[ G   0  −W²  ] [z]   [bz]
 //
-// via the normal equations H = Gᵀ W⁻² G (pe == 0) or an LDLᵀ factorization of
-// the reduced KKT matrix [[H, Aᵀ], [A, 0]]. Its storage is owned by the
-// state's factorization pipeline; only one factor is live at a time.
+// via the normal equations H = Gᵀ W⁻² G, or an LDLᵀ factorization of the
+// quasi-definite KKT matrix [[H_s, Aᵀ, Bᵀ], [A, 0, 0], [B, 0, −I]] when there
+// are equality rows or long rows split off H (see neFactor). Its storage is
+// owned by the state's factorization pipeline; only one factor is live at a
+// time.
 type kktFactor struct {
 	st *state
 	w  *cone.Scaling // nil means W = I
 
-	// schol is the sparse LDLᵀ (simplicial or supernodal) of hs, which is
-	// the sparse H (pe == 0, unregularized — refinement sweeps the shift
-	// out) or the sparse reduced KKT matrix (pe > 0).
+	// schol is the sparse LDLᵀ (simplicial or supernodal) of the
+	// regularized hs, which is the sparse H or the sparse KKT matrix; hs
+	// itself is unregularized, so refinement sweeps the shift out.
 	schol linalg.SparseLDLT
 	hs    *linalg.SparseMatrix
 }
@@ -184,17 +186,17 @@ func (st *state) factor(w *cone.Scaling) (*kktFactor, error) {
 
 // factorSparse runs the sparse pipeline: refill H = (W⁻¹G)ᵀ(W⁻¹G) on its
 // fixed pattern and refactorize numerically against the symbolic structure
-// computed on first use. pe == 0 factorizes H directly with a static
-// diagonal shift; pe > 0 factorizes the quasi-definite reduced KKT matrix
-// with the ±reg diagonal floor.
+// computed on first use. Without equality rows and split rows it factorizes
+// H directly with a static diagonal shift; otherwise it factorizes the
+// quasi-definite KKT matrix with the ±reg diagonal floor.
 //
 //bbvet:hotpath
 func (st *state) factorSparse(f *kktFactor) (*kktFactor, error) {
 	ne := st.sv.normalEq(st.opt.Cache, st.factorBackend, st.opt.FactorWorkers)
 	ne.ata.Compute(st.sv.gs)
 	h := ne.ata.Result
-	reg := st.opt.KKTReg * (1 + h.NormInf())
-	if st.pe == 0 {
+	reg := st.opt.KKTReg * (1 + ne.hMax(st.sv.gs))
+	if ne.kkt == nil {
 		//bbvet:allow hotalloc both Factorization backends are bbvet:hotpath-checked, only the dispatch is dynamic
 		if err := ne.chol.Factorize(h, reg, reg); err != nil {
 			return nil, err
@@ -202,11 +204,17 @@ func (st *state) factorSparse(f *kktFactor) (*kktFactor, error) {
 		f.schol, f.hs = ne.chol, h
 		return f, nil
 	}
-	ne.fillKKT(reg)
+	ne.fillKKT(st.sv.gs, reg)
 	//bbvet:allow hotalloc both Factorization backends are bbvet:hotpath-checked, only the dispatch is dynamic
 	if err := ne.chol.FactorizeQuasiDef(ne.kkt, reg); err != nil {
 		return nil, err
 	}
+	// The factor holds the regularized matrix; SolveRefined refines against
+	// the unregularized one, as the plain path refines against the unshifted
+	// H, so the refinement sweeps the regularization out. At the end of a
+	// solve, where W⁻¹ spans many orders of magnitude, the dual residual
+	// depends on it (EXPERIMENTS.md §P10).
+	ne.unshift()
 	f.schol, f.hs = ne.chol, ne.kkt
 	return f, nil
 }
@@ -291,16 +299,19 @@ func (f *kktFactor) solveOnce(bx, by, bz, dx, dy, dz linalg.Vector) {
 	if faultinject.Enabled() {
 		faultinject.CorruptNaN(faultinject.SiteKKTRHS, rhs)
 	}
-	if st.pe == 0 {
+	if ws.full == nil {
 		f.schol.SolveRefined(f.hs, rhs, dx)
 	} else {
+		// [rhs; by; 0]: the split rows' right-hand side is zero.
+		n, pe := st.n, st.pe
 		full := ws.full
-		copy(full[:st.n], rhs)
-		copy(full[st.n:], by)
+		copy(full[:n], rhs)
+		copy(full[n:n+pe], by)
+		clear(full[n+pe:])
 		sol := ws.fsol
 		f.schol.SolveRefined(f.hs, full, sol)
-		copy(dx, sol[:st.n])
-		copy(dy, sol[st.n:])
+		copy(dx, sol[:n])
+		copy(dy, sol[n:n+pe])
 	}
 	// dz = W⁻² (G dx − bz).
 	st.sv.g.MulVec(dz, dx)

@@ -19,8 +19,13 @@ import (
 //     block's row patterns, because the block scaling P(v⁻¹) mixes rows only
 //     within the block.
 //
-// SRDF-derived constraint rows touch 2–3 variables each, so per-iteration
-// factor setup drops from the dense O(m·n²) to O(nnz·rowwidth).
+// Most SRDF-derived rows touch 2–4 variables, but the coupling rows of a
+// processor wheel (9) and a memory (10) each sum over every task or buffer
+// they serve, hundreds of variables on large instances. A row of width w
+// adds a dense w×w block to H, so the rows longer than maxNormalEqRow are
+// split off (split): H covers the short rows only, and the long ones enter
+// the factorization as extra rows of the quasi-definite KKT matrix (see
+// neFactor), where they cost O(w) instead of O(w²).
 type sparseView struct {
 	g  *linalg.SparseMatrix // exact pattern of G
 	a  *linalg.SparseMatrix // exact pattern of A, nil without equalities
@@ -29,13 +34,26 @@ type sparseView struct {
 	dims cone.Dims
 	socs []socBlockView
 
+	// split lists, ascending, the rows of gs longer than maxNormalEqRow;
+	// splitMask[r] flags them. The split depends on gs's pattern alone,
+	// which the pattern cache keys on.
+	split     []int
+	splitMask []bool
+
 	colBuf, outBuf linalg.Vector // gather/scatter scratch, len = max block size
 
-	// ne is the sparse factorization pipeline (normal equations or reduced
-	// KKT), built lazily on the first sparse-backend factor call because its
+	// ne is the sparse factorization pipeline (normal equations or KKT
+	// matrix), built lazily on the first sparse-backend factor call because its
 	// symbolic analysis only depends on the fixed gs pattern.
 	ne *neFactor
 }
+
+// maxNormalEqRow is the longest row of W⁻¹G whose outer product is
+// assembled into H. SRDF edge and budget rows have at most 4 entries; the
+// processor and memory coupling rows have one per task or buffer. It is a
+// variable only so tests can turn the split off as an oracle; nothing else
+// assigns it.
+var maxNormalEqRow = 8
 
 // socBlockView is the fixed structural data of one SOC block of G.
 type socBlockView struct {
@@ -92,6 +110,15 @@ func newSparseView(p *Problem) *sparseView {
 		off += q
 	}
 	sv.gs = linalg.NewSparseFromPattern(sv.g.Rows, n, pattern)
+	for r := 0; r < sv.gs.Rows; r++ {
+		if sv.gs.RowPtr[r+1]-sv.gs.RowPtr[r] > maxNormalEqRow {
+			if sv.splitMask == nil {
+				sv.splitMask = make([]bool, sv.gs.Rows)
+			}
+			sv.splitMask[r] = true
+			sv.split = append(sv.split, r)
+		}
+	}
 	sv.colBuf = linalg.NewVector(maxQ)
 	sv.outBuf = linalg.NewVector(maxQ)
 	return sv

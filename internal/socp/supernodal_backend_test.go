@@ -3,7 +3,6 @@ package socp
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/linalg"
@@ -150,9 +149,6 @@ func TestResolveFactorization(t *testing.T) {
 // satisfy a supernodal acquire of the same pattern (and vice versa) — the
 // pooled numeric workspace is built for one factorization layout.
 func TestPatternCacheBackendKeying(t *testing.T) {
-	// One P, so the reacquire below sees the private pool slot the release
-	// filled (see TestPatternCacheReacquireAllocFree).
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rng := rand.New(rand.NewSource(83))
 	p := randomProblem(rng, 14, 10, 2, 0.3, false)
 	sv := newSparseView(withCSR(p))
@@ -178,9 +174,6 @@ func TestPatternCacheBackendKeying(t *testing.T) {
 
 	again := pc.acquire(sv, FactorSupernodal, 4)
 	if again != fsn {
-		if raceEnabled {
-			t.Skip("the race detector's sync.Pool dropped the pooled pipeline; the pooled-hit checks need it")
-		}
 		t.Fatal("supernodal reacquire missed its own pooled pipeline")
 	}
 	if got := again.chol.(*linalg.SupernodalCholesky).Parallelism(); got != 4 {
