@@ -6,9 +6,8 @@ import (
 	"repro/internal/analysis"
 )
 
-// BenchmarkBbvetSelfRun measures whole-repo analysis passes. CI feeds the
-// results through cmd/benchjson into BENCH_vet.json so analysis wall-clock
-// is tracked as the repo grows.
+// BenchmarkBbvetSelfRun measures whole-repo analysis passes. CI runs it
+// once per workflow run, as a smoke test.
 //
 //   - cold: a fresh loader, full type-check of every package, all
 //     analyzers including the interprocedural summaries, no cache.

@@ -3,7 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -13,16 +13,10 @@ func TestListAnalyzers(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("bbvet -list exited %d: %s", code, errOut.String())
 	}
-	for _, name := range []string{
-		"floatcmp", "maprange", "hotalloc", "statuscheck", "csralias",
-		"ctxflow", "leakcheck", "faultsite", "hotloop", "concdiscipline",
-		"httpdiscipline", "slogfield",
-	} {
-		if !strings.Contains(out.String(), name) {
-			t.Errorf("-list output missing analyzer %s:\n%s", name, out.String())
-		}
-	}
-	// The listing is sorted by name with a one-line description per row.
+	// The listing is exactly the suite, sorted by name, with a one-line
+	// description per row. Adding or removing an analyzer takes an edit
+	// here too.
+	want := []string{"csralias", "ctxflow", "floatcmp", "hotalloc", "maprange", "statuscheck"}
 	lines := strings.Split(strings.TrimRight(out.String(), "\n"), "\n")
 	var names []string
 	for _, line := range lines {
@@ -33,8 +27,8 @@ func TestListAnalyzers(t *testing.T) {
 		}
 		names = append(names, fields[0])
 	}
-	if !sort.StringsAreSorted(names) {
-		t.Errorf("-list output not sorted by analyzer name: %v", names)
+	if !slices.Equal(names, want) {
+		t.Errorf("-list names = %v, want exactly %v", names, want)
 	}
 }
 
@@ -63,7 +57,7 @@ func TestUnknownAnalyzerIsUsageError(t *testing.T) {
 func TestOutputIsDeterministic(t *testing.T) {
 	t.Setenv("GITHUB_ACTIONS", "")
 	for _, mode := range [][]string{
-		{"../../testdata/analysis/maprange", "../../testdata/analysis/concdiscipline"},
+		{"../../testdata/analysis/maprange", "../../testdata/analysis/csralias"},
 		{"-json", "../../testdata/analysis/hotalloc", "../../testdata/analysis/csralias"},
 	} {
 		var first, second, errOut bytes.Buffer

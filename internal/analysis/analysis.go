@@ -94,12 +94,6 @@ func All() []*Analyzer {
 		StatusCheck,
 		CSRAlias,
 		CtxFlow,
-		LeakCheck,
-		FaultSite,
-		HotLoop,
-		ConcDiscipline,
-		HTTPDiscipline,
-		SlogField,
 	}
 }
 
@@ -244,8 +238,9 @@ type allowSpan struct {
 	analyzer string
 }
 
-// collectAllows scans the package's comments — test files included, since
-// some analyzers (faultsite) report into them — for bbvet:allow directives.
+// collectAllows scans the package's comments — test files included, so a
+// malformed or unknown directive there is reported too — for bbvet:allow
+// directives.
 func collectAllows(pkg *Package) *suppressions {
 	s := &suppressions{
 		byFileLine: map[string]map[int]map[string]bool{},

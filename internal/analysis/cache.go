@@ -14,14 +14,14 @@ import (
 
 // The incremental cache keys each package's diagnostics by an FNV-1a hash
 // chain over everything that can change them: the package's own file
-// contents (test files included — the suppression scanner and faultsite
-// read them), the contents of every intra-module package in its transitive
-// import closure, and the analyzer-suite version. A package whose key is
-// unchanged is a pure cache hit: the warm path parses import clauses and
-// hashes bytes but never type-checks, which is where almost all of a cold
-// run's time goes. Editing one file changes the content hash of exactly
-// one directory, and therefore the keys of exactly that package and its
-// reverse-dependency closure — nothing else re-analyzes.
+// contents (test files included — the suppression scanner reads them), the
+// contents of every intra-module package in its transitive import closure,
+// and the analyzer-suite version. A package whose key is unchanged is a
+// pure cache hit: the warm path parses import clauses and hashes bytes but
+// never type-checks, which is where almost all of a cold run's time goes.
+// Editing one file changes the content hash of exactly one directory, and
+// therefore the keys of exactly that package and its reverse-dependency
+// closure — nothing else re-analyzes.
 //
 // External (stdlib) imports need no separate versioning: the toolchain is
 // pinned by go.mod, and the import clauses that select stdlib packages are

@@ -19,8 +19,8 @@ import (
 //     through it as escaping, the summaries do not invent facts for it).
 //   - A call into another module (in practice: the standard library, since
 //     this module has no dependencies) has no loadable declaration either;
-//     summaries consult small explicit lists (stdAllocPkgs, fatalCalls)
-//     instead of guessing.
+//     summaries consult an explicit list (stdAllocPkgs) instead of
+//     guessing.
 //
 // Everything here is deterministic: callee lists are collected in source
 // order, the SCC traversal is a textbook Tarjan whose order depends only on

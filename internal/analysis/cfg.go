@@ -8,16 +8,9 @@ import (
 // This file is the control-flow half of the dataflow engine: it lowers one
 // function body (never crossing into nested function literals — those are
 // separate control flows) into basic blocks with explicit branch, loop,
-// defer, and abnormal-exit edges. The analyzers that need to reason about
-// *paths* — ctxflow, leakcheck, hotloop — are built on it, where the older
-// AST-pattern analyzers only reason about expression shapes.
-//
-// The builder is syntax-directed, so loop membership is known exactly at
-// construction time: every block records how many for/range loops enclose
-// it (LoopDepth). Backward gotos can form loops the depth does not count;
-// they are rare enough in this codebase (zero occurrences) that the
-// conservative choice — treating them as plain edges — is acceptable and
-// documented here.
+// defer, and abnormal-exit edges. ctxflow, the one analyzer that reasons
+// about *paths*, is built on it; the AST-pattern analyzers only reason
+// about expression shapes.
 
 // A Block is one basic block: a maximal run of statements with a single
 // entry at the top, plus the control expression of any branch that ends it.
@@ -34,9 +27,6 @@ type Block struct {
 	Succs []*Block
 	// Preds are the predecessor blocks (the reverse of Succs).
 	Preds []*Block
-	// LoopDepth is the number of for/range statements enclosing the block;
-	// a block with LoopDepth > 0 executes once per iteration of some loop.
-	LoopDepth int
 }
 
 // A CFG is the control-flow graph of one function body.
@@ -46,10 +36,6 @@ type CFG struct {
 	Entry, Exit *Block
 	// Blocks lists every block, Entry first and Exit last.
 	Blocks []*Block
-	// Defers collects the function's defer statements in source order.
-	// Deferred calls run on every path that reaches Exit (and on panics),
-	// so a path property established by a defer holds function-wide.
-	Defers []*ast.DeferStmt
 }
 
 // BuildCFG lowers a function body into a control-flow graph. body may be
@@ -92,8 +78,7 @@ type cfgBuilder struct {
 	cfg *CFG
 	// cur is the block under construction; nil after a terminating
 	// statement (return, break, panic) until a new block starts.
-	cur       *Block
-	loopDepth int
+	cur *Block
 	// breakTo / continueTo are the innermost unlabeled break/continue
 	// targets (nil outside loops and switches).
 	breakTo, continueTo *Block
@@ -105,7 +90,7 @@ type cfgBuilder struct {
 }
 
 func (b *cfgBuilder) newBlock(kind string) *Block {
-	blk := &Block{Index: len(b.cfg.Blocks), Kind: kind, LoopDepth: b.loopDepth}
+	blk := &Block{Index: len(b.cfg.Blocks), Kind: kind}
 	b.cfg.Blocks = append(b.cfg.Blocks, blk)
 	return blk
 }
@@ -174,7 +159,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.branch(s)
 	case *ast.DeferStmt:
 		b.add(s)
-		b.cfg.Defers = append(b.cfg.Defers, s)
 	case *ast.IfStmt:
 		b.ifStmt(s)
 	case *ast.ForStmt:
@@ -298,7 +282,6 @@ func (b *cfgBuilder) forStmt(s *ast.ForStmt, label string) {
 	}
 	entry := b.cur
 
-	b.loopDepth++
 	head := b.newBlock("for-head")
 	if entry != nil {
 		link(entry, head)
@@ -319,9 +302,7 @@ func (b *cfgBuilder) forStmt(s *ast.ForStmt, label string) {
 
 	body := b.newBlock("for-body")
 	link(head, body)
-	b.loopDepth--
 	after := b.newBlock("for-after")
-	b.loopDepth++
 	if s.Cond != nil {
 		link(head, after) // condition false exits the loop
 	}
@@ -331,27 +312,23 @@ func (b *cfgBuilder) forStmt(s *ast.ForStmt, label string) {
 	b.stmtList(s.Body.List)
 	b.jump(continueTo)
 	restore()
-	b.loopDepth--
 	b.cur = after
 }
 
 func (b *cfgBuilder) rangeStmt(s *ast.RangeStmt, label string) {
 	entry := b.cur
 
-	b.loopDepth++
 	head := b.newBlock("range-head")
 	if entry != nil {
 		link(entry, head)
 	}
-	// The RangeStmt node itself sits in the head so analyzers can find the
-	// ranged expression with the head's loop depth.
+	// The RangeStmt node itself sits in the head, where the ranged
+	// expression is evaluated.
 	head.Nodes = append(head.Nodes, s)
 
 	body := b.newBlock("range-body")
 	link(head, body)
-	b.loopDepth--
 	after := b.newBlock("range-after")
-	b.loopDepth++
 	link(head, after) // every range loop can be exhausted
 
 	restore := b.loopTargets(label, after, head)
@@ -359,7 +336,6 @@ func (b *cfgBuilder) rangeStmt(s *ast.RangeStmt, label string) {
 	b.stmtList(s.Body.List)
 	b.jump(head)
 	restore()
-	b.loopDepth--
 	b.cur = after
 }
 
@@ -466,54 +442,4 @@ func isTerminatingCall(e ast.Expr) bool {
 		}
 	}
 	return false
-}
-
-// Reaches reports whether to is reachable from from along CFG edges,
-// without passing through any block for which blocked returns true (the
-// blocked test is not applied to from and to themselves). It is the path
-// primitive behind leakcheck's "a join must lie on every path to exit".
-func (g *CFG) Reaches(from, to *Block, blocked func(*Block) bool) bool {
-	seen := make([]bool, len(g.Blocks))
-	var dfs func(*Block) bool
-	dfs = func(blk *Block) bool {
-		if blk == to {
-			return true
-		}
-		if seen[blk.Index] {
-			return false
-		}
-		seen[blk.Index] = true
-		if blk != from && blocked != nil && blocked(blk) {
-			return false
-		}
-		for _, s := range blk.Succs {
-			if dfs(s) {
-				return true
-			}
-		}
-		return false
-	}
-	return dfs(from)
-}
-
-// BlockOf returns the block carrying n: the block whose Nodes contain n
-// directly, or failing that the block whose smallest recorded node spans
-// n's position (so an expression inside a recorded statement resolves to
-// that statement's block, not to an enclosing composite header).
-func (g *CFG) BlockOf(n ast.Node) *Block {
-	var best *Block
-	var bestSpan token.Pos = -1
-	for _, blk := range g.Blocks {
-		for _, m := range blk.Nodes {
-			if m == n {
-				return blk
-			}
-			if m.Pos() <= n.Pos() && n.End() <= m.End() {
-				if span := m.End() - m.Pos(); bestSpan < 0 || span < bestSpan {
-					best, bestSpan = blk, span
-				}
-			}
-		}
-	}
-	return best
 }

@@ -123,13 +123,6 @@ func TestCFGForLoop(t *testing.T) {
 	body := blockOfKind(t, g, "for-body")
 	post := blockOfKind(t, g, "for-post")
 	after := blockOfKind(t, g, "for-after")
-	if head.LoopDepth != 1 || body.LoopDepth != 1 || post.LoopDepth != 1 {
-		t.Fatalf("loop blocks at depth head=%d body=%d post=%d, want 1",
-			head.LoopDepth, body.LoopDepth, post.LoopDepth)
-	}
-	if g.Entry.LoopDepth != 0 || after.LoopDepth != 0 {
-		t.Fatal("entry and after must be outside the loop")
-	}
 	if !hasEdge(head, body) || !hasEdge(body, post) || !hasEdge(post, head) {
 		t.Fatal("head→body→post→head cycle missing")
 	}
@@ -202,14 +195,19 @@ func TestCFGLabeledBreak(t *testing.T) {
 			}
 		}`))
 	then := blockOfKind(t, g, "if-then")
-	// break outer must target the *outer* loop's after block (depth 0).
+	// break outer must target the *outer* loop's after block, which the
+	// builder creates before descending into the inner loop.
 	if len(then.Succs) != 1 {
 		t.Fatalf("break block has %d succs, want 1", len(then.Succs))
 	}
-	target := then.Succs[0]
-	if target.Kind != "for-after" || target.LoopDepth != 0 {
-		t.Fatalf("break outer lands on %q at depth %d, want for-after at 0",
-			target.Kind, target.LoopDepth)
+	var afters []*Block
+	for _, b := range g.Blocks {
+		if b.Kind == "for-after" {
+			afters = append(afters, b)
+		}
+	}
+	if len(afters) != 2 || then.Succs[0] != afters[0] {
+		t.Fatalf("break outer lands on %q, want the outer for-after", then.Succs[0].Kind)
 	}
 }
 
@@ -230,29 +228,8 @@ func TestCFGRange(t *testing.T) {
 	if _, ok := head.Nodes[0].(*ast.RangeStmt); !ok {
 		t.Fatalf("range head carries %T, want *ast.RangeStmt", head.Nodes[0])
 	}
-	if head.LoopDepth != 1 || body.LoopDepth != 1 || after.LoopDepth != 0 {
-		t.Fatal("range head/body must be inside the loop, after outside")
-	}
 	if !hasEdge(head, body) || !hasEdge(body, head) || !hasEdge(head, after) {
 		t.Fatal("range must cycle head↔body and exit head→after")
-	}
-}
-
-func TestCFGNestedLoopDepth(t *testing.T) {
-	g := BuildCFG(parseFuncBody(t, `
-		m := map[int]int{}
-		for i := 0; i < 3; i++ {
-			for k := range m {
-				_ = k
-			}
-		}`))
-	inner := blockOfKind(t, g, "range-head")
-	if inner.LoopDepth != 2 {
-		t.Fatalf("nested range head at depth %d, want 2", inner.LoopDepth)
-	}
-	body := blockOfKind(t, g, "range-body")
-	if body.LoopDepth != 2 {
-		t.Fatalf("nested range body at depth %d, want 2", body.LoopDepth)
 	}
 }
 
@@ -358,8 +335,8 @@ func TestCFGReturnAndDefer(t *testing.T) {
 			return
 		}
 		_ = x`))
-	if len(g.Defers) != 1 {
-		t.Fatalf("%d defers recorded, want 1", len(g.Defers))
+	if _, ok := g.Entry.Nodes[0].(*ast.DeferStmt); !ok {
+		t.Fatalf("entry starts with %T, want the defer statement", g.Entry.Nodes[0])
 	}
 	then := blockOfKind(t, g, "if-then")
 	if !hasEdge(then, g.Exit) {
@@ -410,53 +387,5 @@ func TestCFGFuncLitOpaque(t *testing.T) {
 		if b.Kind == "for-head" {
 			t.Fatal("a nested literal's loop must not contribute blocks to the outer CFG")
 		}
-	}
-}
-
-func TestCFGReaches(t *testing.T) {
-	g := BuildCFG(parseFuncBody(t, `
-		x := 1
-		if x > 0 {
-			x = 2
-		} else {
-			x = 3
-		}
-		_ = x`))
-	then := blockOfKind(t, g, "if-then")
-	after := blockOfKind(t, g, "if-after")
-	if !g.Reaches(g.Entry, g.Exit, nil) {
-		t.Fatal("exit must be reachable from entry")
-	}
-	// Blocking the after block cuts every path from entry to exit.
-	if g.Reaches(g.Entry, g.Exit, func(b *Block) bool { return b == after }) {
-		t.Fatal("blocking the join must disconnect entry from exit")
-	}
-	// The blocked test is not applied to the endpoints themselves.
-	if !g.Reaches(then, after, func(b *Block) bool { return b == then || b == after }) {
-		t.Fatal("endpoints must be exempt from the blocked test")
-	}
-}
-
-func TestCFGBlockOf(t *testing.T) {
-	body := parseFuncBody(t, `
-		x := 1
-		for i := 0; i < 3; i++ {
-			x += i
-		}
-		_ = x`)
-	g := BuildCFG(body)
-	var inc *ast.AssignStmt
-	ast.Inspect(body, func(n ast.Node) bool {
-		if as, ok := n.(*ast.AssignStmt); ok && as.Tok == token.ADD_ASSIGN {
-			inc = as
-		}
-		return true
-	})
-	blk := g.BlockOf(inc)
-	if blk == nil || blk.Kind != "for-body" {
-		t.Fatalf("x += i resolved to %v, want the for-body block", blk)
-	}
-	if g.BlockOf(inc.Rhs[0]) != blk {
-		t.Fatal("an expression inside a recorded statement must resolve to its block")
 	}
 }

@@ -7,11 +7,10 @@ import (
 )
 
 // This file is the dataflow half of the engine: a generic forward worklist
-// solver over the CFG of cfg.go, plus the two concrete lattices the
-// analyzer suite needs — reaching definitions (which assignments can reach
-// a use) and a taint set (which variables hold values derived from a set
-// of seed objects). Both lattices are finite powersets joined by union, so
-// the fixpoint iteration terminates.
+// solver over the CFG of cfg.go, plus the one concrete lattice the analyzer
+// suite needs — a taint set (which variables hold values derived from a set
+// of seed objects). The lattice is a finite powerset joined by union (or
+// intersection, for a must analysis), so the fixpoint iteration terminates.
 
 // A FlowProblem defines one forward dataflow analysis over fact type F.
 // Facts must be treated as immutable by Transfer and Join: return fresh
@@ -88,98 +87,6 @@ func SolveForward[F any](g *CFG, p FlowProblem[F]) *FlowFacts[F] {
 		}
 	}
 	return facts
-}
-
-// ---------------------------------------------------------------------------
-// Reaching definitions.
-
-// A Def is one definition site of a variable: the assignment, declaration,
-// or range clause that wrote it.
-type Def struct {
-	Var  *types.Var
-	Site ast.Node
-}
-
-// DefSet is a reaching-definitions fact: the set of definitions that may
-// reach a program point, keyed per variable.
-type DefSet map[*types.Var]map[ast.Node]bool
-
-// reachingDefs is the FlowProblem behind ReachingDefs.
-type reachingDefs struct {
-	info   *types.Info
-	params []*types.Var // treated as defined at entry
-	fn     ast.Node     // entry definition site for params
-}
-
-// ReachingDefs solves reaching definitions over the CFG: for every block,
-// which definition sites of each local variable can reach its entry.
-// params are treated as defined at function entry with fn as their site.
-func ReachingDefs(g *CFG, info *types.Info, fn ast.Node, params []*types.Var) *FlowFacts[DefSet] {
-	return SolveForward[DefSet](g, &reachingDefs{info: info, params: params, fn: fn})
-}
-
-func (r *reachingDefs) Boundary() DefSet {
-	in := DefSet{}
-	for _, p := range r.params {
-		in[p] = map[ast.Node]bool{r.fn: true}
-	}
-	return in
-}
-
-// Initial is bottom: reaching definitions is a may/union analysis.
-func (r *reachingDefs) Initial() DefSet { return DefSet{} }
-
-func (r *reachingDefs) Transfer(b *Block, in DefSet) DefSet {
-	out := copyDefSet(in)
-	for _, n := range b.Nodes {
-		forEachWrite(r.info, n, func(v *types.Var, site ast.Node) {
-			out[v] = map[ast.Node]bool{site: true} // strong update: kill + gen
-		})
-	}
-	return out
-}
-
-func (r *reachingDefs) Join(a, b DefSet) DefSet {
-	out := copyDefSet(a)
-	for v, sites := range b {
-		if out[v] == nil {
-			out[v] = map[ast.Node]bool{}
-		}
-		for s := range sites {
-			out[v][s] = true
-		}
-	}
-	return out
-}
-
-func (r *reachingDefs) Equal(a, b DefSet) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for v, as := range a {
-		bs, ok := b[v]
-		if !ok || len(as) != len(bs) {
-			return false
-		}
-		for s := range as {
-			if !bs[s] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func copyDefSet(in DefSet) DefSet {
-	out := make(DefSet, len(in))
-	for v, sites := range in {
-		cp := make(map[ast.Node]bool, len(sites))
-		for s := range sites {
-			cp[s] = true
-		}
-		out[v] = cp
-	}
-	return out
 }
 
 // forEachWrite invokes fn for every local-variable write performed

@@ -112,14 +112,6 @@ func TestHotAllocFixture(t *testing.T)    { runFixture(t, HotAlloc, "hotalloc") 
 func TestStatusCheckFixture(t *testing.T) { runFixture(t, StatusCheck, "statuscheck") }
 func TestCSRAliasFixture(t *testing.T)    { runFixture(t, CSRAlias, "csralias") }
 func TestCtxFlowFixture(t *testing.T)     { runFixture(t, CtxFlow, "ctxflow") }
-func TestLeakCheckFixture(t *testing.T)   { runFixture(t, LeakCheck, "leakcheck") }
-func TestFaultSiteFixture(t *testing.T)   { runFixture(t, FaultSite, "faultsite") }
-func TestHotLoopFixture(t *testing.T)     { runFixture(t, HotLoop, "hotloop") }
-
-func TestConcDisciplineFixture(t *testing.T) { runFixture(t, ConcDiscipline, "concdiscipline") }
-
-func TestHTTPDisciplineFixture(t *testing.T) { runFixture(t, HTTPDiscipline, "httpdiscipline") }
-func TestSlogFieldFixture(t *testing.T)      { runFixture(t, SlogField, "slogfield") }
 
 // TestFixturesAreExercised guards against a silently skipped fixture: every
 // fixture package must produce at least one positive and contain at least

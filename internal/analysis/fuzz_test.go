@@ -21,7 +21,7 @@ func FuzzDirectiveText(f *testing.F) {
 		"// not a directive",
 		"//bbvet:allowfloatcmp smashed prefix",
 		"/* bbvet:allow floatcmp block form */",
-		"//bbvet:allow httpdiscipline reason with trailing space ",
+		"//bbvet:allow statuscheck reason with trailing space ",
 		"//", "", "bbvet:allow bare", "//\x00bbvet:allow nul",
 	} {
 		f.Add(seed)
@@ -57,7 +57,7 @@ func FuzzCollectAllows(f *testing.F) {
 		"floatcnp typo repair candidate",
 		"",
 		"floatcmp",
-		"slogfield reason with  interior   runs",
+		"ctxflow reason with  interior   runs",
 	} {
 		f.Add(seed)
 	}

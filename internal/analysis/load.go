@@ -17,8 +17,8 @@ import (
 // Test files (_test.go) are excluded from type-checking: the invariants
 // bbvet enforces are about production behavior, and tests legitimately use
 // exact comparisons and discard results. They are still parsed — without
-// type information — into TestFiles, for the analyzers that cross-check
-// what tests reference against what production code declares (faultsite).
+// type information — into TestFiles, so the suppression scanner checks
+// the allow directives they carry.
 type Package struct {
 	Path  string // import path ("repro/internal/linalg")
 	Dir   string // absolute directory
@@ -32,16 +32,6 @@ type Package struct {
 	Info      *types.Info
 
 	loader *Loader
-}
-
-// LoadImport loads another intra-module package through the same loader,
-// so an analyzer can consult declarations outside the package under
-// analysis (faultsite resolving the fault-site registry).
-func (p *Package) LoadImport(path string) (*Package, error) {
-	if p.loader == nil {
-		return nil, fmt.Errorf("analysis: package %s has no loader", p.Path)
-	}
-	return p.loader.load(path)
 }
 
 // A Loader parses and type-checks packages of one module using only the
@@ -186,9 +176,9 @@ func (l *Loader) load(path string) (*Package, error) {
 	}
 	if len(names) == 0 {
 		// Test-only package: there is nothing to type-check, but the parsed
-		// test files still feed the analyzers that read them (faultsite) and
-		// the suppression scanner. The synthetic types.Package keeps every
-		// Package field non-nil so analyzers need no special casing.
+		// test files still feed the suppression scanner. The synthetic
+		// types.Package keeps every Package field non-nil so analyzers need
+		// no special casing.
 		pkg.Name = strings.TrimSuffix(pkg.TestFiles[0].Name.Name, "_test")
 		pkg.Types = types.NewPackage(path, pkg.Name)
 		pkg.Info = &types.Info{

@@ -91,19 +91,12 @@ func TestLoadImportOutsideModule(t *testing.T) {
 	loader := writeModule(t, map[string]string{
 		"a/a.go": "package a\n\nfunc A() int { return 1 }\n",
 	})
-	pkg, err := loader.load("example.com/m/a")
-	if err != nil {
+	if _, err := loader.load("example.com/m/a"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pkg.LoadImport("example.com/other/pkg"); err == nil ||
+	if _, err := loader.load("example.com/other/pkg"); err == nil ||
 		!strings.Contains(err.Error(), "outside module") {
 		t.Errorf("out-of-module import not rejected: %v", err)
-	}
-	// A Package constructed without a loader reports that, not a panic.
-	orphan := &Package{Path: "example.com/m/orphan"}
-	if _, err := orphan.LoadImport("example.com/m/a"); err == nil ||
-		!strings.Contains(err.Error(), "no loader") {
-		t.Errorf("loaderless import not rejected: %v", err)
 	}
 }
 

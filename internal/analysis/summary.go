@@ -49,55 +49,7 @@ type Summary struct {
 	EmitVia  *types.Func
 
 	// Sends: the body can send on a channel, directly or through a callee.
-	Sends   bool
-	SendPos token.Pos
-	SendVia *types.Func
-
-	// Spawns: the body can launch a goroutine (a go statement anywhere in
-	// the body, nested literals included — a stored closure may run later).
-	Spawns   bool
-	SpawnPos token.Pos
-	SpawnVia *types.Func
-
-	// BlocksChan / BlocksLock: the body can block on channel operations
-	// (send, receive, select, range over a channel) or on a sync primitive
-	// (Mutex/RWMutex Lock/RLock, WaitGroup.Wait), directly or transitively.
-	BlocksChan bool
-	BlocksLock bool
-
-	// Fatal: the body can terminate the process — os.Exit, log.Fatal*,
-	// runtime.Goexit — directly or through a callee. (t.Fatal lives in test
-	// files, which are not type-checked; the concdiscipline fixture covers
-	// the production-side sinks.)
-	Fatal     bool
-	FatalWhat string
-	FatalPos  token.Pos
-	FatalVia  *types.Func
-
-	// HTTPMustWrite / HTTPMustCommit: per-parameter response-discipline
-	// facts for http.ResponseWriter parameters (bit i ↔ parameter i).
-	// MustCommit: every path through the body commits the response status
-	// via that parameter (WriteHeader or an http.Error-class helper).
-	// MustWrite: every path writes response bytes through it. These are
-	// must-facts, not may-facts, but they are still monotone under the
-	// optimistic all-false seed: discovering more events only makes "every
-	// path hits one" easier, so the SCC fixpoint converges upward like the
-	// booleans above. A helper that merely MAY write (serve's admit, which
-	// rejects-and-writes or declines silently) keeps zero bits, which is
-	// what keeps httpdiscipline from flagging guarded helper-then-write
-	// call sequences.
-	HTTPMustWrite  uint64
-	HTTPMustCommit uint64
-
-	// SlogMsgParam / SlogKVParam: 1-based parameter indices (0 = none —
-	// the encoding matters because Tarjan seeds cycles with zero
-	// Summaries, and parameter 0 must not look forwarded by default).
-	// MsgParam: the function forwards that parameter as a slog message,
-	// so call sites owe it a constant string. KVParam: the function
-	// forwards that variadic parameter as slog key/value arguments, so
-	// call sites owe it well-formed pairs.
-	SlogMsgParam int
-	SlogKVParam  int
+	Sends bool
 }
 
 func (s *Summary) equal(o *Summary) bool {
@@ -117,13 +69,6 @@ var stdAllocPkgs = map[string]bool{
 	"bufio": true, "bytes": true, "encoding/json": true, "errors": true,
 	"fmt": true, "io": true, "log": true, "os": true, "regexp": true,
 	"sort": true, "strconv": true, "strings": true, "slices": true,
-}
-
-// fatalCalls maps qualified stdlib names to their process-killing verdict.
-var fatalCalls = map[string]bool{
-	"os.Exit": true, "runtime.Goexit": true,
-	"log.Fatal": true, "log.Fatalf": true, "log.Fatalln": true,
-	"log.Panic": true, "log.Panicf": true, "log.Panicln": true,
 }
 
 // compute builds f's summary from its body and the current summary table
@@ -173,9 +118,6 @@ func (ip *Interp) compute(f *types.Func) *Summary {
 			if _, ok := n.X.(*ast.CompositeLit); ok {
 				s.noteAlloc("address of composite literal", n.OpPos, nil)
 			}
-			if n.Op == token.ARROW {
-				s.BlocksChan = true
-			}
 		case *ast.FuncLit:
 			s.noteAlloc("closure", n.Pos(), nil)
 			// Keep walking: effects inside a literal (a go statement, a
@@ -183,24 +125,11 @@ func (ip *Interp) compute(f *types.Func) *Summary {
 			// count conservatively.
 		case *ast.GoStmt:
 			s.noteAlloc("go statement", n.Go, nil)
-			if !s.Spawns {
-				s.Spawns = true
-				s.SpawnPos = n.Go
-			}
 		case *ast.SendStmt:
-			if !s.Sends {
-				s.Sends = true
-				s.SendPos = n.Arrow
-			}
-			s.BlocksChan = true
+			s.Sends = true
 			s.RetainsParam |= exprMask(n.Value)
-		case *ast.SelectStmt:
-			s.BlocksChan = true
 		case *ast.RangeStmt:
 			if t := info.Types[n.X].Type; t != nil {
-				if _, ok := t.Underlying().(*types.Chan); ok {
-					s.BlocksChan = true
-				}
 				if _, ok := t.Underlying().(*types.Map); ok {
 					collectOrderedAppends(info, n, orderedVars)
 				}
@@ -223,8 +152,6 @@ func (ip *Interp) compute(f *types.Func) *Summary {
 	// A local that was sorted anywhere in the body is order-clean; the
 	// flow-insensitive approximation can only under-report OrderedReturn
 	// for sort-then-append-again shapes, which do not occur here.
-	ip.computeHTTPFacts(s, info, decl)
-	ip.computeSlogFacts(s, info, decl)
 	return s
 }
 
@@ -287,24 +214,7 @@ func (ip *Interp) computeCall(s *Summary, info *types.Info, call *ast.CallExpr,
 					s.EmitPos = call.Lparen
 					s.EmitVia = t.Static
 				}
-				if cs.Sends && !s.Sends {
-					s.Sends = true
-					s.SendPos = call.Lparen
-					s.SendVia = t.Static
-				}
-				if cs.Spawns && !s.Spawns {
-					s.Spawns = true
-					s.SpawnPos = call.Lparen
-					s.SpawnVia = t.Static
-				}
-				s.BlocksChan = s.BlocksChan || cs.BlocksChan
-				s.BlocksLock = s.BlocksLock || cs.BlocksLock
-				if cs.Fatal && !s.Fatal {
-					s.Fatal = true
-					s.FatalWhat = "call to " + ip.displayName(t.Static)
-					s.FatalPos = call.Lparen
-					s.FatalVia = t.Static
-				}
+				s.Sends = s.Sends || cs.Sends
 				// Escape propagation: a masked argument handed to a callee
 				// that retains (or returns, with the result itself escaping
 				// through the surrounding expression) its parameter.
@@ -323,23 +233,9 @@ func (ip *Interp) computeCall(s *Summary, info *types.Info, call *ast.CallExpr,
 		// Intra-module object without a loadable body: leave it opaque.
 		return
 	case t.Static != nil:
-		// Out-of-module (stdlib) callee: explicit lists, no guessing.
-		qual := stdQualifiedName(t.Static)
-		if pkgPath := stdPkgPath(t.Static); stdAllocPkgs[pkgPath] {
-			s.noteAlloc("call to "+qual, call.Lparen, nil)
-		}
-		if stdPkgPath(t.Static) == "sync" {
-			switch t.Static.Name() {
-			case "Lock", "RLock":
-				s.BlocksLock = true
-			case "Wait":
-				s.BlocksLock = true
-			}
-		}
-		if fatalCalls[qual] && !s.Fatal {
-			s.Fatal = true
-			s.FatalWhat = qual
-			s.FatalPos = call.Lparen
+		// Out-of-module (stdlib) callee: an explicit list, no guessing.
+		if stdAllocPkgs[stdPkgPath(t.Static)] {
+			s.noteAlloc("call to "+stdQualifiedName(t.Static), call.Lparen, nil)
 		}
 		return
 	case t.Dynamic != "":

@@ -56,7 +56,6 @@ func newPool(workers, depth int) *pool {
 	p.workers.Add(workers)
 	for i := 0; i < workers; i++ {
 		// Joined by p.workers.Wait() in drain, the pool's only shutdown path.
-		//bbvet:allow leakcheck workers are joined in drain, not in the constructor
 		go p.worker()
 	}
 	return p

@@ -16,7 +16,7 @@ import (
 // BenchmarkServeSolveChain100 measures the full daemon path — admission,
 // breaker routing, shared pattern cache, JSON in and out — on the 100-task
 // chain, and reports serving-style metrics (p50/p95 per-request latency and
-// throughput) alongside ns/op so CI can track them via benchjson.
+// throughput) alongside ns/op.
 func BenchmarkServeSolveChain100(b *testing.B) {
 	s := New(Config{Workers: 1})
 	defer func() {

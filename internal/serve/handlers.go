@@ -426,7 +426,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.WriteHeader(status)
 	// Encoding errors past WriteHeader cannot be reported to the client;
 	// the types marshaled here cannot fail.
-	//bbvet:allow httpdiscipline status already committed, nothing to tell the client; the wire types marshal infallibly
 	_ = json.NewEncoder(w).Encode(v)
 }
 
