@@ -96,23 +96,19 @@ func socResidual(x linalg.Vector) float64 {
 // Interior reports whether x is strictly in the interior of K.
 func (d Dims) Interior(x linalg.Vector) bool {
 	d.checkLen(x)
-	ok := true
-	d.visit(func(kind byte, lo, hi int) {
-		switch kind {
-		case 'l':
-			for i := lo; i < hi; i++ {
-				if x[i] <= 0 {
-					ok = false
-					return
-				}
-			}
-		case 'q':
-			if socResidual(x[lo:hi]) <= 0 {
-				ok = false
-			}
+	for i := 0; i < d.NonNeg; i++ {
+		if x[i] <= 0 {
+			return false
 		}
-	})
-	return ok
+	}
+	off := d.NonNeg
+	for _, q := range d.SOC {
+		if socResidual(x[off:off+q]) <= 0 {
+			return false
+		}
+		off += q
+	}
+	return true
 }
 
 // InteriorMargin returns the largest θ such that x − θ·e … more precisely it

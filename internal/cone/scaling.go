@@ -22,6 +22,10 @@ var ErrNotInterior = errors.New("cone: point is not strictly interior")
 // P(w) z = s):
 //
 //	P(v) u = 2 v (vᵀu) − det(v)·J u,   J u = (u₀, −u₁).
+//
+// A Scaling owns all of its storage. An interior-point method allocates one
+// per solve and calls Update at every iteration, which rewrites d, λ and the
+// per-block v, v⁻¹ in place; Apply and ApplyInv need no scratch at all.
 type Scaling struct {
 	dims Dims
 	// Orthant diagonal: d[i] = sqrt(s_i / z_i), indexed from 0..NonNeg-1.
@@ -40,42 +44,90 @@ type socScaling struct {
 // NewScaling computes the NT scaling for the pair (s, z). Both points must be
 // strictly interior to K.
 func NewScaling(dims Dims, s, z linalg.Vector) (*Scaling, error) {
+	w := &Scaling{}
+	if err := w.Update(dims, s, z); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+// Update recomputes the scaling in place for the pair (s, z), which must be
+// strictly interior to K. It allocates only when dims differs in shape from
+// the previous call's. On error the scaling is unusable until the next
+// successful Update.
+//
+//bbvet:hotpath
+func (w *Scaling) Update(dims Dims, s, z linalg.Vector) error {
 	dims.checkLen(s)
 	dims.checkLen(z)
 	if !dims.Interior(s) || !dims.Interior(z) {
-		return nil, ErrNotInterior
+		return ErrNotInterior
 	}
-	w := &Scaling{dims: dims, d: linalg.NewVector(dims.NonNeg), lambda: linalg.NewVector(dims.Dim())}
+	if !w.shaped(dims) {
+		//bbvet:allow hotalloc storage is sized once per cone shape; the IPM keeps one shape per solve
+		w.reshape(dims)
+	}
+	w.dims = dims
 	for i := 0; i < dims.NonNeg; i++ {
 		w.d[i] = math.Sqrt(s[i] / z[i])
 		w.lambda[i] = math.Sqrt(s[i] * z[i])
 	}
 	off := dims.NonNeg
-	for _, q := range dims.SOC {
+	for bi, q := range dims.SOC {
 		sb, zb := s[off:off+q], z[off:off+q]
-		blk, err := newSOCScaling(sb, zb)
-		if err != nil {
-			return nil, err
+		blk := &w.blocks[bi]
+		if err := blk.update(sb, zb); err != nil {
+			return err
 		}
-		w.blocks = append(w.blocks, blk)
 		// λ block = W z.
 		applyP(blk.v, blk.detV, w.lambda[off:off+q], zb)
 		off += q
 	}
-	return w, nil
+	return nil
 }
 
-// newSOCScaling computes the NT scaling for one SOC block.
-func newSOCScaling(s, z linalg.Vector) (socScaling, error) {
+// shaped reports whether w's storage fits dims block for block. The zero
+// Scaling fits the empty cone.
+func (w *Scaling) shaped(dims Dims) bool {
+	if w.dims.NonNeg != dims.NonNeg || len(w.dims.SOC) != len(dims.SOC) {
+		return false
+	}
+	for i, q := range dims.SOC {
+		if w.dims.SOC[i] != q {
+			return false
+		}
+	}
+	return true
+}
+
+// reshape allocates w's storage for dims.
+func (w *Scaling) reshape(dims Dims) {
+	nsoc := dims.Dim() - dims.NonNeg
+	w.d = linalg.NewVector(dims.NonNeg)
+	w.lambda = linalg.NewVector(dims.Dim())
+	vbuf, vinvbuf := linalg.NewVector(nsoc), linalg.NewVector(nsoc)
+	w.blocks = make([]socScaling, len(dims.SOC))
+	off := 0
+	for bi, q := range dims.SOC {
+		w.blocks[bi].v = vbuf[off : off+q]
+		w.blocks[bi].vinv = vinvbuf[off : off+q]
+		off += q
+	}
+}
+
+// update computes the NT scaling for one SOC block into its own storage.
+// The normalized points s̄, z̄ and the scaling point w are staged in v and
+// vinv before those are overwritten: each stage reads element i only to
+// write element i, so the arithmetic is that of separate buffers.
+func (blk *socScaling) update(s, z linalg.Vector) error {
 	ns := jnorm(s)
 	nz := jnorm(z)
 	if ns <= 0 || nz <= 0 {
-		return socScaling{}, ErrNotInterior
+		return ErrNotInterior
 	}
 	q := len(s)
 	// Normalized points and γ = sqrt((1 + s̄ᵀz̄)/2).
-	sbar := make(linalg.Vector, q)
-	zbar := make(linalg.Vector, q)
+	sbar, zbar := blk.v, blk.vinv
 	for i := range s {
 		sbar[i] = s[i] / ns
 		zbar[i] = z[i] / nz
@@ -84,26 +136,27 @@ func newSOCScaling(s, z linalg.Vector) (socScaling, error) {
 	// Scaling point w = √η · w̄ with w̄ = (s̄ + J z̄)/(2γ), η = ns/nz.
 	eta := ns / nz
 	sqrtEta := math.Sqrt(eta)
-	w := make(linalg.Vector, q)
+	w := blk.v // overwrites s̄
 	w[0] = sqrtEta * (sbar[0] + zbar[0]) / (2 * gamma)
 	for i := 1; i < q; i++ {
 		w[i] = sqrtEta * (sbar[i] - zbar[i]) / (2 * gamma)
 	}
 	// det(w) = η (since det(w̄) = 1); Jordan square root v of w.
 	detW := eta
-	v := make(linalg.Vector, q)
+	v := blk.v // overwrites w
 	v0 := math.Sqrt((w[0] + math.Sqrt(detW)) / 2)
 	v[0] = v0
 	for i := 1; i < q; i++ {
 		v[i] = w[i] / (2 * v0)
 	}
 	detV := math.Sqrt(detW)
-	vinv := make(linalg.Vector, q)
+	vinv := blk.vinv // overwrites z̄
 	vinv[0] = v[0] / detV
 	for i := 1; i < q; i++ {
 		vinv[i] = -v[i] / detV
 	}
-	return socScaling{v: v, detV: detV, vinv: vinv}, nil
+	blk.detV = detV
+	return nil
 }
 
 // jnorm returns √(x₀² − ‖x₁‖²) for an interior SOC point (NaN guarded to 0).
@@ -116,7 +169,8 @@ func jnorm(x linalg.Vector) float64 {
 }
 
 // applyP writes P(v) u into dst for a SOC block: 2 v (vᵀu) − det(v)·J u.
-// dst may not alias u.
+// dst may be u itself, since element i of the result reads only vᵀu and uᵢ;
+// any other overlap is not allowed.
 //
 //bbvet:hotpath
 func applyP(v linalg.Vector, detV float64, dst, u linalg.Vector) {
@@ -131,7 +185,10 @@ func applyP(v linalg.Vector, detV float64, dst, u linalg.Vector) {
 // must not modify it).
 func (w *Scaling) Lambda() linalg.Vector { return w.lambda }
 
-// Apply writes W x into dst. dst may alias x.
+// Apply writes W x into dst. dst may be x itself; any other overlap is not
+// allowed.
+//
+//bbvet:hotpath
 func (w *Scaling) Apply(dst, x linalg.Vector) {
 	w.dims.checkLen(dst)
 	w.dims.checkLen(x)
@@ -140,16 +197,16 @@ func (w *Scaling) Apply(dst, x linalg.Vector) {
 	}
 	off := w.dims.NonNeg
 	for bi, q := range w.dims.SOC {
-		blk := w.blocks[bi]
-		tmp := make(linalg.Vector, q)
-		applyP(blk.v, blk.detV, tmp, x[off:off+q])
-		copy(dst[off:off+q], tmp)
+		blk := &w.blocks[bi]
+		applyP(blk.v, blk.detV, dst[off:off+q], x[off:off+q])
 		off += q
 	}
 }
 
-// ApplyInv writes W⁻¹ x into dst. dst may alias x. Uses P(v)⁻¹ = P(v⁻¹) with
-// v⁻¹ = J v / det(v).
+// ApplyInv writes W⁻¹ x into dst. dst may be x itself; any other overlap is
+// not allowed. Uses P(v)⁻¹ = P(v⁻¹) with v⁻¹ = J v / det(v).
+//
+//bbvet:hotpath
 func (w *Scaling) ApplyInv(dst, x linalg.Vector) {
 	w.dims.checkLen(dst)
 	w.dims.checkLen(x)
@@ -158,10 +215,8 @@ func (w *Scaling) ApplyInv(dst, x linalg.Vector) {
 	}
 	off := w.dims.NonNeg
 	for bi, q := range w.dims.SOC {
-		blk := w.blocks[bi]
-		tmp := make(linalg.Vector, q)
-		applyP(blk.vinv, 1/blk.detV, tmp, x[off:off+q])
-		copy(dst[off:off+q], tmp)
+		blk := &w.blocks[bi]
+		applyP(blk.vinv, 1/blk.detV, dst[off:off+q], x[off:off+q])
 		off += q
 	}
 }

@@ -289,3 +289,52 @@ func TestSolveUnfaultedMatchesDirectSolver(t *testing.T) {
 		t.Fatalf("objective %v differs from direct solver's %v", res.ContinuousObjective, sol.PrimalObj)
 	}
 }
+
+// TestNumericalExitFallsBackToBestIterate breaks one factorization of a
+// chain-100 solve. A fault in the last iteration's factorization leaves a
+// best iterate that meets the reduced tolerances, and the solver reports it
+// optimal in the first attempt; a fault in the first iteration's leaves
+// only the starting point, so the attempt is a numerical error and the
+// ladder retries.
+func TestNumericalExitFallsBackToBestIterate(t *testing.T) {
+	cfg := gen.Chain(gen.ChainOptions{Tasks: 100})
+	clean, err := Solve(context.Background(), cfg, Options{})
+	if err != nil || clean.Status != StatusOptimal {
+		t.Fatalf("clean solve: status %v err %v", clean.Status, err)
+	}
+	// Factorization hit 0 is the starting point's (W = I), hit k the one of
+	// iteration k−1; a clean solve of n iterations factors n+1 times.
+	n := clean.SolverIterations
+	faulted := func(hit int) *Result {
+		t.Helper()
+		defer faultinject.Activate(faultinject.Rule{
+			Site: faultinject.SiteSparseLDLT, Kind: faultinject.KindError, After: hit, Count: 1,
+		})()
+		res, err := Solve(context.Background(), cfg, Options{})
+		if err != nil {
+			t.Fatalf("fault at hit %d: %v", hit, err)
+		}
+		if res.Status != StatusOptimal {
+			t.Fatalf("fault at hit %d: status %v, want optimal", hit, res.Status)
+		}
+		return res
+	}
+
+	late := faulted(n)
+	if a := late.Report.Attempts; len(a) != 1 || a[0].Status != socp.StatusOptimal {
+		t.Fatalf("late fault: attempts %+v, want one optimal attempt", a)
+	}
+	if late.SolverIterations != n-1 {
+		t.Fatalf("late fault: reported iterate %d, want the best one, %d", late.SolverIterations, n-1)
+	}
+	t.Logf("clean objective %.9g, late-fault objective %.9g", clean.ContinuousObjective, late.ContinuousObjective)
+
+	early := faulted(1)
+	a := early.Report.Attempts
+	if len(a) != 2 || a[0].Status != socp.StatusNumericalError || a[1].Status != socp.StatusOptimal {
+		t.Fatalf("early fault: attempts %+v, want a numerical error then an optimal retry", a)
+	}
+	if a[0].Iterations != 0 {
+		t.Fatalf("early fault: attempt 0 stopped at iteration %d, want 0", a[0].Iterations)
+	}
+}

@@ -155,3 +155,42 @@ func TestPerIterationRefactorizationAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// TestSolveAllocsIndependentOfIterations pins the zero-alloc guarantee of a
+// whole interior-point iteration — NT scaling update, refactorization, both
+// Newton solves with their refinement passes, step and back-off — for every
+// pipeline shape on both backends: a solve cut at 3 iterations allocates
+// exactly as often as one cut at 10. Every problem needs more than 10
+// iterations, so both solves really run their full allowance.
+func TestSolveAllocsIndependentOfIterations(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, tc := range []allocCase{
+		{"plain", randomProblem(rng, 30, 40, 8, 0.02, false), false},
+		{"eq", randomProblem(rng, 30, 40, 8, 0.02, true), false},
+		{"split", longRowProblem(rng, 40, 30, 6, 0), true},
+		{"split+eq", longRowProblem(rng, 40, 30, 6, 3), true},
+	} {
+		if split, _, _, _ := KKTStructure(withCSR(tc.p)); (split > 0) != tc.split {
+			t.Fatalf("%s: %d rows split off H", tc.name, split)
+		}
+		for _, backend := range []Factorization{FactorSparse, FactorSupernodal} {
+			sol, err := Solve(tc.p, Options{Factorization: backend})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sol.Iterations <= 10 {
+				t.Fatalf("%s backend=%v: converged in %d iterations, the guard needs more than 10", tc.name, backend, sol.Iterations)
+			}
+			allocs := func(maxIter int) float64 {
+				return testing.AllocsPerRun(20, func() {
+					if _, err := Solve(tc.p, Options{Factorization: backend, MaxIter: maxIter}); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			if a3, a10 := allocs(3), allocs(10); a3 != a10 {
+				t.Fatalf("%s backend=%v: %.0f allocations per solve at 3 iterations, %.0f at 10: an iteration allocates", tc.name, backend, a3, a10)
+			}
+		}
+	}
+}

@@ -86,11 +86,17 @@ type state struct {
 	// (FactorSparse or FactorSupernodal, never FactorAuto).
 	factorBackend Factorization
 	ws            workspace
+
+	// scaling is the NT scaling of the current iterate, updated in place at
+	// every iteration; kkt is the one factorized KKT system, whose storage
+	// the factorization pipeline owns.
+	scaling cone.Scaling
+	kkt     kktFactor
 }
 
 // workspace holds every buffer the solver reuses across iterations, so that
-// after initWorkspace the hot loop performs no matrix allocations and no
-// per-iteration vector allocations.
+// after initWorkspace and the first NT scaling an iteration allocates
+// nothing.
 type workspace struct {
 	// kktFactor.solve: iterative-refinement scratch.
 	r1, r2, r3          linalg.Vector // n, pe, m residuals
@@ -164,8 +170,8 @@ func (st *state) initWorkspace() {
 // via the normal equations H = Gᵀ W⁻² G, or an LDLᵀ factorization of the
 // quasi-definite KKT matrix [[H_s, Aᵀ, Bᵀ], [A, 0, 0], [B, 0, −I]] when there
 // are equality rows or long rows split off H (see neFactor). Its storage is
-// owned by the state's factorization pipeline; only one factor is live at a
-// time.
+// owned by the state's factorization pipeline; the state holds the one live
+// factor.
 type kktFactor struct {
 	st *state
 	w  *cone.Scaling // nil means W = I
@@ -181,7 +187,8 @@ type kktFactor struct {
 // and refactorizes the KKT system.
 func (st *state) factor(w *cone.Scaling) (*kktFactor, error) {
 	st.sv.fillScaled(w)
-	return st.factorSparse(&kktFactor{st: st, w: w})
+	st.kkt.st, st.kkt.w = st, w
+	return st.factorSparse(&st.kkt)
 }
 
 // factorSparse runs the sparse pipeline: refill H = (W⁻¹G)ᵀ(W⁻¹G) on its
@@ -225,6 +232,8 @@ func (st *state) factorSparse(f *kktFactor) (*kktFactor, error) {
 // until the KKT residual stops improving (at most 4 passes) and returns the
 // best iterate seen. The returned vectors are workspace-owned and valid only
 // until the next solve call; callers that keep them must clone.
+//
+//bbvet:hotpath
 func (f *kktFactor) solve(bx, by, bz linalg.Vector) (dx, dy, dz linalg.Vector) {
 	ws := &f.st.ws
 	cx, cy, cz := ws.curX, ws.curY, ws.curZ
@@ -254,6 +263,8 @@ func (f *kktFactor) solve(bx, by, bz linalg.Vector) (dx, dy, dz linalg.Vector) {
 
 // residual computes the residual of the 3x3 block KKT system at (x, y, z)
 // into the workspace vectors r1, r2, r3.
+//
+//bbvet:hotpath
 func (f *kktFactor) residual(bx, by, bz, x, y, z linalg.Vector) {
 	st := f.st
 	ws := &st.ws
@@ -282,6 +293,8 @@ func (f *kktFactor) residual(bx, by, bz, x, y, z linalg.Vector) {
 
 // solveOnce performs the factored solve without refinement, writing the
 // result into the caller-provided dx, dy, dz buffers.
+//
+//bbvet:hotpath
 func (f *kktFactor) solveOnce(bx, by, bz, dx, dy, dz linalg.Vector) {
 	st := f.st
 	ws := &st.ws
@@ -297,9 +310,11 @@ func (f *kktFactor) solveOnce(bx, by, bz, dx, dy, dz linalg.Vector) {
 	rhs.CopyFrom(bx)
 	st.sv.g.MulVecTAdd(rhs, 1, t)
 	if faultinject.Enabled() {
+		//bbvet:allow hotalloc fault probe allocates only when a test arms this site
 		faultinject.CorruptNaN(faultinject.SiteKKTRHS, rhs)
 	}
 	if ws.full == nil {
+		//bbvet:allow hotalloc both Factorization backends are bbvet:hotpath-checked, only the dispatch is dynamic
 		f.schol.SolveRefined(f.hs, rhs, dx)
 	} else {
 		// [rhs; by; 0]: the split rows' right-hand side is zero.
@@ -309,6 +324,7 @@ func (f *kktFactor) solveOnce(bx, by, bz, dx, dy, dz linalg.Vector) {
 		copy(full[n:n+pe], by)
 		clear(full[n+pe:])
 		sol := ws.fsol
+		//bbvet:allow hotalloc both Factorization backends are bbvet:hotpath-checked, only the dispatch is dynamic
 		f.schol.SolveRefined(f.hs, full, sol)
 		copy(dx, sol[:n])
 		copy(dy, sol[n:n+pe])
@@ -480,16 +496,14 @@ func (st *state) run() (*Solution, error) {
 		}
 
 		// NT scaling and KKT factorization.
-		w, err := cone.NewScaling(p.Dims, st.s, st.z)
-		if err != nil {
-			sol.Status = StatusNumericalError
-			return sol, nil
+		w := &st.scaling
+		if err := w.Update(p.Dims, st.s, st.z); err != nil {
+			return breakdown(sol, best, bestScore), nil
 		}
 		lambda := w.Lambda()
 		f, err := st.factor(w)
 		if err != nil {
-			sol.Status = StatusNumericalError
-			return sol, nil
+			return breakdown(sol, best, bestScore), nil
 		}
 
 		mu := gap / nu
@@ -547,8 +561,7 @@ func (st *state) run() (*Solution, error) {
 				break
 			}
 			if tries >= 30 {
-				sol.Status = StatusNumericalError
-				return sol, nil
+				return breakdown(sol, best, bestScore), nil
 			}
 			alpha *= 0.5
 		}
@@ -560,6 +573,8 @@ func (st *state) run() (*Solution, error) {
 // complementarity term u = λ\dc, returning (dx, dy, dz, ds). The returned
 // vectors are workspace-owned; they stay valid until the next newton or
 // kktFactor.solve call.
+//
+//bbvet:hotpath
 func (st *state) newton(f *kktFactor, w *cone.Scaling, rx, ry, rz, u linalg.Vector) (dx, dy, dz, ds linalg.Vector) {
 	ws := &st.ws
 	bx := ws.nbx
@@ -598,6 +613,22 @@ func acceptReduced(best *Solution) Status {
 		return StatusOptimal
 	}
 	return StatusMaxIterations
+}
+
+// breakdown ends a solve whose iteration broke down numerically: the NT
+// scaling, the factorization or the step back-off failed. Like the
+// max-iteration exit it reports the best iterate when that meets the
+// reduced tolerances; otherwise sol, the current iterate, carries
+// StatusNumericalError, which the core recovery ladder retries. bestScore
+// is +Inf while no iterate has been recorded in best.
+func breakdown(sol, best *Solution, bestScore float64) *Solution {
+	if !math.IsInf(bestScore, 1) && acceptReduced(best) == StatusOptimal {
+		*sol = *best
+		sol.Status = StatusOptimal
+		return sol
+	}
+	sol.Status = StatusNumericalError
+	return sol
 }
 
 // affGap returns (s+αds)ᵀ(z+αdz).
