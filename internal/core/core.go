@@ -78,8 +78,9 @@ type Options struct {
 	// starts on) converges to the same mappings within solver tolerance in a
 	// fraction of the iterations.
 	NoWarmStart bool
-	// NoPatternCache disables the shared pattern-keyed symbolic cache the
-	// sweep drivers thread through their solves. The cache only changes
+	// NoPatternCache disables the socp.PatternCache the sweep drivers thread
+	// through their solves, which shares factorization pipelines and their
+	// symbolic analyses between solves of one sparsity pattern. The cache only changes
 	// where the solver's buffers come from — never any computed value — so
 	// this switch exists for isolation and benchmarking, not correctness.
 	NoPatternCache bool

@@ -24,9 +24,10 @@ type TradeoffPoint struct {
 // buffers is nil). The input configuration is not modified. The per-cap
 // solves run on a worker pool bounded by Options.Parallelism, with
 // deterministic output ordering; neighboring points share warm starts and a
-// pattern-keyed symbolic cache (see Options.NoWarmStart, NoPatternCache,
-// and WarmChunk), which changes solve times but not — beyond solver
-// tolerance — the mappings, and not at all when both are disabled.
+// pattern cache of factorization pipelines (see Options.NoWarmStart,
+// NoPatternCache, and WarmChunk), which changes solve times but not —
+// beyond solver tolerance — the mappings, and not at all when both are
+// disabled.
 //
 // Canceling the context stops the sweep promptly; the completed points are
 // still returned (unfinished points have a nil Result) together with the

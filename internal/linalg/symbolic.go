@@ -70,13 +70,6 @@ type SymbolicFactor struct {
 
 	lp []int // column pointers of L, len n+1
 
-	// The analyzed CSR pattern and its canonical hash, kept so a
-	// SymbolicCache can verify candidate matrices entry-for-entry instead of
-	// trusting the hash alone.
-	rowPtr []int
-	colIdx []int
-	hash   uint64
-
 	// Supernodal layout, computed lazily by Supernodal() because only the
 	// blocked backend needs it. The once is the only mutable state of the
 	// factor; it synchronizes concurrent first uses.
@@ -100,9 +93,6 @@ func Analyze(a *SparseMatrix, perm []int) *SymbolicFactor {
 		panic("linalg: SparseCholesky ordering length mismatch")
 	}
 	s := &SymbolicFactor{n: n, perm: perm, nnzA: a.NNZ()}
-	s.rowPtr = append([]int(nil), a.RowPtr...)
-	s.colIdx = append([]int(nil), a.ColIdx...)
-	s.hash = PatternHash(a)
 	s.pinv = make([]int, n)
 	for k, r := range perm {
 		s.pinv[r] = k
@@ -181,35 +171,12 @@ func (s *SymbolicFactor) NewNumeric() *SparseCholesky {
 	}
 }
 
-// Matches reports whether a carries exactly the analyzed pattern: same
-// shape, same row pointers, same column indices. Used by SymbolicCache to
-// rule out hash collisions; O(nnz), far below the cost of a re-analysis.
-func (s *SymbolicFactor) Matches(a *SparseMatrix) bool {
-	if a.Rows != s.n || a.Cols != s.n || a.NNZ() != s.nnzA {
-		return false
-	}
-	for i, p := range a.RowPtr {
-		if s.rowPtr[i] != p {
-			return false
-		}
-	}
-	for i, c := range a.ColIdx {
-		if s.colIdx[i] != c {
-			return false
-		}
-	}
-	return true
-}
-
 // N returns the analyzed dimension.
 func (s *SymbolicFactor) N() int { return s.n }
 
 // NNZL returns the number of stored below-diagonal entries of L — the
 // symbolic fill the ordering achieved (the diagonal is implicit).
 func (s *SymbolicFactor) NNZL() int { return s.lp[s.n] }
-
-// Hash returns the canonical pattern hash of the analyzed matrix.
-func (s *SymbolicFactor) Hash() uint64 { return s.hash }
 
 // NewSparseCholesky analyzes the pattern of the square, structurally
 // symmetric matrix a and returns a factorization workspace bound to that

@@ -50,7 +50,7 @@ type SolveResponse struct {
 	Iterations          int                `json:"iterations"`
 	Report              *Report            `json:"report,omitempty"`
 	// Pattern is the configuration's topology hash (hex): requests sharing
-	// it share the pattern cache's symbolic work and breaker state.
+	// it share breaker state.
 	Pattern string `json:"pattern"`
 	// Breaker is "open" when this solve was routed straight to the
 	// pattern's known-good backend, "probe" when it was the half-open

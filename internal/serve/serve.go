@@ -23,9 +23,11 @@
 //     lets in-flight solves finish up to a drain bound, then cancels
 //     stragglers through their contexts.
 //   - Shared-pattern fast path: all solves share one socp.PatternCache,
-//     and serving state is keyed by taskgraph.StructureHash, so
-//     identical-topology requests skip symbolic analysis and reuse pooled
-//     numeric workspaces.
+//     keyed by the sparsity patterns of the solver's constraint matrices,
+//     so a request whose matrices carry a pattern seen before skips the
+//     symbolic analysis and reuses an idle factorization pipeline.
+//     taskgraph.StructureHash keys only the circuit breakers and the
+//     pattern field of responses and log lines.
 //
 // Every failure path is reachable deterministically through
 // internal/faultinject sites; nothing in the tests depends on timing.

@@ -18,9 +18,10 @@ import (
 //
 //   - a hit skips every symbolic step and goes straight to numeric
 //     refactorization, allocation-free;
-//   - a miss still shares the factorization's symbolic analysis through an
-//     embedded linalg.SymbolicCache, so concurrent first solves of one
-//     pattern analyze it once.
+//   - a miss builds a new pipeline but shares the factorization's symbolic
+//     analysis, which each pattern entry runs once, so concurrent first
+//     solves of one pattern analyze it once. The analysis lives as long as
+//     its entry.
 //
 // The free lists are plain mutex-guarded stacks, so whether an acquire hits
 // depends only on the order of acquires and releases — never on which
@@ -45,8 +46,6 @@ import (
 // rather than a wrong reuse. The zero value is not usable; call
 // NewPatternCache. All methods are safe for concurrent use.
 type PatternCache struct {
-	syms *linalg.SymbolicCache
-
 	maxIdleBytes int // bound on idleBytes, fixed at construction
 
 	mu      sync.Mutex
@@ -68,10 +67,11 @@ type PatternCache struct {
 const idleBudget = 64 << 20
 
 // patternEntry keeps the factorization pipelines of one (G-pattern,
-// A-pattern, backend) triple. The pattern copies rule out hash collisions;
-// the backend is part of the identity because a pooled pipeline's numeric
-// workspace is built for one factorization layout — a simplicial pipeline
-// must never be handed to a solve that asked for the supernodal backend.
+// A-pattern, backend) triple and the symbolic analysis they share. The
+// pattern copies rule out hash collisions; the backend is part of the
+// identity because a pooled pipeline's numeric workspace is built for one
+// factorization layout — a simplicial pipeline must never be handed to a
+// solve that asked for the supernodal backend.
 type patternEntry struct {
 	h              uint64 // key of the entry in PatternCache.entries
 	gsRows, gsCols int
@@ -82,6 +82,13 @@ type patternEntry struct {
 	aRowPtr        []int
 	aColIdx        []int
 	backend        Factorization
+
+	// sym is the symbolic analysis of the factored matrix, whose pattern
+	// the pattern pair fixes. The entry's first build runs it under symOnce;
+	// every later build shares it. nil when the factorization has no
+	// symbolic phase.
+	symOnce sync.Once
+	sym     *linalg.SymbolicFactor
 
 	// free holds the idle pipelines, inFlight counts the acquired ones not
 	// yet released, and prev/next link the entry into the cache's recency
@@ -94,15 +101,14 @@ type patternEntry struct {
 // NewPatternCache returns an empty cache.
 func NewPatternCache() *PatternCache {
 	return &PatternCache{
-		syms:         linalg.NewSymbolicCache(),
 		entries:      map[uint64][]*patternEntry{},
 		maxIdleBytes: idleBudget,
 	}
 }
 
 // Stats reports the cache's lifetime hits (symbolic and numeric work
-// skipped entirely) and misses (pipeline built, with at most the
-// factorization's symbolic analysis shared).
+// skipped entirely) and misses (pipeline built; only the pattern's first
+// build runs the factorization's symbolic analysis).
 func (pc *PatternCache) Stats() (hits, misses int64) {
 	return pc.hits.Load(), pc.misses.Load()
 }
@@ -112,11 +118,47 @@ func (pc *PatternCache) Stats() (hits, misses int64) {
 // resolved factorization backend.
 func key(gs, a *linalg.SparseMatrix, backend Factorization) uint64 {
 	const prime64 = 1099511628211
-	h := linalg.PatternHash(gs)
+	h := patternHash(gs)
 	if a != nil {
-		h = (h ^ linalg.PatternHash(a)) * prime64
+		h = (h ^ patternHash(a)) * prime64
 	}
 	return (h ^ uint64(backend)) * prime64
+}
+
+// patternHash returns a canonical 64-bit hash of a matrix's sparsity
+// pattern — shape, row pointers, and column indices; never the values. Two
+// matrices with equal patterns hash equally on any platform and across
+// process runs (the hash is a pure FNV-1a fold, no per-process seed).
+//
+//bbvet:hotpath
+func patternHash(a *linalg.SparseMatrix) uint64 {
+	const offset64 = 14695981039346656037
+	h := uint64(offset64)
+	h = fnvMix(h, uint64(a.Rows))
+	h = fnvMix(h, uint64(a.Cols))
+	for _, p := range a.RowPtr {
+		h = fnvMix(h, uint64(p))
+	}
+	for _, c := range a.ColIdx {
+		h = fnvMix(h, uint64(c))
+	}
+	return h
+}
+
+// fnvMix folds one value into an FNV-1a state, byte-wise.
+//
+//bbvet:hotpath
+func fnvMix(h, v uint64) uint64 {
+	const prime64 = 1099511628211
+	h ^= v & 0xff
+	h *= prime64
+	h ^= (v >> 8) & 0xff
+	h *= prime64
+	h ^= (v >> 16) & 0xff
+	h *= prime64
+	h ^= (v >> 24) & 0xffff // rows/cols/indices fit well below 2⁴⁰
+	h *= prime64
+	return h
 }
 
 // matches reports whether the entry serves exactly this pattern pair on
@@ -178,7 +220,22 @@ func (pc *PatternCache) acquire(sv *sparseView, backend Factorization, workers i
 	}
 	pc.misses.Add(1)
 	//bbvet:allow hotalloc cache miss: the pipeline is built once per pattern and backend pair
-	f = newNEFactor(sv, sv.a, pc.syms, backend, workers)
+	return e.build(sv, backend, workers)
+}
+
+// build returns a new pipeline for the entry's pattern pair, registered
+// under the entry. The entry's first build runs the symbolic analysis and
+// keeps it; every other build, concurrent ones included, waits for that
+// one and shares its analysis.
+func (e *patternEntry) build(sv *sparseView, backend Factorization, workers int) *neFactor {
+	var f *neFactor
+	e.symOnce.Do(func() {
+		f = newNEFactor(sv, sv.a, nil, backend, workers)
+		e.sym = f.chol.Symbolic()
+	})
+	if f == nil {
+		f = newNEFactor(sv, sv.a, e.sym, backend, workers)
+	}
 	f.cacheEntry = e
 	return f
 }

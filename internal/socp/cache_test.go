@@ -2,8 +2,106 @@ package socp
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
+
+	"repro/internal/linalg"
 )
+
+// TestPatternHashIgnoresValues pins the cache-key contract: the hash folds
+// the pattern only, so rewriting values must not change it, while any
+// structural change must.
+func TestPatternHashIgnoresValues(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	a := newSparseView(withCSR(randomProblem(rng, 12, 8, 2, 0.3, false))).gs
+	h := patternHash(a)
+	b := a.Clone()
+	for i := range b.Val {
+		b.Val[i] = rng.NormFloat64()
+	}
+	if patternHash(b) != h {
+		t.Fatal("hash changed when only values changed")
+	}
+	// Drop the last entry: structure differs, hash must differ.
+	nnz := len(a.ColIdx) - 1
+	c := &linalg.SparseMatrix{Rows: a.Rows, Cols: a.Cols, RowPtr: append([]int(nil), a.RowPtr...)}
+	c.ColIdx = append([]int(nil), a.ColIdx[:nnz]...)
+	c.Val = append([]float64(nil), a.Val[:nnz]...)
+	c.RowPtr[a.Rows] = nnz
+	if patternHash(c) == h {
+		t.Fatal("hash unchanged after structural change")
+	}
+}
+
+// TestPatternCacheSharesOneAnalysis pins where a pattern's symbolic
+// analysis lives: on its cache entry. Every pipeline of one entry — built
+// by concurrent first acquires or by a later miss — shares one analysis,
+// distinct patterns get distinct ones, and an entry the cache forgets takes
+// its analysis with it, so reacquiring the pattern analyzes it afresh.
+func TestPatternCacheSharesOneAnalysis(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	views := []*sparseView{
+		newSparseView(withCSR(randomProblem(rng, 10, 8, 2, 0.3, false))),
+		newSparseView(withCSR(randomProblem(rng, 12, 8, 2, 0.3, true))),
+	}
+	for _, backend := range []Factorization{FactorSparse, FactorSupernodal} {
+		pc := NewPatternCache()
+
+		// Eight concurrent first acquires of one pattern: eight pipelines,
+		// one analysis.
+		fs := make([]*neFactor, 8)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range fs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				fs[i] = pc.acquire(views[0], backend, 1)
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		sym := fs[0].chol.Symbolic()
+		if sym == nil {
+			t.Fatalf("backend=%v: pipeline has no symbolic analysis", backend)
+		}
+		for i, f := range fs {
+			if f.chol.Symbolic() != sym {
+				t.Fatalf("backend=%v: concurrent acquire %d analyzed the pattern again", backend, i)
+			}
+		}
+		// A miss after the first builds shares the analysis too.
+		extra := pc.acquire(views[0], backend, 1)
+		if extra.chol.Symbolic() != sym {
+			t.Fatalf("backend=%v: a later miss analyzed the pattern again", backend)
+		}
+		if hits, misses := pc.Stats(); hits != 0 || misses != 9 {
+			t.Fatalf("backend=%v: hits=%d misses=%d, want 0/9", backend, hits, misses)
+		}
+
+		other := pc.acquire(views[1], backend, 1)
+		if other.chol.Symbolic() == sym {
+			t.Fatalf("backend=%v: distinct patterns share a symbolic analysis", backend)
+		}
+
+		// With no idle budget every release evicts, and the entries go.
+		pc.maxIdleBytes = 0
+		for _, f := range append(fs, extra, other) {
+			pc.release(f)
+		}
+		if len(pc.entries) != 0 {
+			t.Fatalf("backend=%v: %d entries left after eviction", backend, len(pc.entries))
+		}
+		again := pc.acquire(views[0], backend, 1)
+		if again.chol.Symbolic() == sym {
+			t.Fatalf("backend=%v: a forgotten pattern's analysis outlived its entry", backend)
+		}
+		if again.chol.Symbolic().NNZL() != sym.NNZL() {
+			t.Fatalf("backend=%v: fresh analysis has nnz(L) %d, want %d", backend, again.chol.Symbolic().NNZL(), sym.NNZL())
+		}
+	}
+}
 
 // TestPatternCacheFreeListBounds pins the free-list policy: a release
 // always keeps its pipeline, so a pattern holds as many pipelines as it had

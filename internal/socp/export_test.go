@@ -76,7 +76,7 @@ func (d *denseLDLT) Symbolic() *linalg.SymbolicFactor { return nil }
 // parallel with other solves.
 func UseDenseFactorOracle() (restore func()) {
 	prev := newSparseChol
-	newSparseChol = func(m *linalg.SparseMatrix, _ *linalg.SymbolicCache, _ Factorization, _ int) linalg.SparseLDLT {
+	newSparseChol = func(m *linalg.SparseMatrix, _ *linalg.SymbolicFactor, _ Factorization, _ int) linalg.SparseLDLT {
 		return newDenseLDLT(m.Rows)
 	}
 	return func() { newSparseChol = prev }

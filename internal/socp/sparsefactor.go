@@ -54,18 +54,18 @@ type neFactor struct {
 	cacheEntry *patternEntry
 }
 
-// newNEFactor runs the symbolic analysis for the sparse view's fixed
-// pattern. a is the problem's equality-constraint matrix in CSR form (nil
-// without equalities). A non-nil syms shares the factorization's symbolic
-// analysis (ordering, etree, column pattern) across concurrent builds of
-// the same pattern; nil analyzes locally. backend must be a resolved
-// factorization choice — FactorSparse or FactorSupernodal, never
-// FactorAuto — and workers bounds the supernodal worker pool.
-func newNEFactor(sv *sparseView, a *linalg.SparseMatrix, syms *linalg.SymbolicCache, backend Factorization, workers int) *neFactor {
+// newNEFactor builds the factorization pipeline for the sparse view's
+// fixed pattern. a is the problem's equality-constraint matrix in CSR form
+// (nil without equalities). A non-nil sym is the symbolic analysis
+// (ordering, etree, column pattern) of the factored matrix, shared with
+// other pipelines of the same pattern; nil analyzes locally. backend must
+// be a resolved factorization choice — FactorSparse or FactorSupernodal,
+// never FactorAuto — and workers bounds the supernodal worker pool.
+func newNEFactor(sv *sparseView, a *linalg.SparseMatrix, sym *linalg.SymbolicFactor, backend Factorization, workers int) *neFactor {
 	f := &neFactor{ata: linalg.NewSparseAtASkip(sv.gs, sv.splitMask)}
 	h := f.ata.Result
 	if a == nil && len(sv.split) == 0 {
-		f.chol = newSparseChol(h, syms, backend, workers)
+		f.chol = newSparseChol(h, sym, backend, workers)
 		f.bytes = f.footprint()
 		return f
 	}
@@ -165,7 +165,7 @@ func newNEFactor(sv *sparseView, a *linalg.SparseMatrix, syms *linalg.SymbolicCa
 		f.hii = linalg.NewVector(n)
 	}
 	f.setStaticA(a)
-	f.chol = newSparseChol(f.kkt, syms, backend, workers)
+	f.chol = newSparseChol(f.kkt, sym, backend, workers)
 	f.bytes = f.footprint()
 	return f
 }
@@ -193,21 +193,18 @@ func (f *neFactor) footprint() int {
 }
 
 // newSparseChol builds the numeric factorization workspace for m's pattern
-// on the requested backend, sharing the symbolic analysis through syms when
-// one is supplied. It runs once per pipeline build, never per iteration. It
-// is a variable only so tests can plug in a dense reference factorization
-// as an oracle; nothing else assigns it.
-var newSparseChol = func(m *linalg.SparseMatrix, syms *linalg.SymbolicCache, backend Factorization, workers int) linalg.SparseLDLT {
+// on the requested backend, bound to sym, m's symbolic analysis, or to a
+// fresh analysis of m when sym is nil. It runs once per pipeline build,
+// never per iteration. It is a variable only so tests can plug in a dense
+// reference factorization as an oracle; nothing else assigns it.
+var newSparseChol = func(m *linalg.SparseMatrix, sym *linalg.SymbolicFactor, backend Factorization, workers int) linalg.SparseLDLT {
+	if sym == nil {
+		sym = linalg.Analyze(m, nil)
+	}
 	if backend == FactorSupernodal {
-		if syms != nil {
-			return syms.AcquireSupernodal(m, workers)
-		}
-		return linalg.Analyze(m, nil).NewSupernodal(workers)
+		return sym.NewSupernodal(workers)
 	}
-	if syms != nil {
-		return syms.Acquire(m)
-	}
-	return linalg.NewSparseCholesky(m, nil)
+	return sym.NewNumeric()
 }
 
 // setStaticA rewrites the equality blocks of the KKT matrix with the
