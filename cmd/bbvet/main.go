@@ -19,19 +19,8 @@
 // additionally emitted as a ::error workflow command so findings surface as
 // inline annotations on the pull request.
 //
-// With -cache <dir> (or BBVET_CACHE in the environment), per-package
-// diagnostics are memoized across runs, keyed by a content hash over the
-// package's files and its intra-module import closure: an unchanged
-// package is answered from the cache without being type-checked, and
-// editing one file re-analyzes exactly that package and its reverse
-// dependencies.
-//
-// Diagnostics with a mechanical remedy carry suggested fixes. -diff
-// renders them as unified diffs without touching the tree (and exits 1
-// while any remain, so CI can gate on unapplied fixes); -fix applies them
-// in place — each file rewritten atomically via temp-file-and-rename,
-// gofmt-formatted — then re-runs the analyzers over the patched tree and
-// exits 0 only when no fixable diagnostics survive.
+// bbvet is a checker only: it never rewrites source, and every run loads
+// and analyzes the packages from scratch. Only non-test files are read.
 //
 // A finding can be suppressed by an adjacent directive comment with a
 // mandatory reason, on the flagged line or the line above (for a wrapped
@@ -64,18 +53,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	list := fs.Bool("list", false, "list the available analyzers and exit")
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array instead of text lines")
 	gha := fs.Bool("gha", false, "emit GitHub Actions ::error annotations alongside text output (auto-enabled when GITHUB_ACTIONS=true)")
-	fix := fs.Bool("fix", false, "apply suggested fixes in place (atomic per-file writes), then re-run to verify convergence")
-	diff := fs.Bool("diff", false, "print suggested fixes as unified diffs without applying; exit 1 while fixable diagnostics exist")
-	cacheDir := fs.String("cache", "", "incremental analysis cache directory (default: $BBVET_CACHE; empty disables)")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: bbvet [-analyzers a,b] [-list] [-json] [-gha] [-fix | -diff] [-cache dir] [packages]\n")
+		fmt.Fprintf(stderr, "usage: bbvet [-analyzers a,b] [-list] [-json] [-gha] [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *fix && *diff {
-		fmt.Fprintf(stderr, "bbvet: -fix and -diff are mutually exclusive\n")
 		return 2
 	}
 	if *list {
@@ -96,21 +78,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "bbvet: %v\n", err)
 		return 2
 	}
-	if *cacheDir == "" {
-		*cacheDir = os.Getenv("BBVET_CACHE")
-	}
-	diags, err := CheckCached(cwd, fs.Args(), analyzers, *cacheDir)
+	diags, err := Check(cwd, fs.Args(), analyzers)
 	if err != nil {
 		fmt.Fprintf(stderr, "bbvet: %v\n", err)
 		return 2
 	}
 	diags = dedupe(relativize(cwd, diags))
-	if *diff {
-		return runDiff(stdout, stderr, cwd, diags)
-	}
-	if *fix {
-		return runFix(stdout, stderr, cwd, fs.Args(), analyzers, diags)
-	}
 	if *jsonOut {
 		if err := writeJSON(stdout, diags); err != nil {
 			fmt.Fprintf(stderr, "bbvet: %v\n", err)
@@ -132,8 +105,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // relativize rewrites diagnostic filenames relative to dir, for stable
-// output across checkouts (edit offsets inside fixes keep absolute paths —
-// the applier needs them).
+// output across checkouts.
 func relativize(dir string, diags []analysis.Diagnostic) []analysis.Diagnostic {
 	for i := range diags {
 		if rel, err := filepath.Rel(dir, diags[i].Pos.Filename); err == nil && !filepath.IsAbs(rel) {
@@ -146,8 +118,7 @@ func relativize(dir string, diags []analysis.Diagnostic) []analysis.Diagnostic {
 // dedupe collapses diagnostics that agree on position and message but come
 // from different analyzers (the interprocedural checks and their
 // intraprocedural siblings can both prove the same fact). The survivor is
-// the alphabetically first analyzer; its fix set is backfilled from the
-// dropped duplicate when it has none. Output stays in position order.
+// the alphabetically first analyzer. Output stays in position order.
 func dedupe(diags []analysis.Diagnostic) []analysis.Diagnostic {
 	sort.SliceStable(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -171,9 +142,6 @@ func dedupe(diags []analysis.Diagnostic) []analysis.Diagnostic {
 			prev := &out[n-1]
 			if prev.Pos.Filename == d.Pos.Filename && prev.Pos.Line == d.Pos.Line &&
 				prev.Pos.Column == d.Pos.Column && prev.Message == d.Message {
-				if len(prev.Fixes) == 0 {
-					prev.Fixes = d.Fixes
-				}
 				continue
 			}
 		}
@@ -189,7 +157,6 @@ type jsonDiagnostic struct {
 	Col      int    `json:"col"`
 	Analyzer string `json:"analyzer"`
 	Message  string `json:"message"`
-	Fixable  bool   `json:"fixable,omitempty"`
 }
 
 // writeJSON emits the diagnostics as a JSON array; a clean run is an empty
@@ -203,7 +170,6 @@ func writeJSON(w io.Writer, diags []analysis.Diagnostic) error {
 			Col:      d.Pos.Column,
 			Analyzer: d.Analyzer,
 			Message:  d.Message,
-			Fixable:  d.Fixable(),
 		})
 	}
 	enc := json.NewEncoder(w)
@@ -240,14 +206,6 @@ func ghaEscapeProperty(s string) string {
 // Check loads the packages matching the patterns (resolved relative to
 // dir) and returns the combined diagnostics of the given analyzers.
 func Check(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
-	return CheckCached(dir, patterns, analyzers, "")
-}
-
-// CheckCached is Check with an optional incremental cache directory. A
-// package whose cache key is unchanged is answered from the cache without
-// being type-checked; everything else is analyzed and stored back. Key
-// computation errors degrade to a plain uncached analysis of that package.
-func CheckCached(dir string, patterns []string, analyzers []*analysis.Analyzer, cacheDir string) ([]analysis.Diagnostic, error) {
 	loader, err := analysis.NewLoader(dir)
 	if err != nil {
 		return nil, err
@@ -256,35 +214,13 @@ func CheckCached(dir string, patterns []string, analyzers []*analysis.Analyzer, 
 	if err != nil {
 		return nil, err
 	}
-	var cache *analysis.Cache
-	if cacheDir != "" {
-		if cache, err = analysis.NewCache(cacheDir, loader, analyzers); err != nil {
-			return nil, err
-		}
-	}
 	var diags []analysis.Diagnostic
 	for _, pkgDir := range dirs {
-		var key string
-		if cache != nil {
-			if k, err := cache.Key(pkgDir); err == nil {
-				key = k
-				if cached, ok := cache.Get(key); ok {
-					diags = append(diags, cached...)
-					continue
-				}
-			}
-		}
 		pkg, err := loader.LoadDir(pkgDir)
 		if err != nil {
 			return nil, err
 		}
-		pkgDiags := analysis.Run(pkg, analyzers)
-		diags = append(diags, pkgDiags...)
-		if cache != nil && key != "" {
-			if err := cache.Put(key, pkgDiags); err != nil {
-				return nil, err
-			}
-		}
+		diags = append(diags, analysis.Run(pkg, analyzers)...)
 	}
 	return diags, nil
 }

@@ -3,9 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"go/token"
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/analysis"
 )
 
 func TestListAnalyzers(t *testing.T) {
@@ -191,5 +194,33 @@ func TestGHAEscaping(t *testing.T) {
 	}
 	if got := ghaEscapeProperty("a:b,c%d"); got != "a%3Ab%2Cc%25d" {
 		t.Errorf("ghaEscapeProperty = %q", got)
+	}
+}
+
+func TestDedupeCollapsesCrossAnalyzerDuplicates(t *testing.T) {
+	pos := func(file string, line, col int) analysis.Diagnostic {
+		return analysis.Diagnostic{
+			Pos:     token.Position{Filename: file, Line: line, Column: col},
+			Message: "same fact",
+		}
+	}
+	a := pos("x.go", 3, 5)
+	a.Analyzer = "zeta"
+	b := pos("x.go", 3, 5)
+	b.Analyzer = "alpha"
+	c := pos("x.go", 9, 1)
+	c.Analyzer = "alpha"
+
+	got := dedupe([]analysis.Diagnostic{a, b, c})
+	if len(got) != 2 {
+		t.Fatalf("dedupe kept %d diagnostics, want 2: %v", len(got), got)
+	}
+	// Survivor is the alphabetically first analyzer; order stays
+	// positional.
+	if got[0].Analyzer != "alpha" || got[0].Pos.Line != 3 {
+		t.Errorf("wrong survivor: %+v", got[0])
+	}
+	if got[1].Pos.Line != 9 {
+		t.Errorf("distinct diagnostic lost: %+v", got[1])
 	}
 }

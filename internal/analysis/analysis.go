@@ -14,7 +14,9 @@
 // go/analysis (Analyzer, Pass, Diagnostic) but is built only on go/parser,
 // go/types and the source go/importer, so the module gains no dependencies.
 // The cmd/bbvet driver runs every registered analyzer over the repository
-// and CI requires a clean run.
+// and CI requires a clean run. The package is a checker only: it reports
+// findings and never rewrites source. Only non-test files are loaded, so
+// findings and suppressions both live in production code.
 //
 // Findings can be suppressed per line with a directive comment, either on
 // the flagged line or on the line directly above it; a directive annotating
@@ -48,19 +50,12 @@ type Analyzer struct {
 }
 
 // A Diagnostic is one finding, attributed to the analyzer that produced it.
-// Fixes, when present, are mechanical remedies a driver may apply (see
-// fix.go); a diagnostic without fixes still names the manual remedy in its
-// message.
+// Its message names the remedy.
 type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-	Fixes    []SuggestedFix
 }
-
-// Fixable reports whether the diagnostic carries at least one suggested
-// fix.
-func (d Diagnostic) Fixable() bool { return len(d.Fixes) > 0 }
 
 // String formats the diagnostic in the canonical file:line:col form.
 func (d Diagnostic) String() string {
@@ -215,7 +210,7 @@ func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	return kept
 }
 
-// allowDirective is the parsed form of one bbvet:allow comment.
+// allowPrefix opens every suppression directive.
 const allowPrefix = "bbvet:allow"
 
 // HotpathDirective marks a function whose body must not allocate; the
@@ -238,18 +233,14 @@ type allowSpan struct {
 	analyzer string
 }
 
-// collectAllows scans the package's comments — test files included, so a
-// malformed or unknown directive there is reported too — for bbvet:allow
+// collectAllows scans the comments of the package's files for allow
 // directives.
 func collectAllows(pkg *Package) *suppressions {
 	s := &suppressions{
 		byFileLine: map[string]map[int]map[string]bool{},
 		spans:      map[string][]allowSpan{},
 	}
-	files := make([]*ast.File, 0, len(pkg.Files)+len(pkg.TestFiles))
-	files = append(files, pkg.Files...)
-	files = append(files, pkg.TestFiles...)
-	for _, f := range files {
+	for _, f := range pkg.Files {
 		var extents []lineExtent // built lazily, only when a directive needs it
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -276,23 +267,11 @@ func collectAllows(pkg *Package) *suppressions {
 					}
 				}
 				if !known {
-					d := Diagnostic{
+					s.malformed = append(s.malformed, Diagnostic{
 						Pos:      pos,
 						Analyzer: "bbvet",
 						Message:  "bbvet:allow names " + unknownAnalyzerText(name),
-					}
-					// A close misspelling earns a mechanical repair: the same
-					// Levenshtein machinery behind did-you-mean rewrites the
-					// directive's analyzer name in place.
-					if near := nearestName(name); near != "" {
-						if from, to, ok := directiveNameRange(pkg.Fset, c, name); ok {
-							d.Fixes = []SuggestedFix{{
-								Message: fmt.Sprintf("replace %q with %q", name, near),
-								Edits:   []TextEdit{editAt(pkg.Fset, from, to, near)},
-							}}
-						}
-					}
-					s.malformed = append(s.malformed, d)
+					})
 					continue
 				}
 				lines := s.byFileLine[pos.Filename]
@@ -390,21 +369,6 @@ func directiveExtent(extents []lineExtent, line int) (from, to int, ok bool) {
 		return 0, 0, false
 	}
 	return extents[best].from, extents[best].to, true
-}
-
-// directiveNameRange locates the analyzer-name token of an allow directive
-// inside its comment, as a source position range suitable for a TextEdit.
-func directiveNameRange(fset *token.FileSet, c *ast.Comment, name string) (from, to token.Pos, ok bool) {
-	pi := strings.Index(c.Text, allowPrefix)
-	if pi < 0 {
-		return 0, 0, false
-	}
-	ni := strings.Index(c.Text[pi:], name)
-	if ni < 0 {
-		return 0, 0, false
-	}
-	start := c.Pos() + token.Pos(pi+ni)
-	return start, start + token.Pos(len(name)), true
 }
 
 // directiveText extracts the payload after bbvet:allow from a comment, in

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"go/ast"
 	"path/filepath"
 	"regexp"
 	"testing"
@@ -61,10 +60,7 @@ func runFixture(t *testing.T, a *Analyzer, name string) {
 func collectWants(t *testing.T, pkg *Package) map[string][]*expectation {
 	t.Helper()
 	wants := map[string][]*expectation{}
-	files := make([]*ast.File, 0, len(pkg.Files)+len(pkg.TestFiles))
-	files = append(files, pkg.Files...)
-	files = append(files, pkg.TestFiles...)
-	for _, f := range files {
+	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := c.Text

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/constant"
 	"go/token"
@@ -41,65 +40,10 @@ func runFloatCmp(pass *Pass) {
 			if isZeroConst(info, cmp.X) || isZeroConst(info, cmp.Y) {
 				return true
 			}
-			msg := fmt.Sprintf("floating-point %s comparison; use a tolerance helper (or bbvet:allow with a reason for a deliberate exact guard)", cmp.Op)
-			if fix, ok := floatCmpFix(pass, f, cmp); ok {
-				pass.ReportfFix(cmp.OpPos, fix, "%s", msg)
-			} else {
-				pass.Reportf(cmp.OpPos, "%s", msg)
-			}
+			pass.Reportf(cmp.OpPos, "floating-point %s comparison; use a tolerance helper (or bbvet:allow with a reason for a deliberate exact guard)", cmp.Op)
 			return true
 		})
 	}
-}
-
-// floatCmpTolerance is the epsilon the mechanical fix compares against. It
-// matches the default feasibility tolerance of the solve pipeline; a site
-// needing a different bound edits the constant after applying.
-const floatCmpTolerance = "1e-9"
-
-// floatCmpFix builds the tolerance-comparison rewrite for a flagged
-// comparison: a == b becomes math.Abs(a-b) <= 1e-9 (and != becomes >).
-// Only float64 operands qualify — math.Abs on narrower floats would need
-// conversions the mechanical rewrite should not invent.
-func floatCmpFix(pass *Pass, f *ast.File, cmp *ast.BinaryExpr) (SuggestedFix, bool) {
-	info := pass.Pkg.Info
-	if !isFloat64(info, cmp.X) || !isFloat64(info, cmp.Y) {
-		return SuggestedFix{}, false
-	}
-	op := "<="
-	if cmp.Op == token.NEQ {
-		op = ">"
-	}
-	text := fmt.Sprintf("math.Abs(%s-%s) %s %s",
-		parenthesized(pass.Pkg.Fset, cmp.X), parenthesized(pass.Pkg.Fset, cmp.Y), op, floatCmpTolerance)
-	fix := SuggestedFix{
-		Message: fmt.Sprintf("compare within %s via math.Abs", floatCmpTolerance),
-		Edits:   []TextEdit{pass.Edit(cmp.Pos(), cmp.End(), text)},
-	}
-	if imp, ok := importEdit(pass.Pkg.Fset, f, "math"); ok {
-		fix.Edits = append(fix.Edits, imp)
-	}
-	return fix, true
-}
-
-// parenthesized renders an operand, wrapping binary subexpressions so the
-// subtraction in the rewrite cannot change their grouping.
-func parenthesized(fset *token.FileSet, e ast.Expr) string {
-	text := exprText(fset, e)
-	if _, ok := e.(*ast.BinaryExpr); ok {
-		return "(" + text + ")"
-	}
-	return text
-}
-
-// isFloat64 reports whether the expression's type is exactly float64.
-func isFloat64(info *types.Info, e ast.Expr) bool {
-	tv, ok := info.Types[e]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	b, ok := tv.Type.Underlying().(*types.Basic)
-	return ok && b.Kind() == types.Float64
 }
 
 // isFloat reports whether the expression's type has a floating-point

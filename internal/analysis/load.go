@@ -14,22 +14,17 @@ import (
 )
 
 // A Package is one parsed and type-checked package ready for analysis.
-// Test files (_test.go) are excluded from type-checking: the invariants
-// bbvet enforces are about production behavior, and tests legitimately use
-// exact comparisons and discard results. They are still parsed — without
-// type information — into TestFiles, so the suppression scanner checks
-// the allow directives they carry.
+// Test files (_test.go) are not loaded at all: the invariants bbvet
+// enforces are about production behavior, and tests legitimately use
+// exact comparisons and discard results.
 type Package struct {
 	Path  string // import path ("repro/internal/linalg")
 	Dir   string // absolute directory
 	Name  string // package name from the package clauses
 	Fset  *token.FileSet
 	Files []*ast.File
-	// TestFiles are the package's _test.go files, parsed but not
-	// type-checked (external foo_test packages included).
-	TestFiles []*ast.File
-	Types     *types.Package
-	Info      *types.Info
+	Types *types.Package
+	Info  *types.Info
 
 	loader *Loader
 }
@@ -147,11 +142,7 @@ func (l *Loader) load(path string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	testNames, err := goTestFiles(dir)
-	if err != nil {
-		return nil, err
-	}
-	if len(names) == 0 && len(testNames) == 0 {
+	if len(names) == 0 {
 		return nil, fmt.Errorf("analysis: no Go source files in %s", dir)
 	}
 	pkg := &Package{Path: path, Dir: dir, Fset: l.Fset, loader: l}
@@ -166,30 +157,6 @@ func (l *Loader) load(path string) (*Package, error) {
 			return nil, fmt.Errorf("analysis: %s contains packages %s and %s", dir, pkg.Name, f.Name.Name)
 		}
 		pkg.Files = append(pkg.Files, f)
-	}
-	for _, name := range testNames {
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		pkg.TestFiles = append(pkg.TestFiles, f)
-	}
-	if len(names) == 0 {
-		// Test-only package: there is nothing to type-check, but the parsed
-		// test files still feed the suppression scanner. The synthetic
-		// types.Package keeps every Package field non-nil so analyzers need
-		// no special casing.
-		pkg.Name = strings.TrimSuffix(pkg.TestFiles[0].Name.Name, "_test")
-		pkg.Types = types.NewPackage(path, pkg.Name)
-		pkg.Info = &types.Info{
-			Types:      map[ast.Expr]types.TypeAndValue{},
-			Defs:       map[*ast.Ident]types.Object{},
-			Uses:       map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-			Implicits:  map[ast.Node]types.Object{},
-		}
-		l.pkgs[path] = pkg
-		return pkg, nil
 	}
 	pkg.Info = &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
@@ -237,22 +204,6 @@ func goSourceFiles(dir string) ([]string, error) {
 			continue
 		}
 		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names, nil
-}
-
-// goTestFiles lists the _test.go files of dir, sorted.
-func goTestFiles(dir string) ([]string, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range ents {
-		if name := e.Name(); !e.IsDir() && strings.HasSuffix(name, "_test.go") {
-			names = append(names, name)
-		}
 	}
 	sort.Strings(names)
 	return names, nil

@@ -29,30 +29,49 @@ func writeModule(t *testing.T, files map[string]string) *Loader {
 	return loader
 }
 
-// TestLoadTestOnlyPackage pins the _test.go-only package path: no
-// type-checking happens, but the files parse into TestFiles and every
-// Package field is non-nil so analyzers need no special casing.
+// TestLoadTestOnlyPackage pins that test files are never loaded: a
+// directory holding only _test.go files is no package to the loader, and
+// ExpandPatterns skips it.
 func TestLoadTestOnlyPackage(t *testing.T) {
 	loader := writeModule(t, map[string]string{
+		"a/a.go":         "package a\n",
 		"only/x_test.go": "package only_test\n\nfunc helper() int { return 1 }\n",
 	})
-	pkg, err := loader.load("example.com/m/only")
+	if _, err := loader.load("example.com/m/only"); err == nil ||
+		!strings.Contains(err.Error(), "no Go source files") {
+		t.Errorf("test-only directory loaded: err %v, want a no-Go-source-files error", err)
+	}
+	dirs, err := ExpandPatterns(loader.ModDir, []string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pkg.Name != "only" {
-		t.Errorf("package name = %q, want %q (the _test suffix stripped)", pkg.Name, "only")
+	for _, d := range dirs {
+		if filepath.Base(d) == "only" {
+			t.Errorf("ExpandPatterns kept the test-only directory %s", d)
+		}
 	}
-	if len(pkg.Files) != 0 || len(pkg.TestFiles) != 1 {
-		t.Errorf("got %d production / %d test files, want 0 / 1", len(pkg.Files), len(pkg.TestFiles))
+	if len(dirs) != 1 || filepath.Base(dirs[0]) != "a" {
+		t.Errorf("ExpandPatterns = %v, want only the a package", dirs)
 	}
-	if pkg.Types == nil || pkg.Info == nil {
-		t.Error("test-only package has nil Types or Info")
+}
+
+// TestLoadIgnoresBrokenTestFile: a _test.go file that does not even parse
+// cannot stop the package from loading or analyzing cleanly, because the
+// loader never reads test files.
+func TestLoadIgnoresBrokenTestFile(t *testing.T) {
+	loader := writeModule(t, map[string]string{
+		"a/a.go":      "package a\n\nfunc A(x, y float64) bool { return x < y }\n",
+		"a/a_test.go": "package a\n\nfunc broken( {\n",
+	})
+	pkg, err := loader.load("example.com/m/a")
+	if err != nil {
+		t.Fatalf("package with a broken test file did not load: %v", err)
 	}
-	// The cached entry must be returned on the second load.
-	again, err := loader.load("example.com/m/only")
-	if err != nil || again != pkg {
-		t.Errorf("second load returned a different package (err %v)", err)
+	if len(pkg.Files) != 1 {
+		t.Errorf("got %d files, want the one production file", len(pkg.Files))
+	}
+	if diags := Run(pkg, All()); len(diags) != 0 {
+		t.Errorf("clean package reported findings: %v", diags)
 	}
 }
 

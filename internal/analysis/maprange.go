@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -87,39 +86,24 @@ func (v *mapRangeVisitor) checkOrderedArgs(call *ast.CallExpr) {
 type mapRangeVisitor struct {
 	pass *Pass
 	file *ast.File
-	// fix, when non-nil, is the sorted-keys rewrite of the map-range loop
-	// currently being checked; every diagnostic inside that loop carries it.
-	fix *SuggestedFix
-}
-
-// report emits a diagnostic, attaching the loop's sorted-keys fix when one
-// applies.
-func (v *mapRangeVisitor) report(pos token.Pos, format string, args ...any) {
-	if v.fix != nil {
-		v.pass.ReportfFix(pos, *v.fix, format, args...)
-		return
-	}
-	v.pass.Reportf(pos, format, args...)
 }
 
 func (v *mapRangeVisitor) checkRange(rng *ast.RangeStmt) {
 	info := v.pass.Pkg.Info
 	keyObj := v.rangeKeyObj(rng)
-	v.fix = v.sortedKeysFix(rng)
-	defer func() { v.fix = nil }()
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SendStmt:
-			v.report(n.Arrow, "map iteration order reaches a channel send; iterate sorted keys")
+			v.pass.Reportf(n.Arrow, "map iteration order reaches a channel send; iterate sorted keys")
 		case *ast.CallExpr:
 			if name, ok := emitCall(info, n); ok {
-				v.report(n.Lparen, "map iteration order reaches %s output; iterate sorted keys", name)
+				v.pass.Reportf(n.Lparen, "map iteration order reaches %s output; iterate sorted keys", name)
 			} else {
 				v.checkHelperCall(n)
 			}
 			if isBuiltin(info, n.Fun, "append") {
 				if tgt := appendTarget(info, n); tgt == nil || !v.sortedAfter(rng, tgt) {
-					v.report(n.Lparen, "append under map iteration builds an order-dependent slice; sort it afterwards or iterate sorted keys")
+					v.pass.Reportf(n.Lparen, "append under map iteration builds an order-dependent slice; sort it afterwards or iterate sorted keys")
 				}
 			}
 		case *ast.AssignStmt:
@@ -127,47 +111,6 @@ func (v *mapRangeVisitor) checkRange(rng *ast.RangeStmt) {
 		}
 		return true
 	})
-}
-
-// sortedKeysFix builds the mechanical sorted-keys rewrite of a map-range
-// header:
-//
-//	for k := range m {          →  for _, k := range slices.Sorted(maps.Keys(m)) {
-//
-// It applies only to the key-only := form over an ordered key type; loops
-// that also bind the value would need a body rewrite (v := m[k]) the
-// mechanical fix should not invent. Several diagnostics inside one loop
-// all carry this same fix; the applier deduplicates the identical edits.
-func (v *mapRangeVisitor) sortedKeysFix(rng *ast.RangeStmt) *SuggestedFix {
-	info := v.pass.Pkg.Info
-	if rng.Tok != token.DEFINE || rng.Value != nil {
-		return nil
-	}
-	key, ok := rng.Key.(*ast.Ident)
-	if !ok || key.Name == "_" {
-		return nil
-	}
-	mt, ok := info.Types[rng.X].Type.Underlying().(*types.Map)
-	if !ok || !isOrderedBasic(mt.Key()) {
-		return nil
-	}
-	text := fmt.Sprintf("_, %s := range slices.Sorted(maps.Keys(%s))",
-		key.Name, exprText(v.pass.Pkg.Fset, rng.X))
-	fix := &SuggestedFix{
-		Message: "iterate the keys in sorted order via slices.Sorted(maps.Keys(...))",
-		Edits:   []TextEdit{v.pass.Edit(rng.Key.Pos(), rng.X.End(), text)},
-	}
-	if imp, ok := importEdit(v.pass.Pkg.Fset, v.file, "maps", "slices"); ok {
-		fix.Edits = append(fix.Edits, imp)
-	}
-	return fix
-}
-
-// isOrderedBasic reports whether t satisfies cmp.Ordered (the constraint
-// slices.Sorted needs): an integer, float, or string basic type.
-func isOrderedBasic(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&(types.IsInteger|types.IsFloat|types.IsString) != 0
 }
 
 // checkHelperCall flags calls, inside a map-range body, to intra-module
@@ -188,9 +131,9 @@ func (v *mapRangeVisitor) checkHelperCall(call *ast.CallExpr) {
 		return
 	}
 	if s.Emits {
-		v.report(call.Lparen, "map iteration order reaches output via %s; iterate sorted keys", ip.EmitPath(t.Static))
+		v.pass.Reportf(call.Lparen, "map iteration order reaches output via %s; iterate sorted keys", ip.EmitPath(t.Static))
 	} else if s.Sends {
-		v.report(call.Lparen, "map iteration order reaches a channel send via call to %s; iterate sorted keys", ip.displayName(t.Static))
+		v.pass.Reportf(call.Lparen, "map iteration order reaches a channel send via call to %s; iterate sorted keys", ip.displayName(t.Static))
 	}
 }
 
@@ -229,7 +172,7 @@ func (v *mapRangeVisitor) checkAccumulation(as *ast.AssignStmt, keyObj types.Obj
 	if idx, ok := lhs.(*ast.IndexExpr); ok && keyObj != nil && usesObject(info, idx.Index, keyObj) {
 		return
 	}
-	v.report(as.TokPos, "%s accumulation of %s under map iteration is order-dependent; iterate sorted keys", as.Tok, b.Name())
+	v.pass.Reportf(as.TokPos, "%s accumulation of %s under map iteration is order-dependent; iterate sorted keys", as.Tok, b.Name())
 }
 
 // sortedAfter reports whether tgt is passed to a sort.X or slices.X call

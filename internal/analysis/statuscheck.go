@@ -1,9 +1,7 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -47,11 +45,7 @@ func runStatusCheck(pass *Pass) {
 			case *ast.ExprStmt:
 				if call, ok := n.X.(*ast.CallExpr); ok {
 					if name, sig := statusCallee(pass, call); sig != nil && hasStatusResult(sig) {
-						if fix, ok := assignAndCheckFix(pass, f, n, call, sig); ok {
-							pass.ReportfFix(call.Lparen, fix, "result of %s dropped; check its Status/error", name)
-						} else {
-							pass.Reportf(call.Lparen, "result of %s dropped; check its Status/error", name)
-						}
+						pass.Reportf(call.Lparen, "result of %s dropped; check its Status/error", name)
 					}
 				}
 			case *ast.AssignStmt:
@@ -60,69 +54,6 @@ func runStatusCheck(pass *Pass) {
 			return true
 		})
 	}
-}
-
-// assignAndCheckFix builds the mechanical assign-and-check rewrite of a
-// bare dropped-result call:
-//
-//	Solve(cfg)   →   if _, err := Solve(cfg); err != nil {
-//	                     return err
-//	                 }
-//
-// It applies only when the rewrite provably compiles: the callee's last
-// result is an error, and the enclosing function returns exactly one
-// result of type error (so `return err` type-checks). The splice is not
-// pretty-printed — the -fix applier gofmts the whole file afterwards.
-func assignAndCheckFix(pass *Pass, f *ast.File, stmt *ast.ExprStmt, call *ast.CallExpr, sig *types.Signature) (SuggestedFix, bool) {
-	results := sig.Results()
-	if results.Len() == 0 || !types.Identical(results.At(results.Len()-1).Type(), types.Universe.Lookup("error").Type()) {
-		return SuggestedFix{}, false
-	}
-	enc := enclosingFuncResults(pass, f, stmt.Pos())
-	if enc == nil || enc.Len() != 1 || !types.Identical(enc.At(0).Type(), types.Universe.Lookup("error").Type()) {
-		return SuggestedFix{}, false
-	}
-	lhs := make([]string, results.Len())
-	for i := range lhs {
-		lhs[i] = "_"
-	}
-	lhs[len(lhs)-1] = "err"
-	text := fmt.Sprintf("if %s := %s; err != nil {\nreturn err\n}",
-		strings.Join(lhs, ", "), exprText(pass.Pkg.Fset, call))
-	return SuggestedFix{
-		Message: "assign the results and check the error",
-		Edits:   []TextEdit{pass.Edit(stmt.Pos(), stmt.End(), text)},
-	}, true
-}
-
-// enclosingFuncResults returns the result tuple of the innermost function
-// declaration or literal containing pos, or nil when there is none (or it
-// has no declared results).
-func enclosingFuncResults(pass *Pass, f *ast.File, pos token.Pos) *types.Tuple {
-	info := pass.Pkg.Info
-	var best *types.Tuple
-	var bestSpan token.Pos = -1
-	ast.Inspect(f, func(n ast.Node) bool {
-		if n == nil || pos < n.Pos() || n.End() <= pos {
-			return n == f // keep walking only from the root's children inward
-		}
-		switch fn := n.(type) {
-		case *ast.FuncDecl:
-			if obj, ok := info.Defs[fn.Name].(*types.Func); ok {
-				if span := fn.End() - fn.Pos(); bestSpan < 0 || span < bestSpan {
-					best, bestSpan = obj.Type().(*types.Signature).Results(), span
-				}
-			}
-		case *ast.FuncLit:
-			if sig, ok := info.Types[fn].Type.(*types.Signature); ok {
-				if span := fn.End() - fn.Pos(); bestSpan < 0 || span < bestSpan {
-					best, bestSpan = sig.Results(), span
-				}
-			}
-		}
-		return true
-	})
-	return best
 }
 
 // checkStatusAssign flags `a, _ := Solve(...)`-style assignments where all

@@ -103,18 +103,18 @@ func sameBits(got, want *Result) error {
 		return fmt.Errorf("status/iterations %v/%d vs %v/%d",
 			got.Status, got.SolverIterations, want.Status, want.SolverIterations)
 	}
-	//bbvet:allow floatcmp bitwise-identity is the property under test
+	// Exact float comparison: bitwise-identity is the property under test.
 	if got.ContinuousObjective != want.ContinuousObjective {
 		return fmt.Errorf("objective %v != %v", got.ContinuousObjective, want.ContinuousObjective)
 	}
 	for k, v := range want.ContinuousBudgets {
-		//bbvet:allow floatcmp bitwise-identity is the property under test
+		// Exact float comparison: bitwise-identity is the property under test.
 		if got.ContinuousBudgets[k] != v {
 			return fmt.Errorf("budget %s: %v != %v", k, got.ContinuousBudgets[k], v)
 		}
 	}
 	for k, v := range want.ContinuousDeltas {
-		//bbvet:allow floatcmp bitwise-identity is the property under test
+		// Exact float comparison: bitwise-identity is the property under test.
 		if got.ContinuousDeltas[k] != v {
 			return fmt.Errorf("delta %s: %v != %v", k, got.ContinuousDeltas[k], v)
 		}

@@ -48,18 +48,18 @@ func TestSweepWarmDisabledBitIdentical(t *testing.T) {
 				t.Fatalf("%s cap %d: status/iters diverge: %v/%d vs %v/%d",
 					name, cap, got.Status, got.SolverIterations, want.Status, want.SolverIterations)
 			}
-			//bbvet:allow floatcmp bitwise-identity is the property under test
+			// Exact float comparison: bitwise-identity is the property under test.
 			if got.ContinuousObjective != want.ContinuousObjective {
 				t.Fatalf("%s cap %d: objective %v != %v", name, cap, got.ContinuousObjective, want.ContinuousObjective)
 			}
 			for k, v := range want.ContinuousBudgets {
-				//bbvet:allow floatcmp bitwise-identity is the property under test
+				// Exact float comparison: bitwise-identity is the property under test.
 				if got.ContinuousBudgets[k] != v {
 					t.Fatalf("%s cap %d: budget %s %v != %v", name, cap, k, got.ContinuousBudgets[k], v)
 				}
 			}
 			for k, v := range want.ContinuousDeltas {
-				//bbvet:allow floatcmp bitwise-identity is the property under test
+				// Exact float comparison: bitwise-identity is the property under test.
 				if got.ContinuousDeltas[k] != v {
 					t.Fatalf("%s cap %d: delta %s %v != %v", name, cap, k, got.ContinuousDeltas[k], v)
 				}
@@ -137,12 +137,12 @@ func TestSweepWarmParallelismInvariant(t *testing.T) {
 				t.Fatalf("cap %d: parallelism changed the solve: %v/%d vs %v/%d",
 					caps[i], a.Status, a.SolverIterations, b.Status, b.SolverIterations)
 			}
-			//bbvet:allow floatcmp bitwise reproducibility is the property under test
+			// Exact float comparison: bitwise reproducibility is the property under test.
 			if a.ContinuousObjective != b.ContinuousObjective {
 				t.Fatalf("cap %d: objective %v vs %v", caps[i], a.ContinuousObjective, b.ContinuousObjective)
 			}
 			for k, v := range a.ContinuousBudgets {
-				//bbvet:allow floatcmp bitwise reproducibility is the property under test
+				// Exact float comparison: bitwise reproducibility is the property under test.
 				if b.ContinuousBudgets[k] != v {
 					t.Fatalf("cap %d: budget %s %v vs %v", caps[i], k, v, b.ContinuousBudgets[k])
 				}

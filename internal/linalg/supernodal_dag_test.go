@@ -47,13 +47,13 @@ func TestSupernodalDAGParallelBitwise(t *testing.T) {
 		}
 		px, d := chol.PanelData()
 		for i := range refPx {
-			//bbvet:allow floatcmp bitwise reproducibility across parallelism is the property under test
+			// Exact float comparison: bitwise reproducibility across parallelism is the property under test.
 			if px[i] != refPx[i] {
 				t.Fatalf("workers=%d: L panel storage differs at %d: %v vs %v", workers, i, px[i], refPx[i])
 			}
 		}
 		for i := range refD {
-			//bbvet:allow floatcmp bitwise reproducibility across parallelism is the property under test
+			// Exact float comparison: bitwise reproducibility across parallelism is the property under test.
 			if d[i] != refD[i] {
 				t.Fatalf("workers=%d: D differs at %d: %v vs %v", workers, i, d[i], refD[i])
 			}

@@ -224,13 +224,13 @@ func TestSupernodalParallelBitwise(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		for i := range refPx {
-			//bbvet:allow floatcmp determinism contract requires bitwise equality
+			// Exact float comparison: determinism contract requires bitwise equality.
 			if sc.px[i] != refPx[i] {
 				t.Fatalf("workers=%d: panel value %d differs from serial", workers, i)
 			}
 		}
 		for i := range refD {
-			//bbvet:allow floatcmp determinism contract requires bitwise equality
+			// Exact float comparison: determinism contract requires bitwise equality.
 			if sc.d[i] != refD[i] {
 				t.Fatalf("workers=%d: diagonal %d differs from serial", workers, i)
 			}

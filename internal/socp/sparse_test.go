@@ -136,7 +136,7 @@ func TestSparseAssemblyMatchesDenseOracle(t *testing.T) {
 			gd.AtAInto(want)
 			got := ata.Result.ToDense()
 			for i := range want.Data {
-				//bbvet:allow floatcmp bitwise agreement of the two assemblies is the property under test
+				// Exact float comparison: bitwise agreement of the two assemblies is the property under test.
 				if got.Data[i] != want.Data[i] {
 					t.Fatalf("trial %d scaling %d: H entry (%d,%d) = %v, dense oracle %v",
 						trial, k, i/n, i%n, got.Data[i], want.Data[i])

@@ -58,7 +58,7 @@ func TestSupernodalSolveParallelBitwise(t *testing.T) {
 			t.Fatalf("workers=%d: iterations %d, want %d", workers, got.Iterations, base.Iterations)
 		}
 		for i := range base.X {
-			//bbvet:allow floatcmp bitwise reproducibility is the property under test
+			// Exact float comparison: bitwise reproducibility is the property under test.
 			if got.X[i] != base.X[i] {
 				t.Fatalf("workers=%d: x[%d] = %v, want bitwise %v", workers, i, got.X[i], base.X[i])
 			}
@@ -91,7 +91,7 @@ func TestGSparseMatchesDenseG(t *testing.T) {
 					trial, backend, dense.Iterations, sparse.Iterations)
 			}
 			for i := range dense.X {
-				//bbvet:allow floatcmp bitwise equivalence of the two carriers is the property under test
+				// Exact float comparison: bitwise equivalence of the two carriers is the property under test.
 				if dense.X[i] != sparse.X[i] {
 					t.Fatalf("trial %d backend=%v: x[%d] dense=%v csr=%v",
 						trial, backend, i, dense.X[i], sparse.X[i])

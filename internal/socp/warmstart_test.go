@@ -114,7 +114,7 @@ func TestWarmStartInvalidFallsBackCold(t *testing.T) {
 				k, got.Iterations, cold.Iterations)
 		}
 		for i := range cold.X {
-			//bbvet:allow floatcmp fallback must reproduce the cold solve bitwise
+			// Exact float comparison: fallback must reproduce the cold solve bitwise.
 			if got.X[i] != cold.X[i] {
 				t.Fatalf("bad warm %d: x[%d] differs from cold solve", k, i)
 			}
@@ -146,7 +146,7 @@ func TestPatternCacheBitIdentical(t *testing.T) {
 					eq, round, cached.Status, cached.Iterations, plain.Status, plain.Iterations)
 			}
 			for i := range plain.X {
-				//bbvet:allow floatcmp cached solves must be bit-identical to uncached
+				// Exact float comparison: cached solves must be bit-identical to uncached.
 				if cached.X[i] != plain.X[i] {
 					t.Fatalf("eq=%v round %d: x[%d] differs through cache", eq, round, i)
 				}
