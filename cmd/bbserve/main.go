@@ -1,7 +1,7 @@
 // Command bbserve is the solver daemon: an HTTP/JSON front end over the
 // joint budget/buffer solver with admission control, per-request deadlines,
-// failure isolation, per-pattern circuit breaking, and graceful drain on
-// SIGTERM. See internal/serve for the robustness layer and README.md for
+// failure isolation, the recovery ladder on every solve, and graceful drain
+// on SIGTERM. See internal/serve for the robustness layer and README.md for
 // the wire format.
 //
 // Usage:
@@ -46,8 +46,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		queue        = fs.Int("queue", 0, "admission queue depth beyond the running solves (0 = 2×workers)")
 		maxDeadline  = fs.Duration("max-deadline", 60*time.Second, "upper bound on any request's deadline")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long a drain waits for in-flight solves before canceling them (0 = forever)")
-		breakerTrip  = fs.Int("breaker-trip", 3, "consecutive ladder recoveries that open a pattern's circuit breaker")
-		breakerProbe = fs.Int("breaker-probe", 16, "open-state requests between half-open breaker probes")
 		parallel     = fs.Int("parallel", 0, "per-sweep worker pool size (0 = GOMAXPROCS, 1 = sequential)")
 		logLevel     = fs.String("log-level", "info", "request log level: debug, info, warn, error, or off")
 	)
@@ -60,13 +58,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	srv := serve.New(serve.Config{
-		Workers:           *workers,
-		QueueDepth:        *queue,
-		MaxDeadline:       *maxDeadline,
-		BreakerTrip:       *breakerTrip,
-		BreakerProbeEvery: *breakerProbe,
-		Solve:             core.Options{Parallelism: *parallel},
-		Logger:            logger,
+		Workers:     *workers,
+		QueueDepth:  *queue,
+		MaxDeadline: *maxDeadline,
+		Solve:       core.Options{Parallelism: *parallel},
+		Logger:      logger,
 	})
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

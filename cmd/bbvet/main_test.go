@@ -100,9 +100,10 @@ func TestFixtureFindingsExitNonZero(t *testing.T) {
 	}
 }
 
-// TestRepositoryExitsZero is the driver-level twin of the analysis
-// package's self-run test: the shipped tree is clean, so the CLI must exit
-// 0 over the whole module.
+// TestRepositoryExitsZero is the repository's self-run gate: every package
+// of the module must load and the full analyzer suite must report nothing,
+// so the CLI exits 0 over the whole module. Any new finding fails it until
+// it is fixed or suppressed with a reasoned bbvet:allow.
 func TestRepositoryExitsZero(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if code := run([]string{"../../..."}, &out, &errOut); code != 0 {

@@ -59,7 +59,6 @@ func main() {
 	var result struct {
 		Status  string `json:"status"`
 		Pattern string `json:"pattern"`
-		Breaker string `json:"breaker"`
 		Report  *struct {
 			Recovered    bool   `json:"recovered"`
 			FinalBackend string `json:"finalBackend"`
@@ -74,11 +73,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("status:   %s (%.1f ms server-side)\n", result.Status, result.ElapsedMS)
-	fmt.Printf("pattern:  %s", result.Pattern)
-	if result.Breaker != "" {
-		fmt.Printf("  [breaker %s]", result.Breaker)
-	}
-	fmt.Println()
+	fmt.Printf("pattern:  %s\n", result.Pattern)
 	if result.Report != nil && result.Report.Recovered {
 		fmt.Printf("recovered via %s\n", result.Report.FinalBackend)
 	}

@@ -29,6 +29,39 @@ func writeModule(t *testing.T, files map[string]string) *Loader {
 	return loader
 }
 
+// TestExpandPatternsWalksModule pins the "./..." walk over this module
+// without loading anything: it must reach every package directory (well
+// over 15 of them, this one included) and skip underscore-prefixed trees
+// such as the separate benchmark module.
+func TestExpandPatternsWalksModule(t *testing.T) {
+	loader, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs, err := ExpandPatterns(loader.ModDir, []string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dirs) < 15 {
+		t.Fatalf("pattern expansion found only %d package dirs; the walk is broken", len(dirs))
+	}
+	self, err := filepath.Abs(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, d := range dirs {
+		found = found || d == self
+		rel, err := filepath.Rel(loader.ModDir, d)
+		if err != nil || strings.HasPrefix(rel, "_") || strings.Contains(filepath.ToSlash(rel), "/_") {
+			t.Errorf("pattern expansion descended into %s", d)
+		}
+	}
+	if !found {
+		t.Errorf("pattern expansion missed this package's own dir %s in %v", self, dirs)
+	}
+}
+
 // TestLoadTestOnlyPackage pins that test files are never loaded: a
 // directory holding only _test.go files is no package to the loader, and
 // ExpandPatterns skips it.

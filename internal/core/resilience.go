@@ -60,33 +60,6 @@ type SolveReport struct {
 	Recovered bool
 }
 
-// OptionsForBackend returns base reconfigured to start solving directly at
-// the named recovery-ladder rung — "sparse" or "supernodal", the names
-// SolveAttempt.Backend reports — with the ladder's escalated regularization
-// already applied and any warm start dropped, exactly as if the earlier
-// rungs had been tried and skipped.
-// The serving layer's per-pattern circuit breaker uses it to send requests
-// for a topology that repeatedly needed recovery straight to the rung that
-// rescued it. The bool is false for an unknown backend name, with base
-// returned unchanged.
-func OptionsForBackend(base socp.Options, backend string) (socp.Options, bool) {
-	o := base
-	o.WarmStart = nil
-	if o.KKTReg == 0 {
-		o.KKTReg = 1e-13
-	}
-	o.KKTReg *= kktRegEscalation
-	switch backend {
-	case "sparse":
-		o.Factorization = socp.FactorSparse
-	case "supernodal":
-		o.Factorization = socp.FactorSupernodal
-	default:
-		return base, false
-	}
-	return o, true
-}
-
 // backendName names the KKT configuration an Options selects for a problem
 // whose reduced KKT system has dimension kktDim (a FactorAuto choice
 // resolves by dimension, so the report names the backend that actually ran).

@@ -49,13 +49,12 @@ type SolveResponse struct {
 	ContinuousObjective float64            `json:"continuousObjective,omitempty"`
 	Iterations          int                `json:"iterations"`
 	Report              *Report            `json:"report,omitempty"`
-	// Pattern is the configuration's topology hash (hex): requests sharing
-	// it share breaker state.
+	// Pattern is the configuration's topology hash (hex,
+	// taskgraph.StructureHash): a label for grouping requests, not a key
+	// to any server state.
 	Pattern string `json:"pattern"`
-	// Breaker is "open" when this solve was routed straight to the
-	// pattern's known-good backend, "probe" when it was the half-open
-	// probe; absent while the breaker is closed.
-	Breaker   string  `json:"breaker,omitempty"`
+	// ElapsedMS is the solve's wall time on the worker, excluding HTTP and
+	// queueing.
 	ElapsedMS float64 `json:"elapsedMs"`
 }
 

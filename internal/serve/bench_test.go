@@ -14,7 +14,7 @@ import (
 )
 
 // BenchmarkServeSolveChain100 measures the full daemon path — admission,
-// breaker routing, shared pattern cache, JSON in and out — on the 100-task
+// the recovery ladder, shared pattern cache, JSON in and out — on the 100-task
 // chain, and reports serving-style metrics (p50/p95 per-request latency and
 // throughput) alongside ns/op.
 func BenchmarkServeSolveChain100(b *testing.B) {

@@ -91,7 +91,6 @@ func (s *Server) admit(w http.ResponseWriter, j *job) error {
 // handler after the job's done channel closes.
 type solveOutcome struct {
 	res      *core.Result
-	mode     breakerMode
 	err      error
 	panicErr error
 	injected error
@@ -106,7 +105,6 @@ func (o *solveOutcome) run(s *Server, ctx context.Context, cfg *taskgraph.Config
 			o.panicErr = recoverPanic(r)
 		}
 	}()
-	start := time.Now()
 	if err := hitJob(); err != nil {
 		o.injected = err
 		return
@@ -119,8 +117,7 @@ func (o *solveOutcome) run(s *Server, ctx context.Context, cfg *taskgraph.Config
 		o.res = &core.Result{Status: core.StatusCanceled}
 		return
 	}
-	o.res, o.mode, o.err = s.Solve(ctx, cfg, skipVerification)
-	o.elapsed = time.Since(start)
+	o.res, o.elapsed, o.err = s.Solve(ctx, cfg, skipVerification)
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
@@ -134,9 +131,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, err)
 		return
 	}
+	pattern := patternString(cfg.StructureHash())
 	rl := requestLog(r.Context())
 	if rl != nil {
-		rl.pattern = patternString(cfg.StructureHash())
+		rl.pattern = pattern
 	}
 	jctx, cancel := context.WithTimeout(r.Context(), s.deadline(r, req.DeadlineMS))
 	defer cancel()
@@ -152,18 +150,15 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	<-j.done
-	if rl != nil {
-		rl.breaker = out.mode.String()
-		if out.res != nil && out.res.Report != nil {
-			rl.rung = out.res.Report.FinalBackend
-		}
+	if rl != nil && out.res != nil && out.res.Report != nil {
+		rl.rung = out.res.Report.FinalBackend
 	}
-	s.writeSolve(w, cfg, out)
+	s.writeSolve(w, pattern, out)
 }
 
-// writeSolve maps a solve outcome onto the HTTP surface.
-func (s *Server) writeSolve(w http.ResponseWriter, cfg *taskgraph.Config, out *solveOutcome) {
-	pattern := patternString(cfg.StructureHash())
+// writeSolve maps a solve outcome onto the HTTP surface; pattern is the
+// configuration's rendered structure hash.
+func (s *Server) writeSolve(w http.ResponseWriter, pattern string, out *solveOutcome) {
 	switch {
 	case out.panicErr != nil:
 		s.vars.panics.Add(1)
@@ -199,7 +194,6 @@ func (s *Server) writeSolve(w http.ResponseWriter, cfg *taskgraph.Config, out *s
 				Iterations:          out.res.SolverIterations,
 				Report:              rep,
 				Pattern:             pattern,
-				Breaker:             out.mode.String(),
 				ElapsedMS:           durationMS(out.elapsed),
 			})
 		case core.StatusCanceled:
@@ -269,8 +263,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, fmt.Errorf("sweep request has no caps"))
 		return
 	}
+	pattern := patternString(cfg.StructureHash())
 	if rl := requestLog(r.Context()); rl != nil {
-		rl.pattern = patternString(cfg.StructureHash())
+		rl.pattern = pattern
 	}
 	jctx, cancel := context.WithTimeout(r.Context(), s.deadline(r, req.DeadlineMS))
 	defer cancel()
@@ -284,12 +279,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	<-j.done
-	s.writeSweep(w, cfg, req.Caps, out)
+	s.writeSweep(w, pattern, req.Caps, out)
 }
 
 // writeSweep maps a sweep outcome onto the HTTP surface; partial results
 // always travel with the 504.
-func (s *Server) writeSweep(w http.ResponseWriter, cfg *taskgraph.Config, caps []int, out *sweepOutcome) {
+func (s *Server) writeSweep(w http.ResponseWriter, pattern string, caps []int, out *sweepOutcome) {
 	switch {
 	case out.panicErr != nil:
 		s.vars.panics.Add(1)
@@ -312,7 +307,7 @@ func (s *Server) writeSweep(w http.ResponseWriter, cfg *taskgraph.Config, caps [
 	}
 	resp := &SweepResponse{
 		Points:    make([]SweepPoint, len(caps)),
-		Pattern:   patternString(cfg.StructureHash()),
+		Pattern:   pattern,
 		ElapsedMS: durationMS(out.elapsed),
 	}
 	for i, c := range caps {
@@ -366,7 +361,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleVars(w http.ResponseWriter, _ *http.Request) {
 	queued, running := s.pool.stats()
 	hits, misses := s.cache.Stats()
-	patterns, openNow, opensTotal := s.patterns.snapshot()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"uptimeSec": time.Since(s.start).Seconds(),
 		"ready":     s.Ready(),
@@ -397,11 +391,6 @@ func (s *Server) handleVars(w http.ResponseWriter, _ *http.Request) {
 		"cache": map[string]int64{
 			"hits":   hits,
 			"misses": misses,
-		},
-		"breaker": map[string]int64{
-			"patterns":   int64(patterns),
-			"openNow":    int64(openNow),
-			"opensTotal": opensTotal,
 		},
 	})
 }

@@ -9,12 +9,11 @@ import (
 
 // reqLog is the per-request record: the middleware allocates it, the
 // handlers enrich it with solver-side facts (graph pattern, recovery-ladder
-// rung, breaker routing), and the middleware emits it as one structured
-// line when the response completes.
+// rung), and the middleware emits it as one structured line when the
+// response completes.
 type reqLog struct {
 	pattern string // taskgraph.StructureHash of the solved configuration
 	rung    string // recovery-ladder rung (final backend) of the solve
-	breaker string // breaker routing mode for the pattern
 }
 
 // reqLogKey carries the *reqLog through the request context.
@@ -55,8 +54,8 @@ func (sr *statusRecorder) Write(b []byte) (int, error) {
 // logRequests wraps next to emit one structured log line per completed
 // request: route, status, body bytes, wall latency, queue pressure at
 // completion, and — when the handlers filled them in — the graph pattern
-// hash, the recovery-ladder rung, and the breaker routing. Server errors
-// log at ERROR, client errors at WARN, everything else at INFO.
+// hash and the recovery-ladder rung. Server errors log at ERROR, client
+// errors at WARN, everything else at INFO.
 func (s *Server) logRequests(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -82,9 +81,6 @@ func (s *Server) logRequests(next http.Handler) http.Handler {
 		}
 		if rl.rung != "" {
 			attrs = append(attrs, slog.String("rung", rl.rung))
-		}
-		if rl.breaker != "" {
-			attrs = append(attrs, slog.String("breaker", rl.breaker))
 		}
 		// The request context may already be canceled (client gone); the
 		// log line must still be emitted.

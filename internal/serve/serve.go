@@ -13,12 +13,10 @@
 //     maximum. Expiry surfaces as a structured 504 carrying the recovery
 //     ladder's report and any partial sweep results, through the same
 //     StatusCanceled plumbing the CLI tools use.
-//   - Failure isolation and degradation: panics are contained to the
-//     request that caused them; numerical breakdown runs the PR 4 recovery
-//     ladder, whose every attempt is reported in the response; and a
-//     per-pattern circuit breaker routes topologies that repeatedly
-//     needed recovery straight to the rung that rescued them until a
-//     half-open probe succeeds.
+//   - Failure isolation and recovery: panics are contained to the request
+//     that caused them; numerical breakdown runs the recovery ladder from
+//     the server's own options on every request, and every attempt is
+//     reported in the response. No routing state is kept per topology.
 //   - Graceful drain: SIGTERM flips /readyz to 503, stops admissions,
 //     lets in-flight solves finish up to a drain bound, then cancels
 //     stragglers through their contexts.
@@ -26,8 +24,8 @@
 //     keyed by the sparsity patterns of the solver's constraint matrices,
 //     so a request whose matrices carry a pattern seen before skips the
 //     symbolic analysis and reuses an idle factorization pipeline.
-//     taskgraph.StructureHash keys only the circuit breakers and the
-//     pattern field of responses and log lines.
+//     taskgraph.StructureHash only labels responses and log lines (their
+//     pattern field); nothing is keyed or stored by it.
 //
 // Every failure path is reachable deterministically through
 // internal/faultinject sites; nothing in the tests depends on timing.
@@ -46,6 +44,10 @@ import (
 	"repro/internal/taskgraph"
 )
 
+// latencyWindow is the moving-latency sample count behind Retry-After and
+// the /debug/vars quantiles.
+const latencyWindow = 256
+
 // Config parameterizes a Server. The zero value selects sensible defaults
 // throughout.
 type Config struct {
@@ -59,15 +61,6 @@ type Config struct {
 	MaxDeadline time.Duration
 	// MaxBodyBytes bounds request bodies; ≤ 0 selects 32 MiB.
 	MaxBodyBytes int64
-	// BreakerTrip is the consecutive-recovery count that opens a pattern's
-	// breaker; ≤ 0 selects 3.
-	BreakerTrip int
-	// BreakerProbeEvery is the open-state request period between half-open
-	// probes; ≤ 0 selects 16.
-	BreakerProbeEvery int
-	// LatencyWindow is the moving-latency sample count behind Retry-After
-	// and /debug/vars quantiles; ≤ 0 selects 256.
-	LatencyWindow int
 	// Solve is the base solver configuration applied to every request
 	// (factorization backend, tolerances, sweep parallelism). The pattern
 	// cache field is overridden by the server's shared cache.
@@ -92,30 +85,20 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 32 << 20
 	}
-	if c.BreakerTrip <= 0 {
-		c.BreakerTrip = 3
-	}
-	if c.BreakerProbeEvery <= 0 {
-		c.BreakerProbeEvery = 16
-	}
-	if c.LatencyWindow <= 0 {
-		c.LatencyWindow = 256
-	}
 	return c
 }
 
 // Server is the daemon state. Create with New; serve via Handler; shut
 // down via Drain.
 type Server struct {
-	cfg      Config
-	mux      *http.ServeMux
-	handler  http.Handler
-	log      *slog.Logger
-	pool     *pool
-	cache    *socp.PatternCache
-	patterns *patternTable
-	lat      *latency
-	start    time.Time
+	cfg     Config
+	mux     *http.ServeMux
+	handler http.Handler
+	log     *slog.Logger
+	pool    *pool
+	cache   *socp.PatternCache
+	lat     *latency
+	start   time.Time
 
 	// forceCtx is canceled to force-cancel every in-flight job context
 	// when a drain deadline expires.
@@ -149,12 +132,11 @@ type counters struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:      cfg,
-		pool:     newPool(cfg.Workers, cfg.QueueDepth),
-		cache:    socp.NewPatternCache(),
-		patterns: newPatternTable(),
-		lat:      newLatency(cfg.LatencyWindow),
-		start:    time.Now(),
+		cfg:   cfg,
+		pool:  newPool(cfg.Workers, cfg.QueueDepth),
+		cache: socp.NewPatternCache(),
+		lat:   newLatency(latencyWindow),
+		start: time.Now(),
 	}
 	s.log = cfg.Logger
 	if s.log == nil {
@@ -195,33 +177,22 @@ func (s *Server) Drain(ctx context.Context) error {
 	return s.pool.drain(ctx, s.forceCancel)
 }
 
-// Solve runs one configuration through the pattern-keyed serving path:
-// the shared pattern cache, the per-pattern breaker, and the recovery
-// ladder. It is the programmatic equivalent of POST /v1/solve minus HTTP
-// and admission (the handler layers those); the returned mode reports how
-// the breaker routed the solve.
-func (s *Server) Solve(ctx context.Context, cfg *taskgraph.Config, skipVerification bool) (*core.Result, breakerMode, error) {
-	pat := s.patterns.get(cfg.StructureHash())
-	mode, backend := pat.plan(s.cfg.BreakerProbeEvery)
+// Solve runs one configuration through the shared pattern cache and the
+// recovery ladder, always from the server's own options. It is the
+// programmatic equivalent of POST /v1/solve minus HTTP and admission (the
+// handler layers those); the middle result is the solve's wall time, which
+// the response reports as elapsedMs.
+func (s *Server) Solve(ctx context.Context, cfg *taskgraph.Config, skipVerification bool) (*core.Result, time.Duration, error) {
 	opt := s.cfg.Solve
 	opt.SkipVerification = opt.SkipVerification || skipVerification
 	opt.Solver.Cache = s.cache
-	if mode == modeDegraded {
-		if forced, ok := core.OptionsForBackend(opt.Solver, backend); ok {
-			opt.Solver = forced
-		}
-	}
+	start := time.Now()
 	res, err := core.Solve(ctx, cfg, opt)
-	if res != nil {
-		pat.record(mode, res.Report, s.cfg.BreakerTrip)
-	}
-	return res, mode, err
+	return res, time.Since(start), err
 }
 
-// Sweep runs a buffer-cap sweep through the shared pattern cache. Sweeps
-// bypass the breaker (each point already shares warm starts and pooled
-// pipelines; the ladder report of each point is returned per point), but
-// their pattern still shares cache entries with /v1/solve requests.
+// Sweep runs a buffer-cap sweep through the shared pattern cache, so its
+// points share cache entries with /v1/solve requests of the same pattern.
 func (s *Server) Sweep(ctx context.Context, cfg *taskgraph.Config, buffers []string, caps []int) ([]core.TradeoffPoint, error) {
 	opt := s.cfg.Solve
 	opt.Solver.Cache = s.cache

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -98,8 +100,58 @@ func TestSolveOptimal(t *testing.T) {
 	if resp.Report == nil || len(resp.Report.Attempts) == 0 {
 		t.Fatal("missing ladder report")
 	}
-	if resp.Breaker != "" {
-		t.Fatalf("breaker %q on a healthy pattern, want closed (empty)", resp.Breaker)
+}
+
+// TestLadderRecoveryOverHTTP breaks exactly one sparse factorization: the
+// request that hits it is rescued by the recovery ladder and reports every
+// attempt, its log line names the rung, and the next request for the same
+// topology runs from the server's own options again — one clean attempt,
+// because no routing state is kept per pattern.
+func TestLadderRecoveryOverHTTP(t *testing.T) {
+	var buf bytes.Buffer
+	s := newTestServer(t, Config{
+		Workers: 1,
+		Logger:  slog.New(slog.NewJSONHandler(&buf, nil)),
+	})
+	req := SolveRequest{Config: testConfigJSON(t, 4)}
+
+	deactivate := faultinject.Activate(faultinject.Rule{
+		Site: faultinject.SiteSparseLDLT, Kind: faultinject.KindError, Count: 1,
+	})
+	w := do(s, nil, "POST", "/v1/solve", req)
+	deactivate()
+	if w.Code != http.StatusOK {
+		t.Fatalf("faulted solve: status %d, body %s", w.Code, w.Body)
+	}
+	resp := decodeBody[SolveResponse](t, w)
+	rep := resp.Report
+	if resp.Status != "optimal" || rep == nil || !rep.Recovered {
+		t.Fatalf("faulted solve: status %q report %+v, want optimal and recovered", resp.Status, rep)
+	}
+	if len(rep.Attempts) != 2 || rep.Attempts[0].Status != "numerical error" || rep.Attempts[1].Status != "optimal" {
+		t.Fatalf("attempts %+v, want the failed first rung and the optimal retry", rep.Attempts)
+	}
+	if !strings.Contains(rep.Attempts[0].Err, "injected fault") {
+		t.Fatalf("first attempt err %q, want the injected fault", rep.Attempts[0].Err)
+	}
+	lines := logLines(t, &buf)
+	if len(lines) != 1 || lines[0]["rung"] != rep.FinalBackend {
+		t.Fatalf("log lines %v, want one line with rung %q", lines, rep.FinalBackend)
+	}
+
+	w = do(s, nil, "POST", "/v1/solve", req)
+	if w.Code != http.StatusOK {
+		t.Fatalf("follow-up solve: status %d, body %s", w.Code, w.Body)
+	}
+	next := decodeBody[SolveResponse](t, w)
+	if next.Pattern != resp.Pattern {
+		t.Fatalf("pattern changed: %q vs %q", next.Pattern, resp.Pattern)
+	}
+	if next.Report == nil || next.Report.Recovered || len(next.Report.Attempts) != 1 {
+		t.Fatalf("follow-up report %+v, want one clean attempt", next.Report)
+	}
+	if got, want := next.Report.Attempts[0], rep.Attempts[0]; got.Backend != want.Backend || got.KKTReg != want.KKTReg {
+		t.Fatalf("follow-up attempt %+v, want the caller's options (%s, KKTReg %v)", got, want.Backend, want.KKTReg)
 	}
 }
 
@@ -324,7 +376,7 @@ func TestDebugVars(t *testing.T) {
 		t.Fatalf("vars %d", w.Code)
 	}
 	vars := decodeBody[map[string]json.RawMessage](t, w)
-	for _, key := range []string{"requests", "queue", "latencyMs", "cache", "breaker", "ready", "uptimeSec"} {
+	for _, key := range []string{"requests", "queue", "latencyMs", "cache", "ready", "uptimeSec"} {
 		if _, ok := vars[key]; !ok {
 			t.Fatalf("vars missing %q: %s", key, w.Body)
 		}
@@ -371,7 +423,7 @@ func TestDeadlineResolution(t *testing.T) {
 
 // TestStructureHashMatchesServerKey pins that the HTTP pattern field is the
 // hex rendering of taskgraph's structure hash, so clients can precompute
-// which requests will share serving state.
+// which requests share a topology.
 func TestStructureHashMatchesServerKey(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
 	raw := testConfigJSON(t, 4)

@@ -7,14 +7,14 @@ package taskgraph
 // minima, latency bounds) — and nothing that only scales the program's
 // numeric values (WCETs, periods, replenishments, weights, memory sizes,
 // granularity). Configurations that differ only in those numbers hash
-// identically, which is exactly the serving fast path: requests for a
-// shared app template with tuned parameters all land on one pattern key
-// and share symbolic analysis, pooled workspaces, and breaker state.
+// identically: requests for a shared app template with tuned parameters
+// all carry one pattern label in bbserve's responses and request logs.
 //
-// The hash is advisory. The solver-level socp.PatternCache verifies
-// sparsity patterns entry for entry on every lookup, so a collision (or a
-// structural detail this digest abstracts away) can never corrupt a
-// result — it only groups serving statistics more coarsely.
+// The hash is advisory: it keys no state. The solver-level
+// socp.PatternCache verifies sparsity patterns entry for entry on every
+// lookup, so a collision (or a structural detail this digest abstracts
+// away) can never corrupt a result — it only groups requests more
+// coarsely.
 func (c *Config) StructureHash() uint64 {
 	h := newStructHasher()
 	h.str('P', "")

@@ -5,11 +5,13 @@
 # cares about:
 #   1. /healthz and /readyz answer;
 #   2. POST /v1/solve on a chain-100 instance returns 200 with an optimal
-#      mapping and a pattern hash;
+#      mapping, a pattern hash and a ladder report of exactly one attempt,
+#      and carries no breaker field;
 #   3. a deliberately impossible deadline (deadline_ms=1) returns a
 #      structured 504 with code "deadline";
 #   4. POST /v1/sweep returns every requested point;
-#   5. SIGTERM drains gracefully: /readyz flips to 503 and the process
+#   5. /debug/vars counts the requests and has no breaker block;
+#   6. SIGTERM drains gracefully: /readyz flips to 503 and the process
 #      exits 0.
 #
 # Requires: curl, jq. Run from the repository root:
@@ -51,6 +53,9 @@ curl -fsS -X POST --data-binary @"$workdir/solve.json" "http://$ADDR/v1/solve" >
 jq -e '.status == "optimal"' "$workdir/solve_out.json" >/dev/null || fail "solve not optimal: $(cat "$workdir/solve_out.json")"
 jq -e '.mapping.budgets | length == 100' "$workdir/solve_out.json" >/dev/null || fail "mapping has wrong task count"
 jq -e '.pattern | length == 16' "$workdir/solve_out.json" >/dev/null || fail "missing pattern hash"
+jq -e '.report.recovered == false and (.report.attempts | length == 1)' "$workdir/solve_out.json" >/dev/null \
+    || fail "want a one-attempt ladder report: $(jq -c .report "$workdir/solve_out.json")"
+jq -e 'has("breaker") | not' "$workdir/solve_out.json" >/dev/null || fail "solve reply still has a breaker field"
 
 echo "== impossible deadline is a structured 504"
 jq -n --slurpfile cfg "$workdir/chain100.json" '{config: $cfg[0], deadline_ms: 1}' >"$workdir/late.json"
@@ -67,8 +72,10 @@ jq -e '.completed == 2 and (.points | length == 2)' "$workdir/sweep_out.json" >/
     || fail "sweep body: $(cat "$workdir/sweep_out.json")"
 
 echo "== counters"
-curl -fsS "http://$ADDR/debug/vars" | jq -e '.requests.accepted >= 3 and .cache.misses >= 1' >/dev/null \
-    || fail "debug vars"
+curl -fsS "http://$ADDR/debug/vars" >"$workdir/vars.json" || fail "debug vars request"
+jq -e '.requests.accepted >= 3 and .cache.misses >= 1' "$workdir/vars.json" >/dev/null \
+    || fail "debug vars: $(cat "$workdir/vars.json")"
+jq -e 'has("breaker") | not' "$workdir/vars.json" >/dev/null || fail "debug vars still has a breaker block"
 
 echo "== graceful drain on SIGTERM"
 kill -TERM "$SERVE_PID"
