@@ -241,47 +241,3 @@ func (w *Scaling) ApplyInvSOC(bi int, dst, x linalg.Vector) {
 	}
 	applyP(blk.vinv, 1/blk.detV, dst, x)
 }
-
-// ScaleRows overwrites each column slice of the m×n matrix g (given as the
-// raw row-major data) with W⁻¹ applied to it; i.e. it replaces G by W⁻¹G.
-// This is the building block for the IPM normal equations
-// H = Gᵀ W⁻² G = (W⁻¹G)ᵀ (W⁻¹G).
-func (w *Scaling) ScaleRows(g *linalg.Matrix) {
-	if g.Rows != w.dims.Dim() {
-		panic("cone: ScaleRows row count does not match cone dimension")
-	}
-	n := g.Cols
-	// Orthant rows: scale row i by 1/d_i.
-	for i := 0; i < w.dims.NonNeg; i++ {
-		inv := 1 / w.d[i]
-		row := g.Data[i*n : (i+1)*n]
-		for j := range row {
-			row[j] *= inv
-		}
-	}
-	off := w.dims.NonNeg
-	col := make(linalg.Vector, 0, 16)
-	out := make(linalg.Vector, 0, 16)
-	for bi, q := range w.dims.SOC {
-		blk := w.blocks[bi]
-		col = col[:0]
-		out = out[:0]
-		if cap(col) < q {
-			col = make(linalg.Vector, q)
-			out = make(linalg.Vector, q)
-		} else {
-			col = col[:q]
-			out = out[:q]
-		}
-		for j := 0; j < n; j++ {
-			for r := 0; r < q; r++ {
-				col[r] = g.Data[(off+r)*n+j]
-			}
-			applyP(blk.vinv, 1/blk.detV, out, col)
-			for r := 0; r < q; r++ {
-				g.Data[(off+r)*n+j] = out[r]
-			}
-		}
-		off += q
-	}
-}

@@ -139,43 +139,6 @@ func TestScalingRejectsBoundary(t *testing.T) {
 	}
 }
 
-// TestScaleRowsMatchesApplyInv verifies that ScaleRows(G) multiplies every
-// column by W⁻¹.
-func TestScaleRowsMatchesApplyInv(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	for _, d := range testDims() {
-		s := randInterior(rng, d)
-		z := randInterior(rng, d)
-		w, err := NewScaling(d, s, z)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, n := d.Dim(), 4
-		g := linalg.NewMatrix(m, n)
-		for i := range g.Data {
-			g.Data[i] = rng.NormFloat64()
-		}
-		want := linalg.NewMatrix(m, n)
-		col := linalg.NewVector(m)
-		out := linalg.NewVector(m)
-		for j := 0; j < n; j++ {
-			for i := 0; i < m; i++ {
-				col[i] = g.At(i, j)
-			}
-			w.ApplyInv(out, col)
-			for i := 0; i < m; i++ {
-				want.Set(i, j, out[i])
-			}
-		}
-		w.ScaleRows(g)
-		for k := range g.Data {
-			if !almostEqual(g.Data[k], want.Data[k], 1e-9) {
-				t.Fatalf("%+v: ScaleRows mismatch at %d: %v vs %v", d, k, g.Data[k], want.Data[k])
-			}
-		}
-	}
-}
-
 // TestScalingCentralPoint: when s = z, W must be the identity map.
 func TestScalingCentralPoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))

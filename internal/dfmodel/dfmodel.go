@@ -13,6 +13,13 @@
 // then by temporal monotonicity the real task graph meets its throughput
 // constraint — this is what makes the package the independent verifier for
 // every mapping the optimizer produces.
+//
+// Multi-rate task graphs (buffers with production or consumption rates other
+// than 1) are expanded into the same kind of SRDF graph: Repetitions solves
+// the balance equations for the number of firings q(w) of each task per
+// iteration, each task becomes q(w) two-actor copies fired in turn, and
+// ExpandBuffer turns each buffer into the data and space dependencies
+// between the copies.
 package dfmodel
 
 import (

@@ -2,33 +2,84 @@ package dfmodel
 
 import (
 	"fmt"
+	"math/big"
 	"sort"
 
-	"repro/internal/sdf"
 	"repro/internal/srdf"
 	"repro/internal/taskgraph"
 )
 
 // Repetitions computes the repetition vector of a (possibly multi-rate) task
-// graph: how many times each task fires per graph iteration. Single-rate
-// graphs return all ones.
+// graph: how many times each task fires per graph iteration. It solves the
+// balance equations q(from)·prod = q(to)·cons of every buffer and returns
+// the smallest positive integer solution of each weakly connected component
+// (Lee & Messerschmitt, 1987). Single-rate graphs return all ones. Rates
+// that do not admit a solution are sample-rate inconsistent (tokens would
+// pile up without bound) and return an error, as does a buffer naming a task
+// the graph does not have.
 func Repetitions(tg *taskgraph.TaskGraph) (map[string]int, error) {
-	g := sdf.NewGraph()
-	ids := map[string]sdf.ActorID{}
+	n := len(tg.Tasks)
+	ids := make(map[string]int, n)
 	for i := range tg.Tasks {
-		ids[tg.Tasks[i].Name] = g.AddActor(tg.Tasks[i].Name, 1)
+		ids[tg.Tasks[i].Name] = i
 	}
+	// adj[a] lists (b, r) with q(b) = q(a)·r, one per buffer end at a.
+	type arc struct {
+		to   int
+		rate *big.Rat
+	}
+	adj := make([][]arc, n)
 	for i := range tg.Buffers {
 		b := &tg.Buffers[i]
-		g.AddEdge(b.Name, ids[b.From], ids[b.To], b.EffectiveProd(), b.EffectiveCons(), b.InitialTokens)
+		from, okFrom := ids[b.From]
+		to, okTo := ids[b.To]
+		if !okFrom || !okTo {
+			return nil, fmt.Errorf("dfmodel: graph %s: buffer %q has an unknown endpoint", tg.Name, b.Name)
+		}
+		p, c := int64(b.EffectiveProd()), int64(b.EffectiveCons())
+		adj[from] = append(adj[from], arc{to, big.NewRat(p, c)})
+		adj[to] = append(adj[to], arc{from, big.NewRat(c, p)})
 	}
-	q, err := g.RepetitionVector()
-	if err != nil {
-		return nil, fmt.Errorf("dfmodel: graph %s: %w", tg.Name, err)
-	}
-	out := map[string]int{}
-	for name, id := range ids {
-		out[name] = q[id]
+	ratio := make([]*big.Rat, n) // q(a) relative to its component's first task
+	out := make(map[string]int, n)
+	for root := range ratio {
+		if ratio[root] != nil {
+			continue
+		}
+		ratio[root] = big.NewRat(1, 1)
+		comp := []int{root}
+		for k := 0; k < len(comp); k++ {
+			a := comp[k]
+			for _, e := range adj[a] {
+				want := new(big.Rat).Mul(ratio[a], e.rate)
+				if ratio[e.to] == nil {
+					ratio[e.to] = want
+					comp = append(comp, e.to)
+				} else if ratio[e.to].Cmp(want) != 0 {
+					return nil, fmt.Errorf("dfmodel: graph %s: buffer rates are sample-rate inconsistent", tg.Name)
+				}
+			}
+		}
+		// The smallest integer solution: scale by the lcm of the
+		// denominators, then divide by the gcd of the numerators.
+		den := big.NewInt(1)
+		for _, a := range comp {
+			d := ratio[a].Denom()
+			den.Mul(den, new(big.Int).Quo(d, new(big.Int).GCD(nil, nil, den, d)))
+		}
+		scaled := make([]*big.Int, len(comp))
+		g := new(big.Int)
+		for k, a := range comp {
+			scaled[k] = new(big.Int).Mul(ratio[a].Num(), new(big.Int).Quo(den, ratio[a].Denom()))
+			g.GCD(nil, nil, g, scaled[k])
+		}
+		for k, a := range comp {
+			v := scaled[k].Quo(scaled[k], g)
+			if !v.IsInt64() {
+				return nil, fmt.Errorf("dfmodel: graph %s: repetition count of task %q overflows", tg.Name, tg.Tasks[a].Name)
+			}
+			out[tg.Tasks[a].Name] = int(v.Int64())
+		}
 	}
 	return out, nil
 }

@@ -1,6 +1,8 @@
 package dfmodel
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/taskgraph"
@@ -50,6 +52,9 @@ func TestRepetitionsMultiRate(t *testing.T) {
 	}
 }
 
+// TestRepetitionsInconsistent: two buffers joining the same tasks at
+// different rates have no positive solution; a buffer naming a task the
+// graph does not have is an error too.
 func TestRepetitionsInconsistent(t *testing.T) {
 	c := mrConfig()
 	// Add a second buffer with contradictory rates.
@@ -59,6 +64,185 @@ func TestRepetitionsInconsistent(t *testing.T) {
 	if _, err := Repetitions(c.Graphs[0]); err == nil {
 		t.Fatal("inconsistent rates accepted")
 	}
+	g := rateGraph([]string{"a", "b"}, [4]int{0, 1, 1, 1})
+	g.Buffers[0].To = "missing"
+	if _, err := Repetitions(g); err == nil || !strings.Contains(err.Error(), "unknown endpoint") {
+		t.Fatalf("err = %v, want an unknown endpoint", err)
+	}
+}
+
+// TestInconsistentDetected: rates whose balance equations force a firing
+// count to equal a multiple of itself are named a sample-rate
+// inconsistency, for parallel buffers and for a longer cycle alike.
+func TestInconsistentDetected(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tg   *taskgraph.TaskGraph
+	}{
+		// a→b at (1,1) and at (2,1): q(b) = q(a) and q(b) = 2q(a).
+		{"parallel", rateGraph([]string{"a", "b"}, [4]int{0, 1, 1, 1}, [4]int{0, 1, 2, 1})},
+		// a→b halves the firing count and b→c, c→a keep it: q(a) = q(a)/2.
+		{"cycle", rateGraph([]string{"a", "b", "c"}, [4]int{0, 1, 1, 2}, [4]int{1, 2, 1, 1}, [4]int{2, 0, 1, 1})},
+	} {
+		if _, err := Repetitions(tc.tg); err == nil || !strings.Contains(err.Error(), "inconsistent") {
+			t.Fatalf("%s: err = %v, want a sample-rate inconsistency", tc.name, err)
+		}
+	}
+}
+
+// rateGraph is a task graph with the given tasks and buffers, each buffer
+// written as {from, to, prod, cons}; only the rates matter to Repetitions.
+func rateGraph(tasks []string, bufs ...[4]int) *taskgraph.TaskGraph {
+	tg := &taskgraph.TaskGraph{Name: "g"}
+	for _, name := range tasks {
+		tg.Tasks = append(tg.Tasks, taskgraph.Task{Name: name})
+	}
+	for i, b := range bufs {
+		tg.Buffers = append(tg.Buffers, taskgraph.Buffer{
+			Name: fmt.Sprintf("b%d", i), From: tasks[b[0]], To: tasks[b[1]], Prod: b[2], Cons: b[3],
+		})
+	}
+	return tg
+}
+
+// checkRepetitions solves the balance equations of tg and compares the
+// result with want, which names every task.
+func checkRepetitions(t *testing.T, tg *taskgraph.TaskGraph, want map[string]int) {
+	t.Helper()
+	got, err := Repetitions(tg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("reps = %v, want %v", got, want)
+	}
+	for name, q := range want {
+		if got[name] != q {
+			t.Fatalf("reps = %v, want %v", got, want)
+		}
+	}
+}
+
+// TestRepetitionVectorClassic: in a --(2,3)--> b, 3 firings of a fill what
+// 2 of b drain.
+func TestRepetitionVectorClassic(t *testing.T) {
+	checkRepetitions(t, rateGraph([]string{"a", "b"}, [4]int{0, 1, 2, 3}),
+		map[string]int{"a": 3, "b": 2})
+}
+
+// TestRepetitionVectorChain: in a --(1,2)--> b --(3,1)--> c,
+// q(b) = q(a)/2 and q(c) = 3q(b).
+func TestRepetitionVectorChain(t *testing.T) {
+	checkRepetitions(t, rateGraph([]string{"a", "b", "c"}, [4]int{0, 1, 1, 2}, [4]int{1, 2, 3, 1}),
+		map[string]int{"a": 2, "b": 1, "c": 3})
+}
+
+// TestRepetitionVectorComponents: each weakly connected component is
+// scaled to its own smallest vector; a--(2,4)-->b, the self-loop on c and
+// the lone task d are three components.
+func TestRepetitionVectorComponents(t *testing.T) {
+	checkRepetitions(t, rateGraph([]string{"a", "b", "c", "d"}, [4]int{0, 1, 2, 4}, [4]int{2, 2, 1, 1}),
+		map[string]int{"a": 2, "b": 1, "c": 1, "d": 1})
+}
+
+// TestRepetitionsNonPositiveRates: a rate of 0 or below is the single-rate
+// default of 1.
+func TestRepetitionsNonPositiveRates(t *testing.T) {
+	checkRepetitions(t, rateGraph([]string{"a", "b", "c"}, [4]int{0, 1, 0, -1}, [4]int{1, 2, -3, 2}),
+		map[string]int{"a": 2, "b": 2, "c": 1})
+}
+
+// FuzzRepetitions checks Repetitions on graphs of up to 8 tasks. Each input
+// byte after the first gives a buffer whose endpoints come from the byte
+// and whose rates keep the random firing counts q balanced; a nonzero low
+// bit instead draws the rates at random. Whatever Repetitions returns
+// without error must satisfy every balance equation with counts of gcd 1
+// per component. A graph built balanced must succeed, and one more buffer
+// that contradicts q between two tasks of one component must fail.
+func FuzzRepetitions(f *testing.F) {
+	f.Add([]byte{3, 0x10, 0x24, 0x51})
+	f.Add([]byte{8, 0x00, 0xff, 0x3a, 0x3b, 0x77})
+	f.Add([]byte{1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 || len(data) > 64 {
+			return
+		}
+		n := 1 + int(data[0])%8
+		names := make([]string, n)
+		q := make([]int, n) // the firing counts balanced buffers follow
+		for i := range names {
+			names[i] = fmt.Sprintf("t%d", i)
+			q[i] = 1 + (int(data[0])>>3+7*i)%5
+		}
+		var bufs [][4]int
+		balanced := true
+		for k, d := range data[1:] {
+			from, to := int(d>>1)%n, int(d>>4)%n
+			p, c := q[to], q[from]
+			if d&1 == 1 {
+				balanced = false
+				p, c = 1+int(d>>2)%4, 1+(int(d)+k)%3
+			}
+			bufs = append(bufs, [4]int{from, to, p, c})
+		}
+		tg := rateGraph(names, bufs...)
+		reps, err := Repetitions(tg)
+		if err != nil {
+			if balanced {
+				t.Fatalf("balanced graph rejected: %v", err)
+			}
+			return
+		}
+		for _, b := range tg.Buffers {
+			if reps[b.From]*b.EffectiveProd() != reps[b.To]*b.EffectiveCons() {
+				t.Fatalf("buffer %s: q(%s)=%d · %d ≠ q(%s)=%d · %d",
+					b.Name, b.From, reps[b.From], b.EffectiveProd(), b.To, reps[b.To], b.EffectiveCons())
+			}
+		}
+		comp := make([]int, n) // union-find over the buffers
+		for i := range comp {
+			comp[i] = i
+		}
+		var find func(int) int
+		find = func(i int) int {
+			if comp[i] != i {
+				comp[i] = find(comp[i])
+			}
+			return comp[i]
+		}
+		for _, b := range bufs {
+			comp[find(b[0])] = find(b[1])
+		}
+		gcd := map[int]int{}
+		for i, name := range names {
+			if reps[name] < 1 {
+				t.Fatalf("q(%s) = %d", name, reps[name])
+			}
+			r := find(i)
+			g, v := gcd[r], reps[name]
+			for v != 0 {
+				g, v = v, g%v
+			}
+			gcd[r] = g
+		}
+		for r, g := range gcd {
+			if g != 1 {
+				t.Fatalf("component of %s has gcd %d: %v", names[r], g, reps)
+			}
+		}
+		// Close an inconsistent cycle: a buffer u→v with q(u)·p ≠ q(v)·c.
+		u, v := 0, 0
+		if len(bufs) > 0 {
+			u, v = bufs[0][0], bufs[0][1]
+		}
+		tg.Buffers = append(tg.Buffers, taskgraph.Buffer{
+			Name: "contra", From: names[u], To: names[v], Prod: reps[names[v]], Cons: reps[names[u]] + 1,
+		})
+		if _, err := Repetitions(tg); err == nil {
+			t.Fatalf("inconsistent buffer %s→%s (%d, %d) accepted with q = %v",
+				names[u], names[v], reps[names[v]], reps[names[u]]+1, reps)
+		}
+	})
 }
 
 func TestBuildGraphMultiRateStructure(t *testing.T) {

@@ -11,9 +11,7 @@
 //     //bbvet:hotpath functions.
 //   - Deterministic. A rule fires on exact hit numbers of its site
 //     (After/Count), and each site keeps its own counter, so which hits fire
-//     does not depend on goroutine interleaving across sites. Probabilistic
-//     rules derive their decision from a splitmix64 hash of (seed, site,
-//     hit index) — a pure function, reproducible across runs and platforms.
+//     does not depend on goroutine interleaving across sites.
 //   - Test-only. Nothing in this package is wired to flags or environment
 //     variables; the only way to activate a plan is the Activate call, which
 //     only test code makes.
@@ -78,7 +76,7 @@ type Kind int
 const (
 	// KindError makes Hit return an injected error.
 	KindError Kind = iota
-	// KindNaN makes CorruptNaN overwrite the site's float data with NaN.
+	// KindNaN makes HitData overwrite the site's float data with NaN.
 	KindNaN
 	// KindPanic makes Hit panic (for exercising panic isolation).
 	KindPanic
@@ -109,20 +107,12 @@ var ErrInjected = errors.New("injected fault")
 
 // Rule arms one fault site. The zero Count means "fire on every matching
 // hit"; After skips the first After hits of the site (hit numbering is
-// per-site, starting at 0). When Prob is in (0,1) the rule additionally
-// fires only on hits selected by the seeded per-site hash — still
-// deterministic for a fixed Seed.
+// per-site, starting at 0).
 type Rule struct {
 	Site  string
 	Kind  Kind
 	After int // skip the first After hits of this site
 	Count int // fire at most Count times; 0 = unlimited
-
-	// Prob, when in (0,1), gates each eligible hit on a pure hash of
-	// (Seed, Site, hit index). Outside (0,1) the rule fires on every
-	// eligible hit.
-	Prob float64
-	Seed uint64
 
 	// Gate is required for KindStall: the stalled call blocks until Gate is
 	// closed. Closing the gate is the test's way of releasing the victim.
@@ -137,7 +127,6 @@ type rule struct {
 	Rule
 	fired       atomic.Int64
 	stalledOnce sync.Once
-	siteHash    uint64
 }
 
 // plan is the active rule set plus the per-site hit counters.
@@ -166,7 +155,7 @@ func Activate(rules ...Rule) (deactivate func()) {
 		if r.Kind == KindStall && r.Gate == nil {
 			panic("faultinject: KindStall rule needs a Gate channel")
 		}
-		p.rules = append(p.rules, &rule{Rule: r, siteHash: splitmix64(hashString(r.Site))})
+		p.rules = append(p.rules, &rule{Rule: r})
 	}
 	active.Store(p)
 	return func() { active.CompareAndSwap(p, nil) }
@@ -192,9 +181,6 @@ func match(site string) *rule {
 		if r.Count > 0 && int(r.fired.Load()) >= r.Count {
 			continue
 		}
-		if r.Prob > 0 && r.Prob < 1 && !seededFire(r, hit) {
-			continue
-		}
 		r.fired.Add(1)
 		winner = r
 		break
@@ -213,9 +199,8 @@ func Hit(site string) error {
 
 // HitData consumes one hit of the site and applies the matched rule of any
 // kind against the site's float data: KindNaN overwrites v with NaN, the
-// other kinds behave as in Hit. A site that can both fail and corrupt must
-// use this single call — splitting it into Hit plus CorruptNaN would burn
-// two hit numbers (and a Count budget) per visit.
+// other kinds behave as in Hit. It is the one entry point of every site that
+// corrupts data; one call per visit spends one hit number.
 func HitData(site string, v []float64) error {
 	return apply(match(site), site, v)
 }
@@ -241,46 +226,4 @@ func apply(r *rule, site string, v []float64) error {
 		}
 	}
 	return nil
-}
-
-// CorruptNaN consumes one hit of the site and, when a KindNaN rule fires,
-// overwrites every element of v with NaN, returning true. Rules of other
-// kinds do not match data corruption sites.
-func CorruptNaN(site string, v []float64) bool {
-	r := match(site)
-	if r == nil || r.Kind != KindNaN {
-		return false
-	}
-	for i := range v {
-		v[i] = math.NaN()
-	}
-	return true
-}
-
-// seededFire decides a probabilistic rule's hit deterministically: a pure
-// hash of (seed, site, hit) mapped to [0,1) and compared against Prob.
-func seededFire(r *rule, hit int) bool {
-	x := splitmix64(r.Seed ^ r.siteHash ^ splitmix64(uint64(hit)+0x9e3779b97f4a7c15))
-	// Take the top 53 bits for an unbiased float in [0,1).
-	return float64(x>>11)/float64(1<<53) < r.Prob
-}
-
-// splitmix64 is the finalizer of the SplitMix64 generator — a fast, well
-// mixed, platform-independent hash step.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// hashString is FNV-1a, inlined to keep this package dependency-free.
-func hashString(s string) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
-	}
-	return h
 }

@@ -2,7 +2,6 @@ package linalg
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -18,24 +17,6 @@ func NewMatrix(rows, cols int) *Matrix {
 		panic("linalg: negative matrix dimension")
 	}
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
-}
-
-// NewMatrixFromRows builds a matrix from row slices, which must all have the
-// same length.
-func NewMatrixFromRows(rows [][]float64) *Matrix {
-	r := len(rows)
-	c := 0
-	if r > 0 {
-		c = len(rows[0])
-	}
-	m := NewMatrix(r, c)
-	for i, row := range rows {
-		if len(row) != c {
-			panic("linalg: ragged rows")
-		}
-		copy(m.Data[i*c:(i+1)*c], row)
-	}
-	return m
 }
 
 // Identity returns the n×n identity matrix.
@@ -56,9 +37,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Add adds v to A[i][j].
 func (m *Matrix) Add(i, j int, v float64) { m.Data[i*m.Cols+j] += v }
 
-// Row returns a view of row i (shared storage).
-func (m *Matrix) Row(i int) Vector { return Vector(m.Data[i*m.Cols : (i+1)*m.Cols]) }
-
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.Rows, m.Cols)
@@ -71,17 +49,6 @@ func (m *Matrix) Zero() {
 	for i := range m.Data {
 		m.Data[i] = 0
 	}
-}
-
-// T returns the transpose of m as a new matrix.
-func (m *Matrix) T() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Data[j*t.Cols+i] = m.Data[i*m.Cols+j]
-		}
-	}
-	return t
 }
 
 // MulVec computes dst = A x. dst must have length A.Rows and x length A.Cols.
@@ -99,30 +66,6 @@ func (m *Matrix) MulVec(dst, x Vector) {
 	}
 }
 
-// MulVecAdd computes dst += alpha * A x.
-func (m *Matrix) MulVecAdd(dst Vector, alpha float64, x Vector) {
-	if len(dst) != m.Rows || len(x) != m.Cols {
-		panic("linalg: MulVecAdd dimension mismatch")
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		var s float64
-		for j, a := range row {
-			s += a * x[j]
-		}
-		dst[i] += alpha * s
-	}
-}
-
-// MulVecT computes dst = Aᵀ x. dst must have length A.Cols and x length A.Rows.
-func (m *Matrix) MulVecT(dst, x Vector) {
-	if len(dst) != m.Cols || len(x) != m.Rows {
-		panic("linalg: MulVecT dimension mismatch")
-	}
-	dst.Zero()
-	m.MulVecTAdd(dst, 1, x)
-}
-
 // MulVecTAdd computes dst += alpha * Aᵀ x.
 func (m *Matrix) MulVecTAdd(dst Vector, alpha float64, x Vector) {
 	if len(dst) != m.Cols || len(x) != m.Rows {
@@ -136,57 +79,6 @@ func (m *Matrix) MulVecTAdd(dst Vector, alpha float64, x Vector) {
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		for j, a := range row {
 			dst[j] += xi * a
-		}
-	}
-}
-
-// Mul returns A·B as a new matrix.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.Cols != b.Rows {
-		panic(fmt.Sprintf("linalg: Mul dims %dx%d · %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	c := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		arow := m.Data[i*m.Cols : (i+1)*m.Cols]
-		crow := c.Data[i*c.Cols : (i+1)*c.Cols]
-		for k, aik := range arow {
-			if aik == 0 {
-				continue
-			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bkj := range brow {
-				crow[j] += aik * bkj
-			}
-		}
-	}
-	return c
-}
-
-// AtAInto computes dst = AᵀA (dst must be Cols×Cols). Only the full symmetric
-// matrix is written.
-func (m *Matrix) AtAInto(dst *Matrix) {
-	n := m.Cols
-	if dst.Rows != n || dst.Cols != n {
-		panic("linalg: AtAInto dimension mismatch")
-	}
-	dst.Zero()
-	for k := 0; k < m.Rows; k++ {
-		row := m.Data[k*m.Cols : (k+1)*m.Cols]
-		for i := 0; i < n; i++ {
-			ri := row[i]
-			if ri == 0 {
-				continue
-			}
-			drow := dst.Data[i*n : (i+1)*n]
-			for j := i; j < n; j++ {
-				drow[j] += ri * row[j]
-			}
-		}
-	}
-	// Mirror the upper triangle.
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			dst.Data[j*n+i] = dst.Data[i*n+j]
 		}
 	}
 }
@@ -207,14 +99,4 @@ func (m *Matrix) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// IsFinite reports whether all entries are finite.
-func (m *Matrix) IsFinite() bool {
-	for _, v := range m.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
 }

@@ -1,7 +1,6 @@
 package linalg
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -23,9 +22,6 @@ func TestMatrixAtSet(t *testing.T) {
 	m.Add(1, 2, 2)
 	if m.At(1, 2) != 7 {
 		t.Fatalf("Add: At(1,2) = %v", m.At(1, 2))
-	}
-	if got := len(m.Row(1)); got != 3 {
-		t.Fatalf("Row length = %d", got)
 	}
 	m.Zero()
 	if m.NormInf() != 0 {
@@ -106,7 +102,7 @@ func TestMulVecTMatchesTransposeMul(t *testing.T) {
 			x[i] = rng.NormFloat64()
 		}
 		y1 := NewVector(c)
-		a.MulVecT(y1, x)
+		a.MulVecTAdd(y1, 1, x)
 		y2 := NewVector(c)
 		a.T().MulVec(y2, x)
 		for i := range y1 {
@@ -119,11 +115,6 @@ func TestMulVecTMatchesTransposeMul(t *testing.T) {
 
 func TestMulVecAddAccumulates(t *testing.T) {
 	a := NewMatrixFromRows([][]float64{{1, 0}, {0, 1}})
-	dst := Vector{10, 20}
-	a.MulVecAdd(dst, 2, Vector{1, 1})
-	if dst[0] != 12 || dst[1] != 22 {
-		t.Fatalf("MulVecAdd: got %v", dst)
-	}
 	dstT := Vector{1, 1}
 	a.MulVecTAdd(dstT, -1, Vector{1, 1})
 	if dstT[0] != 0 || dstT[1] != 0 {
@@ -161,21 +152,6 @@ func TestMatrixCloneIndependent(t *testing.T) {
 	b.Set(0, 0, 9)
 	if a.At(0, 0) != 1 {
 		t.Fatal("Clone shares storage")
-	}
-}
-
-func TestIsFinite(t *testing.T) {
-	a := Identity(2)
-	if !a.IsFinite() {
-		t.Fatal("identity should be finite")
-	}
-	a.Set(0, 1, math.NaN())
-	if a.IsFinite() {
-		t.Fatal("NaN not detected")
-	}
-	a.Set(0, 1, math.Inf(1))
-	if a.IsFinite() {
-		t.Fatal("Inf not detected")
 	}
 }
 

@@ -107,17 +107,6 @@ func (s *SparseMatrix) NormInf() float64 {
 	return m
 }
 
-// ToDense expands the matrix into dense row-major form.
-func (s *SparseMatrix) ToDense() *Matrix {
-	m := NewMatrix(s.Rows, s.Cols)
-	for i := 0; i < s.Rows; i++ {
-		for k := s.RowPtr[i]; k < s.RowPtr[i+1]; k++ {
-			m.Data[i*s.Cols+s.ColIdx[k]] = s.Val[k]
-		}
-	}
-	return m
-}
-
 // Clone returns a deep copy of s.
 func (s *SparseMatrix) Clone() *SparseMatrix {
 	c := &SparseMatrix{
@@ -130,13 +119,6 @@ func (s *SparseMatrix) Clone() *SparseMatrix {
 	copy(c.ColIdx, s.ColIdx)
 	copy(c.Val, s.Val)
 	return c
-}
-
-// ScaleRow multiplies every stored entry of row i by a.
-func (s *SparseMatrix) ScaleRow(i int, a float64) {
-	for k := s.RowPtr[i]; k < s.RowPtr[i+1]; k++ {
-		s.Val[k] *= a
-	}
 }
 
 // MulVec computes dst = A x.

@@ -106,7 +106,7 @@ func TestSparseMulVecMatchesDense(t *testing.T) {
 		d.MulVec(wantR, x)
 		gotC, wantC := NewVector(cols), NewVector(cols)
 		s.MulVecT(gotC, y)
-		d.MulVecT(wantC, y)
+		d.MulVecTAdd(wantC, 1, y)
 		for i := range gotR {
 			if math.Abs(gotR[i]-wantR[i]) > 1e-12 {
 				t.Fatalf("trial %d: MulVec[%d] = %v, want %v", trial, i, gotR[i], wantR[i])
@@ -119,7 +119,9 @@ func TestSparseMulVecMatchesDense(t *testing.T) {
 		}
 
 		s.MulVecAdd(gotR, 0.5, x)
-		d.MulVecAdd(wantR, 0.5, x)
+		ax := NewVector(rows)
+		d.MulVec(ax, x)
+		wantR.AddScaled(0.5, ax)
 		s.MulVecTAdd(gotC, -2, y)
 		d.MulVecTAdd(wantC, -2, y)
 		for i := range gotR {
@@ -207,10 +209,6 @@ func TestSparseFromPattern(t *testing.T) {
 	c.Val[0] = 99
 	if s.Val[0] == 99 {
 		t.Fatal("Clone shares value storage")
-	}
-	c.ScaleRow(2, 2)
-	if c.At(2, 1) != 6 || s.At(2, 1) != 3 {
-		t.Fatalf("ScaleRow wrong: %v vs %v", c.At(2, 1), s.At(2, 1))
 	}
 
 	defer func() {

@@ -1,10 +1,15 @@
 package linalg
 
 import (
+	"errors"
 	"math"
 
 	"repro/internal/faultinject"
 )
+
+// ErrNotPositiveDefinite is returned when a factorization meets a
+// non-positive pivot even after the allowed regularization.
+var ErrNotPositiveDefinite = errors.New("linalg: matrix is not positive definite")
 
 // Factorize numerically refactorizes P (A + shift·I) Pᵀ = L D Lᵀ for a
 // matrix a carrying the analyzed pattern, reusing the symbolic structure and
@@ -12,8 +17,7 @@ import (
 // diagonal regularization (it is added on the fly, so no shifted copy of A
 // is needed). If a pivot still comes out non-positive and reg > 0, the
 // factorization retries with increasing extra shifts reg, 10·reg, … up to
-// 1e8·reg — the same escalation policy as the dense Cholesky — before
-// giving up with ErrNotPositiveDefinite.
+// 1e8·reg before giving up with ErrNotPositiveDefinite.
 //
 //bbvet:hotpath
 func (c *SparseCholesky) Factorize(a *SparseMatrix, shift, reg float64) error {

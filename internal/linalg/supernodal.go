@@ -102,50 +102,10 @@ func (s *SymbolicFactor) Supernodal() *SupernodalSymbolic {
 	return s.sn
 }
 
-// NumSupernodes returns the number of supernodes of the blocked layout.
-func (ss *SupernodalSymbolic) NumSupernodes() int { return ss.ns }
-
 // PanelStorage returns the total flat panel storage in float64s — the
 // blocked analogue of NNZL, including the explicit zeros amalgamation and
 // the rectangular panel shape introduce.
 func (ss *SupernodalSymbolic) PanelStorage() int { return ss.valPtr[ss.ns] }
-
-// IdealSpeedup returns the serial-to-parallel makespan ratio of the striped
-// update schedule under the given worker bound: each supernode is charged
-// its update flops spread over min(workers, stripes) stripe tasks plus its
-// serial diagonal-block factorization, and the panels are charged in
-// sequence. The ratio is a property of the symbolic structure alone — the
-// wall-clock speedup the stripe scheduler approaches on hardware with that
-// many otherwise-idle cores. Treating the panel chain as fully sequential
-// ignores inter-panel overlap, so on structures with real elimination-tree
-// parallelism the true bound is higher.
-func (ss *SupernodalSymbolic) IdealSpeedup(workers int) float64 {
-	if workers < 1 {
-		workers = 1
-	}
-	var total, span float64
-	for s := 0; s < ss.ns; s++ {
-		var uf float64
-		for u := ss.updPtr[s]; u < ss.updPtr[s+1]; u++ {
-			upd := ss.upds[u]
-			d := upd.d
-			wd := float64(ss.colPtr[d+1] - ss.colPtr[d])
-			nI := float64(upd.hi - upd.lo)
-			nK := float64(ss.rowPtr[d+1]) - float64(upd.lo)
-			uf += 2 * nI * nK * wd
-		}
-		w := float64(ss.colPtr[s+1] - ss.colPtr[s])
-		nr := float64(ss.rowPtr[s+1]) - float64(ss.rowPtr[s])
-		pf := nr * w * w
-		nst := ss.stripeCount(int32(s))
-		total += uf + pf
-		span += uf*float64((nst+workers-1)/workers)/float64(nst) + pf
-	}
-	if span == 0 {
-		return 1
-	}
-	return total / span
-}
 
 func newSupernodalSymbolic(sf *SymbolicFactor) *SupernodalSymbolic {
 	n := sf.n

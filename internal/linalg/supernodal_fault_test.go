@@ -15,7 +15,7 @@ func supernodalFaultFixture(t *testing.T) (*SparseMatrix, *SymbolicFactor) {
 	rng := rand.New(rand.NewSource(53))
 	_, as := randomSparseSPD(rng, 400, 0.01)
 	sym := Analyze(as, nil)
-	if ns := sym.Supernodal().NumSupernodes(); ns < minParallelSupernodes {
+	if ns := sym.Supernodal().ns; ns < minParallelSupernodes {
 		t.Fatalf("fixture too small: %d supernodes", ns)
 	}
 	return as, sym

@@ -209,7 +209,7 @@ func TestSupernodalParallelBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	_, as := randomSparseSPD(rng, 400, 0.01)
 	sym := Analyze(as, nil)
-	if ns := sym.Supernodal().NumSupernodes(); ns < minParallelSupernodes {
+	if ns := sym.Supernodal().ns; ns < minParallelSupernodes {
 		t.Fatalf("test matrix too small to exercise the parallel path: %d supernodes", ns)
 	}
 	ref := sym.NewSupernodal(1)

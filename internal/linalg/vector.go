@@ -42,13 +42,6 @@ func (v Vector) Zero() {
 	}
 }
 
-// Fill sets all entries of v to a.
-func (v Vector) Fill(a float64) {
-	for i := range v {
-		v[i] = a
-	}
-}
-
 // Scale multiplies every entry of v by a.
 func (v Vector) Scale(a float64) {
 	for i := range v {
@@ -124,31 +117,3 @@ func Sub(dst, x, y Vector) { Axpby(dst, 1, x, -1, y) }
 
 // Add sets dst = x + y.
 func Add(dst, x, y Vector) { Axpby(dst, 1, x, 1, y) }
-
-// MaxElem returns the maximum entry of v; it panics on an empty vector.
-func MaxElem(v Vector) float64 {
-	if len(v) == 0 {
-		panic("linalg: MaxElem of empty vector")
-	}
-	m := v[0]
-	for _, x := range v[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// MinElem returns the minimum entry of v; it panics on an empty vector.
-func MinElem(v Vector) float64 {
-	if len(v) == 0 {
-		panic("linalg: MinElem of empty vector")
-	}
-	m := v[0]
-	for _, x := range v[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}

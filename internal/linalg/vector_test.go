@@ -16,12 +16,7 @@ func TestVectorBasics(t *testing.T) {
 	if len(v) != 4 {
 		t.Fatalf("NewVector length = %d, want 4", len(v))
 	}
-	v.Fill(2)
-	for i, x := range v {
-		if x != 2 {
-			t.Fatalf("Fill: v[%d] = %v", i, x)
-		}
-	}
+	copy(v, Vector{2, 2, 2, 2})
 	v.Scale(0.5)
 	if v[3] != 1 {
 		t.Fatalf("Scale: v[3] = %v, want 1", v[3])
@@ -86,16 +81,6 @@ func TestAxpbyAndFriends(t *testing.T) {
 	x.AddScaled(3, y)
 	if x[0] != 13 {
 		t.Fatalf("AddScaled: got %v", x)
-	}
-}
-
-func TestMinMaxElem(t *testing.T) {
-	v := Vector{3, -1, 8, 0}
-	if MaxElem(v) != 8 {
-		t.Fatalf("MaxElem = %v", MaxElem(v))
-	}
-	if MinElem(v) != -1 {
-		t.Fatalf("MinElem = %v", MinElem(v))
 	}
 }
 

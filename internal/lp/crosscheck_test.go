@@ -64,7 +64,7 @@ func TestSimplexAgreesWithIPM(t *testing.T) {
 		g := linalg.NewMatrix(len(a), n)
 		h := linalg.NewVector(len(a))
 		for i, row := range a {
-			copy(g.Row(i), row)
+			copy(g.Data[i*n:(i+1)*n], row)
 			h[i] = b[i]
 		}
 		ip := &socp.Problem{

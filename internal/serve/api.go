@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/socp"
 	"repro/internal/taskgraph"
 )
 
@@ -161,7 +160,7 @@ func reportJSON(rep *core.SolveReport) *Report {
 			Iterations: a.Iterations,
 			Warm:       a.Warm,
 			KKTReg:     a.KKTReg,
-			DurationMS: float64(a.Duration.Milliseconds()),
+			DurationMS: durationMS(a.Duration),
 		}
 	}
 	return out
@@ -169,9 +168,6 @@ func reportJSON(rep *core.SolveReport) *Report {
 
 // statusString renders a core status for the wire.
 func statusString(s core.Status) string { return s.String() }
-
-// solverStatusString renders a solver status for the wire.
-func solverStatusString(s socp.Status) string { return s.String() }
 
 // patternString renders a structure hash for the wire.
 func patternString(h uint64) string { return fmt.Sprintf("%016x", h) }

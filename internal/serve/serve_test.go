@@ -100,6 +100,16 @@ func TestSolveOptimal(t *testing.T) {
 	if resp.Report == nil || len(resp.Report.Attempts) == 0 {
 		t.Fatal("missing ladder report")
 	}
+	for i, a := range resp.Report.Attempts {
+		if a.DurationMS <= 0 {
+			t.Fatalf("attempt %d reports durationMs %v, want > 0", i, a.DurationMS)
+		}
+	}
+	// durationMs is fractional: a sub-millisecond attempt is not rounded to 0.
+	rep := reportJSON(&core.SolveReport{Attempts: []core.SolveAttempt{{Duration: 250 * time.Microsecond}}})
+	if got := rep.Attempts[0].DurationMS; got != 0.25 {
+		t.Fatalf("a 250µs attempt reports durationMs %v, want 0.25", got)
+	}
 }
 
 // TestLadderRecoveryOverHTTP breaks exactly one sparse factorization: the

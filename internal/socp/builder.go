@@ -70,12 +70,6 @@ func (b *Builder) AddVar(name string) int {
 	return len(b.names) - 1
 }
 
-// NumVars returns the number of variables added so far.
-func (b *Builder) NumVars() int { return len(b.names) }
-
-// VarName returns the diagnostic name of variable v.
-func (b *Builder) VarName(v int) string { return b.names[v] }
-
 // SetObjective adds coef to the objective coefficient of variable v (the
 // objective is minimized).
 func (b *Builder) SetObjective(v int, coef float64) { b.obj[v] += coef }

@@ -15,21 +15,21 @@ import (
 // oracle: sparse assembly, dense factorization.
 type denseLDLT struct {
 	n     int
-	chol  *linalg.Cholesky
-	ldlt  *linalg.LDLT
+	chol  *denseChol
+	ldlt  *denseLDL
 	quasi bool // the last factorization was FactorizeQuasiDef
 }
 
 var _ linalg.SparseLDLT = (*denseLDLT)(nil)
 
 func newDenseLDLT(n int) *denseLDLT {
-	return &denseLDLT{n: n, chol: linalg.NewCholeskyWorkspace(n), ldlt: linalg.NewLDLTWorkspace(n)}
+	return &denseLDLT{n: n, chol: newDenseChol(n), ldlt: newDenseLDL(n)}
 }
 
 // Factorize factors a + shift·I with the dense Cholesky, which escalates an
 // extra shift from reg by powers of ten on breakdown.
 func (d *denseLDLT) Factorize(a *linalg.SparseMatrix, shift, reg float64) error {
-	m := a.ToDense()
+	m := toDense(a)
 	for i := 0; i < d.n; i++ {
 		m.Add(i, i, shift)
 	}
@@ -41,7 +41,7 @@ func (d *denseLDLT) Factorize(a *linalg.SparseMatrix, shift, reg float64) error 
 // at ±eps.
 func (d *denseLDLT) FactorizeQuasiDef(a *linalg.SparseMatrix, eps float64) error {
 	d.quasi = true
-	return d.ldlt.Factorize(a.ToDense(), eps)
+	return d.ldlt.Factorize(toDense(a), eps)
 }
 
 func (d *denseLDLT) Solve(b linalg.Vector) {
@@ -54,9 +54,9 @@ func (d *denseLDLT) Solve(b linalg.Vector) {
 
 func (d *denseLDLT) SolveRefined(a *linalg.SparseMatrix, b, x linalg.Vector) {
 	if d.quasi {
-		d.ldlt.SolveRefined(a.ToDense(), b, x)
+		d.ldlt.SolveRefined(toDense(a), b, x)
 	} else {
-		d.chol.SolveRefined(a.ToDense(), b, x)
+		d.chol.SolveRefined(toDense(a), b, x)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 func TestEquilibrateSolutionEquivalence(t *testing.T) {
 	// min x s.t. x ≥ 3, scaled by huge factors:
 	// 1e6·x ≥ 3e6 and a loose capacity row 1e-3·x ≤ 1e9.
-	g := linalg.NewMatrixFromRows([][]float64{{-1e6}, {1e-3}})
+	g := &linalg.Matrix{Rows: 2, Cols: 1, Data: []float64{-1e6, 1e-3}}
 	h := linalg.Vector{-3e6, 1e9}
 	p := &Problem{
 		C:    linalg.Vector{5e4},
@@ -166,7 +166,7 @@ func TestRandomScaledLPsRecoverOptimum(t *testing.T) {
 			z0[i] = 0.1 + rng.Float64()
 		}
 		c := linalg.NewVector(n)
-		g.MulVecT(c, z0)
+		g.MulVecTAdd(c, 1, z0)
 		c.Scale(-1)
 
 		base := &Problem{C: c.Clone(), G: g.Clone(), H: h.Clone(), Dims: cone.Dims{NonNeg: m}}

@@ -310,8 +310,9 @@ func (f *kktFactor) solveOnce(bx, by, bz, dx, dy, dz linalg.Vector) {
 	rhs.CopyFrom(bx)
 	st.sv.g.MulVecTAdd(rhs, 1, t)
 	if faultinject.Enabled() {
+		// solveOnce cannot fail, so only NaN, panic and stall rules act here.
 		//bbvet:allow hotalloc fault probe allocates only when a test arms this site
-		faultinject.CorruptNaN(faultinject.SiteKKTRHS, rhs)
+		_ = faultinject.HitData(faultinject.SiteKKTRHS, rhs)
 	}
 	if ws.full == nil {
 		//bbvet:allow hotalloc both Factorization backends are bbvet:hotpath-checked, only the dispatch is dynamic

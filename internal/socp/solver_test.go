@@ -264,10 +264,10 @@ func TestRandomLPStrongDuality(t *testing.T) {
 			z0[i] = 0.1 + rng.Float64()
 		}
 		c := linalg.NewVector(n)
-		g.MulVecT(c, z0)
+		g.MulVecTAdd(c, 1, z0)
 		c.Scale(-1)
 		c.Scale(-1) // c = Gᵀz0 ... need dual feasible: Gᵀz + c = 0 → c = −Gᵀz0
-		g.MulVecT(c, z0)
+		g.MulVecTAdd(c, 1, z0)
 		c.Scale(-1)
 
 		p := &Problem{C: c, G: g, H: h, Dims: cone.Dims{NonNeg: m}}
@@ -336,7 +336,7 @@ func TestRandomSOCPStrongDuality(t *testing.T) {
 		}
 		z0[l] = math.Sqrt(tail) + 0.1 + rng.Float64()
 		c := linalg.NewVector(n)
-		g.MulVecT(c, z0)
+		g.MulVecTAdd(c, 1, z0)
 		c.Scale(-1)
 
 		p := &Problem{C: c, G: g, H: h, Dims: dims}

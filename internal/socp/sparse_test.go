@@ -59,7 +59,7 @@ func randomProblem(rng *rand.Rand, n, l, nsoc int, fill float64, eq bool) *Probl
 	z0 := linalg.NewVector(m)
 	interior(z0)
 	c := linalg.NewVector(n)
-	g.MulVecT(c, z0)
+	g.MulVecTAdd(c, 1, z0)
 	c.Scale(-1)
 	p := &Problem{C: c, G: g, H: h, Dims: dims}
 	if eq {
@@ -114,10 +114,10 @@ func realScalings(t *testing.T, p *Problem) []*cone.Scaling {
 
 // TestSparseAssemblyMatchesDenseOracle pins the production normal-equations
 // assembly — fillScaled on the fixed W⁻¹G pattern, then SparseAtA — against
-// the dense reference: W⁻¹G by cone.Scaling.ScaleRows on a dense copy of G,
-// then Matrix.AtAInto. Both sum every entry of GᵀW⁻²G over the rows in
-// ascending order, so the two agree bit for bit, on the pattern and off it,
-// for NT scalings taken from real iterates.
+// the dense reference: W⁻¹G by scaleRows on a dense copy of G, then
+// ataInto. Both sum every entry of GᵀW⁻²G over the rows in ascending order,
+// so the two agree bit for bit, on the pattern and off it, for NT scalings
+// taken from real iterates.
 func TestSparseAssemblyMatchesDenseOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 40; trial++ {
@@ -131,10 +131,10 @@ func TestSparseAssemblyMatchesDenseOracle(t *testing.T) {
 			ata.Compute(sv.gs)
 			gd := p.G.Clone()
 			if w != nil {
-				w.ScaleRows(gd)
+				scaleRows(w, p.Dims, gd)
 			}
-			gd.AtAInto(want)
-			got := ata.Result.ToDense()
+			ataInto(want, gd)
+			got := toDense(ata.Result)
 			for i := range want.Data {
 				// Exact float comparison: bitwise agreement of the two assemblies is the property under test.
 				if got.Data[i] != want.Data[i] {
@@ -196,7 +196,7 @@ func TestSparseViewPattern(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	p := randomProblem(rng, 2+rng.Intn(5), 1+rng.Intn(4), rng.Intn(3), 0.8, true)
 	sv := newSparseView(withCSR(p))
-	gd := sv.g.ToDense()
+	gd := toDense(sv.g)
 	for i := 0; i < p.G.Rows; i++ {
 		for j := 0; j < p.G.Cols; j++ {
 			if gd.At(i, j) != p.G.At(i, j) {
@@ -212,7 +212,7 @@ func TestSparseViewPattern(t *testing.T) {
 	ata := linalg.NewMatrix(p.G.Cols, p.G.Cols)
 	sv.gs.AtAInto(ata)
 	want := linalg.NewMatrix(p.G.Cols, p.G.Cols)
-	p.G.AtAInto(want)
+	ataInto(want, p.G)
 	for i := range ata.Data {
 		if math.Abs(ata.Data[i]-want.Data[i]) > 1e-12 {
 			t.Fatalf("unscaled GᵀG entry %d = %v, want %v", i, ata.Data[i], want.Data[i])

@@ -45,7 +45,7 @@ func longRowProblem(rng *rand.Rand, n, l, nsoc, pe int) *Problem {
 	g.MulVec(h, x0)
 	linalg.Add(h, h, interior())
 	c := linalg.NewVector(n)
-	g.MulVecT(c, interior())
+	g.MulVecTAdd(c, 1, interior())
 	c.Scale(-1)
 	p := &Problem{C: c, G: g, H: h, Dims: dims}
 	if pe > 0 {
@@ -98,10 +98,10 @@ func TestSplitKKTSolvesNormalEquations(t *testing.T) {
 			// Dense oracle: the unsplit normal equations.
 			gd := p.G.Clone()
 			if w != nil {
-				w.ScaleRows(gd)
+				scaleRows(w, p.Dims, gd)
 			}
 			hd := linalg.NewMatrix(n, n)
-			gd.AtAInto(hd)
+			ataInto(hd, gd)
 			kd := linalg.NewMatrix(n+pe, n+pe)
 			for i := 0; i < n; i++ {
 				for j := 0; j < n; j++ {
@@ -115,7 +115,7 @@ func TestSplitKKTSolvesNormalEquations(t *testing.T) {
 				}
 			}
 			want := linalg.NewVector(n + pe)
-			ldlt := linalg.NewLDLTWorkspace(n + pe)
+			ldlt := newDenseLDL(n + pe)
 			if err := ldlt.Factorize(kd, 1e-14); err != nil {
 				t.Fatal(err)
 			}
@@ -179,10 +179,10 @@ func TestSplitRegScaleMatchesFullH(t *testing.T) {
 			ne.ata.Compute(sv.gs)
 			gd := p.G.Clone()
 			if w != nil {
-				w.ScaleRows(gd)
+				scaleRows(w, p.Dims, gd)
 			}
 			hd := linalg.NewMatrix(p.NumVars(), p.NumVars())
-			gd.AtAInto(hd)
+			ataInto(hd, gd)
 			want := hd.NormInf()
 			if got := ne.hMax(sv.gs); math.Abs(got-want) > 1e-12*want {
 				t.Fatalf("pe=%d scaling %d: hMax %v, largest entry of H %v", pe, k, got, want)

@@ -99,43 +99,14 @@ func (g *Graph) LongestPaths(source ActorID, period float64) ([]float64, error) 
 	return d, nil
 }
 
-// CheckPAS verifies that the start times s satisfy Constraint (1) for the
-// given period, returning the most violated edge if any.
-func (g *Graph) CheckPAS(s []float64, period float64) error {
-	if len(s) != len(g.actors) {
-		return fmt.Errorf("srdf: %d start times for %d actors", len(s), len(g.actors))
-	}
-	worst := 0.0
-	worstEdge := -1
-	for i, e := range g.edges {
-		lhs := s[e.From] + g.actors[e.From].Duration - float64(e.Tokens)*period
-		if v := lhs - s[e.To]; v > worst {
-			worst = v
-			worstEdge = i
-		}
-	}
-	if worst > feasTol*(1+period) {
-		e := g.edges[worstEdge]
-		return fmt.Errorf("srdf: edge %q (%d) violates Constraint (1) by %v", e.Name, worstEdge, worst)
-	}
-	return nil
-}
-
-// FeasiblePeriod reports whether a PAS with the given period exists.
-func (g *Graph) FeasiblePeriod(period float64) bool {
-	_, err := g.StartTimes(period)
-	return err == nil
-}
-
 // ErrDeadlock is returned by period computations on graphs that contain a
 // token-free cycle.
 var ErrDeadlock = errors.New("srdf: graph deadlocks (cycle without tokens)")
 
 // FeasibleExact reports whether a PAS with the given period exists, by one
 // strict Bellman-Ford run over the constraint graph of Constraint (1): no
-// tolerance slack, unlike StartTimes and FeasiblePeriod, so a period just
-// below the maximum cycle mean is rejected. It decides the period check of
-// dfmodel.Verify. A token-free cycle of positive duration is infeasible at
+// tolerance slack, unlike StartTimes, so a period just below the maximum
+// cycle mean is rejected. It decides the period check of dfmodel.Verify. A token-free cycle of positive duration is infeasible at
 // every period. The graph is assumed valid (see Validate).
 func (g *Graph) FeasibleExact(period float64) bool {
 	n := len(g.actors)
@@ -366,73 +337,4 @@ func (g *Graph) policyCycle(alive []bool, lam []float64, policy []EdgeID, state 
 		cycle = append(cycle, ActorID(v))
 	}
 	return cycle, best
-}
-
-// SelfTimed simulates self-timed (ASAP) execution for k firings of every
-// actor and returns the start time of each firing: start[a][i] is the start
-// of firing i+1 of actor a. SRDF theory guarantees the steady-state rate
-// equals 1/MCM, which makes this an independent oracle for MinPeriodHoward.
-func (g *Graph) SelfTimed(k int) ([][]float64, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	if !g.DeadlockFree() {
-		return nil, ErrDeadlock
-	}
-	n := len(g.actors)
-	start := make([][]float64, n)
-	for a := range start {
-		start[a] = make([]float64, k)
-	}
-	// Fixed-point iteration in topological-ish sweeps: σ(v, j) =
-	// max over in-edges e=(u→v) with j − δ(e) ≥ 1 of σ(u, j−δ(e)) + ρ(u).
-	// Because dependencies can span firing indices, iterate until stable.
-	for sweep := 0; sweep < n*k+2; sweep++ {
-		changed := false
-		for a := 0; a < n; a++ {
-			for j := 0; j < k; j++ {
-				v := 0.0
-				for _, eid := range g.in[a] {
-					e := g.edges[eid]
-					dep := j - e.Tokens
-					if dep >= 0 {
-						if cand := start[e.From][dep] + g.actors[e.From].Duration; cand > v {
-							v = cand
-						}
-					}
-				}
-				if v > start[a][j] {
-					start[a][j] = v
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			return start, nil
-		}
-	}
-	return nil, errors.New("srdf: self-timed simulation did not stabilize")
-}
-
-// SelfTimedRate estimates the steady-state period from a self-timed run of k
-// firings by averaging the per-firing increment over the second half of the
-// run (the transient phase decays geometrically).
-func (g *Graph) SelfTimedRate(k int) (float64, error) {
-	if k < 4 {
-		return 0, errors.New("srdf: need at least 4 firings to estimate the rate")
-	}
-	start, err := g.SelfTimed(k)
-	if err != nil {
-		return 0, err
-	}
-	// Use the actor with the largest spread to estimate the rate.
-	best := 0.0
-	for a := range start {
-		half := k / 2
-		rate := (start[a][k-1] - start[a][half]) / float64(k-1-half)
-		if rate > best {
-			best = rate
-		}
-	}
-	return best, nil
 }

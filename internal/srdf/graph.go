@@ -10,9 +10,8 @@
 //     max over cycles of (Σ firing durations)/(Σ tokens), and a cycle
 //     attaining it, by Howard's policy iteration (Lawler's binary search
 //     survives in the tests as the oracle),
-//   - PAS start times via Bellman-Ford longest paths,
-//   - self-timed (ASAP) execution, whose steady-state rate equals 1/MCM by
-//     SRDF theory and which provides an independent check on the analyses.
+//   - PAS start times via Bellman-Ford longest paths (self-timed execution,
+//     whose steady-state rate equals 1/MCM, checks them in the tests).
 //
 // Actors fire as soon as every input queue holds a token; each firing of
 // actor v takes ρ(v) time, consumes one token per input queue and produces
@@ -151,16 +150,4 @@ func (g *Graph) DeadlockFree() bool {
 		}
 	}
 	return true
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := NewGraph()
-	for _, a := range g.actors {
-		c.AddActor(a.Name, a.Duration)
-	}
-	for _, e := range g.edges {
-		c.AddEdge(e.Name, e.From, e.To, e.Tokens)
-	}
-	return c
 }

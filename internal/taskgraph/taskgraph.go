@@ -177,16 +177,6 @@ func (c *Config) Processor(name string) (*Processor, bool) {
 	return nil, false
 }
 
-// Memory looks up a memory by name.
-func (c *Config) Memory(name string) (*Memory, bool) {
-	for i := range c.Memories {
-		if c.Memories[i].Name == name {
-			return &c.Memories[i], true
-		}
-	}
-	return nil, false
-}
-
 // TasksOn returns the names of all tasks bound to processor p across all
 // graphs (the paper's τ(p)).
 func (c *Config) TasksOn(p string) []string {
@@ -195,20 +185,6 @@ func (c *Config) TasksOn(p string) []string {
 		for _, t := range g.Tasks {
 			if t.Processor == p {
 				out = append(out, t.Name)
-			}
-		}
-	}
-	return out
-}
-
-// BuffersIn returns the (graph, buffer) names of all buffers placed in
-// memory m (the paper's ψ(m)).
-func (c *Config) BuffersIn(m string) []string {
-	var out []string
-	for _, g := range c.Graphs {
-		for _, b := range g.Buffers {
-			if b.Memory == m {
-				out = append(out, b.Name)
 			}
 		}
 	}

@@ -98,12 +98,6 @@ func TestLookups(t *testing.T) {
 	if _, ok := c.Processor("zz"); ok {
 		t.Fatal("phantom processor found")
 	}
-	if m, ok := c.Memory("m1"); !ok || m.Capacity != 100 {
-		t.Fatal("Memory lookup failed")
-	}
-	if _, ok := c.Memory("zz"); ok {
-		t.Fatal("phantom memory found")
-	}
 	if task, ok := c.Graphs[0].Task("wb"); !ok || task.Processor != "p2" {
 		t.Fatal("Task lookup failed")
 	}
@@ -112,16 +106,13 @@ func TestLookups(t *testing.T) {
 	}
 }
 
-func TestTasksOnAndBuffersIn(t *testing.T) {
+func TestTasksOn(t *testing.T) {
 	c := validConfig()
 	if got := c.TasksOn("p1"); len(got) != 1 || got[0] != "wa" {
 		t.Fatalf("TasksOn(p1) = %v", got)
 	}
 	if got := c.TasksOn("zz"); len(got) != 0 {
 		t.Fatalf("TasksOn(zz) = %v", got)
-	}
-	if got := c.BuffersIn("m1"); len(got) != 1 || got[0] != "bab" {
-		t.Fatalf("BuffersIn(m1) = %v", got)
 	}
 }
 
