@@ -195,15 +195,15 @@ func buildModel(c *taskgraph.Config, fixedDeltas map[string]float64) (*model, er
 					m.sv[k] = -1
 					continue
 				}
-				m.sv[k] = m.b.AddVar(fmt.Sprintf("s(%s.v%d)", w.Name, which))
+				m.sv[k] = m.b.AddVar()
 			}
-			m.beta[w.Name] = m.b.AddVar("beta(" + w.Name + ")")
-			m.lam[w.Name] = m.b.AddVar("lambda(" + w.Name + ")")
+			m.beta[w.Name] = m.b.AddVar()
+			m.lam[w.Name] = m.b.AddVar()
 		}
 		for i := range tg.Buffers {
 			bf := &tg.Buffers[i]
 			if _, fixed := m.fixedDeltas[bf.Name]; !fixed {
-				m.delta[bf.Name] = m.b.AddVar("delta(" + bf.Name + ")")
+				m.delta[bf.Name] = m.b.AddVar()
 			}
 		}
 	}

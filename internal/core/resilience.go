@@ -41,6 +41,9 @@ type SolveAttempt struct {
 	Err string
 	// Iterations is the interior-point iteration count of the attempt.
 	Iterations int
+	// LinearSolves is the attempt's number of factored KKT solves
+	// (socp.Solution.LinearSolves).
+	LinearSolves int
 	// Duration is the attempt's wall-clock solve time. It is reporting
 	// only: no retry or fallback decision depends on it.
 	Duration time.Duration
@@ -138,6 +141,7 @@ func solveConic(ctx context.Context, prob *socp.Problem, opt socp.Options) (*soc
 		if sol != nil {
 			a.Status = sol.Status
 			a.Iterations = sol.Iterations
+			a.LinearSolves = sol.LinearSolves
 		}
 		if err != nil {
 			a.Err = err.Error()

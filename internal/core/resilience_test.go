@@ -288,6 +288,32 @@ func TestSolveUnfaultedMatchesDirectSolver(t *testing.T) {
 	if math.Float64bits(res.ContinuousObjective) != math.Float64bits(sol.PrimalObj) {
 		t.Fatalf("objective %v differs from direct solver's %v", res.ContinuousObjective, sol.PrimalObj)
 	}
+	if a := rep.Attempts[0]; a.LinearSolves != sol.LinearSolves || a.Iterations != sol.Iterations {
+		t.Fatalf("attempt reports %d iterations and %d linear solves, direct solver %d and %d",
+			a.Iterations, a.LinearSolves, sol.Iterations, sol.LinearSolves)
+	}
+}
+
+// TestLinearSolvesPerKKTSolve bounds the iterative refinement of a cold
+// chain-100 solve. The solve makes two KKT solves for its starting point and
+// two per iteration, each one factored solve plus one per refinement
+// correction. Refinement that stops once the residual reaches working
+// accuracy averages fewer than three factored solves per KKT solve here;
+// refining until the residual stops falling takes 3.6–4.
+func TestLinearSolvesPerKKTSolve(t *testing.T) {
+	res, err := Solve(context.Background(), gen.Chain(gen.ChainOptions{Tasks: 100}), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != StatusOptimal || len(res.Report.Attempts) != 1 {
+		t.Fatalf("status %v after %d attempts, want optimal after 1", res.Status, len(res.Report.Attempts))
+	}
+	a := res.Report.Attempts[0]
+	kktSolves := 2*a.Iterations + 2
+	if a.LinearSolves < kktSolves || a.LinearSolves > 3*kktSolves {
+		t.Fatalf("%d linear solves for %d KKT solves (%d iterations), want between 1 and 3 per KKT solve",
+			a.LinearSolves, kktSolves, a.Iterations)
+	}
 }
 
 // TestNumericalExitFallsBackToBestIterate breaks one factorization of a

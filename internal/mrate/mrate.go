@@ -246,11 +246,11 @@ func solveBudgets(ctx context.Context, c *taskgraph.Config, caps map[string]int,
 						sv[k] = -1
 						continue
 					}
-					sv[k] = bld.AddVar(fmt.Sprintf("s(%s#%d.v%d)", w.Name, j, which))
+					sv[k] = bld.AddVar()
 				}
 			}
-			beta[w.Name] = bld.AddVar("beta(" + w.Name + ")")
-			lam[w.Name] = bld.AddVar("lambda(" + w.Name + ")")
+			beta[w.Name] = bld.AddVar()
+			lam[w.Name] = bld.AddVar()
 			bld.SetObjective(beta[w.Name], w.EffectiveBudgetWeight())
 			bld.AddProductGE(lam[w.Name], beta[w.Name], 1)
 		}

@@ -51,8 +51,7 @@ func (a Affine) Minus(b Affine) Affine {
 // insertion order), followed by the SOC blocks (in insertion order), matching
 // the layout required by cone.Dims.
 type Builder struct {
-	names []string
-	obj   []float64
+	obj []float64 // one objective coefficient per variable
 
 	lin    []Affine   // each must be ≥ 0
 	soc    [][]Affine // each block ∈ SOC of its length
@@ -62,12 +61,10 @@ type Builder struct {
 // NewBuilder returns an empty builder.
 func NewBuilder() *Builder { return &Builder{} }
 
-// AddVar introduces a new (free) variable and returns its index. The name is
-// only used for diagnostics.
-func (b *Builder) AddVar(name string) int {
-	b.names = append(b.names, name)
+// AddVar introduces a new (free) variable and returns its index.
+func (b *Builder) AddVar() int {
 	b.obj = append(b.obj, 0)
-	return len(b.names) - 1
+	return len(b.obj) - 1
 }
 
 // SetObjective adds coef to the objective coefficient of variable v (the
@@ -125,7 +122,7 @@ func (b *Builder) AddEq(a Affine) { b.eqRows = append(b.eqRows, a) }
 // terms accumulated and exact zeros dropped — the pattern and values
 // NewSparseFromDense gives for the same rows written densely.
 func (b *Builder) Build() (*Problem, error) {
-	n := len(b.names)
+	n := len(b.obj)
 	dims := cone.Dims{NonNeg: len(b.lin)}
 	for _, blk := range b.soc {
 		dims.SOC = append(dims.SOC, len(blk))

@@ -138,6 +138,9 @@ type Solution struct {
 	PrimalRes  float64 // relative primal residual
 	DualRes    float64 // relative dual residual
 	Iterations int
+	// LinearSolves is the number of factored solves of the KKT system, one
+	// per Newton right-hand side plus one per refinement correction.
+	LinearSolves int
 }
 
 // Options configures the solver. The zero value selects the defaults.

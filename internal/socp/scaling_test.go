@@ -56,8 +56,8 @@ func TestEquilibrateSolutionEquivalence(t *testing.T) {
 func TestEquilibrateWithEqualities(t *testing.T) {
 	// min x+y s.t. 1e5·(x+y) = 2e5, x,y ≥ 0 → obj = 2.
 	b := NewBuilder()
-	x := b.AddVar("x")
-	y := b.AddVar("y")
+	x := b.AddVar()
+	y := b.AddVar()
 	b.SetObjective(x, 1)
 	b.SetObjective(y, 1)
 	b.AddNonNeg(Expr(0).Plus(1, x))
@@ -80,7 +80,7 @@ func TestEquilibrateWithEqualities(t *testing.T) {
 // solve (they make the dual degenerate).
 func TestRedundantConstraints(t *testing.T) {
 	b := NewBuilder()
-	x := b.AddVar("x")
+	x := b.AddVar()
 	b.SetObjective(x, 1)
 	for i := 0; i < 5; i++ {
 		b.AddNonNeg(Expr(-3).Plus(1, x)) // x ≥ 3, five times
@@ -102,7 +102,7 @@ func TestRedundantConstraints(t *testing.T) {
 // TestConstantRows: rows with no variables at all (h ≥ 0 holds or fails).
 func TestConstantRows(t *testing.T) {
 	b := NewBuilder()
-	x := b.AddVar("x")
+	x := b.AddVar()
 	b.SetObjective(x, 1)
 	b.AddNonNeg(Expr(-1).Plus(1, x))
 	b.AddNonNeg(Expr(5)) // trivially true constant row
@@ -122,8 +122,8 @@ func TestConstantRows(t *testing.T) {
 // TestVariableFixedByInequalities: x ≤ 2 and x ≥ 2 pin the variable.
 func TestVariableFixedByInequalities(t *testing.T) {
 	b := NewBuilder()
-	x := b.AddVar("x")
-	y := b.AddVar("y")
+	x := b.AddVar()
+	y := b.AddVar()
 	b.SetObjective(y, 1)
 	b.AddNonNeg(Expr(-2).Plus(1, x))
 	b.AddNonNeg(Expr(2).Plus(-1, x))

@@ -44,6 +44,9 @@ func SolveContext(ctx context.Context, p *Problem, opt Options) (*Solution, erro
 	// which silently selects the cold start).
 	s.warm = scales.scaleWarm(s.opt.WarmStart, len(p.C))
 	sol, err := s.run()
+	if sol != nil {
+		sol.LinearSolves = s.linearSolves
+	}
 	// Return the borrowed factorization pipeline to the pattern cache. The
 	// sparse view is per-solve, so nothing references it after this.
 	if pc := s.opt.Cache; pc != nil && s.sv != nil {
@@ -92,6 +95,10 @@ type state struct {
 	// the factorization pipeline owns.
 	scaling cone.Scaling
 	kkt     kktFactor
+
+	// linearSolves counts the factored solves (solveOnce calls) so far,
+	// reported as Solution.LinearSolves.
+	linearSolves int
 }
 
 // workspace holds every buffer the solver reuses across iterations, so that
@@ -226,22 +233,34 @@ func (st *state) factorSparse(f *kktFactor) (*kktFactor, error) {
 	return f, nil
 }
 
+// refineTol is the accuracy at which kktFactor.solve stops refining: a KKT
+// residual of at most refineTol·(1 + ‖b‖∞) is as good as the working
+// precision delivers. It is ECOS's LINSYSACC (Domahidi, Chu & Boyd, 2013).
+const refineTol = 1e-14
+
+// maxRefineChecks caps the KKT residual checks of one kktFactor.solve.
+const maxRefineChecks = 4
+
 // solve computes (x, y, z) for right-hand sides (bx, by, bz) with full-space
 // iterative refinement, which keeps the dual residual accurate even when the
-// NT scaling is nearly singular at the end of the solve. Refinement iterates
-// until the KKT residual stops improving (at most 4 passes) and returns the
-// best iterate seen. The returned vectors are workspace-owned and valid only
-// until the next solve call; callers that keep them must clone.
+// NT scaling is nearly singular at the end of the solve. Every factored
+// solve is followed by a check of the KKT residual. Refinement stops at the
+// first check that meets refineTol·(1 + ‖b‖∞), that fails to improve on the
+// best residual so far, or that is the maxRefineChecks-th, and returns the
+// best iterate seen; a correction that would not be checked is never
+// computed. The returned vectors are workspace-owned and valid only until
+// the next solve call; callers that keep them must clone.
 //
 //bbvet:hotpath
 func (f *kktFactor) solve(bx, by, bz linalg.Vector) (dx, dy, dz linalg.Vector) {
 	ws := &f.st.ws
 	cx, cy, cz := ws.curX, ws.curY, ws.curZ
 	f.solveOnce(bx, by, bz, cx, cy, cz)
+	tol := refineTol * (1 + max(linalg.NormInf(bx), linalg.NormInf(by), linalg.NormInf(bz)))
 	bestRes := math.Inf(1)
-	for pass := 0; pass < 4; pass++ {
+	for check := 1; ; check++ {
 		f.residual(bx, by, bz, cx, cy, cz)
-		res := math.Max(linalg.NormInf(ws.r1), math.Max(linalg.NormInf(ws.r2), linalg.NormInf(ws.r3)))
+		res := max(linalg.NormInf(ws.r1), linalg.NormInf(ws.r2), linalg.NormInf(ws.r3))
 		if res < bestRes {
 			bestRes = res
 			ws.bestX.CopyFrom(cx)
@@ -250,7 +269,7 @@ func (f *kktFactor) solve(bx, by, bz linalg.Vector) (dx, dy, dz linalg.Vector) {
 		} else {
 			break // refinement stopped converging
 		}
-		if res == 0 {
+		if res <= tol || check == maxRefineChecks {
 			break
 		}
 		f.solveOnce(ws.r1, ws.r2, ws.r3, ws.corX, ws.corY, ws.corZ)
@@ -298,6 +317,7 @@ func (f *kktFactor) residual(bx, by, bz, x, y, z linalg.Vector) {
 func (f *kktFactor) solveOnce(bx, by, bz, dx, dy, dz linalg.Vector) {
 	st := f.st
 	ws := &st.ws
+	st.linearSolves++
 	// t = W⁻² bz.
 	t := ws.t
 	t.CopyFrom(bz)

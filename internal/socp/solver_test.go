@@ -28,7 +28,7 @@ func solveOrFail(t *testing.T, p *Problem) *Solution {
 // min x s.t. x >= 3  → x* = 3.
 func TestTrivialLP(t *testing.T) {
 	b := NewBuilder()
-	x := b.AddVar("x")
+	x := b.AddVar()
 	b.SetObjective(x, 1)
 	b.AddNonNeg(Expr(-3).Plus(1, x)) // x − 3 ≥ 0
 	p, err := b.Build()
@@ -48,8 +48,8 @@ func TestTrivialLP(t *testing.T) {
 // Optimum at intersection of the two lines: x=8/5, y=6/5, obj=14/5.
 func TestSmallLP(t *testing.T) {
 	b := NewBuilder()
-	x := b.AddVar("x")
-	y := b.AddVar("y")
+	x := b.AddVar()
+	y := b.AddVar()
 	b.SetObjective(x, -1) // maximize x + y
 	b.SetObjective(y, -1)
 	b.AddNonNeg(Expr(0).Plus(1, x))
@@ -72,9 +72,9 @@ func TestSmallLP(t *testing.T) {
 // LP with equality constraints: min x+y s.t. x+y+z = 1, z = 0.4, x,y >= 0.
 func TestLPWithEqualities(t *testing.T) {
 	b := NewBuilder()
-	x := b.AddVar("x")
-	y := b.AddVar("y")
-	z := b.AddVar("z")
+	x := b.AddVar()
+	y := b.AddVar()
+	z := b.AddVar()
 	b.SetObjective(x, 1)
 	b.SetObjective(y, 1)
 	b.AddNonNeg(Expr(0).Plus(1, x))
@@ -98,9 +98,9 @@ func TestLPWithEqualities(t *testing.T) {
 // x ≥ 4 → optimum t = 1 at (4,4).
 func TestSOCProjection(t *testing.T) {
 	b := NewBuilder()
-	tv := b.AddVar("t")
-	x := b.AddVar("x")
-	y := b.AddVar("y")
+	tv := b.AddVar()
+	x := b.AddVar()
+	y := b.AddVar()
 	b.SetObjective(tv, 1)
 	b.AddSOC(
 		Expr(0).Plus(1, tv),
@@ -125,8 +125,8 @@ func TestSOCProjection(t *testing.T) {
 // (AM-GM: u+v ≥ 2√(uv) ≥ 2).
 func TestHyperbolicProduct(t *testing.T) {
 	b := NewBuilder()
-	u := b.AddVar("u")
-	v := b.AddVar("v")
+	u := b.AddVar()
+	v := b.AddVar()
 	b.SetObjective(u, 1)
 	b.SetObjective(v, 1)
 	b.AddProductGE(u, v, 1)
@@ -144,8 +144,8 @@ func TestHyperbolicProduct(t *testing.T) {
 // v = 2, obj = 4.
 func TestHyperbolicWeighted(t *testing.T) {
 	b := NewBuilder()
-	u := b.AddVar("u")
-	v := b.AddVar("v")
+	u := b.AddVar()
+	v := b.AddVar()
 	b.SetObjective(u, 4)
 	b.SetObjective(v, 1)
 	b.AddProductGE(u, v, 1)
@@ -178,8 +178,8 @@ func TestPaperSubproblemAnalytic(t *testing.T) {
 	}
 	for d := 1; d <= 10; d++ {
 		b := NewBuilder()
-		beta := b.AddVar("beta")
-		lam := b.AddVar("lambda")
+		beta := b.AddVar()
+		lam := b.AddVar()
 		b.SetObjective(beta, 1)
 		// 2(R−β) + 2Rλ ≤ µd
 		b.AddLE(Expr(2*R).Plus(-2, beta).Plus(2*R, lam), Expr(mu*float64(d)))
@@ -202,7 +202,7 @@ func TestPaperSubproblemAnalytic(t *testing.T) {
 func TestPrimalInfeasible(t *testing.T) {
 	// x ≥ 2 and x ≤ 1 simultaneously.
 	b := NewBuilder()
-	x := b.AddVar("x")
+	x := b.AddVar()
 	b.SetObjective(x, 1)
 	b.AddNonNeg(Expr(-2).Plus(1, x))
 	b.AddNonNeg(Expr(1).Plus(-1, x))
@@ -222,7 +222,7 @@ func TestPrimalInfeasible(t *testing.T) {
 func TestDualInfeasibleUnbounded(t *testing.T) {
 	// min −x s.t. x ≥ 0: unbounded below → dual infeasible.
 	b := NewBuilder()
-	x := b.AddVar("x")
+	x := b.AddVar()
 	b.SetObjective(x, -1)
 	b.AddNonNeg(Expr(0).Plus(1, x))
 	p, err := b.Build()
@@ -361,8 +361,8 @@ func TestRandomSOCPStrongDuality(t *testing.T) {
 // acceptance tolerances).
 func TestMaxIterReported(t *testing.T) {
 	b := NewBuilder()
-	u := b.AddVar("u")
-	v := b.AddVar("v")
+	u := b.AddVar()
+	v := b.AddVar()
 	b.SetObjective(u, 4)
 	b.SetObjective(v, 1)
 	b.AddProductGE(u, v, 1)
@@ -385,7 +385,7 @@ func TestMaxIterReported(t *testing.T) {
 // TestSolveOptionsRespected: explicit tolerances flow through.
 func TestSolveOptionsRespected(t *testing.T) {
 	b := NewBuilder()
-	x := b.AddVar("x")
+	x := b.AddVar()
 	b.SetObjective(x, 1)
 	b.AddNonNeg(Expr(-3).Plus(1, x))
 	p, err := b.Build()
@@ -444,7 +444,7 @@ func TestBuilderEval(t *testing.T) {
 
 func TestBuilderRejectsBadVar(t *testing.T) {
 	b := NewBuilder()
-	b.AddVar("x")
+	b.AddVar()
 	b.SetObjective(0, 1)
 	b.AddNonNeg(Expr(0).Plus(1, 5)) // unknown variable index
 	if _, err := b.Build(); err == nil {

@@ -11,7 +11,7 @@ import (
 // on the process's stdout.
 func TestTraceGoesToInjectedWriter(t *testing.T) {
 	b := NewBuilder()
-	x := b.AddVar("x")
+	x := b.AddVar()
 	b.SetObjective(x, 1)
 	b.AddNonNeg(Expr(-3).Plus(1, x))
 	p, err := b.Build()
