@@ -83,7 +83,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "bbvet: %v\n", err)
 		return 2
 	}
-	diags = dedupe(relativize(cwd, diags))
+	diags = relativize(cwd, diags)
 	if *jsonOut {
 		if err := writeJSON(stdout, diags); err != nil {
 			fmt.Fprintf(stderr, "bbvet: %v\n", err)
@@ -113,41 +113,6 @@ func relativize(dir string, diags []analysis.Diagnostic) []analysis.Diagnostic {
 		}
 	}
 	return diags
-}
-
-// dedupe collapses diagnostics that agree on position and message but come
-// from different analyzers (the interprocedural checks and their
-// intraprocedural siblings can both prove the same fact). The survivor is
-// the alphabetically first analyzer. Output stays in position order.
-func dedupe(diags []analysis.Diagnostic) []analysis.Diagnostic {
-	sort.SliceStable(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		if a.Message != b.Message {
-			return a.Message < b.Message
-		}
-		return a.Analyzer < b.Analyzer
-	})
-	out := diags[:0]
-	for _, d := range diags {
-		if n := len(out); n > 0 {
-			prev := &out[n-1]
-			if prev.Pos.Filename == d.Pos.Filename && prev.Pos.Line == d.Pos.Line &&
-				prev.Pos.Column == d.Pos.Column && prev.Message == d.Message {
-				continue
-			}
-		}
-		out = append(out, d)
-	}
-	return out
 }
 
 // jsonDiagnostic is the stable machine-readable form of one finding.
@@ -204,7 +169,8 @@ func ghaEscapeProperty(s string) string {
 }
 
 // Check loads the packages matching the patterns (resolved relative to
-// dir) and returns the combined diagnostics of the given analyzers.
+// dir) and returns the combined diagnostics of the given analyzers, package
+// by package in sorted directory order, each package's sorted by position.
 func Check(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
 	loader, err := analysis.NewLoader(dir)
 	if err != nil {

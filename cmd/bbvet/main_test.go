@@ -3,12 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"go/token"
 	"slices"
 	"strings"
 	"testing"
-
-	"repro/internal/analysis"
 )
 
 func TestListAnalyzers(t *testing.T) {
@@ -54,9 +51,9 @@ func TestUnknownAnalyzerIsUsageError(t *testing.T) {
 }
 
 // TestOutputIsDeterministic runs the same scan twice through the full CLI
-// path (text and JSON) and requires byte-identical output: diagnostics are
-// sorted, summaries never iterate maps into messages, and the witness
-// chains are deterministic functions of the source.
+// path (text and JSON) and requires byte-identical output: packages are
+// visited in sorted directory order and each package's diagnostics are
+// sorted by position.
 func TestOutputIsDeterministic(t *testing.T) {
 	t.Setenv("GITHUB_ACTIONS", "")
 	for _, mode := range [][]string{
@@ -195,33 +192,5 @@ func TestGHAEscaping(t *testing.T) {
 	}
 	if got := ghaEscapeProperty("a:b,c%d"); got != "a%3Ab%2Cc%25d" {
 		t.Errorf("ghaEscapeProperty = %q", got)
-	}
-}
-
-func TestDedupeCollapsesCrossAnalyzerDuplicates(t *testing.T) {
-	pos := func(file string, line, col int) analysis.Diagnostic {
-		return analysis.Diagnostic{
-			Pos:     token.Position{Filename: file, Line: line, Column: col},
-			Message: "same fact",
-		}
-	}
-	a := pos("x.go", 3, 5)
-	a.Analyzer = "zeta"
-	b := pos("x.go", 3, 5)
-	b.Analyzer = "alpha"
-	c := pos("x.go", 9, 1)
-	c.Analyzer = "alpha"
-
-	got := dedupe([]analysis.Diagnostic{a, b, c})
-	if len(got) != 2 {
-		t.Fatalf("dedupe kept %d diagnostics, want 2: %v", len(got), got)
-	}
-	// Survivor is the alphabetically first analyzer; order stays
-	// positional.
-	if got[0].Analyzer != "alpha" || got[0].Pos.Line != 3 {
-		t.Errorf("wrong survivor: %+v", got[0])
-	}
-	if got[1].Pos.Line != 9 {
-		t.Errorf("distinct diagnostic lost: %+v", got[1])
 	}
 }

@@ -23,17 +23,11 @@ var csrFields = map[string]map[string]bool{
 // Transient local views — `row := m.ColIdx[lo:hi]` used within a function
 // — stay legal; it is the escape that is flagged, not the read.
 //
-// The check is interprocedural: passing a backing slice to a function
-// whose summary (summary.go) says it retains the corresponding parameter
-// is flagged at the call site, and a call whose callee returns an alias of
-// a backing-slice argument is itself treated as a backing slice, so
-// `return identity(m.RowPtr)` is caught exactly like `return m.RowPtr`.
-// Passing a backing slice through a function value or interface call is
-// flagged conservatively (the callee's retention cannot be proven); calls
-// into the standard library are trusted not to retain their arguments.
+// The check covers one function body at a time: handing a backing slice
+// to a helper that keeps it is not seen.
 var CSRAlias = &Analyzer{
 	Name: "csralias",
-	Doc:  "flags escaping aliases of SparseMatrix/SparseCholesky backing slices, through call chains too",
+	Doc:  "flags escaping aliases of SparseMatrix/SparseCholesky backing slices",
 	Run:  runCSRAlias,
 }
 
@@ -67,47 +61,14 @@ func runCSRAlias(pass *Pass) {
 						pass.Reportf(val.Pos(), "composite literal captures %s, aliasing a fixed-pattern backing slice; clone it", name)
 					}
 				}
-			case *ast.CallExpr:
-				checkCSRCall(pass, n)
 			}
 			return true
 		})
 	}
 }
 
-// checkCSRCall flags backing slices handed to callees that retain them.
-// Returned aliases are not reported here: backingSlice recognizes such
-// call results, so the return/store/composite checks fire where the alias
-// actually escapes.
-func checkCSRCall(pass *Pass, call *ast.CallExpr) {
-	ip := pass.Pkg.Interp()
-	if ip == nil {
-		return
-	}
-	info := pass.Pkg.Info
-	t := ResolveCall(info, call)
-	for i, arg := range call.Args {
-		name, ok := backingSlice(pass, arg)
-		if !ok {
-			continue
-		}
-		switch {
-		case t.Static != nil && ip.intraModule(t.Static):
-			s := ip.SummaryOf(t.Static)
-			if s != nil && s.RetainsParam&paramBit(t.Static, i) != 0 {
-				pass.Reportf(arg.Pos(), "passing %s to %s, which retains it past the call; clone it", name, ip.displayName(t.Static))
-			}
-		case t.Dynamic != "":
-			pass.Reportf(arg.Pos(), "passing %s through %s; retention cannot be ruled out, clone it", name, t.Dynamic)
-		}
-	}
-}
-
 // backingSlice reports whether e denotes a protected backing slice: a
-// field selector on one of the csrFields types, possibly re-sliced — or
-// the result of a call whose statically known callee returns an alias of a
-// backing-slice argument (`identity(m.RowPtr)` is as live an alias as
-// `m.RowPtr` itself).
+// field selector on one of the csrFields types, possibly re-sliced.
 func backingSlice(pass *Pass, e ast.Expr) (string, bool) {
 	for {
 		switch x := e.(type) {
@@ -119,29 +80,6 @@ func backingSlice(pass *Pass, e ast.Expr) (string, bool) {
 			continue
 		}
 		break
-	}
-	if call, ok := e.(*ast.CallExpr); ok {
-		ip := pass.Pkg.Interp()
-		if ip == nil {
-			return "", false
-		}
-		t := ResolveCall(pass.Pkg.Info, call)
-		if t.Static == nil || !ip.intraModule(t.Static) {
-			return "", false
-		}
-		s := ip.SummaryOf(t.Static)
-		if s == nil || s.ReturnsParam == 0 {
-			return "", false
-		}
-		for i, arg := range call.Args {
-			if s.ReturnsParam&paramBit(t.Static, i) == 0 {
-				continue
-			}
-			if name, ok := backingSlice(pass, arg); ok {
-				return name + " (via " + ip.displayName(t.Static) + ")", true
-			}
-		}
-		return "", false
 	}
 	sel, ok := e.(*ast.SelectorExpr)
 	if !ok {

@@ -10,26 +10,20 @@ import (
 // path (sparse AᵀA refill, numeric LDLᵀ, triangular solves). Inside an
 // annotated function it flags every construct that can hit the allocator:
 // make, new, append growth, map/slice composite literals, taking the
-// address of a composite literal, closure creation, and interface boxing
-// at call, conversion, assignment, and return sites. panic arguments are
-// exempt — a terminating error path may allocate.
+// address of a composite literal, closure creation, go statements, and
+// interface boxing at call, conversion, assignment, and return sites.
+// panic arguments are exempt — a terminating error path may allocate.
 //
-// The check is interprocedural: a call from an annotated function to any
-// function whose summary (summary.go) says it may allocate is flagged with
-// the full call path down to the allocation site, so a helper two frames
-// removed cannot silently reintroduce an allocation. Calls to functions
-// that are themselves //bbvet:hotpath-annotated are trusted — they carry
-// their own directly checked contract. Calls through function values or
-// interface methods cannot be proven allocation-free and are flagged
-// conservatively; calls into the standard library are flagged only for the
-// known-allocating packages listed in summary.go.
+// The check covers the annotated body only. What a call out of it does —
+// into an unannotated helper, the standard library, or through a function
+// value or interface — is left to the testing.AllocsPerRun guards in the
+// annotated packages, which measure the whole call tree at run time.
 //
 // The annotation is a contract, not an inference: hotalloc checks exactly
-// the functions the author marked, and the testing.AllocsPerRun guards in
-// the annotated packages keep the static and dynamic views honest.
+// the functions the author marked.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
-	Doc:  "flags allocation sites, and calls that transitively allocate, inside //bbvet:hotpath functions",
+	Doc:  "flags allocation sites inside //bbvet:hotpath function bodies",
 	Run:  runHotAlloc,
 }
 
@@ -42,35 +36,6 @@ func runHotAlloc(pass *Pass) {
 			}
 			checkHotFunc(pass, fn)
 		}
-	}
-}
-
-// checkHotCall applies the interprocedural layer at one call site inside a
-// hotpath function. Direct builtin/conversion/boxing shapes are already
-// handled by checkHotFunc; this covers what only a summary can see.
-func checkHotCall(pass *Pass, call *ast.CallExpr) {
-	ip := pass.Pkg.Interp()
-	if ip == nil {
-		return
-	}
-	info := pass.Pkg.Info
-	t := ResolveCall(info, call)
-	switch {
-	case t.Static != nil && ip.intraModule(t.Static):
-		if ip.Hotpath(t.Static) {
-			return // audited contract of its own, checked directly
-		}
-		s := ip.SummaryOf(t.Static)
-		if s != nil && s.Allocates {
-			pass.Reportf(call.Lparen, "call to %s allocates in a hotpath function (path: %s)",
-				ip.displayName(t.Static), ip.AllocPath(t.Static))
-		}
-	case t.Static != nil:
-		if stdAllocPkgs[stdPkgPath(t.Static)] {
-			pass.Reportf(call.Lparen, "call to %s allocates in a hotpath function", stdQualifiedName(t.Static))
-		}
-	case t.Dynamic != "":
-		pass.Reportf(call.Lparen, "call through %s cannot be proven allocation-free in a hotpath function", t.Dynamic)
 	}
 }
 
@@ -101,7 +66,6 @@ func checkHotFunc(pass *Pass, fn *ast.FuncDecl) {
 				}
 			default:
 				checkCallBoxing(pass, n)
-				checkHotCall(pass, n)
 			}
 		case *ast.FuncLit:
 			pass.Reportf(n.Pos(), "closure allocates in a hotpath function")

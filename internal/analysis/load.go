@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // A Package is one parsed and type-checked package ready for analysis.
@@ -25,8 +26,6 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-
-	loader *Loader
 }
 
 // A Loader parses and type-checks packages of one module using only the
@@ -39,11 +38,19 @@ type Loader struct {
 	ModDir  string // absolute module root
 	Fset    *token.FileSet
 
-	std     types.Importer
 	pkgs    map[string]*Package // by import path
 	loading map[string]bool     // import cycle guard
-	interp  *Interp             // lazily built interprocedural index
 }
+
+// Every Loader of a process shares one FileSet and one source importer, so
+// the standard library is type-checked from source once per process rather
+// than once per Loader. The source importer is not safe for concurrent
+// use; stdMu serializes it.
+var (
+	sharedFset = token.NewFileSet()
+	stdMu      sync.Mutex
+	stdSource  = importer.ForCompiler(sharedFset, "source", nil)
+)
 
 // NewLoader builds a loader for the module rooted at or above dir.
 func NewLoader(dir string) (*Loader, error) {
@@ -51,12 +58,10 @@ func NewLoader(dir string) (*Loader, error) {
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
 	return &Loader{
 		ModPath: modPath,
 		ModDir:  modDir,
-		Fset:    fset,
-		std:     importer.ForCompiler(fset, "source", nil),
+		Fset:    sharedFset,
 		pkgs:    map[string]*Package{},
 		loading: map[string]bool{},
 	}, nil
@@ -145,7 +150,7 @@ func (l *Loader) load(path string) (*Package, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("analysis: no Go source files in %s", dir)
 	}
-	pkg := &Package{Path: path, Dir: dir, Fset: l.Fset, loader: l}
+	pkg := &Package{Path: path, Dir: dir, Fset: l.Fset}
 	for _, name := range names {
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
@@ -188,7 +193,9 @@ func (im *loaderImporter) Import(path string) (*types.Package, error) {
 		}
 		return pkg.Types, nil
 	}
-	return l.std.Import(path)
+	stdMu.Lock()
+	defer stdMu.Unlock()
+	return stdSource.Import(path)
 }
 
 // goSourceFiles lists the non-test .go files of dir, sorted.

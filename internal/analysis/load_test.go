@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -160,4 +161,27 @@ func TestLoadMissingPackage(t *testing.T) {
 	if _, err := loader.load("example.com/m/empty"); err == nil {
 		t.Error("loading a nonexistent package succeeded")
 	}
+}
+
+// TestLoadersShareStdlibConcurrently type-checks two modules through two
+// Loaders at once. Every Loader shares the stdlib source importer and the
+// FileSet, so this is the test the race detector needs for that sharing.
+func TestLoadersShareStdlibConcurrently(t *testing.T) {
+	src := "package a\n\nimport (\n\t\"container/heap\"\n\t\"strconv\"\n)\n\n" +
+		"var _ heap.Interface\n\nfunc F(n int) string { return strconv.Itoa(n) }\n"
+	loaders := []*Loader{
+		writeModule(t, map[string]string{"a/a.go": src}),
+		writeModule(t, map[string]string{"a/a.go": src}),
+	}
+	var wg sync.WaitGroup
+	for _, l := range loaders {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := l.load("example.com/m/a"); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -20,16 +20,11 @@ import (
 // slice that a later sort.X/slices.X call receives) is recognized and not
 // flagged.
 //
-// The check sees through helper functions (summary.go): a call inside a
-// map-range body to a function that transitively writes output or sends on
-// a channel is flagged with the path to the sink — wrapping fmt.Println in
-// a logging helper does not launder iteration order. Conversely, passing
-// the unsorted result of a function whose summary says its return order is
-// map-iteration dependent straight into an output call is flagged at the
-// consuming site.
+// The check covers the loop body only: a call to a helper that prints or
+// sends is not followed.
 var MapRange = &Analyzer{
 	Name: "maprange",
-	Doc:  "flags map iteration whose order can reach output, returns, or sends, including through helper calls",
+	Doc:  "flags map iteration whose order can reach output, returns, or sends",
 	Run:  runMapRange,
 }
 
@@ -37,49 +32,17 @@ func runMapRange(pass *Pass) {
 	for _, f := range pass.Pkg.Files {
 		v := &mapRangeVisitor{pass: pass, file: f}
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.RangeStmt:
-				tv := pass.Pkg.Info.Types[n.X]
-				if tv.Type == nil {
-					return true
+			rng, ok := n.(*ast.RangeStmt)
+			if !ok {
+				return true
+			}
+			if t := pass.Pkg.Info.Types[rng.X].Type; t != nil {
+				if _, isMap := t.Underlying().(*types.Map); isMap {
+					v.checkRange(rng)
 				}
-				if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-					return true
-				}
-				v.checkRange(n)
-			case *ast.CallExpr:
-				v.checkOrderedArgs(n)
 			}
 			return true
 		})
-	}
-}
-
-// checkOrderedArgs flags map-order-dependent call results consumed
-// directly by an output call: fmt.Println(unsortedKeys(m)) is
-// nondeterministic no matter where the map walk happened.
-func (v *mapRangeVisitor) checkOrderedArgs(call *ast.CallExpr) {
-	info := v.pass.Pkg.Info
-	sink, isEmit := emitCall(info, call)
-	if !isEmit {
-		return
-	}
-	ip := v.pass.Pkg.Interp()
-	if ip == nil {
-		return
-	}
-	for _, arg := range call.Args {
-		inner, ok := ast.Unparen(arg).(*ast.CallExpr)
-		if !ok {
-			continue
-		}
-		t := ResolveCall(info, inner)
-		if t.Static == nil || !ip.intraModule(t.Static) {
-			continue
-		}
-		if s := ip.SummaryOf(t.Static); s != nil && s.OrderedReturn {
-			v.pass.Reportf(inner.Pos(), "result of %s is map-iteration-order dependent and reaches %s output; sort it first", ip.displayName(t.Static), sink)
-		}
 	}
 }
 
@@ -98,8 +61,6 @@ func (v *mapRangeVisitor) checkRange(rng *ast.RangeStmt) {
 		case *ast.CallExpr:
 			if name, ok := emitCall(info, n); ok {
 				v.pass.Reportf(n.Lparen, "map iteration order reaches %s output; iterate sorted keys", name)
-			} else {
-				v.checkHelperCall(n)
 			}
 			if isBuiltin(info, n.Fun, "append") {
 				if tgt := appendTarget(info, n); tgt == nil || !v.sortedAfter(rng, tgt) {
@@ -111,30 +72,6 @@ func (v *mapRangeVisitor) checkRange(rng *ast.RangeStmt) {
 		}
 		return true
 	})
-}
-
-// checkHelperCall flags calls, inside a map-range body, to intra-module
-// helpers whose summaries say they write output or send on a channel —
-// the helper launders nothing, so the diagnostic carries the path down to
-// the sink.
-func (v *mapRangeVisitor) checkHelperCall(call *ast.CallExpr) {
-	ip := v.pass.Pkg.Interp()
-	if ip == nil {
-		return
-	}
-	t := ResolveCall(v.pass.Pkg.Info, call)
-	if t.Static == nil || !ip.intraModule(t.Static) {
-		return
-	}
-	s := ip.SummaryOf(t.Static)
-	if s == nil {
-		return
-	}
-	if s.Emits {
-		v.pass.Reportf(call.Lparen, "map iteration order reaches output via %s; iterate sorted keys", ip.EmitPath(t.Static))
-	} else if s.Sends {
-		v.pass.Reportf(call.Lparen, "map iteration order reaches a channel send via call to %s; iterate sorted keys", ip.displayName(t.Static))
-	}
 }
 
 // rangeKeyObj returns the object of the range key variable, if named.

@@ -64,7 +64,6 @@ func (w *Scaling) Update(dims Dims, s, z linalg.Vector) error {
 		return ErrNotInterior
 	}
 	if !w.shaped(dims) {
-		//bbvet:allow hotalloc storage is sized once per cone shape; the IPM keeps one shape per solve
 		w.reshape(dims)
 	}
 	w.dims = dims

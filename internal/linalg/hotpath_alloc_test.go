@@ -5,11 +5,12 @@ import (
 	"testing"
 )
 
-// TestHotpathRefactorizationAllocFree is the dynamic twin of the static
-// hotalloc analyzer: every function annotated //bbvet:hotpath in this
-// package — the AᵀA refill, the numeric LDLᵀ refactorization (both the SPD
-// and the quasi-definite kernels), and the triangular solves — must not
-// allocate once the symbolic analysis has been done.
+// TestHotpathRefactorizationAllocFree requires that every function
+// annotated //bbvet:hotpath in this package — the AᵀA refill, the numeric
+// LDLᵀ refactorization (both the SPD and the quasi-definite kernels), and
+// the triangular solves — does not allocate once the symbolic analysis has
+// been done. The hotalloc analyzer checks only the annotated bodies
+// themselves; this guard is the only check of the calls they make.
 func TestHotpathRefactorizationAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	_, as := randomSparseSPD(rng, 60, 0.1)

@@ -23,7 +23,6 @@ var ErrNotPositiveDefinite = errors.New("linalg: matrix is not positive definite
 func (c *SparseCholesky) Factorize(a *SparseMatrix, shift, reg float64) error {
 	c.checkPattern(a)
 	if faultinject.Enabled() {
-		//bbvet:allow hotalloc fault probe allocates only when a test arms this site
 		if err := faultinject.Hit(faultinject.SiteSparseLDLT); err != nil {
 			return err
 		}
@@ -55,7 +54,6 @@ func (c *SparseCholesky) Factorize(a *SparseMatrix, shift, reg float64) error {
 func (c *SparseCholesky) FactorizeQuasiDef(a *SparseMatrix, eps float64) error {
 	c.checkPattern(a)
 	if faultinject.Enabled() {
-		//bbvet:allow hotalloc fault probe allocates only when a test arms this site
 		if err := faultinject.Hit(faultinject.SiteSparseLDLT); err != nil {
 			return err
 		}

@@ -170,7 +170,6 @@ func (c *SupernodalCholesky) Shift() float64 { return c.shift }
 func (c *SupernodalCholesky) Factorize(a *SparseMatrix, shift, reg float64) error {
 	c.checkPattern(a)
 	if faultinject.Enabled() {
-		//bbvet:allow hotalloc fault probe allocates only when a test arms this site
 		if err := faultinject.Hit(faultinject.SiteSparseLDLT); err != nil {
 			return err
 		}
@@ -205,7 +204,6 @@ func (c *SupernodalCholesky) Factorize(a *SparseMatrix, shift, reg float64) erro
 func (c *SupernodalCholesky) FactorizeQuasiDef(a *SparseMatrix, eps float64) error {
 	c.checkPattern(a)
 	if faultinject.Enabled() {
-		//bbvet:allow hotalloc fault probe allocates only when a test arms this site
 		if err := faultinject.Hit(faultinject.SiteSparseLDLT); err != nil {
 			return err
 		}
@@ -447,7 +445,6 @@ func (c *SupernodalCholesky) processStripe(ws *snScratch, s int32, st int, a *Sp
 		P[cc*w+cc] += shift
 	}
 	if faultinject.Enabled() {
-		//bbvet:allow hotalloc fault probe allocates only when a test arms this site
 		if err := faultinject.HitData(faultinject.SiteSupernodalPanel, S); err != nil {
 			c.setInjected(err)
 			return false

@@ -213,13 +213,11 @@ func (pc *PatternCache) acquire(sv *sparseView, backend Factorization, workers i
 		// The worker bound is a per-solve setting, not part of the pooled
 		// identity; refresh it (scheduling only — results never change).
 		if sc, ok := f.chol.(*linalg.SupernodalCholesky); ok {
-			//bbvet:allow hotalloc grows per-worker scratch only when the bound rises, steady state is a no-op
 			sc.SetParallelism(workers)
 		}
 		return f
 	}
 	pc.misses.Add(1)
-	//bbvet:allow hotalloc cache miss: the pipeline is built once per pattern and backend pair
 	return e.build(sv, backend, workers)
 }
 
@@ -254,7 +252,6 @@ func (pc *PatternCache) take(gs, a *linalg.SparseMatrix, backend Factorization) 
 		// Copy the patterns without holding the lock; a concurrent take of
 		// the same pair may register it first.
 		pc.mu.Unlock()
-		//bbvet:allow hotalloc first sighting of this pattern pair, measured cold
 		ne := newPatternEntry(h, gs, a, backend)
 		pc.mu.Lock()
 		if e = pc.lookup(h, gs, a, backend); e == nil {
@@ -344,7 +341,6 @@ func (pc *PatternCache) release(f *neFactor) {
 		lru := pc.tail
 		pc.pop(lru)
 		if len(lru.free) == 0 && lru.inFlight == 0 {
-			//bbvet:allow hotalloc forget only shrinks the index: its map write overwrites an existing key
 			pc.forget(lru)
 		}
 	}

@@ -124,9 +124,10 @@ func TestPatternCacheReacquireAllocFree(t *testing.T) {
 // W⁻¹G pattern, AᵀA refill, KKT refill and numeric refactorization — for
 // the plain normal equations and for the quasi-definite KKT matrix with
 // equality rows, split rows or both — allocate nothing after the first
-// iteration's symbolic analysis. This is the dynamic check backing the
-// //bbvet:hotpath annotations that the hotalloc analyzer enforces
-// statically.
+// iteration's symbolic analysis. The hotalloc analyzer checks only the
+// bodies of //bbvet:hotpath functions; this guard and
+// TestSolveAllocsIndependentOfIterations are the only check of the calls
+// those functions make.
 func TestPerIterationRefactorizationAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, tc := range allocCases(rng) {

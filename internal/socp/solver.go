@@ -211,7 +211,6 @@ func (st *state) factorSparse(f *kktFactor) (*kktFactor, error) {
 	h := ne.ata.Result
 	reg := st.opt.KKTReg * (1 + ne.hMax(st.sv.gs))
 	if ne.kkt == nil {
-		//bbvet:allow hotalloc both Factorization backends are bbvet:hotpath-checked, only the dispatch is dynamic
 		if err := ne.chol.Factorize(h, reg, reg); err != nil {
 			return nil, err
 		}
@@ -219,7 +218,6 @@ func (st *state) factorSparse(f *kktFactor) (*kktFactor, error) {
 		return f, nil
 	}
 	ne.fillKKT(st.sv.gs, reg)
-	//bbvet:allow hotalloc both Factorization backends are bbvet:hotpath-checked, only the dispatch is dynamic
 	if err := ne.chol.FactorizeQuasiDef(ne.kkt, reg); err != nil {
 		return nil, err
 	}
@@ -331,11 +329,9 @@ func (f *kktFactor) solveOnce(bx, by, bz, dx, dy, dz linalg.Vector) {
 	st.sv.g.MulVecTAdd(rhs, 1, t)
 	if faultinject.Enabled() {
 		// solveOnce cannot fail, so only NaN, panic and stall rules act here.
-		//bbvet:allow hotalloc fault probe allocates only when a test arms this site
 		_ = faultinject.HitData(faultinject.SiteKKTRHS, rhs)
 	}
 	if ws.full == nil {
-		//bbvet:allow hotalloc both Factorization backends are bbvet:hotpath-checked, only the dispatch is dynamic
 		f.schol.SolveRefined(f.hs, rhs, dx)
 	} else {
 		// [rhs; by; 0]: the split rows' right-hand side is zero.
@@ -345,7 +341,6 @@ func (f *kktFactor) solveOnce(bx, by, bz, dx, dy, dz linalg.Vector) {
 		copy(full[n:n+pe], by)
 		clear(full[n+pe:])
 		sol := ws.fsol
-		//bbvet:allow hotalloc both Factorization backends are bbvet:hotpath-checked, only the dispatch is dynamic
 		f.schol.SolveRefined(f.hs, full, sol)
 		copy(dx, sol[:n])
 		copy(dy, sol[n:n+pe])

@@ -314,7 +314,6 @@ func (sv *sparseView) normalEq(pc *PatternCache, backend Factorization, workers 
 		if pc != nil {
 			sv.ne = pc.acquire(sv, backend, workers)
 		} else {
-			//bbvet:allow hotalloc no cache configured: the pipeline is built once per solve view
 			sv.ne = newNEFactor(sv, sv.a, nil, backend, workers)
 		}
 	}

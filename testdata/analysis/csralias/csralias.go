@@ -8,7 +8,6 @@ import "repro/internal/linalg"
 
 type holder struct {
 	vals []float64
-	idx  []int
 }
 
 var global []int
@@ -49,35 +48,4 @@ func cloned(m *linalg.SparseMatrix) []float64 {
 func allowed(m *linalg.SparseMatrix) []int {
 	//bbvet:allow csralias caller is an in-package test helper that treats the pattern as read-only
 	return m.RowPtr
-}
-
-// --- interprocedural layer: retention and aliasing through call chains ---
-
-func retains(h *holder, xs []int) {
-	h.idx = xs
-}
-
-func reads(xs []int) int { return len(xs) }
-
-func identity(xs []int) []int { return xs }
-
-func passesToRetainer(m *linalg.SparseMatrix, h *holder) {
-	retains(h, m.RowPtr) // want `passing SparseMatrix.RowPtr to retains, which retains it past the call`
-}
-
-func passesToReader(m *linalg.SparseMatrix) int {
-	return reads(m.RowPtr) // summary proves no retention: legal
-}
-
-func returnsViaHelper(m *linalg.SparseMatrix) []int {
-	return identity(m.RowPtr) // want `returning SparseMatrix.RowPtr \(via identity\) aliases a fixed-pattern backing slice`
-}
-
-func throughFunc(m *linalg.SparseMatrix, f func([]float64)) {
-	f(m.Val) // want `passing SparseMatrix.Val through a function value; retention cannot be ruled out`
-}
-
-func allowedRetain(m *linalg.SparseMatrix, h *holder) {
-	//bbvet:allow csralias holder is rebuilt before the pattern can change
-	retains(h, m.RowPtr)
 }

@@ -3,8 +3,6 @@
 // terminating panic paths are not.
 package hotalloc
 
-import "strings"
-
 type point struct{ x, y int }
 
 //bbvet:hotpath
@@ -75,55 +73,3 @@ func cold(n int) []int {
 }
 
 func variadic(args ...any) int { return len(args) }
-
-// --- interprocedural layer: transitive allocation through call chains ---
-
-func leafAlloc(n int) []int { return make([]int, n) }
-
-func midAlloc(n int) []int { return leafAlloc(n) }
-
-func pure(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-//bbvet:hotpath
-func hotTransitive(n int) int {
-	xs := midAlloc(n) // want `call to midAlloc allocates in a hotpath function \(path: midAlloc → leafAlloc: make at hotalloc.go:\d+\)`
-	return len(xs)
-}
-
-//bbvet:hotpath
-func hotStdlibCall(s string) int {
-	return len(strings.Repeat(s, 2)) // want `call to strings.Repeat allocates`
-}
-
-//bbvet:hotpath
-func hotDynamic(f func() int) int {
-	return f() // want `call through a function value cannot be proven allocation-free`
-}
-
-type summer interface{ Sum() int }
-
-//bbvet:hotpath
-func hotIface(s summer) int {
-	return s.Sum() // want `call through an interface method cannot be proven allocation-free`
-}
-
-//bbvet:hotpath
-func hotPureCall(a, b int) int {
-	return pure(a, b) // summary proves the callee allocation-free: legal
-}
-
-//bbvet:hotpath
-func hotTrustedCallee(n int) int {
-	return len(hotAllowed(n)) // callee carries its own audited hotpath contract: legal
-}
-
-//bbvet:hotpath
-func hotTransitiveAllowed(n int) int {
-	//bbvet:allow hotalloc setup helper runs once per sweep, measured cold
-	return len(midAlloc(n))
-}

@@ -75,65 +75,10 @@ func allowedEmit(m map[string]int) {
 	}
 }
 
-// --- interprocedural layer: sinks and order taint through call chains ---
-
-func logPair(k string, v int) {
-	fmt.Println(k, v)
-}
-
-func logVia(k string) {
-	logPair(k, 0)
-}
-
-func push(ch chan<- string, k string) {
-	ch <- k
-}
-
-func ignore(k string) string { return k }
-
-func emitViaHelper(m map[string]int) {
-	for k, v := range m {
-		logPair(k, v) // want `map iteration order reaches output via logPair: fmt.Println at maprange.go:\d+`
-	}
-}
-
-func emitViaChain(m map[string]int) {
-	for k := range m {
-		logVia(k) // want `reaches output via logVia → logPair: fmt.Println at maprange.go:\d+`
-	}
-}
-
-func sendViaHelper(m map[string]int, ch chan<- string) {
-	for k := range m {
-		push(ch, k) // want `map iteration order reaches a channel send via call to push`
-	}
-}
-
-func pureHelper(m map[string]int) {
-	for k := range m {
-		_ = ignore(k) // no sink reached: legal
-	}
-}
-
 func unsorted(m map[string]int) []string {
 	var out []string
 	for k := range m {
 		out = append(out, k) // want `order-dependent slice`
 	}
 	return out
-}
-
-func printsUnsorted(m map[string]int) {
-	fmt.Println(unsorted(m)) // want `result of unsorted is map-iteration-order dependent`
-}
-
-func printsSorted(m map[string]int) {
-	fmt.Println(keysSorted(m)) // sorted before return: legal
-}
-
-func allowedHelperEmit(m map[string]int) {
-	for k := range m {
-		//bbvet:allow maprange diagnostic trace, removed before experiments
-		logVia(k)
-	}
 }
