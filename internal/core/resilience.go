@@ -118,9 +118,6 @@ func numericalFailure(sol *socp.Solution, err error) bool {
 func solveConic(ctx context.Context, prob *socp.Problem, opt socp.Options) (*socp.Solution, *SolveReport, error) {
 	report := &SolveReport{}
 	kktDim := len(prob.C)
-	if prob.A != nil {
-		kktDim += prob.A.Rows
-	}
 	var sol *socp.Solution
 	var err error
 	for k, aopt := range ladder(opt, kktDim) {

@@ -53,9 +53,8 @@ func (a Affine) Minus(b Affine) Affine {
 type Builder struct {
 	obj []float64 // one objective coefficient per variable
 
-	lin    []Affine   // each must be ≥ 0
-	soc    [][]Affine // each block ∈ SOC of its length
-	eqRows []Affine   // each must be = 0 (optional)
+	lin []Affine   // each must be ≥ 0
+	soc [][]Affine // each block ∈ SOC of its length
 }
 
 // NewBuilder returns an empty builder.
@@ -114,9 +113,6 @@ func (b *Builder) AddProductGE(u, v int, k float64) int {
 	)
 }
 
-// AddEq adds the equality constraint a = 0.
-func (b *Builder) AddEq(a Affine) { b.eqRows = append(b.eqRows, a) }
-
 // Build converts the accumulated constraints into a Problem. The
 // constraint matrix is emitted in CSR form (Problem.GSparse) with duplicate
 // terms accumulated and exact zeros dropped — the pattern and values
@@ -138,22 +134,6 @@ func (b *Builder) Build() (*Problem, error) {
 		return nil, err
 	}
 	p.GSparse = gs
-	if len(b.eqRows) > 0 {
-		a := linalg.NewMatrix(len(b.eqRows), n)
-		bb := linalg.NewVector(len(b.eqRows))
-		for i, row := range b.eqRows {
-			// a(x) = 0 means Σ coef·x = −Const.
-			bb[i] = -row.Const
-			for _, t := range row.Terms {
-				if t.Var < 0 || t.Var >= n {
-					return nil, fmt.Errorf("socp: equality references unknown variable %d", t.Var)
-				}
-				a.Add(i, t.Var, t.Coef)
-			}
-		}
-		p.A = a
-		p.B = bb
-	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -208,13 +188,4 @@ func (b *Builder) buildSparseG(n, m int, h linalg.Vector) (*linalg.SparseMatrix,
 		}
 	}
 	return gs, nil
-}
-
-// Eval evaluates the affine expression at x.
-func (a Affine) Eval(x linalg.Vector) float64 {
-	v := a.Const
-	for _, t := range a.Terms {
-		v += t.Coef * x[t.Var]
-	}
-	return v
 }

@@ -37,11 +37,11 @@ import (
 //
 // Pooled pipelines carry no values from previous solves into new results:
 // every numeric buffer a solve reads is fully rewritten before use (AᵀA
-// values, KKT values, factor columns), and the equality block is rewritten
-// from the acquiring problem on every hit. Solves through a cache are
+// values, KKT values, factor columns), so a pooled pipeline holds no
+// per-problem state except its scheduling bound. Solves through a cache are
 // bit-identical to solves without one.
 //
-// Keys are canonical hashes of the scaled-G and A patterns, verified
+// Keys are canonical hashes of the scaled-G pattern, verified
 // entry-for-entry on every lookup, so hash collisions degrade to a miss
 // rather than a wrong reuse. The zero value is not usable; call
 // NewPatternCache. All methods are safe for concurrent use.
@@ -66,9 +66,9 @@ type PatternCache struct {
 // topologies warm; a single pipeline larger than the budget is never kept.
 const idleBudget = 64 << 20
 
-// patternEntry keeps the factorization pipelines of one (G-pattern,
-// A-pattern, backend) triple and the symbolic analysis they share. The
-// pattern copies rule out hash collisions; the backend is part of the
+// patternEntry keeps the factorization pipelines of one (pattern, backend)
+// pair and the symbolic analysis they share. The pattern copy rules out
+// hash collisions; the backend is part of the
 // identity because a pooled pipeline's numeric workspace is built for one
 // factorization layout — a simplicial pipeline must never be handed to a
 // solve that asked for the supernodal backend.
@@ -77,14 +77,10 @@ type patternEntry struct {
 	gsRows, gsCols int
 	gsRowPtr       []int
 	gsColIdx       []int
-	hasA           bool
-	aRows, aCols   int
-	aRowPtr        []int
-	aColIdx        []int
 	backend        Factorization
 
 	// sym is the symbolic analysis of the factored matrix, whose pattern
-	// the pattern pair fixes. The entry's first build runs it under symOnce;
+	// the scaled-G pattern fixes. The entry's first build runs it under symOnce;
 	// every later build shares it. nil when the factorization has no
 	// symbolic phase.
 	symOnce sync.Once
@@ -113,16 +109,11 @@ func (pc *PatternCache) Stats() (hits, misses int64) {
 	return pc.hits.Load(), pc.misses.Load()
 }
 
-// key combines the canonical pattern hashes of the scaled-G template and
-// the equality matrix (a fixed sentinel when there is none) with the
+// key combines the canonical pattern hash of the scaled-G template with the
 // resolved factorization backend.
-func key(gs, a *linalg.SparseMatrix, backend Factorization) uint64 {
+func key(gs *linalg.SparseMatrix, backend Factorization) uint64 {
 	const prime64 = 1099511628211
-	h := patternHash(gs)
-	if a != nil {
-		h = (h ^ patternHash(a)) * prime64
-	}
-	return (h ^ uint64(backend)) * prime64
+	return (patternHash(gs) ^ uint64(backend)) * prime64
 }
 
 // patternHash returns a canonical 64-bit hash of a matrix's sparsity
@@ -161,55 +152,37 @@ func fnvMix(h, v uint64) uint64 {
 	return h
 }
 
-// matches reports whether the entry serves exactly this pattern pair on
-// this backend.
+// matches reports whether the entry serves exactly this pattern on this
+// backend.
 //
 //bbvet:hotpath
-func (e *patternEntry) matches(gs, a *linalg.SparseMatrix, backend Factorization) bool {
-	if e.backend != backend {
+func (e *patternEntry) matches(gs *linalg.SparseMatrix, backend Factorization) bool {
+	if e.backend != backend || gs.Rows != e.gsRows || gs.Cols != e.gsCols || len(gs.ColIdx) != len(e.gsColIdx) {
 		return false
 	}
-	if a == nil != !e.hasA {
-		return false
-	}
-	if !patternEqual(e.gsRows, e.gsCols, e.gsRowPtr, e.gsColIdx, gs) {
-		return false
-	}
-	return a == nil || patternEqual(e.aRows, e.aCols, e.aRowPtr, e.aColIdx, a)
-}
-
-//bbvet:hotpath
-func patternEqual(rows, cols int, rowPtr, colIdx []int, m *linalg.SparseMatrix) bool {
-	if m.Rows != rows || m.Cols != cols || len(m.ColIdx) != len(colIdx) {
-		return false
-	}
-	for i, p := range m.RowPtr {
-		if rowPtr[i] != p {
+	for i, p := range gs.RowPtr {
+		if e.gsRowPtr[i] != p {
 			return false
 		}
 	}
-	for i, c := range m.ColIdx {
-		if colIdx[i] != c {
+	for i, c := range gs.ColIdx {
+		if e.gsColIdx[i] != c {
 			return false
 		}
 	}
 	return true
 }
 
-// acquire returns a factorization pipeline for the view's pattern pair on
-// the resolved backend: an idle one when the pattern has one (equality
-// block rewritten for this problem, supernodal worker bound refreshed),
-// otherwise a freshly built one registered under the pattern. The caller
-// owns the pipeline until release.
+// acquire returns a factorization pipeline for the view's pattern on the
+// resolved backend: an idle one when the pattern has one (supernodal worker
+// bound refreshed), otherwise a freshly built one registered under the
+// pattern. The caller owns the pipeline until release.
 //
 //bbvet:hotpath
 func (pc *PatternCache) acquire(sv *sparseView, backend Factorization, workers int) *neFactor {
-	e, f := pc.take(sv.gs, sv.a, backend)
+	e, f := pc.take(sv.gs, backend)
 	if f != nil {
 		pc.hits.Add(1)
-		// The equality block of the pooled KKT matrix holds the previous
-		// problem's A values; rewrite it from this one.
-		f.setStaticA(sv.a)
 		// The worker bound is a per-solve setting, not part of the pooled
 		// identity; refresh it (scheduling only — results never change).
 		if sc, ok := f.chol.(*linalg.SupernodalCholesky); ok {
@@ -221,42 +194,42 @@ func (pc *PatternCache) acquire(sv *sparseView, backend Factorization, workers i
 	return e.build(sv, backend, workers)
 }
 
-// build returns a new pipeline for the entry's pattern pair, registered
+// build returns a new pipeline for the entry's pattern, registered
 // under the entry. The entry's first build runs the symbolic analysis and
 // keeps it; every other build, concurrent ones included, waits for that
 // one and shares its analysis.
 func (e *patternEntry) build(sv *sparseView, backend Factorization, workers int) *neFactor {
 	var f *neFactor
 	e.symOnce.Do(func() {
-		f = newNEFactor(sv, sv.a, nil, backend, workers)
+		f = newNEFactor(sv, nil, backend, workers)
 		e.sym = f.chol.Symbolic()
 	})
 	if f == nil {
-		f = newNEFactor(sv, sv.a, e.sym, backend, workers)
+		f = newNEFactor(sv, e.sym, backend, workers)
 	}
 	f.cacheEntry = e
 	return f
 }
 
-// take finds the entry of a pattern pair and backend, registering it on
+// take finds the entry of a pattern and backend, registering it on
 // first sight, counts one more of its pipelines in flight, and pops its
 // most recently released idle pipeline (nil when it has none).
 //
 //bbvet:hotpath
-func (pc *PatternCache) take(gs, a *linalg.SparseMatrix, backend Factorization) (*patternEntry, *neFactor) {
-	h := key(gs, a, backend)
+func (pc *PatternCache) take(gs *linalg.SparseMatrix, backend Factorization) (*patternEntry, *neFactor) {
+	h := key(gs, backend)
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	e := pc.lookup(h, gs, a, backend)
+	e := pc.lookup(h, gs, backend)
 	if e == nil {
-		// Copy the patterns without holding the lock; a concurrent take of
-		// the same pair may register it first.
+		// Copy the pattern without holding the lock; a concurrent take of
+		// the same pattern may register it first.
 		pc.mu.Unlock()
-		ne := newPatternEntry(h, gs, a, backend)
+		ne := newPatternEntry(h, gs, backend)
 		pc.mu.Lock()
-		if e = pc.lookup(h, gs, a, backend); e == nil {
+		if e = pc.lookup(h, gs, backend); e == nil {
 			e = ne
-			//bbvet:allow hotalloc first sighting of this pattern pair, measured cold
+			//bbvet:allow hotalloc first sighting of this pattern, measured cold
 			pc.entries[h] = append(pc.entries[h], e)
 		}
 	}
@@ -264,36 +237,29 @@ func (pc *PatternCache) take(gs, a *linalg.SparseMatrix, backend Factorization) 
 	return e, pc.pop(e)
 }
 
-// lookup returns the registered entry of a pattern pair and backend, nil
-// when there is none. The caller holds pc.mu.
+// lookup returns the registered entry of a pattern and backend, nil when
+// there is none. The caller holds pc.mu.
 //
 //bbvet:hotpath
-func (pc *PatternCache) lookup(h uint64, gs, a *linalg.SparseMatrix, backend Factorization) *patternEntry {
+func (pc *PatternCache) lookup(h uint64, gs *linalg.SparseMatrix, backend Factorization) *patternEntry {
 	for _, e := range pc.entries[h] {
-		if e.matches(gs, a, backend) {
+		if e.matches(gs, backend) {
 			return e
 		}
 	}
 	return nil
 }
 
-// newPatternEntry returns an entry for a pattern pair and backend, with
-// copies of the patterns for collision verification.
-func newPatternEntry(h uint64, gs, a *linalg.SparseMatrix, backend Factorization) *patternEntry {
-	e := &patternEntry{
+// newPatternEntry returns an entry for a pattern and backend, with a copy
+// of the pattern for collision verification.
+func newPatternEntry(h uint64, gs *linalg.SparseMatrix, backend Factorization) *patternEntry {
+	return &patternEntry{
 		h:      h,
 		gsRows: gs.Rows, gsCols: gs.Cols,
 		gsRowPtr: append([]int(nil), gs.RowPtr...),
 		gsColIdx: append([]int(nil), gs.ColIdx...),
 		backend:  backend,
 	}
-	if a != nil {
-		e.hasA = true
-		e.aRows, e.aCols = a.Rows, a.Cols
-		e.aRowPtr = append([]int(nil), a.RowPtr...)
-		e.aColIdx = append([]int(nil), a.ColIdx...)
-	}
-	return e
 }
 
 // pop takes the most recently released idle pipeline of e, nil when there

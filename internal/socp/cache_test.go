@@ -13,7 +13,7 @@ import (
 // structural change must.
 func TestPatternHashIgnoresValues(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	a := newSparseView(withCSR(randomProblem(rng, 12, 8, 2, 0.3, false))).gs
+	a := newSparseView(withCSR(randomProblem(rng, 12, 8, 2, 0.3))).gs
 	h := patternHash(a)
 	b := a.Clone()
 	for i := range b.Val {
@@ -41,8 +41,8 @@ func TestPatternHashIgnoresValues(t *testing.T) {
 func TestPatternCacheSharesOneAnalysis(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	views := []*sparseView{
-		newSparseView(withCSR(randomProblem(rng, 10, 8, 2, 0.3, false))),
-		newSparseView(withCSR(randomProblem(rng, 12, 8, 2, 0.3, true))),
+		newSparseView(withCSR(randomProblem(rng, 10, 8, 2, 0.3))),
+		newSparseView(withCSR(longRowProblem(rng, 12, 8, 2))),
 	}
 	for _, backend := range []Factorization{FactorSparse, FactorSupernodal} {
 		pc := NewPatternCache()
@@ -113,7 +113,7 @@ func TestPatternCacheFreeListBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	var views []*sparseView
 	for k := 0; k < 3; k++ {
-		views = append(views, newSparseView(withCSR(randomProblem(rng, 6+k, 6, 1, 0.3, false))))
+		views = append(views, newSparseView(withCSR(randomProblem(rng, 6+k, 6, 1, 0.3))))
 	}
 	pc := NewPatternCache()
 	want := func(hits, misses int64, entries int) {
@@ -168,7 +168,7 @@ func TestPatternCacheFreeListBounds(t *testing.T) {
 	// Pattern 0 is back as a new entry; pattern 1, now least recent, goes.
 	pc.release(pc.acquire(views[0], FactorSparse, 1))
 	want(5, 6, 2)
-	if pc.tail == nil || pc.tail.matches(views[1].gs, nil, FactorSparse) {
+	if pc.tail == nil || pc.tail.matches(views[1].gs, FactorSparse) {
 		t.Fatal("pattern 1 still idle after eviction")
 	}
 

@@ -33,20 +33,18 @@ type allocCase struct {
 	split bool // the problem has a row longer than maxNormalEqRow
 }
 
-// allocCases covers every shape of the factorization pipeline: plain
-// normal equations, equality rows, a split coupling row, and both.
+// allocCases covers both shapes of the factorization pipeline: plain
+// normal equations and a split coupling row.
 func allocCases(rng *rand.Rand) []allocCase {
 	return []allocCase{
-		{"plain", randomProblem(rng, 14, 10, 2, 0.1, false), false},
-		{"eq", randomProblem(rng, 14, 10, 2, 0.1, true), false},
-		{"split", longRowProblem(rng, 14, 12, 2, 0), true},
-		{"split+eq", longRowProblem(rng, 14, 12, 2, 2), true},
+		{"plain", randomProblem(rng, 14, 10, 2, 0.1), false},
+		{"split", longRowProblem(rng, 14, 12, 2), true},
 	}
 }
 
 // refactorize runs one iteration's numeric work on a pipeline, as
 // factorSparse does: NT rescale of the fixed W⁻¹G pattern, AᵀA refill,
-// regularization scale, KKT refill (equality and split rows), numeric
+// regularization scale, KKT refill (split rows), numeric
 // refactorization and removal of the shift for refinement.
 func refactorize(sv *sparseView, ne *neFactor, w *cone.Scaling) error {
 	sv.fillScaled(w)
@@ -79,7 +77,7 @@ func interiorScaling(t *testing.T, rng *rand.Rand, dims cone.Dims) *cone.Scaling
 
 // TestPatternCacheReacquireAllocFree pins the steady state of the pattern
 // cache: once a pipeline for a pattern has been built and released, the
-// acquire → rewrite equality block → refactorize → release cycle a cached
+// acquire → refactorize → release cycle a cached
 // sweep solve performs is allocation-free. (The first acquire of a pattern
 // pays the build; every later one must not.)
 func TestPatternCacheReacquireAllocFree(t *testing.T) {
@@ -123,7 +121,7 @@ func TestPatternCacheReacquireAllocFree(t *testing.T) {
 // the sparse per-iteration pipeline end to end: NT rescale of the fixed
 // W⁻¹G pattern, AᵀA refill, KKT refill and numeric refactorization — for
 // the plain normal equations and for the quasi-definite KKT matrix with
-// equality rows, split rows or both — allocate nothing after the first
+// split rows — allocate nothing after the first
 // iteration's symbolic analysis. The hotalloc analyzer checks only the
 // bodies of //bbvet:hotpath functions; this guard and
 // TestSolveAllocsIndependentOfIterations are the only check of the calls
@@ -166,10 +164,8 @@ func TestPerIterationRefactorizationAllocFree(t *testing.T) {
 func TestSolveAllocsIndependentOfIterations(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, tc := range []allocCase{
-		{"plain", randomProblem(rng, 30, 40, 8, 0.02, false), false},
-		{"eq", randomProblem(rng, 30, 40, 8, 0.02, true), false},
-		{"split", longRowProblem(rng, 40, 30, 6, 0), true},
-		{"split+eq", longRowProblem(rng, 40, 30, 6, 3), true},
+		{"plain", randomProblem(rng, 30, 40, 8, 0.02), false},
+		{"split", longRowProblem(rng, 40, 30, 6), true},
 	} {
 		if split, _, _, _ := KKTStructure(withCSR(tc.p)); (split > 0) != tc.split {
 			t.Fatalf("%s: %d rows split off H", tc.name, split)

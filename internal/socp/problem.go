@@ -2,8 +2,7 @@
 // for second-order cone programs in the standard conic form
 //
 //	minimize    cᵀx
-//	subject to  G x + s = h,   s ∈ K
-//	            A x = b,
+//	subject to  G x + s = h,   s ∈ K,
 //
 // where K = R₊ˡ × Q^{q₁} × … × Q^{qN} is a product of a nonnegative orthant
 // and second-order cones. The algorithm is an infeasible-start Mehrotra
@@ -24,9 +23,9 @@ import (
 	"repro/internal/linalg"
 )
 
-// Problem is a conic program in inequality/equality standard form.
-// A and b may be nil (no equality constraints). The constraint matrix is
-// given either in CSR form in GSparse — what the Builder emits — or densely
+// Problem is a conic program in inequality standard form: Algorithm 1 has
+// inequality and cone constraints only, so there are no equality rows. The
+// constraint matrix is given either in CSR form in GSparse — what the Builder emits — or densely
 // in G, exactly one of the two, and must have Dims.Dim() rows. The solver
 // works on CSR only: a dense G is converted once at the start of a solve,
 // to the same pattern and values the Builder would emit, so the two
@@ -36,9 +35,10 @@ type Problem struct {
 	G       *linalg.Matrix
 	GSparse *linalg.SparseMatrix
 	H       linalg.Vector
-	A       *linalg.Matrix // optional
-	B       linalg.Vector  // optional, len = A.Rows
-	Dims    cone.Dims
+	// A must be nil: Validate rejects a problem that sets it. The field
+	// stays only because the benchmark module reads A.Rows.
+	A    *linalg.Matrix
+	Dims cone.Dims
 }
 
 // Validate checks the problem shapes.
@@ -62,16 +62,9 @@ func (p *Problem) Validate() error {
 		return fmt.Errorf("socp: |h| = %d, want %d", len(p.H), m)
 	}
 	if p.A != nil {
-		if p.A.Cols != n {
-			return fmt.Errorf("socp: A has %d columns, want %d", p.A.Cols, n)
-		}
-		if len(p.B) != p.A.Rows {
-			return fmt.Errorf("socp: |b| = %d, want %d", len(p.B), p.A.Rows)
-		}
-	} else if len(p.B) != 0 {
-		return fmt.Errorf("socp: b given without A")
+		return fmt.Errorf("socp: A is set; equality constraints are not supported")
 	}
-	if m == 0 && p.A == nil {
+	if m == 0 {
 		return fmt.Errorf("socp: problem has no constraints")
 	}
 	return nil
@@ -130,9 +123,8 @@ type Solution struct {
 	X          linalg.Vector // primal variables
 	S          linalg.Vector // primal slacks, ∈ K
 	Z          linalg.Vector // dual variables for Gx + s = h, ∈ K
-	Y          linalg.Vector // dual variables for Ax = b
 	PrimalObj  float64       // cᵀx
-	DualObj    float64       // −hᵀz − bᵀy
+	DualObj    float64       // −hᵀz
 	Gap        float64       // sᵀz
 	RelGap     float64
 	PrimalRes  float64 // relative primal residual
@@ -233,7 +225,7 @@ const supernodalAutoDim = 768
 
 // ResolveFactorization maps a Factorization choice to the concrete backend
 // the solver will run for a KKT system of the given dimension (the
-// normal-equations dimension n, or n+p with equality constraints). Explicit
+// normal-equations dimension n, the number of variables). Explicit
 // choices resolve to themselves; FactorAuto resolves by dimension.
 func ResolveFactorization(f Factorization, dim int) Factorization {
 	if f != FactorAuto {

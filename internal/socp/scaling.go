@@ -12,7 +12,6 @@ import (
 type eqScales struct {
 	costScale float64       // c̃ = c / σc
 	rowScale  linalg.Vector // row i of (G̃ | h̃) = row i of (G | h) / rowScale[i]
-	eqScale   linalg.Vector // row i of (Ã | b̃) = row i of (A | b) / eqScale[i]; nil without equalities
 }
 
 // equilibrateSparse rescales the problem so the interior-point iterations
@@ -21,7 +20,7 @@ type eqScales struct {
 //
 //   - every orthant row of (G | h) is divided by its coefficient inf-norm
 //     (one uniform factor per second-order-cone block, which preserves the
-//     cone), and likewise for rows of (A | b);
+//     cone);
 //   - the cost vector is divided by max(1, ‖c‖∞).
 //
 // It returns the scaled problem plus the applied scales; unscale restores
@@ -30,7 +29,6 @@ type eqScales struct {
 // the scaled copy shares its immutable pattern arrays and clones only the
 // values.
 func equilibrateSparse(p *Problem, csr *linalg.SparseMatrix) (*Problem, *eqScales) {
-	n := len(p.C)
 	m := p.Dims.Dim()
 
 	costScale := math.Max(1, linalg.NormInf(p.C))
@@ -85,39 +83,11 @@ func equilibrateSparse(p *Problem, csr *linalg.SparseMatrix) (*Problem, *eqScale
 	}
 
 	sp := &Problem{C: c, GSparse: g, H: h, Dims: p.Dims}
-	sc := &eqScales{costScale: costScale, rowScale: rowScale}
-	equilibrateEq(p, sp, sc, n)
-	return sp, sc
-}
-
-// equilibrateEq scales the equality rows of (A | b) into sp. No-op without
-// equalities.
-func equilibrateEq(p, sp *Problem, sc *eqScales, n int) {
-	if p.A == nil {
-		return
-	}
-	a := p.A.Clone()
-	b := p.B.Clone()
-	sc.eqScale = make(linalg.Vector, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		r := linalg.NormInf(a.Data[i*n : (i+1)*n])
-		if r == 0 {
-			r = math.Max(1, math.Abs(b[i]))
-		}
-		sc.eqScale[i] = r
-		inv := 1 / r
-		row := a.Data[i*n : (i+1)*n]
-		for j := range row {
-			row[j] *= inv
-		}
-		b[i] *= inv
-	}
-	sp.A = a
-	sp.B = b
+	return sp, &eqScales{costScale: costScale, rowScale: rowScale}
 }
 
 // unscale maps a solution of the equilibrated problem back to the original
-// coordinates: x unchanged, s = D·s̃, z = σc·D⁻¹·z̃, y = σc·DA⁻¹·ỹ.
+// coordinates: x unchanged, s = D·s̃, z = σc·D⁻¹·z̃.
 func (sc *eqScales) unscale(sol *Solution) {
 	if sol == nil {
 		return
@@ -130,9 +100,6 @@ func (sc *eqScales) unscale(sol *Solution) {
 		if len(sol.Z) == m {
 			sol.Z[i] *= sc.costScale / sc.rowScale[i]
 		}
-	}
-	for i := range sol.Y {
-		sol.Y[i] *= sc.costScale / sc.eqScale[i]
 	}
 	sol.PrimalObj *= sc.costScale
 	sol.DualObj *= sc.costScale
@@ -149,19 +116,15 @@ func (sc *eqScales) scaleWarm(w *WarmStart, n int) *WarmStart {
 		return nil
 	}
 	m := len(sc.rowScale)
-	pe := len(sc.eqScale)
-	if len(w.X) != n || len(w.S) != m || len(w.Z) != m || len(w.Y) != pe {
+	if len(w.X) != n || len(w.S) != m || len(w.Z) != m {
 		return nil
 	}
-	sw := &WarmStart{X: w.X.Clone(), S: w.S.Clone(), Z: w.Z.Clone(), Y: w.Y.Clone()}
+	sw := &WarmStart{X: w.X.Clone(), S: w.S.Clone(), Z: w.Z.Clone()}
 	for i := 0; i < m; i++ {
 		sw.S[i] /= sc.rowScale[i]
 		sw.Z[i] *= sc.rowScale[i] / sc.costScale
 	}
-	for i := 0; i < pe; i++ {
-		sw.Y[i] *= sc.eqScale[i] / sc.costScale
-	}
-	for _, v := range [][]float64{sw.X, sw.S, sw.Z, sw.Y} {
+	for _, v := range [][]float64{sw.X, sw.S, sw.Z} {
 		for _, x := range v {
 			if math.IsNaN(x) || math.IsInf(x, 0) {
 				return nil

@@ -52,7 +52,9 @@ func TestEquilibrateSolutionEquivalence(t *testing.T) {
 	}
 }
 
-// TestEquilibrateWithEqualities: the same, with a scaled equality row.
+// TestEquilibrateWithEqualities: the same, with a scaled equality row. The
+// solver takes inequalities only, so the equality is posed as the pair of
+// rows a ≥ 0 and −a ≥ 0, whose slacks have no common interior.
 func TestEquilibrateWithEqualities(t *testing.T) {
 	// min x+y s.t. 1e5·(x+y) = 2e5, x,y ≥ 0 → obj = 2.
 	b := NewBuilder()
@@ -62,7 +64,9 @@ func TestEquilibrateWithEqualities(t *testing.T) {
 	b.SetObjective(y, 1)
 	b.AddNonNeg(Expr(0).Plus(1, x))
 	b.AddNonNeg(Expr(0).Plus(1, y))
-	b.AddEq(Expr(-2e5).Plus(1e5, x).Plus(1e5, y))
+	row := Expr(-2e5).Plus(1e5, x).Plus(1e5, y)
+	b.AddNonNeg(row)
+	b.AddLE(row, Expr(0))
 	p, err := b.Build()
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package socp
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 
@@ -11,7 +10,7 @@ import (
 	"repro/internal/linalg"
 )
 
-// Solve minimizes cᵀx subject to Gx + s = h, s ∈ K, Ax = b using an
+// Solve minimizes cᵀx subject to Gx + s = h, s ∈ K using an
 // infeasible-start Mehrotra predictor-corrector interior-point method with
 // Nesterov-Todd scaling.
 func Solve(p *Problem, opt Options) (*Solution, error) {
@@ -27,9 +26,6 @@ func Solve(p *Problem, opt Options) (*Solution, error) {
 func SolveContext(ctx context.Context, p *Problem, opt Options) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
-	}
-	if p.Dims.Dim() == 0 {
-		return nil, errors.New("socp: cone dimension is zero")
 	}
 	// The solver runs on CSR only: a dense G is converted once, to the
 	// pattern and values the Builder emits for the same rows.
@@ -63,7 +59,7 @@ type state struct {
 	p   *Problem
 	opt Options
 
-	n, m, pe int // variables, cone dim, equality rows
+	n, m int // variables, cone dim
 
 	// warm is the caller's warm start mapped into the equilibrated
 	// coordinates; nil selects the cold least-squares starting point.
@@ -75,15 +71,14 @@ type state struct {
 	// without ever factorizing.
 	warmActive bool
 
-	x, y  linalg.Vector
+	x     linalg.Vector
 	s, z  linalg.Vector
 	e     linalg.Vector // cone identity
-	bnorm float64
 	hnorm float64
 	cnorm float64
 
 	// sv is the sparse view of the (equilibrated) problem's constraint
-	// matrices, built by initWorkspace.
+	// matrix, built by initWorkspace.
 	sv *sparseView
 	// factorBackend is the resolved sparse factorization backend
 	// (FactorSparse or FactorSupernodal, never FactorAuto).
@@ -106,20 +101,20 @@ type state struct {
 // nothing.
 type workspace struct {
 	// kktFactor.solve: iterative-refinement scratch.
-	r1, r2, r3          linalg.Vector // n, pe, m residuals
-	w2z                 linalg.Vector // m
-	curX, curY, curZ    linalg.Vector // running refined iterate
-	bestX, bestY, bestZ linalg.Vector // best iterate seen
-	corX, corY, corZ    linalg.Vector // correction step
+	r1, r3       linalg.Vector // n, m residuals
+	w2z          linalg.Vector // m
+	curX, curZ   linalg.Vector // running refined iterate
+	bestX, bestZ linalg.Vector // best iterate seen
+	corX, corZ   linalg.Vector // correction step
 
 	// solveOnce scratch.
 	t, rhs     linalg.Vector // m, n
-	full, fsol linalg.Vector // n+pe+nd, nil when H is factored alone
+	full, fsol linalg.Vector // n+nd, nil when H is factored alone
 
 	// Main-loop scratch.
-	rx, ry, rz         linalg.Vector // residuals
-	gz, gx, ax         linalg.Vector // Farkas certificate scratch (n, m, pe)
-	nbx, nby, nbz, nwu linalg.Vector // newton right-hand sides
+	rx, rz             linalg.Vector // residuals
+	gz, gx             linalg.Vector // Farkas certificate scratch (n, m)
+	nbx, nbz, nwu      linalg.Vector // newton right-hand sides
 	nt, nds            linalg.Vector // newton ds recovery
 	uaff               linalg.Vector // m, scaled complementarity term
 	wds, wdz, corr, dc linalg.Vector // m, Mehrotra corrector
@@ -130,31 +125,27 @@ type workspace struct {
 // once; the iteration loop reuses them instead of calling Clone each pass.
 // The factorization pipeline owns its own pattern-sized buffers.
 func (st *state) initWorkspace() {
-	n, m, pe := st.n, st.m, st.pe
+	n, m := st.n, st.m
 	ws := &st.ws
 	st.sv = newSparseView(st.p)
-	st.factorBackend = ResolveFactorization(st.opt.Factorization, n+pe)
-	if kdim := n + pe + len(st.sv.split); kdim > n {
-		ws.full = linalg.NewVector(kdim)
-		ws.fsol = linalg.NewVector(kdim)
+	st.factorBackend = ResolveFactorization(st.opt.Factorization, n)
+	if nd := len(st.sv.split); nd > 0 {
+		ws.full = linalg.NewVector(n + nd)
+		ws.fsol = linalg.NewVector(n + nd)
 	}
 	ws.r1 = linalg.NewVector(n)
-	ws.r2 = linalg.NewVector(pe)
 	ws.r3 = linalg.NewVector(m)
 	ws.w2z = linalg.NewVector(m)
-	ws.curX, ws.curY, ws.curZ = linalg.NewVector(n), linalg.NewVector(pe), linalg.NewVector(m)
-	ws.bestX, ws.bestY, ws.bestZ = linalg.NewVector(n), linalg.NewVector(pe), linalg.NewVector(m)
-	ws.corX, ws.corY, ws.corZ = linalg.NewVector(n), linalg.NewVector(pe), linalg.NewVector(m)
+	ws.curX, ws.curZ = linalg.NewVector(n), linalg.NewVector(m)
+	ws.bestX, ws.bestZ = linalg.NewVector(n), linalg.NewVector(m)
+	ws.corX, ws.corZ = linalg.NewVector(n), linalg.NewVector(m)
 	ws.t = linalg.NewVector(m)
 	ws.rhs = linalg.NewVector(n)
 	ws.rx = linalg.NewVector(n)
-	ws.ry = linalg.NewVector(pe)
 	ws.rz = linalg.NewVector(m)
 	ws.gz = linalg.NewVector(n)
 	ws.gx = linalg.NewVector(m)
-	ws.ax = linalg.NewVector(pe)
 	ws.nbx = linalg.NewVector(n)
-	ws.nby = linalg.NewVector(pe)
 	ws.nbz = linalg.NewVector(m)
 	ws.nwu = linalg.NewVector(m)
 	ws.nt = linalg.NewVector(m)
@@ -170,15 +161,13 @@ func (st *state) initWorkspace() {
 
 // kktFactor is a factorized KKT system for a fixed NT scaling. It solves
 //
-//	[ 0   Aᵀ   Gᵀ ] [x]   [bx]
-//	[ A   0    0  ] [y] = [by]
-//	[ G   0  −W²  ] [z]   [bz]
+//	[ 0   Gᵀ ] [x]   [bx]
+//	[ G  −W² ] [z] = [bz]
 //
 // via the normal equations H = Gᵀ W⁻² G, or an LDLᵀ factorization of the
-// quasi-definite KKT matrix [[H_s, Aᵀ, Bᵀ], [A, 0, 0], [B, 0, −I]] when there
-// are equality rows or long rows split off H (see neFactor). Its storage is
-// owned by the state's factorization pipeline; the state holds the one live
-// factor.
+// quasi-definite KKT matrix [[H_s, Bᵀ], [B, −I]] when long rows are split
+// off H (see neFactor). Its storage is owned by the state's factorization
+// pipeline; the state holds the one live factor.
 type kktFactor struct {
 	st *state
 	w  *cone.Scaling // nil means W = I
@@ -200,9 +189,9 @@ func (st *state) factor(w *cone.Scaling) (*kktFactor, error) {
 
 // factorSparse runs the sparse pipeline: refill H = (W⁻¹G)ᵀ(W⁻¹G) on its
 // fixed pattern and refactorize numerically against the symbolic structure
-// computed on first use. Without equality rows and split rows it factorizes
-// H directly with a static diagonal shift; otherwise it factorizes the
-// quasi-definite KKT matrix with the ±reg diagonal floor.
+// computed on first use. Without split rows it factorizes H directly with a
+// static diagonal shift; otherwise it factorizes the quasi-definite KKT
+// matrix with the ±reg diagonal floor.
 //
 //bbvet:hotpath
 func (st *state) factorSparse(f *kktFactor) (*kktFactor, error) {
@@ -239,7 +228,7 @@ const refineTol = 1e-14
 // maxRefineChecks caps the KKT residual checks of one kktFactor.solve.
 const maxRefineChecks = 4
 
-// solve computes (x, y, z) for right-hand sides (bx, by, bz) with full-space
+// solve computes (x, z) for right-hand sides (bx, bz) with full-space
 // iterative refinement, which keeps the dual residual accurate even when the
 // NT scaling is nearly singular at the end of the solve. Every factored
 // solve is followed by a check of the KKT residual. Refinement stops at the
@@ -250,19 +239,18 @@ const maxRefineChecks = 4
 // the next solve call; callers that keep them must clone.
 //
 //bbvet:hotpath
-func (f *kktFactor) solve(bx, by, bz linalg.Vector) (dx, dy, dz linalg.Vector) {
+func (f *kktFactor) solve(bx, bz linalg.Vector) (dx, dz linalg.Vector) {
 	ws := &f.st.ws
-	cx, cy, cz := ws.curX, ws.curY, ws.curZ
-	f.solveOnce(bx, by, bz, cx, cy, cz)
-	tol := refineTol * (1 + max(linalg.NormInf(bx), linalg.NormInf(by), linalg.NormInf(bz)))
+	cx, cz := ws.curX, ws.curZ
+	f.solveOnce(bx, bz, cx, cz)
+	tol := refineTol * (1 + max(linalg.NormInf(bx), linalg.NormInf(bz)))
 	bestRes := math.Inf(1)
 	for check := 1; ; check++ {
-		f.residual(bx, by, bz, cx, cy, cz)
-		res := max(linalg.NormInf(ws.r1), linalg.NormInf(ws.r2), linalg.NormInf(ws.r3))
+		f.residual(bx, bz, cx, cz)
+		res := max(linalg.NormInf(ws.r1), linalg.NormInf(ws.r3))
 		if res < bestRes {
 			bestRes = res
 			ws.bestX.CopyFrom(cx)
-			ws.bestY.CopyFrom(cy)
 			ws.bestZ.CopyFrom(cz)
 		} else {
 			break // refinement stopped converging
@@ -270,32 +258,23 @@ func (f *kktFactor) solve(bx, by, bz linalg.Vector) (dx, dy, dz linalg.Vector) {
 		if res <= tol || check == maxRefineChecks {
 			break
 		}
-		f.solveOnce(ws.r1, ws.r2, ws.r3, ws.corX, ws.corY, ws.corZ)
+		f.solveOnce(ws.r1, ws.r3, ws.corX, ws.corZ)
 		cx.AddScaled(1, ws.corX)
-		cy.AddScaled(1, ws.corY)
 		cz.AddScaled(1, ws.corZ)
 	}
-	return ws.bestX, ws.bestY, ws.bestZ
+	return ws.bestX, ws.bestZ
 }
 
-// residual computes the residual of the 3x3 block KKT system at (x, y, z)
-// into the workspace vectors r1, r2, r3.
+// residual computes the residual of the 2x2 block KKT system at (x, z) into
+// the workspace vectors r1 and r3.
 //
 //bbvet:hotpath
-func (f *kktFactor) residual(bx, by, bz, x, y, z linalg.Vector) {
+func (f *kktFactor) residual(bx, bz, x, z linalg.Vector) {
 	st := f.st
 	ws := &st.ws
-	r1 := ws.r1 // bx − Gᵀz − Aᵀy
+	r1 := ws.r1 // bx − Gᵀz
 	r1.CopyFrom(bx)
 	st.sv.g.MulVecTAdd(r1, -1, z)
-	if st.pe > 0 {
-		st.sv.a.MulVecTAdd(r1, -1, y)
-	}
-	r2 := ws.r2 // by − Ax
-	r2.CopyFrom(by)
-	if st.pe > 0 {
-		st.sv.a.MulVecAdd(r2, -1, x)
-	}
 	r3 := ws.r3 // bz − (Gx − W²z)
 	r3.CopyFrom(bz)
 	st.sv.g.MulVecAdd(r3, -1, x)
@@ -309,10 +288,10 @@ func (f *kktFactor) residual(bx, by, bz, x, y, z linalg.Vector) {
 }
 
 // solveOnce performs the factored solve without refinement, writing the
-// result into the caller-provided dx, dy, dz buffers.
+// result into the caller-provided dx, dz buffers.
 //
 //bbvet:hotpath
-func (f *kktFactor) solveOnce(bx, by, bz, dx, dy, dz linalg.Vector) {
+func (f *kktFactor) solveOnce(bx, bz, dx, dz linalg.Vector) {
 	st := f.st
 	ws := &st.ws
 	st.linearSolves++
@@ -334,16 +313,14 @@ func (f *kktFactor) solveOnce(bx, by, bz, dx, dy, dz linalg.Vector) {
 	if ws.full == nil {
 		f.schol.SolveRefined(f.hs, rhs, dx)
 	} else {
-		// [rhs; by; 0]: the split rows' right-hand side is zero.
-		n, pe := st.n, st.pe
+		// [rhs; 0]: the split rows' right-hand side is zero.
+		n := st.n
 		full := ws.full
 		copy(full[:n], rhs)
-		copy(full[n:n+pe], by)
-		clear(full[n+pe:])
+		clear(full[n:])
 		sol := ws.fsol
 		f.schol.SolveRefined(f.hs, full, sol)
 		copy(dx, sol[:n])
-		copy(dy, sol[n:n+pe])
 	}
 	// dz = W⁻² (G dx − bz).
 	st.sv.g.MulVec(dz, dx)
@@ -358,12 +335,8 @@ func (st *state) run() (*Solution, error) {
 	p := st.p
 	st.n = p.NumVars()
 	st.m = p.Dims.Dim()
-	if p.A != nil {
-		st.pe = p.A.Rows
-	}
 	st.e = linalg.NewVector(st.m)
 	p.Dims.Identity(st.e)
-	st.bnorm = linalg.Norm2(p.B)
 	st.hnorm = linalg.Norm2(p.H)
 	st.cnorm = linalg.Norm2(p.C)
 	st.initWorkspace()
@@ -378,7 +351,6 @@ func (st *state) run() (*Solution, error) {
 	best.X = linalg.NewVector(st.n)
 	best.S = linalg.NewVector(st.m)
 	best.Z = linalg.NewVector(st.m)
-	best.Y = linalg.NewVector(st.pe)
 	bestScore := math.Inf(1)
 	ws := &st.ws
 
@@ -397,30 +369,23 @@ func (st *state) run() (*Solution, error) {
 			}
 		}
 		// Residuals.
-		rx := ws.rx // rx = c + Gᵀz + Aᵀy
+		rx := ws.rx // rx = c + Gᵀz
 		rx.CopyFrom(p.C)
 		st.sv.g.MulVecTAdd(rx, 1, st.z)
-		if st.pe > 0 {
-			st.sv.a.MulVecTAdd(rx, 1, st.y)
-		}
-		ry := ws.ry // ry = Ax − b
-		if st.pe > 0 {
-			st.sv.a.MulVec(ry, st.x)
-			ry.AddScaled(-1, p.B)
-		}
 		rz := ws.rz // rz = Gx + s − h
 		st.sv.g.MulVec(rz, st.x)
 		linalg.Add(rz, rz, st.s)
 		rz.AddScaled(-1, p.H)
 
 		pcost := linalg.Dot(p.C, st.x)
-		dcost := -linalg.Dot(p.H, st.z) - linalg.Dot(p.B, st.y)
+		hz := linalg.Dot(p.H, st.z)
+		dcost := -hz
 		gap := linalg.Dot(st.s, st.z)
 		relgap := gap / math.Max(1, math.Abs(pcost))
-		pres := math.Max(linalg.Norm2(ry)/math.Max(1, st.bnorm), linalg.Norm2(rz)/math.Max(1, st.hnorm))
+		pres := linalg.Norm2(rz) / math.Max(1, st.hnorm)
 		dres := linalg.Norm2(rx) / math.Max(1, st.cnorm)
 
-		sol.X, sol.S, sol.Z, sol.Y = st.x, st.s, st.z, st.y
+		sol.X, sol.S, sol.Z = st.x, st.s, st.z
 		sol.PrimalObj, sol.DualObj = pcost, dcost
 		sol.Gap, sol.RelGap, sol.PrimalRes, sol.DualRes = gap, relgap, pres, dres
 		sol.Iterations = iter
@@ -437,15 +402,13 @@ func (st *state) run() (*Solution, error) {
 		}
 
 		// Farkas certificates of infeasibility.
-		hzby := linalg.Dot(p.H, st.z) + linalg.Dot(p.B, st.y)
-		if hzby < 0 {
-			// ‖Gᵀz + Aᵀy‖ relative to the certificate value.
+		if hz < 0 {
+			// ‖Gᵀz‖ relative to the certificate value.
 			gz := ws.gz
 			gz.CopyFrom(rx)
 			gz.AddScaled(-1, p.C)
-			if linalg.Norm2(gz)/(-hzby) <= st.opt.FeasTol {
-				scaleCert(st.z, -1/hzby)
-				scaleCert(st.y, -1/hzby)
+			if linalg.Norm2(gz)/(-hz) <= st.opt.FeasTol {
+				scaleCert(st.z, -1/hz)
 				sol.Status = StatusPrimalInfeasible
 				return sol, nil
 			}
@@ -454,11 +417,7 @@ func (st *state) run() (*Solution, error) {
 			gx := ws.gx
 			st.sv.g.MulVec(gx, st.x)
 			linalg.Add(gx, gx, st.s)
-			ax := ws.ax
-			if st.pe > 0 {
-				st.sv.a.MulVec(ax, st.x)
-			}
-			if math.Max(linalg.Norm2(gx), linalg.Norm2(ax))/(-pcost) <= st.opt.FeasTol {
+			if linalg.Norm2(gx)/(-pcost) <= st.opt.FeasTol {
 				scaleCert(st.x, -1/pcost)
 				scaleCert(st.s, -1/pcost)
 				sol.Status = StatusDualInfeasible
@@ -471,13 +430,12 @@ func (st *state) run() (*Solution, error) {
 		score := math.Max(math.Max(pres, dres), relgap)
 		if score < bestScore {
 			bestScore = score
-			bX, bS, bZ, bY := best.X, best.S, best.Z, best.Y
+			bX, bS, bZ := best.X, best.S, best.Z
 			*best = *sol
-			best.X, best.S, best.Z, best.Y = bX, bS, bZ, bY
+			best.X, best.S, best.Z = bX, bS, bZ
 			best.X.CopyFrom(sol.X)
 			best.S.CopyFrom(sol.S)
 			best.Z.CopyFrom(sol.Z)
-			best.Y.CopyFrom(sol.Y)
 		} else if bestScore < 1e-4 && score > 1e4*bestScore {
 			// Endgame breakdown after convergence effectively finished:
 			// return the best iterate instead of the deteriorated one.
@@ -502,9 +460,6 @@ func (st *state) run() (*Solution, error) {
 			st.shiftWarm(st.z)
 			rx.CopyFrom(p.C)
 			st.sv.g.MulVecTAdd(rx, 1, st.z)
-			if st.pe > 0 {
-				st.sv.a.MulVecTAdd(rx, 1, st.y)
-			}
 			st.sv.g.MulVec(rz, st.x)
 			linalg.Add(rz, rz, st.s)
 			rz.AddScaled(-1, p.H)
@@ -528,7 +483,7 @@ func (st *state) run() (*Solution, error) {
 		u := ws.uaff
 		u.CopyFrom(lambda)
 		u.Scale(-1)
-		_, _, dza, dsa := st.newton(f, w, rx, ry, rz, u)
+		_, dza, dsa := st.newton(f, w, rx, rz, u)
 
 		alphaAff := math.Min(1, math.Min(
 			p.Dims.StepToBoundary(st.s, dsa),
@@ -553,7 +508,7 @@ func (st *state) run() (*Solution, error) {
 		dc.AddScaled(-1, corr)
 		dc.AddScaled(sigma*mu, st.e)
 		p.Dims.Div(u, lambda, dc)
-		dx, dy, dz, ds := st.newton(f, w, rx, ry, rz, u)
+		dx, dz, ds := st.newton(f, w, rx, rz, u)
 
 		alpha := math.Min(1, st.opt.StepFrac*math.Min(
 			p.Dims.StepToBoundary(st.s, ds),
@@ -573,7 +528,6 @@ func (st *state) run() (*Solution, error) {
 				ws.ns, ws.nz = st.s, st.z
 				st.s, st.z = ns, nz
 				st.x.AddScaled(alpha, dx)
-				st.y.AddScaled(alpha, dy)
 				break
 			}
 			if tries >= 30 {
@@ -586,19 +540,16 @@ func (st *state) run() (*Solution, error) {
 }
 
 // newton solves one Newton system for the given residuals and scaled
-// complementarity term u = λ\dc, returning (dx, dy, dz, ds). The returned
+// complementarity term u = λ\dc, returning (dx, dz, ds). The returned
 // vectors are workspace-owned; they stay valid until the next newton or
 // kktFactor.solve call.
 //
 //bbvet:hotpath
-func (st *state) newton(f *kktFactor, w *cone.Scaling, rx, ry, rz, u linalg.Vector) (dx, dy, dz, ds linalg.Vector) {
+func (st *state) newton(f *kktFactor, w *cone.Scaling, rx, rz, u linalg.Vector) (dx, dz, ds linalg.Vector) {
 	ws := &st.ws
 	bx := ws.nbx
 	bx.CopyFrom(rx)
 	bx.Scale(-1)
-	by := ws.nby
-	by.CopyFrom(ry)
-	by.Scale(-1)
 	// bz = −rz − W u.
 	wu := ws.nwu
 	w.Apply(wu, u)
@@ -606,14 +557,14 @@ func (st *state) newton(f *kktFactor, w *cone.Scaling, rx, ry, rz, u linalg.Vect
 	bz.CopyFrom(rz)
 	bz.Scale(-1)
 	bz.AddScaled(-1, wu)
-	dx, dy, dz = f.solve(bx, by, bz)
+	dx, dz = f.solve(bx, bz)
 	// ds = W (u − W dz).
 	t := ws.nt
 	w.Apply(t, dz)
 	linalg.Sub(t, u, t)
 	ds = ws.nds
 	w.Apply(ds, t)
-	return dx, dy, dz, ds
+	return dx, dz, ds
 }
 
 // acceptReduced decides the status of a solve that could not reach the full
@@ -703,7 +654,7 @@ func (st *state) warmPoint() bool {
 		w.S = s
 	}
 	if st.p.Dims.Interior(w.S) && st.p.Dims.Interior(w.Z) {
-		st.x, st.y, st.s, st.z = w.X, w.Y, w.S, w.Z
+		st.x, st.s, st.z = w.X, w.S, w.Z
 		st.warmActive = true
 		return true
 	}
@@ -712,7 +663,7 @@ func (st *state) warmPoint() bool {
 	if !st.p.Dims.Interior(w.S) || !st.p.Dims.Interior(w.Z) {
 		return false
 	}
-	st.x, st.y, st.s, st.z = w.X, w.Y, w.S, w.Z
+	st.x, st.s, st.z = w.X, w.S, w.Z
 	return true
 }
 
@@ -733,20 +684,19 @@ func (st *state) coldPoint() error {
 	if err != nil {
 		return fmt.Errorf("socp: initial factorization failed: %w", err)
 	}
-	// Primal: minimize ‖Gx − h‖ s.t. Ax = b; s = h − Gx, shifted inward.
+	// Primal: minimize ‖Gx − h‖; s = h − Gx, shifted inward.
 	zero := linalg.NewVector(st.n)
-	x, _, ztilde := f.solve(zero, p.B, p.H)
+	x, ztilde := f.solve(zero, p.H)
 	st.x = x.Clone() // the solve results are workspace-backed
 	st.s = ztilde.Clone()
 	st.s.Scale(-1) // s = h − Gx = −z̃
 	if th := p.Dims.InteriorMargin(st.s); th <= 0 {
 		st.s.AddScaled(1-th, st.e)
 	}
-	// Dual: minimize ‖z‖ s.t. Gᵀz + Aᵀy = −c; shifted inward.
+	// Dual: minimize ‖z‖ s.t. Gᵀz = −c; shifted inward.
 	negc := p.C.Clone()
 	negc.Scale(-1)
-	_, y, z := f.solve(negc, linalg.NewVector(st.pe), linalg.NewVector(st.m))
-	st.y = y.Clone()
+	_, z := f.solve(negc, linalg.NewVector(st.m))
 	st.z = z.Clone()
 	if th := p.Dims.InteriorMargin(st.z); th <= 0 {
 		st.z.AddScaled(1-th, st.e)

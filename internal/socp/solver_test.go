@@ -70,6 +70,8 @@ func TestSmallLP(t *testing.T) {
 }
 
 // LP with equality constraints: min x+y s.t. x+y+z = 1, z = 0.4, x,y >= 0.
+// The solver takes inequalities only, so each equality a = 0 is posed as the
+// pair a ≥ 0, a ≤ 0.
 func TestLPWithEqualities(t *testing.T) {
 	b := NewBuilder()
 	x := b.AddVar()
@@ -79,8 +81,13 @@ func TestLPWithEqualities(t *testing.T) {
 	b.SetObjective(y, 1)
 	b.AddNonNeg(Expr(0).Plus(1, x))
 	b.AddNonNeg(Expr(0).Plus(1, y))
-	b.AddEq(Expr(-1).Plus(1, x).Plus(1, y).Plus(1, z)) // x+y+z−1 = 0
-	b.AddEq(Expr(-0.4).Plus(1, z))                     // z − 0.4 = 0
+	for _, a := range []Affine{
+		Expr(-1).Plus(1, x).Plus(1, y).Plus(1, z), // x+y+z−1 = 0
+		Expr(-0.4).Plus(1, z),                     // z − 0.4 = 0
+	} {
+		b.AddNonNeg(a)
+		b.AddLE(a, Expr(0))
+	}
 	p, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -410,6 +417,18 @@ func TestValidateErrors(t *testing.T) {
 	if err := p.Validate(); err == nil {
 		t.Fatal("G column mismatch accepted")
 	}
+	// Equality rows are not supported: a set A, even one without rows, is
+	// an error from Validate and from Solve, never a silently ignored block.
+	for _, a := range []*linalg.Matrix{linalg.NewMatrix(0, 1), linalg.NewMatrix(1, 1)} {
+		eq := &Problem{C: linalg.Vector{1}, G: linalg.NewMatrix(1, 1), H: linalg.NewVector(1), Dims: cone.Dims{NonNeg: 1}, A: a}
+		eq.G.Set(0, 0, -1)
+		if err := eq.Validate(); err == nil {
+			t.Fatalf("Validate accepted a problem with a %d-row A", a.Rows)
+		}
+		if sol, err := Solve(eq, Options{}); err == nil || sol != nil {
+			t.Fatalf("Solve accepted a problem with a %d-row A: solution %v, error %v", a.Rows, sol, err)
+		}
+	}
 	p2 := &Problem{C: linalg.Vector{1}, H: linalg.NewVector(1), Dims: cone.Dims{NonNeg: 1}}
 	if err := p2.Validate(); err == nil {
 		t.Fatal("nil G accepted")
@@ -432,13 +451,6 @@ func TestStatusString(t *testing.T) {
 		if st.String() != want {
 			t.Fatalf("Status(%d).String() = %q, want %q", int(st), st.String(), want)
 		}
-	}
-}
-
-func TestBuilderEval(t *testing.T) {
-	a := Expr(2).Plus(3, 0).Plus(-1, 1)
-	if got := a.Eval(linalg.Vector{1, 4}); got != 1 {
-		t.Fatalf("Eval = %v, want 1", got)
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 )
 
 // sparseView holds the iteration-invariant sparse structure of one solve's
-// constraint matrices: CSR forms of G and A for the mat-vecs of the main
-// loop, and a value template gs for the NT-scaled matrix W⁻¹G. The symbolic
+// constraint matrix: G in CSR form for the mat-vecs of the main loop, and a
+// value template gs for the NT-scaled matrix W⁻¹G. The symbolic
 // pattern of gs is fixed across all IPM iterations of a solve — only the
 // scaling W changes — so the normal-equations assembly H = (W⁻¹G)ᵀ(W⁻¹G)
 // reuses it every iteration and touches structural nonzeros only:
@@ -28,7 +28,6 @@ import (
 // neFactor), where they cost O(w) instead of O(w²).
 type sparseView struct {
 	g  *linalg.SparseMatrix // exact pattern of G
-	a  *linalg.SparseMatrix // exact pattern of A, nil without equalities
 	gs *linalg.SparseMatrix // W⁻¹G template; values rewritten by fillScaled
 
 	dims cone.Dims
@@ -69,9 +68,6 @@ type socBlockView struct {
 // carrying GSparse, which the view uses directly.
 func newSparseView(p *Problem) *sparseView {
 	sv := &sparseView{dims: p.Dims, g: p.GSparse}
-	if p.A != nil {
-		sv.a = linalg.NewSparseFromDense(p.A)
-	}
 	n := sv.g.Cols
 	pattern := make([][]int, sv.g.Rows)
 	for i := 0; i < p.Dims.NonNeg; i++ {

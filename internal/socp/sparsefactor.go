@@ -13,33 +13,28 @@ import "repro/internal/linalg"
 // H covers only the short rows of W⁻¹G (H_s). The long rows the sparse view
 // splits off (B) enter a quasi-definite KKT matrix instead:
 //
-//	[ H_s+reg·I  Aᵀ      Bᵀ ] [x]   [r ]
-//	[ A          −reg·I  0  ] [y] = [by]
-//	[ B          0       −I ] [u]   [0 ]
+//	[ H_s+reg·I  Bᵀ ] [x]   [r]
+//	[ B          −I ] [u] = [0]
 //
-// Eliminating u = Bx gives back (H_s + BᵀB)x + Aᵀy = r with H_s + BᵀB = H,
-// so the factorization solves the same system while a row of width w adds
-// w entries to the matrix instead of a dense w×w block.
+// Eliminating u = Bx gives back (H_s + BᵀB)x = r with H_s + BᵀB = H, so the
+// factorization solves the same system while a row of width w adds w
+// entries to the matrix instead of a dense w×w block.
 type neFactor struct {
 	ata  *linalg.SparseAtA // H_s on its fixed pattern
 	chol linalg.SparseLDLT // factor of H (kkt == nil) or of the KKT matrix
 
 	// kkt is the quasi-definite KKT matrix above on a fixed pattern, nil
-	// when there are neither equality rows nor split rows (then H itself is
-	// factored). The A blocks are written at construction (and rewritten by
-	// setStaticA when a pooled pipeline moves to a new problem); fillKKT
-	// refreshes the H block, the B blocks and the diagonal.
+	// when no row is split off (then H itself is factored). fillKKT
+	// rewrites all of its values.
 	kkt   *linalg.SparseMatrix
 	hDst  []int // kkt.Val position of each H entry
-	diag  []int // kkt.Val position of each diagonal entry, len n+pe+nd
+	diag  []int // kkt.Val position of each diagonal entry, len n+nd
 	hDiag []int // H.Val position of diagonal entry i < n, −1 if not in H
-	// dstU and dstL are the kkt.Val positions of entry t of the rows below
-	// H — the A entries, then the B entries — in the upper (Aᵀ, Bᵀ) and
-	// lower (A, B) blocks, so the refills write without index search. bSrc
-	// is the W⁻¹G value position of B entry t.
+	// dstU and dstL are the kkt.Val positions of B entry t in the upper
+	// (Bᵀ) and lower (B) blocks, so the refills write without index search.
+	// bSrc is the W⁻¹G value position of B entry t.
 	dstU, dstL []int
 	bSrc       []int
-	pe         int // equality rows
 	nd         int // split rows
 
 	hii linalg.Vector // scratch of hMax, len n (nd > 0)
@@ -55,42 +50,29 @@ type neFactor struct {
 }
 
 // newNEFactor builds the factorization pipeline for the sparse view's
-// fixed pattern. a is the problem's equality-constraint matrix in CSR form
-// (nil without equalities). A non-nil sym is the symbolic analysis
-// (ordering, etree, column pattern) of the factored matrix, shared with
-// other pipelines of the same pattern; nil analyzes locally. backend must
-// be a resolved factorization choice — FactorSparse or FactorSupernodal,
-// never FactorAuto — and workers bounds the supernodal worker pool.
-func newNEFactor(sv *sparseView, a *linalg.SparseMatrix, sym *linalg.SymbolicFactor, backend Factorization, workers int) *neFactor {
+// fixed pattern. A non-nil sym is the symbolic analysis (ordering, etree,
+// column pattern) of the factored matrix, shared with other pipelines of
+// the same pattern; nil analyzes locally. backend must be a resolved
+// factorization choice — FactorSparse or FactorSupernodal, never
+// FactorAuto — and workers bounds the supernodal worker pool.
+func newNEFactor(sv *sparseView, sym *linalg.SymbolicFactor, backend Factorization, workers int) *neFactor {
 	f := &neFactor{ata: linalg.NewSparseAtASkip(sv.gs, sv.splitMask)}
 	h := f.ata.Result
-	if a == nil && len(sv.split) == 0 {
+	if len(sv.split) == 0 {
 		f.chol = newSparseChol(h, sym, backend, workers)
 		f.bytes = f.footprint()
 		return f
 	}
 	gs := sv.gs
 	n := h.Rows
-	if a != nil {
-		f.pe = a.Rows
-	}
 	f.nd = len(sv.split)
-	pe, dim := f.pe, n+f.pe+f.nd
-	// row returns the matrix and entry range of row k below H: equality
-	// row k of a, or split row k−pe of gs.
-	row := func(k int) (m *linalg.SparseMatrix, lo, hi int) {
-		if k < pe {
-			return a, a.RowPtr[k], a.RowPtr[k+1]
-		}
-		r := sv.split[k-pe]
-		return gs, gs.RowPtr[r], gs.RowPtr[r+1]
-	}
+	dim := n + f.nd
 	// Fixed pattern of the KKT matrix, with an explicit diagonal everywhere
 	// so the regularization always has a slot. One counting pass sizes the
 	// rows; the fill pass then writes every column index and records every
 	// scatter position into flat slices. Row i < n holds H_s row i
-	// (diagonal inserted), then its Aᵀ and Bᵀ columns, which ascend because
-	// the rows below H are visited in order.
+	// (diagonal inserted), then its Bᵀ columns, which ascend because the
+	// split rows are visited in order.
 	rowPtr := make([]int, dim+1)
 	for i := 0; i < n; i++ {
 		rowPtr[i+1] = h.RowPtr[i+1] - h.RowPtr[i]
@@ -98,17 +80,14 @@ func newNEFactor(sv *sparseView, a *linalg.SparseMatrix, sym *linalg.SymbolicFac
 			rowPtr[i+1]++
 		}
 	}
-	nx, nb := 0, 0 // entries of the rows below H, of B
-	for k := 0; k < pe+f.nd; k++ {
-		m, lo, hi := row(k)
+	nb := 0 // entries of B
+	for k, r := range sv.split {
+		lo, hi := gs.RowPtr[r], gs.RowPtr[r+1]
 		for t := lo; t < hi; t++ {
-			rowPtr[m.ColIdx[t]+1]++
+			rowPtr[gs.ColIdx[t]+1]++
 		}
 		rowPtr[n+k+1] = hi - lo + 1
-		nx += hi - lo
-		if k >= pe {
-			nb += hi - lo
-		}
+		nb += hi - lo
 	}
 	for i := 0; i < dim; i++ {
 		rowPtr[i+1] += rowPtr[i]
@@ -118,7 +97,7 @@ func newNEFactor(sv *sparseView, a *linalg.SparseMatrix, sym *linalg.SymbolicFac
 	f.diag = make([]int, dim)
 	f.hDiag = make([]int, n)
 	f.hDst = make([]int, h.NNZ())
-	next := make([]int, n) // fill cursor of the Aᵀ/Bᵀ part of row i
+	next := make([]int, n) // fill cursor of the Bᵀ part of row i
 	for i := 0; i < n; i++ {
 		pos := rowPtr[i]
 		f.diag[i], f.hDiag[i] = -1, -1
@@ -140,31 +119,25 @@ func newNEFactor(sv *sparseView, a *linalg.SparseMatrix, sym *linalg.SymbolicFac
 		}
 		next[i] = pos
 	}
-	// Rows below H: the row's columns, then its diagonal, mirrored into the
-	// upper blocks.
-	f.dstU = make([]int, 0, nx)
-	f.dstL = make([]int, 0, nx)
+	// Split rows: the row's columns, then its diagonal, mirrored into the
+	// upper block.
+	f.dstU = make([]int, 0, nb)
+	f.dstL = make([]int, 0, nb)
 	f.bSrc = make([]int, 0, nb)
-	for k := 0; k < pe+f.nd; k++ {
-		m, lo, hi := row(k)
+	for k, r := range sv.split {
 		pos := rowPtr[n+k]
-		for t := lo; t < hi; t++ {
-			j := m.ColIdx[t]
+		for t := gs.RowPtr[r]; t < gs.RowPtr[r+1]; t++ {
+			j := gs.ColIdx[t]
 			colIdx[pos], colIdx[next[j]] = j, n+k
 			f.dstL = append(f.dstL, pos)
 			f.dstU = append(f.dstU, next[j])
-			if k >= pe {
-				f.bSrc = append(f.bSrc, t)
-			}
+			f.bSrc = append(f.bSrc, t)
 			pos++
 			next[j]++
 		}
 		colIdx[pos], f.diag[n+k] = n+k, pos
 	}
-	if f.nd > 0 {
-		f.hii = linalg.NewVector(n)
-	}
-	f.setStaticA(a)
+	f.hii = linalg.NewVector(n)
 	f.chol = newSparseChol(f.kkt, sym, backend, workers)
 	f.bytes = f.footprint()
 	return f
@@ -207,27 +180,10 @@ var newSparseChol = func(m *linalg.SparseMatrix, sym *linalg.SymbolicFactor, bac
 	return sym.NewNumeric()
 }
 
-// setStaticA rewrites the equality blocks of the KKT matrix with the
-// values of a, which must carry the analyzed pattern. No-op without
-// equalities.
-//
-//bbvet:hotpath
-func (f *neFactor) setStaticA(a *linalg.SparseMatrix) {
-	if f.pe == 0 {
-		return
-	}
-	kv := f.kkt.Val
-	for t, v := range a.Val {
-		kv[f.dstL[t]] = v
-		kv[f.dstU[t]] = v
-	}
-}
-
 // fillKKT refreshes the KKT values for the current H, the split rows of
 // gs (the current W⁻¹G) and the given static regularization: the H block is
 // copied through the scatter map, the B blocks from gs, and the diagonal
-// becomes H(i,i)+reg on the variable block, −reg on the equality block and
-// −1 on the split block.
+// becomes H(i,i)+reg on the variable block and −1 on the split block.
 //
 //bbvet:hotpath
 func (f *neFactor) fillKKT(gs *linalg.SparseMatrix, reg float64) {
@@ -237,26 +193,23 @@ func (f *neFactor) fillKKT(gs *linalg.SparseMatrix, reg float64) {
 		kv[d] = hv[t]
 	}
 	f.setDiag(reg)
-	n := f.ata.Result.Rows
 	gv := gs.Val
-	dstL, dstU := f.dstL[len(f.dstL)-len(f.bSrc):], f.dstU[len(f.dstU)-len(f.bSrc):]
 	for t, src := range f.bSrc {
 		v := gv[src]
-		kv[dstL[t]] = v
-		kv[dstU[t]] = v
+		kv[f.dstL[t]] = v
+		kv[f.dstU[t]] = v
 	}
-	for d := n + f.pe; d < len(f.diag); d++ {
-		kv[f.diag[d]] = -1
+	for _, d := range f.diag[len(f.hDiag):] {
+		kv[d] = -1
 	}
 }
 
-// setDiag writes H(i,i)+reg on the variable block of the KKT diagonal and
-// −reg on the equality block, leaving the split block's −1.
+// setDiag writes H(i,i)+reg on the variable block of the KKT diagonal,
+// leaving the split block's −1.
 //
 //bbvet:hotpath
 func (f *neFactor) setDiag(reg float64) {
 	hv, kv := f.ata.Result.Val, f.kkt.Val
-	n := len(f.hDiag)
 	for i, t := range f.hDiag {
 		var v float64
 		if t >= 0 {
@@ -264,15 +217,12 @@ func (f *neFactor) setDiag(reg float64) {
 		}
 		kv[f.diag[i]] = v + reg
 	}
-	for e := 0; e < f.pe; e++ {
-		kv[f.diag[n+e]] = -reg
-	}
 }
 
-// unshift takes the ±reg shift fillKKT put on the diagonal back out once
-// the factorization holds it, leaving the unregularized KKT matrix for
+// unshift takes the reg shift fillKKT put on the diagonal back out once the
+// factorization holds it, leaving the unregularized KKT matrix for
 // SolveRefined to refine against — the values fillKKT(gs, 0) writes, at
-// O(n+pe) instead of a refill.
+// O(n) instead of a refill.
 //
 //bbvet:hotpath
 func (f *neFactor) unshift() { f.setDiag(0) }
@@ -314,7 +264,7 @@ func (sv *sparseView) normalEq(pc *PatternCache, backend Factorization, workers 
 		if pc != nil {
 			sv.ne = pc.acquire(sv, backend, workers)
 		} else {
-			sv.ne = newNEFactor(sv, sv.a, nil, backend, workers)
+			sv.ne = newNEFactor(sv, nil, backend, workers)
 		}
 	}
 	return sv.ne

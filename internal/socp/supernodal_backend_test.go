@@ -18,7 +18,7 @@ func TestSupernodalBackendMatchesSparse(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 30; trial++ {
 		n := 6 + rng.Intn(12)
-		p := randomProblem(rng, n, 4+rng.Intn(6), rng.Intn(3), 0.4, trial%3 == 0)
+		p := randomProblem(rng, n, 4+rng.Intn(6), rng.Intn(3), 0.4)
 		sp, err := Solve(p, Options{Factorization: FactorSparse})
 		if err != nil {
 			t.Fatalf("trial %d: sparse solve: %v", trial, err)
@@ -44,7 +44,7 @@ func TestSupernodalBackendMatchesSparse(t *testing.T) {
 // factors a panel but never the deterministic update order within one.
 func TestSupernodalSolveParallelBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
-	p := randomProblem(rng, 90, 70, 5, 0.06, false)
+	p := randomProblem(rng, 90, 70, 5, 0.06)
 	base, err := Solve(p, Options{Factorization: FactorSupernodal, FactorWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestSupernodalSolveParallelBitwise(t *testing.T) {
 func TestGSparseMatchesDenseG(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 20; trial++ {
-		p := randomProblem(rng, 5+rng.Intn(10), 3+rng.Intn(5), rng.Intn(3), 0.4, trial%2 == 0)
+		p := randomProblem(rng, 5+rng.Intn(10), 3+rng.Intn(5), rng.Intn(3), 0.4)
 		q := *p
 		q.GSparse = linalg.NewSparseFromDense(p.G)
 		q.G = nil
@@ -104,7 +104,7 @@ func TestGSparseMatchesDenseG(t *testing.T) {
 // TestValidateGCarriers: exactly one of G and GSparse must be set.
 func TestValidateGCarriers(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
-	p := randomProblem(rng, 6, 4, 1, 0.5, false)
+	p := randomProblem(rng, 6, 4, 1, 0.5)
 	gs := linalg.NewSparseFromDense(p.G)
 
 	both := *p
@@ -150,7 +150,7 @@ func TestResolveFactorization(t *testing.T) {
 // pooled numeric workspace is built for one factorization layout.
 func TestPatternCacheBackendKeying(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
-	p := randomProblem(rng, 14, 10, 2, 0.3, false)
+	p := randomProblem(rng, 14, 10, 2, 0.3)
 	sv := newSparseView(withCSR(p))
 	pc := NewPatternCache()
 

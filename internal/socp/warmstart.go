@@ -2,7 +2,7 @@ package socp
 
 import "repro/internal/linalg"
 
-// WarmStart is an initial primal/dual iterate (x, s, z, y) in the problem's
+// WarmStart is an initial primal/dual iterate (x, s, z) in the problem's
 // original (unequilibrated) coordinates, typically harvested from the
 // solution of a neighboring problem — the previous point of a capacity
 // sweep, the previous weight ratio of a Pareto scan, or the previous probe
@@ -18,7 +18,6 @@ type WarmStart struct {
 	X linalg.Vector // primal variables
 	S linalg.Vector // primal slacks, should be (near) K
 	Z linalg.Vector // duals of Gx + s = h, should be (near) K
-	Y linalg.Vector // duals of Ax = b (empty without equalities)
 }
 
 // Warm extracts a warm start from a solved problem's solution, cloning the
@@ -43,6 +42,5 @@ func (s *Solution) Warm() *WarmStart {
 		X: s.X.Clone(),
 		S: s.S.Clone(),
 		Z: s.Z.Clone(),
-		Y: s.Y.Clone(),
 	}
 }

@@ -15,11 +15,23 @@ func perturbedProblem(p *Problem, eps float64) *Problem {
 	for i := range q.H {
 		q.H[i] += eps * (1 + math.Abs(q.H[i]))
 	}
-	if p.A != nil {
-		q.A = p.A.Clone()
-		q.B = p.B.Clone()
-	}
 	return q
+}
+
+// pipelineShapes returns one problem per shape of the factorization
+// pipeline: H factored alone, and a long row split off into the
+// quasi-definite KKT matrix.
+func pipelineShapes(rng *rand.Rand) []struct {
+	name string
+	p    *Problem
+} {
+	return []struct {
+		name string
+		p    *Problem
+	}{
+		{"normal equations", randomProblem(rng, 16, 12, 2, 0.4)},
+		{"split", longRowProblem(rng, 16, 12, 2)},
+	}
 }
 
 // TestWarmStartMatchesColdSolution: a warm-started solve must converge to
@@ -28,27 +40,27 @@ func perturbedProblem(p *Problem, eps float64) *Problem {
 // best-case neighbor).
 func TestWarmStartMatchesColdSolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, eq := range []bool{false, true} {
-		p := randomProblem(rng, 16, 12, 2, 0.4, eq)
+	for _, tc := range pipelineShapes(rng) {
+		p := tc.p
 		cold, err := Solve(p, Options{})
 		if err != nil || cold.Status != StatusOptimal {
-			t.Fatalf("eq=%v: cold solve failed: %v %v", eq, cold.Status, err)
+			t.Fatalf("%s: cold solve failed: %v %v", tc.name, cold.Status, err)
 		}
 		warm, err := Solve(p, Options{WarmStart: cold.Warm()})
 		if err != nil || warm.Status != StatusOptimal {
-			t.Fatalf("eq=%v: warm solve failed: %v %v", eq, warm.Status, err)
+			t.Fatalf("%s: warm solve failed: %v %v", tc.name, warm.Status, err)
 		}
 		if d := math.Abs(warm.PrimalObj - cold.PrimalObj); d > 1e-6*(1+math.Abs(cold.PrimalObj)) {
-			t.Fatalf("eq=%v: warm optimum %g differs from cold %g", eq, warm.PrimalObj, cold.PrimalObj)
+			t.Fatalf("%s: warm optimum %g differs from cold %g", tc.name, warm.PrimalObj, cold.PrimalObj)
 		}
 		for i := range cold.X {
 			if d := math.Abs(warm.X[i] - cold.X[i]); d > 1e-4*(1+math.Abs(cold.X[i])) {
-				t.Fatalf("eq=%v: x[%d]: warm %g vs cold %g", eq, i, warm.X[i], cold.X[i])
+				t.Fatalf("%s: x[%d]: warm %g vs cold %g", tc.name, i, warm.X[i], cold.X[i])
 			}
 		}
 		if warm.Iterations >= cold.Iterations {
-			t.Errorf("eq=%v: warm start took %d iterations, cold %d — no speedup",
-				eq, warm.Iterations, cold.Iterations)
+			t.Errorf("%s: warm start took %d iterations, cold %d — no speedup",
+				tc.name, warm.Iterations, cold.Iterations)
 		}
 	}
 }
@@ -58,7 +70,7 @@ func TestWarmStartMatchesColdSolution(t *testing.T) {
 // reduction.
 func TestWarmStartNeighborProblem(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	p := randomProblem(rng, 20, 16, 2, 0.4, false)
+	p := randomProblem(rng, 20, 16, 2, 0.4)
 	base, err := Solve(p, Options{})
 	if err != nil || base.Status != StatusOptimal {
 		t.Fatalf("base solve failed: %v %v", base.Status, err)
@@ -85,14 +97,14 @@ func TestWarmStartNeighborProblem(t *testing.T) {
 // entries must be ignored, yielding exactly the cold solve.
 func TestWarmStartInvalidFallsBackCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	p := randomProblem(rng, 12, 10, 1, 0.5, false)
+	p := randomProblem(rng, 12, 10, 1, 0.5)
 	cold, err := Solve(p, Options{})
 	if err != nil || cold.Status != StatusOptimal {
 		t.Fatalf("cold solve failed: %v %v", cold.Status, err)
 	}
 	m := p.Dims.Dim()
 	bad := []*WarmStart{
-		{X: linalg.NewVector(3), S: linalg.NewVector(m), Z: linalg.NewVector(m), Y: linalg.NewVector(0)},
+		{X: linalg.NewVector(3), S: linalg.NewVector(m), Z: linalg.NewVector(m)},
 		func() *WarmStart {
 			w := cold.Warm()
 			w.S[0] = math.NaN()
@@ -125,35 +137,35 @@ func TestWarmStartInvalidFallsBackCold(t *testing.T) {
 // TestPatternCacheBitIdentical: solving through a PatternCache — cold pool,
 // then pooled reuse across several neighboring problems — must reproduce
 // the uncached solves bit for bit, for both the normal-equations and the
-// reduced-KKT paths.
+// split KKT paths.
 func TestPatternCacheBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
-	for _, eq := range []bool{false, true} {
-		p := randomProblem(rng, 16, 12, 2, 0.4, eq)
+	for _, tc := range pipelineShapes(rng) {
+		p := tc.p
 		pc := NewPatternCache()
 		for round := 0; round < 3; round++ {
 			q := perturbedProblem(p, float64(round)*1e-3)
 			plain, err := Solve(q, Options{})
 			if err != nil {
-				t.Fatalf("eq=%v round %d: plain solve error: %v", eq, round, err)
+				t.Fatalf("%s round %d: plain solve error: %v", tc.name, round, err)
 			}
 			cached, err := Solve(q, Options{Cache: pc})
 			if err != nil {
-				t.Fatalf("eq=%v round %d: cached solve error: %v", eq, round, err)
+				t.Fatalf("%s round %d: cached solve error: %v", tc.name, round, err)
 			}
 			if cached.Status != plain.Status || cached.Iterations != plain.Iterations {
-				t.Fatalf("eq=%v round %d: cached solve diverged: %v/%d vs %v/%d",
-					eq, round, cached.Status, cached.Iterations, plain.Status, plain.Iterations)
+				t.Fatalf("%s round %d: cached solve diverged: %v/%d vs %v/%d",
+					tc.name, round, cached.Status, cached.Iterations, plain.Status, plain.Iterations)
 			}
 			for i := range plain.X {
 				// Exact float comparison: cached solves must be bit-identical to uncached.
 				if cached.X[i] != plain.X[i] {
-					t.Fatalf("eq=%v round %d: x[%d] differs through cache", eq, round, i)
+					t.Fatalf("%s round %d: x[%d] differs through cache", tc.name, round, i)
 				}
 			}
 		}
 		if hits, misses := pc.Stats(); misses != 1 || hits != 2 {
-			t.Errorf("eq=%v: cache stats hits=%d misses=%d, want 2/1", eq, hits, misses)
+			t.Errorf("%s: cache stats hits=%d misses=%d, want 2/1", tc.name, hits, misses)
 		}
 	}
 }
