@@ -37,14 +37,6 @@ type Result struct {
 	Evaluated int
 }
 
-// Objective returns the weighted mapping objective of the result.
-func (r *Result) Objective() float64 {
-	if r.Solve == nil || r.Solve.Mapping == nil {
-		return math.Inf(1)
-	}
-	return r.Solve.Mapping.Objective
-}
-
 // Exhaustive tries every assignment of tasks to processors and buffers to
 // memories and returns the feasible binding with the smallest objective.
 // The search space is |P|^|W| · |M|^|B|; it refuses instances beyond

@@ -149,15 +149,6 @@ func (s *SparseMatrix) MulVecAdd(dst Vector, alpha float64, x Vector) {
 	}
 }
 
-// MulVecT computes dst = Aᵀ x.
-func (s *SparseMatrix) MulVecT(dst, x Vector) {
-	if len(dst) != s.Cols || len(x) != s.Rows {
-		panic("linalg: sparse MulVecT dimension mismatch")
-	}
-	dst.Zero()
-	s.MulVecTAdd(dst, 1, x)
-}
-
 // MulVecTAdd computes dst += alpha * Aᵀ x.
 func (s *SparseMatrix) MulVecTAdd(dst Vector, alpha float64, x Vector) {
 	if len(dst) != s.Cols || len(x) != s.Rows {
@@ -170,38 +161,6 @@ func (s *SparseMatrix) MulVecTAdd(dst Vector, alpha float64, x Vector) {
 		}
 		for k := s.RowPtr[i]; k < s.RowPtr[i+1]; k++ {
 			dst[s.ColIdx[k]] += xi * s.Val[k]
-		}
-	}
-}
-
-// AtAInto computes dst = AᵀA into the dense Cols×Cols matrix dst, visiting
-// only the structural nonzeros: each row contributes the outer product of
-// its stored entries, O(Σᵢ nnz(rowᵢ)²) total instead of the dense
-// O(Rows·Cols²). Rows are accumulated in ascending order, matching the
-// summation order of the dense Matrix.AtAInto so the two agree bitwise.
-func (s *SparseMatrix) AtAInto(dst *Matrix) {
-	n := s.Cols
-	if dst.Rows != n || dst.Cols != n {
-		panic("linalg: sparse AtAInto dimension mismatch")
-	}
-	dst.Zero()
-	for r := 0; r < s.Rows; r++ {
-		lo, hi := s.RowPtr[r], s.RowPtr[r+1]
-		for a := lo; a < hi; a++ {
-			vi := s.Val[a]
-			if vi == 0 {
-				continue
-			}
-			drow := dst.Data[s.ColIdx[a]*n : (s.ColIdx[a]+1)*n]
-			for b := a; b < hi; b++ {
-				drow[s.ColIdx[b]] += vi * s.Val[b]
-			}
-		}
-	}
-	// Mirror the upper triangle.
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			dst.Data[j*n+i] = dst.Data[i*n+j]
 		}
 	}
 }

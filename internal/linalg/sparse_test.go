@@ -70,8 +70,9 @@ func TestSparseEmptyRowsAndCols(t *testing.T) {
 		}
 	}
 	// AᵀA with an empty column stays zero on that row/col.
-	ata := NewMatrix(4, 4)
-	s.AtAInto(ata)
+	plan := NewSparseAtA(s)
+	plan.Compute(s)
+	ata := plan.Result.ToDense()
 	for j := 0; j < 4; j++ {
 		if ata.At(2, j) != 0 || ata.At(j, 2) != 0 {
 			t.Fatalf("AtA row/col 2 not zero: %v / %v", ata.At(2, j), ata.At(j, 2))
@@ -82,7 +83,7 @@ func TestSparseEmptyRowsAndCols(t *testing.T) {
 	if empty.NNZ() != 0 {
 		t.Fatalf("empty NNZ = %d", empty.NNZ())
 	}
-	empty.AtAInto(NewMatrix(2, 2))
+	NewSparseAtA(empty).Compute(empty)
 }
 
 func TestSparseMulVecMatchesDense(t *testing.T) {
@@ -105,7 +106,7 @@ func TestSparseMulVecMatchesDense(t *testing.T) {
 		s.MulVec(gotR, x)
 		d.MulVec(wantR, x)
 		gotC, wantC := NewVector(cols), NewVector(cols)
-		s.MulVecT(gotC, y)
+		s.MulVecTAdd(gotC, 1, y)
 		d.MulVecTAdd(wantC, 1, y)
 		for i := range gotR {
 			if math.Abs(gotR[i]-wantR[i]) > 1e-12 {
@@ -114,7 +115,7 @@ func TestSparseMulVecMatchesDense(t *testing.T) {
 		}
 		for i := range gotC {
 			if math.Abs(gotC[i]-wantC[i]) > 1e-12 {
-				t.Fatalf("trial %d: MulVecT[%d] = %v, want %v", trial, i, gotC[i], wantC[i])
+				t.Fatalf("trial %d: MulVecTAdd[%d] from zero = %v, want %v", trial, i, gotC[i], wantC[i])
 			}
 		}
 
@@ -137,6 +138,9 @@ func TestSparseMulVecMatchesDense(t *testing.T) {
 	}
 }
 
+// TestSparseAtAIntoMatchesDense: the fixed-pattern sparse AᵀA, expanded into
+// a dense matrix, agrees bit for bit with the dense product, because both sum
+// every entry over the rows in ascending order.
 func TestSparseAtAIntoMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 50; trial++ {
@@ -145,9 +149,10 @@ func TestSparseAtAIntoMatchesDense(t *testing.T) {
 		fill := 0.1 + 0.5*rng.Float64()
 		d := randSparseDense(rng, rows, cols, fill)
 		s := NewSparseFromDense(d)
-		got := NewMatrix(cols, cols)
+		plan := NewSparseAtA(s)
+		plan.Compute(s)
+		got := plan.Result.ToDense()
 		want := NewMatrix(cols, cols)
-		s.AtAInto(got)
 		d.AtAInto(want)
 		for i := range got.Data {
 			// Identical accumulation order: the results agree bitwise.

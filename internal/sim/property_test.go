@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"maps"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -20,7 +21,7 @@ func TestBufferMonotonicity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bigger := m.Clone()
+	bigger := &taskgraph.Mapping{Budgets: m.Budgets, Capacities: maps.Clone(m.Capacities), Objective: m.Objective}
 	bigger.Capacities["bab"] = m.Capacities["bab"] + 2
 	more, err := Run(c, bigger, Options{Firings: 150})
 	if err != nil {

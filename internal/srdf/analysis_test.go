@@ -33,7 +33,7 @@ func bruteForceMCM(g *Graph) float64 {
 	best := 0.0
 	var dfs func(start, cur int, visited []bool, dur float64, tok int)
 	dfs = func(start, cur int, visited []bool, dur float64, tok int) {
-		for _, eid := range g.OutEdges(ActorID(cur)) {
+		for _, eid := range g.out[cur] {
 			e := g.Edge(eid)
 			to := int(e.To)
 			nd := dur + g.Actor(ActorID(cur)).Duration
@@ -124,7 +124,7 @@ func TestCriticalCycleIsACycleAtTheMCM(t *testing.T) {
 			// largest mean, which a critical cycle must use.
 			next := cycle[(i+1)%len(cycle)]
 			best := -1
-			for _, eid := range g.OutEdges(a) {
+			for _, eid := range g.out[a] {
 				if e := g.Edge(eid); e.To == next && (best < 0 || e.Tokens < best) {
 					best = e.Tokens
 				}
@@ -245,8 +245,7 @@ func TestSelfTimedMonotonicityTokens(t *testing.T) {
 		}
 		g2 := g.Clone()
 		// Add a token to a random edge.
-		eid := EdgeID(rng.Intn(g2.NumEdges()))
-		g2.SetTokens(eid, g2.Edge(eid).Tokens+1)
+		g2.edges[rng.Intn(len(g2.edges))].Tokens++
 		more, err := g2.SelfTimed(50)
 		if err != nil {
 			t.Fatal(err)
@@ -273,8 +272,7 @@ func TestSelfTimedMonotonicityDurations(t *testing.T) {
 			t.Fatal(err)
 		}
 		g2 := g.Clone()
-		aid := ActorID(rng.Intn(g2.NumActors()))
-		g2.SetDuration(aid, g2.Actor(aid).Duration*0.5)
+		g2.actors[rng.Intn(g2.NumActors())].Duration *= 0.5
 		faster, err := g2.SelfTimed(50)
 		if err != nil {
 			t.Fatal(err)

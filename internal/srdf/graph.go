@@ -74,26 +74,11 @@ func (g *Graph) AddEdge(name string, from, to ActorID, tokens int) EdgeID {
 // NumActors returns the number of actors.
 func (g *Graph) NumActors() int { return len(g.actors) }
 
-// NumEdges returns the number of edges.
-func (g *Graph) NumEdges() int { return len(g.edges) }
-
 // Actor returns the actor with the given id.
 func (g *Graph) Actor(id ActorID) Actor { return g.actors[id] }
 
 // Edge returns the edge with the given id.
 func (g *Graph) Edge(id EdgeID) Edge { return g.edges[id] }
-
-// SetDuration updates an actor's firing duration.
-func (g *Graph) SetDuration(id ActorID, d float64) { g.actors[id].Duration = d }
-
-// SetTokens updates an edge's initial token count.
-func (g *Graph) SetTokens(id EdgeID, tokens int) { g.edges[id].Tokens = tokens }
-
-// OutEdges returns the ids of edges leaving a (shared slice; do not modify).
-func (g *Graph) OutEdges(a ActorID) []EdgeID { return g.out[a] }
-
-// InEdges returns the ids of edges entering a (shared slice; do not modify).
-func (g *Graph) InEdges(a ActorID) []EdgeID { return g.in[a] }
 
 // Validate checks internal consistency: durations and token counts must be
 // nonnegative and edge endpoints valid.

@@ -14,8 +14,8 @@ func TestGraphBasics(t *testing.T) {
 	a := g.AddActor("a", 2)
 	b := g.AddActor("b", 3)
 	e := g.AddEdge("ab", a, b, 1)
-	if g.NumActors() != 2 || g.NumEdges() != 1 {
-		t.Fatalf("counts: %d actors, %d edges", g.NumActors(), g.NumEdges())
+	if g.NumActors() != 2 || len(g.edges) != 1 {
+		t.Fatalf("counts: %d actors, %d edges", g.NumActors(), len(g.edges))
 	}
 	if g.Actor(a).Duration != 2 || g.Actor(b).Name != "b" {
 		t.Fatal("actor accessors broken")
@@ -23,16 +23,8 @@ func TestGraphBasics(t *testing.T) {
 	if g.Edge(e).From != a || g.Edge(e).To != b || g.Edge(e).Tokens != 1 {
 		t.Fatal("edge accessors broken")
 	}
-	if len(g.OutEdges(a)) != 1 || len(g.InEdges(b)) != 1 || len(g.InEdges(a)) != 0 {
+	if len(g.out[a]) != 1 || len(g.in[b]) != 1 || len(g.in[a]) != 0 {
 		t.Fatal("adjacency broken")
-	}
-	g.SetDuration(a, 5)
-	if g.Actor(a).Duration != 5 {
-		t.Fatal("SetDuration broken")
-	}
-	g.SetTokens(e, 7)
-	if g.Edge(e).Tokens != 7 {
-		t.Fatal("SetTokens broken")
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
@@ -49,9 +41,9 @@ func TestValidateRejects(t *testing.T) {
 	if err := g.Validate(); err == nil {
 		t.Fatal("negative duration accepted")
 	}
-	g.SetDuration(a, 1)
+	g.actors[a].Duration = 1
 	e := g.AddEdge("self", a, a, 1)
-	g.SetTokens(e, -1)
+	g.edges[e].Tokens = -1
 	if err := g.Validate(); err == nil {
 		t.Fatal("negative tokens accepted")
 	}
@@ -90,8 +82,8 @@ func TestClone(t *testing.T) {
 	a := g.AddActor("a", 1)
 	g.AddEdge("aa", a, a, 1)
 	c := g.Clone()
-	c.SetDuration(a, 9)
-	c.SetTokens(EdgeID(0), 5)
+	c.actors[a].Duration = 9
+	c.edges[0].Tokens = 5
 	if g.Actor(a).Duration != 1 || g.Edge(0).Tokens != 1 {
 		t.Fatal("Clone shares state")
 	}

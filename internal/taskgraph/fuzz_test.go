@@ -98,6 +98,5 @@ func FuzzReadMapping(f *testing.F) {
 				t.Fatalf("accepted mapping has invalid capacity %q = %d", name, cap)
 			}
 		}
-		m.Clone()
 	})
 }

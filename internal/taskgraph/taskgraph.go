@@ -381,22 +381,6 @@ type Mapping struct {
 	Objective float64 `json:"objective"`
 }
 
-// Clone returns a deep copy of the mapping.
-func (m *Mapping) Clone() *Mapping {
-	c := &Mapping{
-		Budgets:    make(map[string]float64, len(m.Budgets)),
-		Capacities: make(map[string]int, len(m.Capacities)),
-		Objective:  m.Objective,
-	}
-	for k, v := range m.Budgets {
-		c.Budgets[k] = v
-	}
-	for k, v := range m.Capacities {
-		c.Capacities[k] = v
-	}
-	return c
-}
-
 // Clone returns a deep copy of the configuration.
 func (c *Config) Clone() *Config {
 	data, err := json.Marshal(c)

@@ -255,17 +255,3 @@ func TestMappingFileRoundTrip(t *testing.T) {
 		t.Fatal("malformed mapping accepted")
 	}
 }
-
-func TestMappingClone(t *testing.T) {
-	m := &Mapping{
-		Budgets:    map[string]float64{"wa": 4},
-		Capacities: map[string]int{"bab": 10},
-		Objective:  14,
-	}
-	c := m.Clone()
-	c.Budgets["wa"] = 9
-	c.Capacities["bab"] = 1
-	if m.Budgets["wa"] != 4 || m.Capacities["bab"] != 10 {
-		t.Fatal("Clone shares maps")
-	}
-}
