@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
@@ -362,5 +363,33 @@ func TestNumericalExitFallsBackToBestIterate(t *testing.T) {
 	}
 	if a[0].Iterations != 0 {
 		t.Fatalf("early fault: attempt 0 stopped at iteration %d, want 0", a[0].Iterations)
+	}
+}
+
+// TestIterationsCountPasses: a solve that ends on an earlier, better iterate
+// still reports every pass it ran, in socp.Solution.Iterations and in the
+// ladder's SolveAttempt. The paper's T1 at cap 5 ends that way. Its trace
+// prints one line per pass, iteration 0 included.
+func TestIterationsCountPasses(t *testing.T) {
+	c := gen.PaperT1(5)
+	p, err := BuildProblem(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace bytes.Buffer
+	sol, err := socp.Solve(p, socp.Options{Trace: true, TraceOut: &trace})
+	if err != nil || sol.Status != socp.StatusOptimal {
+		t.Fatalf("solve: %v %v", sol.Status, err)
+	}
+	passes := strings.Count(trace.String(), "\n") - 1
+	if sol.Iterations != passes {
+		t.Fatalf("Iterations = %d, trace shows %d passes", sol.Iterations, passes)
+	}
+	r, err := Solve(context.Background(), c, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Report.Attempts[0].Iterations; got != passes || r.SolverIterations != passes {
+		t.Fatalf("attempt reports %d iterations, result %d, trace %d passes", got, r.SolverIterations, passes)
 	}
 }

@@ -1,6 +1,7 @@
 package socp
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -157,20 +158,8 @@ func fnvMix(h, v uint64) uint64 {
 //
 //bbvet:hotpath
 func (e *patternEntry) matches(gs *linalg.SparseMatrix, backend Factorization) bool {
-	if e.backend != backend || gs.Rows != e.gsRows || gs.Cols != e.gsCols || len(gs.ColIdx) != len(e.gsColIdx) {
-		return false
-	}
-	for i, p := range gs.RowPtr {
-		if e.gsRowPtr[i] != p {
-			return false
-		}
-	}
-	for i, c := range gs.ColIdx {
-		if e.gsColIdx[i] != c {
-			return false
-		}
-	}
-	return true
+	return e.backend == backend && gs.Rows == e.gsRows && gs.Cols == e.gsCols &&
+		slices.Equal(gs.RowPtr, e.gsRowPtr) && slices.Equal(gs.ColIdx, e.gsColIdx)
 }
 
 // acquire returns a factorization pipeline for the view's pattern on the

@@ -119,16 +119,18 @@ func (s Status) String() string {
 
 // Solution holds the result of a solve.
 type Solution struct {
-	Status     Status
-	X          linalg.Vector // primal variables
-	S          linalg.Vector // primal slacks, ∈ K
-	Z          linalg.Vector // dual variables for Gx + s = h, ∈ K
-	PrimalObj  float64       // cᵀx
-	DualObj    float64       // −hᵀz
-	Gap        float64       // sᵀz
-	RelGap     float64
-	PrimalRes  float64 // relative primal residual
-	DualRes    float64 // relative dual residual
+	Status    Status
+	X         linalg.Vector // primal variables
+	S         linalg.Vector // primal slacks, ∈ K
+	Z         linalg.Vector // dual variables for Gx + s = h, ∈ K
+	PrimalObj float64       // cᵀx
+	DualObj   float64       // −hᵀz
+	Gap       float64       // sᵀz
+	RelGap    float64
+	PrimalRes float64 // relative primal residual
+	DualRes   float64 // relative dual residual
+	// Iterations is the number of interior-point passes the solve ran,
+	// also when it reports an earlier, better iterate.
 	Iterations int
 	// LinearSolves is the number of factored solves of the KKT system, one
 	// per Newton right-hand side plus one per refinement correction.

@@ -439,15 +439,11 @@ func (st *state) run() (*Solution, error) {
 		} else if bestScore < 1e-4 && score > 1e4*bestScore {
 			// Endgame breakdown after convergence effectively finished:
 			// return the best iterate instead of the deteriorated one.
-			*sol = *best
-			sol.Status = acceptReduced(best)
-			return sol, nil
+			return reportBest(sol, best, acceptReduced(best)), nil
 		}
 
 		if iter == st.opt.MaxIter {
-			*sol = *best
-			sol.Status = acceptReduced(best)
-			return sol, nil
+			return reportBest(sol, best, acceptReduced(best)), nil
 		}
 
 		// An unshifted warm point got its free convergence check above; past
@@ -590,11 +586,19 @@ func acceptReduced(best *Solution) Status {
 // is +Inf while no iterate has been recorded in best.
 func breakdown(sol, best *Solution, bestScore float64) *Solution {
 	if !math.IsInf(bestScore, 1) && acceptReduced(best) == StatusOptimal {
-		*sol = *best
-		sol.Status = StatusOptimal
-		return sol
+		return reportBest(sol, best, StatusOptimal)
 	}
 	sol.Status = StatusNumericalError
+	return sol
+}
+
+// reportBest ends a solve on its best iterate: sol takes best's point and
+// diagnostics and the given status, but keeps its own Iterations, the
+// number of passes the solve ran.
+func reportBest(sol, best *Solution, status Status) *Solution {
+	passes := sol.Iterations
+	*sol = *best
+	sol.Iterations, sol.Status = passes, status
 	return sol
 }
 

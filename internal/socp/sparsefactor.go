@@ -199,8 +199,8 @@ func (f *neFactor) fillKKT(gs *linalg.SparseMatrix, reg float64) {
 		kv[f.dstL[t]] = v
 		kv[f.dstU[t]] = v
 	}
-	for _, d := range f.diag[len(f.hDiag):] {
-		kv[d] = -1
+	for d := len(f.hDiag); d < len(f.diag); d++ {
+		kv[f.diag[d]] = -1
 	}
 }
 
