@@ -45,7 +45,7 @@ func (c *SparseCholesky) Factorize(a *SparseMatrix, shift, reg float64) error {
 }
 
 // FactorizeQuasiDef refactorizes a symmetric quasi-definite matrix (e.g. the
-// regularized reduced KKT matrix [[H+εI, Aᵀ], [A, −εI]]) with the analyzed
+// regularized KKT matrix [[H+εI, Bᵀ], [B, −I]] of split rows) with the analyzed
 // pattern. Diagonal pivots whose magnitude falls below eps are floored at
 // ±eps preserving sign, matching the dense LDLT policy; the factorization
 // fails only on NaN breakdown.

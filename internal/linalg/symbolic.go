@@ -23,8 +23,9 @@ import "sync"
 // For a symmetric positive-definite A the factorization is the Cholesky
 // factorization in LDLᵀ form (L·diag(√D) is the classical factor); the LDLᵀ
 // form avoids square roots and extends to the symmetric quasi-definite
-// KKT matrices of the equality-constrained path, which are strongly
-// factorizable under any symmetric permutation.
+// KKT matrices the solver builds when it splits long rows off the normal
+// equations, which are strongly factorizable under any symmetric
+// permutation.
 type SparseCholesky struct {
 	sym *SymbolicFactor
 

@@ -21,8 +21,8 @@
 //     lets in-flight solves finish up to a drain bound, then cancels
 //     stragglers through their contexts.
 //   - Shared-pattern fast path: all solves share one socp.PatternCache,
-//     keyed by the sparsity patterns of the solver's constraint matrices,
-//     so a request whose matrices carry a pattern seen before skips the
+//     keyed by the sparsity pattern of the solver's constraint matrix,
+//     so a request whose matrix carries a pattern seen before skips the
 //     symbolic analysis and reuses an idle factorization pipeline.
 //     taskgraph.StructureHash only labels responses and log lines (their
 //     pattern field); nothing is keyed or stored by it.

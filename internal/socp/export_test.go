@@ -8,8 +8,8 @@ import (
 
 // denseLDLT is the dense reference factorization behind the
 // linalg.SparseLDLT interface. The positive-definite path (normal
-// equations, pe == 0) runs the dense Cholesky and the quasi-definite path
-// (reduced KKT, pe > 0) the dense LDLᵀ, each on a dense copy of the sparse
+// equations) runs the dense Cholesky and the quasi-definite path (the KKT
+// matrix of split rows) the dense LDLᵀ, each on a dense copy of the sparse
 // matrix and with the regularization semantics of the sparse backends.
 // Plugged in through newSparseChol, it turns a solve into the dense-factor
 // oracle: sparse assembly, dense factorization.

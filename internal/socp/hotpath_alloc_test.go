@@ -26,7 +26,8 @@ func interiorPoint(rng *rand.Rand, dims cone.Dims, v linalg.Vector) {
 	}
 }
 
-// allocCase is one pipeline shape of the allocation guards.
+// allocCase is one shape of the factorization pipeline, with a problem that
+// takes it; the allocation guards and the warm-start tests run each shape.
 type allocCase struct {
 	name  string
 	p     *Problem

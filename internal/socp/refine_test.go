@@ -12,7 +12,7 @@ import (
 // kktResidual is the ∞-norm of the KKT residual kktFactor.residual left in
 // the workspace, the quantity kktFactor.solve's stopping rule tests.
 func kktResidual(ws *workspace) float64 {
-	return max(linalg.NormInf(ws.r1), linalg.NormInf(ws.r3))
+	return max(linalg.NormInf(ws.r1), linalg.NormInf(ws.r2))
 }
 
 // TestRefinementStopRule checks kktFactor.solve against a replay of its
@@ -86,7 +86,7 @@ func TestRefinementStopRule(t *testing.T) {
 				reason = metTol
 				break
 			}
-			f.solveOnce(ws.r1, ws.r3, cx, cz)
+			f.solveOnce(ws.r1, ws.r2, cx, cz)
 			x.AddScaled(1, cx)
 			z.AddScaled(1, cz)
 		}

@@ -101,7 +101,7 @@ type state struct {
 // nothing.
 type workspace struct {
 	// kktFactor.solve: iterative-refinement scratch.
-	r1, r3       linalg.Vector // n, m residuals
+	r1, r2       linalg.Vector // n, m residuals
 	w2z          linalg.Vector // m
 	curX, curZ   linalg.Vector // running refined iterate
 	bestX, bestZ linalg.Vector // best iterate seen
@@ -134,7 +134,7 @@ func (st *state) initWorkspace() {
 		ws.fsol = linalg.NewVector(n + nd)
 	}
 	ws.r1 = linalg.NewVector(n)
-	ws.r3 = linalg.NewVector(m)
+	ws.r2 = linalg.NewVector(m)
 	ws.w2z = linalg.NewVector(m)
 	ws.curX, ws.curZ = linalg.NewVector(n), linalg.NewVector(m)
 	ws.bestX, ws.bestZ = linalg.NewVector(n), linalg.NewVector(m)
@@ -247,7 +247,7 @@ func (f *kktFactor) solve(bx, bz linalg.Vector) (dx, dz linalg.Vector) {
 	bestRes := math.Inf(1)
 	for check := 1; ; check++ {
 		f.residual(bx, bz, cx, cz)
-		res := max(linalg.NormInf(ws.r1), linalg.NormInf(ws.r3))
+		res := max(linalg.NormInf(ws.r1), linalg.NormInf(ws.r2))
 		if res < bestRes {
 			bestRes = res
 			ws.bestX.CopyFrom(cx)
@@ -258,7 +258,7 @@ func (f *kktFactor) solve(bx, bz linalg.Vector) (dx, dz linalg.Vector) {
 		if res <= tol || check == maxRefineChecks {
 			break
 		}
-		f.solveOnce(ws.r1, ws.r3, ws.corX, ws.corZ)
+		f.solveOnce(ws.r1, ws.r2, ws.corX, ws.corZ)
 		cx.AddScaled(1, ws.corX)
 		cz.AddScaled(1, ws.corZ)
 	}
@@ -266,7 +266,7 @@ func (f *kktFactor) solve(bx, bz linalg.Vector) (dx, dz linalg.Vector) {
 }
 
 // residual computes the residual of the 2x2 block KKT system at (x, z) into
-// the workspace vectors r1 and r3.
+// the workspace vectors r1 and r2.
 //
 //bbvet:hotpath
 func (f *kktFactor) residual(bx, bz, x, z linalg.Vector) {
@@ -275,16 +275,16 @@ func (f *kktFactor) residual(bx, bz, x, z linalg.Vector) {
 	r1 := ws.r1 // bx − Gᵀz
 	r1.CopyFrom(bx)
 	st.sv.g.MulVecTAdd(r1, -1, z)
-	r3 := ws.r3 // bz − (Gx − W²z)
-	r3.CopyFrom(bz)
-	st.sv.g.MulVecAdd(r3, -1, x)
+	r2 := ws.r2 // bz − (Gx − W²z)
+	r2.CopyFrom(bz)
+	st.sv.g.MulVecAdd(r2, -1, x)
 	w2z := ws.w2z
 	w2z.CopyFrom(z)
 	if f.w != nil {
 		f.w.Apply(w2z, w2z)
 		f.w.Apply(w2z, w2z)
 	}
-	linalg.Add(r3, r3, w2z)
+	linalg.Add(r2, r2, w2z)
 }
 
 // solveOnce performs the factored solve without refinement, writing the

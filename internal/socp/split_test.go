@@ -204,7 +204,7 @@ func TestQuasiDefRefinesAgainstUnregularized(t *testing.T) {
 		dx, dz := f.solve(bx, bz)
 		f.residual(bx, bz, dx, dz)
 		ws := &st.ws
-		res := math.Max(linalg.NormInf(ws.r1), linalg.NormInf(ws.r3))
+		res := math.Max(linalg.NormInf(ws.r1), linalg.NormInf(ws.r2))
 		scale := 1 + math.Max(linalg.NormInf(dx), linalg.NormInf(dz))
 		if res > 1e-9*scale {
 			t.Fatalf("scaling %d: KKT residual %v of the refined solve (solution scale %v)", k, res, scale)

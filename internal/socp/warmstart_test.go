@@ -21,16 +21,10 @@ func perturbedProblem(p *Problem, eps float64) *Problem {
 // pipelineShapes returns one problem per shape of the factorization
 // pipeline: H factored alone, and a long row split off into the
 // quasi-definite KKT matrix.
-func pipelineShapes(rng *rand.Rand) []struct {
-	name string
-	p    *Problem
-} {
-	return []struct {
-		name string
-		p    *Problem
-	}{
-		{"normal equations", randomProblem(rng, 16, 12, 2, 0.4)},
-		{"split", longRowProblem(rng, 16, 12, 2)},
+func pipelineShapes(rng *rand.Rand) []allocCase {
+	return []allocCase{
+		{"normal equations", randomProblem(rng, 16, 12, 2, 0.4), false},
+		{"split", longRowProblem(rng, 16, 12, 2), true},
 	}
 }
 
