@@ -152,10 +152,10 @@ func TestSparseCholeskyQuasiDef(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 25; trial++ {
 		n := 4 + rng.Intn(20)
-		pe := 1 + rng.Intn(3)
+		nb := 1 + rng.Intn(3)
 		hd, _ := randomSparseSPD(rng, n, 0.2)
 		const eps = 1e-10
-		nt := n + pe
+		nt := n + nb
 		kd := NewMatrix(nt, nt)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
@@ -163,7 +163,7 @@ func TestSparseCholeskyQuasiDef(t *testing.T) {
 			}
 			kd.Add(i, i, eps)
 		}
-		for e := 0; e < pe; e++ {
+		for e := 0; e < nb; e++ {
 			for j := 0; j < n; j++ {
 				if rng.Float64() < 0.4 {
 					v := rng.NormFloat64()

@@ -118,10 +118,10 @@ func TestSupernodalQuasiDef(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 25; trial++ {
 		n := 4 + rng.Intn(40)
-		pe := 1 + rng.Intn(4)
+		nb := 1 + rng.Intn(4)
 		hd, _ := randomSparseSPD(rng, n, 0.2)
 		const eps = 1e-10
-		nt := n + pe
+		nt := n + nb
 		kd := NewMatrix(nt, nt)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
@@ -129,7 +129,7 @@ func TestSupernodalQuasiDef(t *testing.T) {
 			}
 			kd.Add(i, i, eps)
 		}
-		for e := 0; e < pe; e++ {
+		for e := 0; e < nb; e++ {
 			for j := 0; j < n; j++ {
 				if rng.Float64() < 0.4 {
 					v := rng.NormFloat64()
