@@ -15,9 +15,9 @@
 // With -json, diagnostics are emitted instead as a JSON array of
 // {file, line, col, analyzer, message} objects (an empty array on a clean
 // run), for editors and tooling. In text mode, when running under GitHub
-// Actions (GITHUB_ACTIONS=true, or forced with -gha), each diagnostic is
-// additionally emitted as a ::error workflow command so findings surface as
-// inline annotations on the pull request.
+// Actions (GITHUB_ACTIONS=true), each diagnostic is additionally emitted as
+// a ::error workflow command so findings surface as inline annotations on
+// the pull request.
 //
 // bbvet is a checker only: it never rewrites source, and every run loads
 // and analyzes the packages from scratch. Only non-test files are read.
@@ -52,9 +52,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	names := fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 	list := fs.Bool("list", false, "list the available analyzers and exit")
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array instead of text lines")
-	gha := fs.Bool("gha", false, "emit GitHub Actions ::error annotations alongside text output (auto-enabled when GITHUB_ACTIONS=true)")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: bbvet [-analyzers a,b] [-list] [-json] [-gha] [packages]\n")
+		fmt.Fprintf(stderr, "usage: bbvet [-analyzers a,b] [-list] [-json] [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -90,7 +89,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	} else {
-		annotate := *gha || os.Getenv("GITHUB_ACTIONS") == "true"
+		annotate := os.Getenv("GITHUB_ACTIONS") == "true"
 		for _, d := range diags {
 			fmt.Fprintln(stdout, d)
 			if annotate {

@@ -173,18 +173,6 @@ func TestGHAAnnotations(t *testing.T) {
 	}
 }
 
-// TestGHAFlagWithoutEnv forces annotations with -gha even outside CI.
-func TestGHAFlagWithoutEnv(t *testing.T) {
-	t.Setenv("GITHUB_ACTIONS", "")
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-gha", "../../testdata/analysis/floatcmp"}, &out, &errOut); code != 1 {
-		t.Fatalf("exited %d, want 1 (stderr: %s)", code, errOut.String())
-	}
-	if !strings.Contains(out.String(), "::error file=") {
-		t.Errorf("-gha did not emit annotations:\n%s", out.String())
-	}
-}
-
 // TestGHAEscaping pins the workflow-command escaping rules.
 func TestGHAEscaping(t *testing.T) {
 	if got := ghaEscapeData("50% of a\nline\r"); got != "50%25 of a%0Aline%0D" {

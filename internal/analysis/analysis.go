@@ -79,8 +79,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// All returns the full analyzer suite in reporting order: the AST-pattern
-// analyzers of the original suite first, then the CFG/dataflow analyzers.
+// All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
 		FloatCmp,

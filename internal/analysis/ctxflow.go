@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -9,23 +10,26 @@ import (
 // hand: cancellation only works end-to-end if every cancellable call
 // reachable from a CLI entry receives the context that entry threaded in.
 // For every function (or function literal) that accepts a context.Context
-// parameter, the analyzer runs a flow-sensitive taint analysis over the
-// function's CFG, seeding the parameter (and, for nested literals, any
-// context visible from the enclosing function), and reports:
+// parameter, the analyzer computes the context variables derived from that
+// parameter (for nested literals, also from any context parameter of the
+// enclosing functions) and reports:
 //
 //   - a call argument in a context.Context parameter slot whose value is
 //     context.Background() or context.TODO() — a fresh root context
 //     smuggled into library code severs the caller's cancellation;
 //   - a context argument not derived from the function's own context —
-//     e.g. a context built from Background via WithTimeout, or a stale
-//     variable overwritten on some path;
+//     e.g. a context built from Background via WithTimeout, or a variable
+//     that is assigned an underived context anywhere in the function;
 //   - a context parameter that is never used at all while the body calls
 //     at least one context-accepting function — accepted but not threaded,
 //     so the signature promises a cancellability the body does not deliver.
 //
 // Derivation follows assignments and calls: any call that returns a
-// context and receives a tainted argument (context.WithCancel/WithTimeout/
-// WithValue, or a helper doing the same) produces a tainted context.
+// context and receives a derived argument (context.WithCancel/WithTimeout/
+// WithValue, or a helper doing the same) produces a derived context. The
+// check is not flow-sensitive: a variable counts as derived only if every
+// write to it in the function assigns a derived value, so a variable that
+// is ever bound to a fresh root is rejected at every use.
 // main-package root functions without a ctx parameter (where
 // context.Background is the correct root) are naturally out of scope.
 var CtxFlow = &Analyzer{
@@ -54,31 +58,8 @@ func runCtxFlow(pass *Pass) {
 func checkCtxFunc(pass *Pass, body *ast.BlockStmt, ftyp *ast.FuncType, seeds []types.Object) {
 	info := pass.Pkg.Info
 	if len(seeds) > 0 {
-		g := BuildCFG(body)
-		prob := &TaintProblem{
-			Info:  info,
-			Seeds: seeds,
-			Tracks: func(o types.Object) bool {
-				return isContextType(o.Type())
-			},
-			Derived: func(e ast.Expr, set TaintSet) bool {
-				return ctxDerived(info, e, set)
-			},
-			// All-paths semantics: a context overwritten with Background()
-			// on one branch is a severed cancellation on that branch, so
-			// derivation must hold on every path into the call.
-			Must:     true,
-			Universe: ctxUniverse(info, body, seeds),
-		}
-		facts := SolveTaint(g, prob)
-		for _, blk := range g.Blocks {
-			set := copyTaint(facts.In[blk.Index])
-			for _, n := range blk.Nodes {
-				checkCtxCalls(pass, n, set)
-				prob.Apply(n, set)
-			}
-		}
-		checkCtxUnused(pass, body, ftyp, seeds)
+		checkCtxCalls(pass, body, derivedCtxs(info, body, seeds))
+		checkCtxUnused(pass, body, ftyp)
 	}
 	// Nested literals: analyzed with the outer seeds still visible.
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -92,25 +73,106 @@ func checkCtxFunc(pass *Pass, body *ast.BlockStmt, ftyp *ast.FuncType, seeds []t
 	})
 }
 
-// checkCtxCalls inspects one CFG node for calls with context-typed
-// parameter slots and validates each context argument against the current
-// taint set. Function literals are skipped — they are separate flows — and
-// composite loop/select nodes contribute only their header expressions,
-// because their bodies live in other blocks.
-func checkCtxCalls(pass *Pass, n ast.Node, set TaintSet) {
-	switch n := n.(type) {
-	case *ast.RangeStmt:
-		checkCtxCallsIn(pass, n.X, set)
-		return
-	case *ast.SelectStmt:
-		return // comm clauses are carried by their own blocks
-	}
-	checkCtxCallsIn(pass, n, set)
+// ctxWrite is one assignment to a context-typed local: the variable and
+// the expression assigned (nil when the write has none, as in a bare var
+// declaration or a range clause).
+type ctxWrite struct {
+	v   *types.Var
+	rhs ast.Expr
 }
 
-func checkCtxCallsIn(pass *Pass, n ast.Node, set TaintSet) {
+// derivedCtxs returns the context variables of body that hold a context
+// derived from the seeds: the greatest set containing only seeds and
+// written variables in which every write to a member assigns a value
+// ctxDerived accepts under the set itself. Nested function literals are
+// separate functions and their writes are not gathered.
+func derivedCtxs(info *types.Info, body *ast.BlockStmt, seeds []types.Object) map[types.Object]bool {
+	var writes []ctxWrite
+	ast.Inspect(body, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false
+		}
+		writes = appendCtxWrites(writes, info, n)
+		return true
+	})
+	set := map[types.Object]bool{}
+	for _, s := range seeds {
+		set[s] = true
+	}
+	for _, w := range writes {
+		set[w.v] = true
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, w := range writes {
+			if set[w.v] && !ctxDerived(info, w.rhs, set) {
+				delete(set, w.v)
+				changed = true
+			}
+		}
+	}
+	return set
+}
+
+// appendCtxWrites appends the context-typed variable writes performed
+// directly by node n: assignments, short and var declarations, and range
+// clause variables. A multi-value assignment from one call assigns that
+// call to every variable on its left.
+func appendCtxWrites(writes []ctxWrite, info *types.Info, n ast.Node) []ctxWrite {
+	add := func(lhs ast.Expr, rhs ast.Expr) {
+		id, ok := lhs.(*ast.Ident)
+		if !ok || id.Name == "_" {
+			return
+		}
+		obj := info.Defs[id]
+		if obj == nil {
+			obj = info.Uses[id]
+		}
+		if v, ok := obj.(*types.Var); ok && isContextType(v.Type()) {
+			writes = append(writes, ctxWrite{v, rhs})
+		}
+	}
+	// rhsAt is the value assigned to the i-th of n names.
+	rhsAt := func(values []ast.Expr, i, n int) ast.Expr {
+		switch len(values) {
+		case n:
+			return values[i]
+		case 1:
+			return values[0]
+		}
+		return nil
+	}
+	switch n := n.(type) {
+	case *ast.AssignStmt:
+		for i, lhs := range n.Lhs {
+			add(lhs, rhsAt(n.Rhs, i, len(n.Lhs)))
+		}
+	case *ast.DeclStmt:
+		if gd, ok := n.Decl.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+			for _, spec := range gd.Specs {
+				vs := spec.(*ast.ValueSpec)
+				for i, name := range vs.Names {
+					add(name, rhsAt(vs.Values, i, len(vs.Names)))
+				}
+			}
+		}
+	case *ast.RangeStmt:
+		if n.Key != nil {
+			add(n.Key, nil)
+		}
+		if n.Value != nil {
+			add(n.Value, nil)
+		}
+	}
+	return writes
+}
+
+// checkCtxCalls finds the calls of body with context-typed parameter slots
+// and checks each context argument against the derived set. Function
+// literals are skipped: checkCtxFunc checks them as functions of their own.
+func checkCtxCalls(pass *Pass, body *ast.BlockStmt, set map[types.Object]bool) {
 	info := pass.Pkg.Info
-	ast.Inspect(n, func(m ast.Node) bool {
+	ast.Inspect(body, func(m ast.Node) bool {
 		if _, ok := m.(*ast.FuncLit); ok {
 			return false
 		}
@@ -144,7 +206,7 @@ func checkCtxCallsIn(pass *Pass, n ast.Node, set TaintSet) {
 				continue
 			}
 			if !ctxDerived(info, arg, set) {
-				pass.Reportf(arg.Pos(), "context passed to %s is not derived from this function's ctx parameter on this path", calleeName(call))
+				pass.Reportf(arg.Pos(), "context passed to %s is not derived from this function's ctx parameter in this function", calleeName(call))
 			}
 		}
 		return true
@@ -157,7 +219,7 @@ func checkCtxCallsIn(pass *Pass, n ast.Node, set TaintSet) {
 // ctx.Err() polling, select on ctx.Done()) is accepted; so is an unused
 // parameter in a body with nothing to thread it into (interface
 // conformance).
-func checkCtxUnused(pass *Pass, body *ast.BlockStmt, ftyp *ast.FuncType, seeds []types.Object) {
+func checkCtxUnused(pass *Pass, body *ast.BlockStmt, ftyp *ast.FuncType) {
 	info := pass.Pkg.Info
 	own := ctxParams(info, ftyp) // only this function's own parameters
 	if len(own) == 0 {
@@ -188,33 +250,6 @@ func checkCtxUnused(pass *Pass, body *ast.BlockStmt, ftyp *ast.FuncType, seeds [
 	}
 }
 
-// ctxUniverse collects every context-typed object mentioned in the body
-// plus the seeds — the top element of the must-taint lattice.
-func ctxUniverse(info *types.Info, body *ast.BlockStmt, seeds []types.Object) []types.Object {
-	seen := map[types.Object]bool{}
-	var out []types.Object
-	add := func(o types.Object) {
-		if o != nil && !seen[o] && isContextType(o.Type()) {
-			seen[o] = true
-			out = append(out, o)
-		}
-	}
-	for _, s := range seeds {
-		add(s)
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			if obj := info.Defs[id]; obj != nil {
-				add(obj)
-			} else {
-				add(info.Uses[id])
-			}
-		}
-		return true
-	})
-	return out
-}
-
 // ctxParams returns the objects of the context.Context-typed parameters of
 // a function type (blank parameters excluded).
 func ctxParams(info *types.Info, ftyp *ast.FuncType) []types.Object {
@@ -236,10 +271,10 @@ func ctxParams(info *types.Info, ftyp *ast.FuncType) []types.Object {
 }
 
 // ctxDerived reports whether e evaluates to a context derived from the
-// tainted set: a tainted identifier, a parenthesized/asserted/converted
+// set: an identifier in the set, a parenthesized/asserted/converted
 // derived value, or a call returning a context that receives a derived
 // context argument (context.With* and user helpers alike).
-func ctxDerived(info *types.Info, e ast.Expr, set TaintSet) bool {
+func ctxDerived(info *types.Info, e ast.Expr, set map[types.Object]bool) bool {
 	switch e := e.(type) {
 	case *ast.Ident:
 		obj := info.Uses[e]

@@ -48,7 +48,6 @@ type Graph struct {
 	actors []Actor
 	edges  []Edge
 	out    [][]EdgeID // adjacency: out[a] lists edges with From == a
-	in     [][]EdgeID
 }
 
 // NewGraph returns an empty graph.
@@ -58,7 +57,6 @@ func NewGraph() *Graph { return &Graph{} }
 func (g *Graph) AddActor(name string, duration float64) ActorID {
 	g.actors = append(g.actors, Actor{Name: name, Duration: duration})
 	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
 	return ActorID(len(g.actors) - 1)
 }
 
@@ -67,7 +65,6 @@ func (g *Graph) AddEdge(name string, from, to ActorID, tokens int) EdgeID {
 	id := EdgeID(len(g.edges))
 	g.edges = append(g.edges, Edge{Name: name, From: from, To: to, Tokens: tokens})
 	g.out[from] = append(g.out[from], id)
-	g.in[to] = append(g.in[to], id)
 	return id
 }
 
@@ -117,13 +114,8 @@ func (g *Graph) DeadlockFree() bool {
 			if e.Tokens > 0 {
 				continue
 			}
-			switch color[e.To] {
-			case 1:
+			if color[e.To] == 1 || (color[e.To] == 0 && visit(e.To)) {
 				return true
-			case 0:
-				if visit(e.To) {
-					return true
-				}
 			}
 		}
 		color[a] = 2

@@ -67,6 +67,10 @@ func (g *Graph) SelfTimed(k int) ([][]float64, error) {
 	for a := range start {
 		start[a] = make([]float64, k)
 	}
+	in := make([][]EdgeID, n) // in[a] lists edges with To == a
+	for id, e := range g.edges {
+		in[e.To] = append(in[e.To], EdgeID(id))
+	}
 	// Fixed-point iteration in topological-ish sweeps: σ(v, j) =
 	// max over in-edges e=(u→v) with j − δ(e) ≥ 1 of σ(u, j−δ(e)) + ρ(u).
 	// Because dependencies can span firing indices, iterate until stable.
@@ -75,7 +79,7 @@ func (g *Graph) SelfTimed(k int) ([][]float64, error) {
 		for a := 0; a < n; a++ {
 			for j := 0; j < k; j++ {
 				v := 0.0
-				for _, eid := range g.in[a] {
+				for _, eid := range in[a] {
 					e := g.edges[eid]
 					dep := j - e.Tokens
 					if dep >= 0 {

@@ -50,8 +50,8 @@ func underived(ctx context.Context) error { // want `ctx parameter ctx is never 
 	return callee(child) // want `not derived from this function's ctx parameter`
 }
 
-// overwritten loses the derivation on one branch; the call after the merge
-// is only cancellable on the other, which the must-analysis rejects.
+// overwritten loses the derivation on one branch; ctx is bound to a fresh
+// root somewhere in the function, so the call is rejected.
 func overwritten(ctx context.Context, fresh bool) error {
 	if fresh {
 		ctx = context.Background()
@@ -68,6 +68,31 @@ func reassignedDerived(ctx context.Context, bound bool) error {
 	}
 	defer cancel()
 	return callee(ctx)
+}
+
+// rebound binds a local to a fresh root and rebinds it to ctx before the
+// call. Every path into the call carries ctx, but derivation is decided per
+// variable, not per path: local is ever bound to Background, so it is
+// rejected.
+func rebound(ctx context.Context) error {
+	local := context.Background()
+	local = ctx
+	return callee(local) // want `not derived from this function's ctx parameter`
+}
+
+// loopNarrowed narrows ctx on every pass of a loop. The loop-carried write
+// is derived from ctx itself, so the call stays legal.
+func loopNarrowed(ctx context.Context, n int, d time.Duration) error {
+	for i := 0; i < n; i++ {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, d)
+		err := callee(ctx)
+		cancel()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // neverThreaded accepts a context and calls context-accepting functions
