@@ -524,7 +524,7 @@ func BenchmarkMultiRate(b *testing.B) {
 	cfg.Graphs[0].Buffers[0].Prod = 2
 	cfg.Graphs[0].Buffers[0].Cons = 1
 	for i := 0; i < b.N; i++ {
-		r, err := mrate.Solve(context.Background(), cfg, mrate.Options{})
+		r, err := mrate.Solve(context.Background(), cfg)
 		if err != nil || r.Status != core.StatusOptimal {
 			b.Fatalf("%v %v", r.Status, err)
 		}
@@ -567,6 +567,29 @@ func BenchmarkMinPeriodHoward(b *testing.B) {
 		if _, err := g.MinPeriodHoward(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkBuildProblem measures core.BuildProblem, the Algorithm 1 build
+// stage every joint solve starts with: the §II-C model of dfmodel.NewModel
+// written as socp.Builder rows and assembled into CSR, on the paper's T2
+// and a 100-task chain.
+func BenchmarkBuildProblem(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		cfg  *taskgraph.Config
+	}{
+		{"T2", gen.PaperT2(5)},
+		{"chain100", gen.Chain(gen.ChainOptions{Tasks: 100})},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.BuildProblem(bc.cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -89,7 +89,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		if cfg.MultiRate() {
 			// Multi-rate graphs use the hybrid solver (fixed-capacity cone
 			// programs inside a capacity search).
-			mr, merr := mrate.Solve(ctx, cfg, mrate.Options{})
+			mr, merr := mrate.Solve(ctx, cfg)
 			if merr != nil {
 				fmt.Fprintln(stderr, "bbmap:", merr)
 				return 1

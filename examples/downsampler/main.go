@@ -54,7 +54,7 @@ func main() {
 	fmt.Printf("repetition vector: capture×%d, filter×%d, sink×%d per iteration\n\n",
 		reps["capture"], reps["filter"], reps["sink"])
 
-	res, err := mrate.Solve(context.Background(), cfg, mrate.Options{})
+	res, err := mrate.Solve(context.Background(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

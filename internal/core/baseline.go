@@ -133,120 +133,120 @@ func TwoPhaseBudgetFirst(ctx context.Context, c *taskgraph.Config, policy Budget
 // for fixed budgets, subject to Constraints (6), (7), (10) and the
 // per-buffer bounds. Returns the rounded capacities.
 func bufferSizingLP(c *taskgraph.Config, budgets map[string]float64) (map[string]int, int, bool, error) {
-	// Variable layout: start times per actor (free), then δ′ per buffer.
-	varIdx := map[string]int{}
+	// Variable layout: start times per actor (free), then δ′ per buffer,
+	// graph by graph.
+	type lpGraph struct {
+		tg *taskgraph.TaskGraph
+		md *dfmodel.Model
+		sv []int // start-time variable per actor, −1 when pinned
+		d  []int // δ′ variable per buffer
+	}
 	var free []bool
 	var obj []float64
-	addVar := func(name string, isFree bool, cost float64) int {
-		varIdx[name] = len(free)
+	addVar := func(isFree bool, cost float64) int {
 		free = append(free, isFree)
 		obj = append(obj, cost)
-		return varIdx[name]
+		return len(free) - 1
 	}
+	graphs := make([]lpGraph, 0, len(c.Graphs))
 	for _, tg := range c.Graphs {
-		pinned := pickPinned(tg)
-		for i := range tg.Tasks {
-			w := &tg.Tasks[i]
-			if !pinned[w.Name] {
-				addVar("s."+w.Name+".1", true, 0)
+		md, err := dfmodel.NewModel(tg, nil)
+		if err != nil {
+			return nil, 0, false, err
+		}
+		lg := lpGraph{tg: tg, md: md, sv: make([]int, 2*len(md.Firings)), d: make([]int, len(tg.Buffers))}
+		for k, f := range md.Firings {
+			lg.sv[dfmodel.V1(k)] = -1
+			if !f.Pinned {
+				lg.sv[dfmodel.V1(k)] = addVar(true, 0)
 			}
-			addVar("s."+w.Name+".2", true, 0)
+			lg.sv[dfmodel.V2(k)] = addVar(true, 0)
 		}
 		for i := range tg.Buffers {
 			bf := &tg.Buffers[i]
-			addVar("d."+bf.Name, false,
-				bf.EffectiveSizeWeight()*float64(bf.EffectiveContainerSize()))
+			lg.d[i] = addVar(false, bf.EffectiveSizeWeight()*float64(bf.EffectiveContainerSize()))
 		}
-	}
-	sIdx := func(task string, which int) (int, bool) {
-		i, ok := varIdx[fmt.Sprintf("s.%s.%d", task, which)]
-		return i, ok
+		graphs = append(graphs, lg)
 	}
 
 	var rows [][]float64
 	var rhs []float64
 	n := len(free)
-	addRow := func(coeffs map[int]float64, b float64) {
+	addRow := func(b float64) []float64 {
 		row := make([]float64, n)
-		for i, v := range coeffs {
-			row[i] += v
-		}
 		rows = append(rows, row)
 		rhs = append(rhs, b)
+		return row
 	}
 
-	for _, tg := range c.Graphs {
-		mu := tg.Period
-		for i := range tg.Tasks {
-			w := &tg.Tasks[i]
+	for _, lg := range graphs {
+		mu := lg.tg.Period
+		for _, q := range lg.md.Queues {
+			// The firing duration of the source actor at the fixed budget:
+			// ϱ − β for a v1 actor, ϱ·χ/β for a v2 actor.
+			f, v2 := lg.md.Firing(q.Src)
+			w := &lg.tg.Tasks[f.Task]
 			p, _ := c.Processor(w.Processor)
-			beta := budgets[w.Name]
-			// Rate feasibility: ϱχ/β ≤ µ must hold or no PAS exists.
-			if p.Replenishment*w.WCET/beta > mu*(1+1e-12) {
-				return nil, 0, false, nil
+			dur := p.Replenishment - budgets[w.Name]
+			if v2 {
+				dur = p.Replenishment * w.WCET / budgets[w.Name]
 			}
-			// (6): s(v1) − s(v2) ≤ −(ϱ − β).
-			co := map[int]float64{}
-			if i1, ok := sIdx(w.Name, 1); ok {
-				co[i1] += 1
+			if q.Src == q.Dst {
+				// A self-loop's start times cancel: rate feasibility
+				// ϱχ/β ≤ µ must hold or no PAS exists.
+				if dur > float64(q.Tokens)*mu*(1+1e-12) {
+					return nil, 0, false, nil
+				}
+				continue
 			}
-			i2, _ := sIdx(w.Name, 2)
-			co[i2] -= 1
-			addRow(co, -(p.Replenishment - beta))
-		}
-		for i := range tg.Buffers {
-			bf := &tg.Buffers[i]
-			prod, _ := tg.Task(bf.From)
-			cons, _ := tg.Task(bf.To)
-			pProd, _ := c.Processor(prod.Processor)
-			pCons, _ := c.Processor(cons.Processor)
-			// (7) data: s(a2) − s(b1) ≤ ι·µ − ϱ(a)·χ(a)/β(a).
-			co := map[int]float64{}
-			ia2, _ := sIdx(bf.From, 2)
-			co[ia2] += 1
-			if ib1, ok := sIdx(bf.To, 1); ok {
-				co[ib1] -= 1
+			// (6)/(7): s(src) − s(dst) [− µ·δ′] ≤ δ·µ − ρ(src).
+			b := -dur
+			if q.Tokens != 0 {
+				b = float64(q.Tokens)*mu - dur
 			}
-			addRow(co, float64(bf.InitialTokens)*mu-pProd.Replenishment*prod.WCET/budgets[bf.From])
-			// (7) space: s(b2) − s(a1) − µ·δ′ ≤ −ϱ(b)·χ(b)/β(b).
-			co = map[int]float64{}
-			ib2, _ := sIdx(bf.To, 2)
-			co[ib2] += 1
-			if ia1, ok := sIdx(bf.From, 1); ok {
-				co[ia1] -= 1
+			row := addRow(b)
+			if i := lg.sv[q.Src]; i >= 0 {
+				row[i] += 1
 			}
-			id := varIdx["d."+bf.Name]
-			co[id] -= mu
-			addRow(co, -pCons.Replenishment*cons.WCET/budgets[bf.To])
+			if i := lg.sv[q.Dst]; i >= 0 {
+				row[i] -= 1
+			}
+			if !q.Space {
+				continue
+			}
+			bf := &lg.tg.Buffers[q.Buffer]
+			id := lg.d[q.Buffer]
+			row[id] -= mu
 			// Bounds.
 			if bf.MaxContainers > 0 {
-				addRow(map[int]float64{id: 1}, float64(bf.MaxContainers-bf.InitialTokens))
+				addRow(float64(bf.MaxContainers - bf.InitialTokens))[id] = 1
 			}
 			if lo := bf.MinContainers - bf.InitialTokens; lo > 0 {
-				addRow(map[int]float64{id: -1}, -float64(lo))
+				addRow(-float64(lo))[id] = -1
 			}
 		}
 	}
 	// (10): Σ (ι + δ′ + 1)·ζ ≤ ς per memory.
 	for i := range c.Memories {
 		mem := &c.Memories[i]
-		co := map[int]float64{}
+		row := make([]float64, n)
 		base := 0.0
 		nb := 0
-		for _, tg := range c.Graphs {
-			for j := range tg.Buffers {
-				bf := &tg.Buffers[j]
+		for _, lg := range graphs {
+			for j := range lg.tg.Buffers {
+				bf := &lg.tg.Buffers[j]
 				if bf.Memory != mem.Name {
 					continue
 				}
 				z := float64(bf.EffectiveContainerSize())
-				co[varIdx["d."+bf.Name]] += z
+				row[lg.d[j]] += z
 				base += z * float64(bf.InitialTokens+1)
 				nb++
 			}
 		}
 		if nb > 0 {
-			addRow(co, float64(mem.Capacity)-base)
+			rows = append(rows, row)
+			rhs = append(rhs, float64(mem.Capacity)-base)
 		}
 	}
 
@@ -258,11 +258,10 @@ func bufferSizingLP(c *taskgraph.Config, budgets map[string]float64) (map[string
 		return nil, sol.Iterations, false, nil
 	}
 	capacities := map[string]int{}
-	for _, tg := range c.Graphs {
-		for i := range tg.Buffers {
-			bf := &tg.Buffers[i]
-			dp := sol.X[varIdx["d."+bf.Name]]
-			gamma := bf.InitialTokens + int(math.Ceil(dp-roundTol))
+	for _, lg := range graphs {
+		for i := range lg.tg.Buffers {
+			bf := &lg.tg.Buffers[i]
+			gamma := bf.InitialTokens + int(math.Ceil(sol.X[lg.d[i]]-roundTol))
 			if gamma < 1 {
 				gamma = 1
 			}
@@ -284,7 +283,6 @@ func TwoPhaseBufferFirst(ctx context.Context, c *taskgraph.Config, caps map[stri
 		return nil, err
 	}
 	res := &Result{}
-	fixed := map[string]float64{}
 	capacities := map[string]int{}
 	for _, tg := range c.Graphs {
 		for i := range tg.Buffers {
@@ -304,7 +302,6 @@ func TwoPhaseBufferFirst(ctx context.Context, c *taskgraph.Config, caps map[stri
 				return res, nil
 			}
 			capacities[bf.Name] = gamma
-			fixed[bf.Name] = float64(gamma - bf.InitialTokens)
 		}
 	}
 	// Memory capacity precheck with the fixed capacities.
@@ -325,7 +322,7 @@ func TwoPhaseBufferFirst(ctx context.Context, c *taskgraph.Config, caps map[stri
 		}
 	}
 
-	m, err := buildModel(c, fixed)
+	m, err := buildModel(c, capacities)
 	if err != nil {
 		return nil, err
 	}

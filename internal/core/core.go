@@ -5,11 +5,14 @@
 //
 // The pipeline is:
 //
-//  1. translate every task graph into the symbolic two-actor SRDF model of
-//     §II-C, with per-task budget variables β′(w) and rate variables
-//     λ(w) ≈ 1/β′(w), and per-buffer space-token variables δ′(b);
+//  1. take every task graph's two-actor SRDF model of §II-C from
+//     dfmodel.NewModel and give it variables: a start time per actor
+//     (except the pinned one of each component), per-task budget variables
+//     β′(w) and rate variables λ(w) ≈ 1/β′(w), and per-buffer space-token
+//     variables δ′(b);
 //  2. emit Constraints (6)–(10) plus optional per-buffer capacity bounds
-//     into a cone program (the hyperbolic Constraint (8) becomes the
+//     into a cone program — (6) on each v1→v2 queue of the model, (7) on
+//     every other queue (the hyperbolic Constraint (8) becomes the
 //     second-order cone ‖(2, β′−λ)‖ ≤ β′+λ);
 //  3. solve with the interior-point method in internal/socp;
 //  4. round budgets up to the allocation granularity (β = g·⌈β′/g⌉) and
@@ -25,6 +28,7 @@ import (
 
 	"repro/internal/dfmodel"
 	"repro/internal/socp"
+	"repro/internal/srdf"
 	"repro/internal/taskgraph"
 )
 
@@ -134,166 +138,131 @@ type model struct {
 	cfg *taskgraph.Config
 	b   *socp.Builder
 
-	// sv maps (graph, actor) to the builder variable of its start time, or
-	// -1 when the actor is the pinned reference of its weakly connected
-	// component (start time fixed to 0 to remove the translation nullspace).
-	sv map[actorKey]int
+	// graphs holds the SRDF model of each task graph, in Graphs order.
+	graphs []graphModel
 	// beta and lam map task name to the β′ and λ variables.
 	beta map[string]int
 	lam  map[string]int
-	// delta maps buffer name to the δ′ variable (space-queue tokens).
-	// Buffers listed in fixedDeltas have no variable.
+	// delta maps buffer name to the δ′ variable (space-queue tokens); it
+	// is empty when caps fixes every capacity.
 	delta map[string]int
-	// fixedDeltas optionally pins buffers' δ′ to constants (buffer-first
-	// baseline). nil means all buffers are variable.
-	fixedDeltas map[string]float64
+	// caps optionally fixes every buffer's capacity (buffer-first
+	// baseline). nil means all δ′ are variables.
+	caps map[string]int
 }
 
-type actorKey struct {
-	graph string
-	task  string
-	which int // 1 = v1 (latency actor), 2 = v2 (rate actor)
+// graphModel is one task graph's SRDF model with its start-time variables.
+type graphModel struct {
+	tg *taskgraph.TaskGraph
+	md *dfmodel.Model
+	// sv maps each actor to the builder variable of its start time, or −1
+	// for a pinned actor (start time fixed to 0).
+	sv []int
 }
 
-// sExpr returns the affine expression for a start-time variable (0 for the
-// pinned reference actor).
-func (m *model) sExpr(k actorKey) socp.Affine {
-	v := m.sv[k]
+// sExpr returns the affine expression for an actor's start time (0 for a
+// pinned actor).
+func (gm *graphModel) sExpr(a srdf.ActorID) socp.Affine {
+	v := gm.sv[a]
 	if v < 0 {
 		return socp.Expr(0)
 	}
 	return socp.Expr(0).Plus(1, v)
 }
 
+// plusDuration returns e plus the firing duration of actor a: ϱ − β′(w)
+// for a v1 actor and ϱ·χ(w)·λ(w) for a v2 actor of task w.
+func (m *model) plusDuration(e socp.Affine, gm *graphModel, a srdf.ActorID) socp.Affine {
+	f, v2 := gm.md.Firing(a)
+	w := &gm.tg.Tasks[f.Task]
+	p, _ := m.cfg.Processor(w.Processor)
+	if v2 {
+		return e.Plus(p.Replenishment*w.WCET, m.lam[w.Name])
+	}
+	return e.PlusConst(p.Replenishment).Plus(-1, m.beta[w.Name])
+}
+
 // buildModel constructs the full Algorithm 1 cone program for the
-// configuration. When fixedDeltas is non-nil it fixes every listed buffer's
-// δ′ to the given constant instead of creating a variable (used by the
-// buffer-first baseline).
-func buildModel(c *taskgraph.Config, fixedDeltas map[string]float64) (*model, error) {
+// configuration. When caps is non-nil it fixes every buffer's capacity
+// instead of creating δ′ variables (the buffer-first baseline, which also
+// accepts multi-rate graphs).
+func buildModel(c *taskgraph.Config, caps map[string]int) (*model, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if c.MultiRate() {
+	if caps == nil && c.MultiRate() {
 		return nil, fmt.Errorf("core: configuration has multi-rate buffers; use the hybrid solver in internal/mrate")
 	}
 	m := &model{
-		cfg:         c,
-		b:           socp.NewBuilder(),
-		sv:          map[actorKey]int{},
-		beta:        map[string]int{},
-		lam:         map[string]int{},
-		delta:       map[string]int{},
-		fixedDeltas: fixedDeltas,
+		cfg:    c,
+		b:      socp.NewBuilder(),
+		graphs: make([]graphModel, 0, len(c.Graphs)),
+		beta:   map[string]int{},
+		lam:    map[string]int{},
+		delta:  map[string]int{},
+		caps:   caps,
 	}
 	for _, tg := range c.Graphs {
-		pinned := pickPinned(tg)
-		for i := range tg.Tasks {
-			w := &tg.Tasks[i]
-			for _, which := range []int{1, 2} {
-				k := actorKey{tg.Name, w.Name, which}
-				if which == 1 && pinned[w.Name] {
-					m.sv[k] = -1
-					continue
-				}
-				m.sv[k] = m.b.AddVar()
-			}
-			m.beta[w.Name] = m.b.AddVar()
-			m.lam[w.Name] = m.b.AddVar()
+		md, err := dfmodel.NewModel(tg, caps)
+		if err != nil {
+			return nil, err
 		}
-		for i := range tg.Buffers {
-			bf := &tg.Buffers[i]
-			if _, fixed := m.fixedDeltas[bf.Name]; !fixed {
-				m.delta[bf.Name] = m.b.AddVar()
+		gm := graphModel{tg: tg, md: md, sv: make([]int, 2*len(md.Firings))}
+		for k, f := range md.Firings {
+			gm.sv[dfmodel.V1(k)] = -1
+			if !f.Pinned {
+				gm.sv[dfmodel.V1(k)] = m.b.AddVar()
+			}
+			gm.sv[dfmodel.V2(k)] = m.b.AddVar()
+			if k+1 == len(md.Firings) || md.Firings[k+1].Task != f.Task {
+				name := tg.Tasks[f.Task].Name
+				m.beta[name] = m.b.AddVar()
+				m.lam[name] = m.b.AddVar()
 			}
 		}
+		if caps == nil {
+			for i := range tg.Buffers {
+				m.delta[tg.Buffers[i].Name] = m.b.AddVar()
+			}
+		}
+		m.graphs = append(m.graphs, gm)
 	}
-	if err := m.addConstraints(); err != nil {
-		return nil, err
-	}
+	m.addConstraints()
 	m.addObjective()
 	return m, nil
 }
 
-// pickPinned chooses one reference task per weakly connected component of
-// the task graph; the reference task's v1 start time is fixed to 0.
-func pickPinned(tg *taskgraph.TaskGraph) map[string]bool {
-	parent := map[string]string{}
-	var find func(x string) string
-	find = func(x string) string {
-		if parent[x] != x {
-			parent[x] = find(parent[x])
-		}
-		return parent[x]
-	}
-	for _, w := range tg.Tasks {
-		parent[w.Name] = w.Name
-	}
-	for _, b := range tg.Buffers {
-		parent[find(b.From)] = find(b.To)
-	}
-	pinned := map[string]bool{}
-	seen := map[string]bool{}
-	for _, w := range tg.Tasks {
-		root := find(w.Name)
-		if !seen[root] {
-			seen[root] = true
-			pinned[w.Name] = true
-		}
-	}
-	return pinned
-}
-
 // addConstraints emits Constraints (6)-(10) plus the per-buffer capacity
 // bounds used for trade-off exploration.
-func (m *model) addConstraints() error {
+func (m *model) addConstraints() {
 	c := m.cfg
 	g := c.EffectiveGranularity()
-	for _, tg := range c.Graphs {
-		mu := tg.Period
-		for i := range tg.Tasks {
-			w := &tg.Tasks[i]
-			p, _ := c.Processor(w.Processor)
-			rho := p.Replenishment
-			v1 := actorKey{tg.Name, w.Name, 1}
-			v2 := actorKey{tg.Name, w.Name, 2}
-			// (6) on the E1 edge v1→v2 (0 tokens):
-			//     s(v1) + ϱ − β′(w) ≤ s(v2).
-			m.b.AddLE(
-				m.sExpr(v1).PlusConst(rho).Plus(-1, m.beta[w.Name]),
-				m.sExpr(v2))
-			// (7) on the self-loop v2→v2 (1 token):
-			//     ϱ·λ(w)·χ(w) ≤ µ  (the rate constraint).
-			m.b.AddLE(
-				socp.Expr(0).Plus(rho*w.WCET, m.lam[w.Name]),
-				socp.Expr(mu))
-			// (8): λ(w)·β′(w) ≥ 1 as a second-order cone.
-			m.b.AddProductGE(m.lam[w.Name], m.beta[w.Name], 1)
+	for gi := range m.graphs {
+		gm := &m.graphs[gi]
+		mu := gm.tg.Period
+		// (8): λ(w)·β′(w) ≥ 1 as a second-order cone.
+		for i := range gm.tg.Tasks {
+			name := gm.tg.Tasks[i].Name
+			m.b.AddProductGE(m.lam[name], m.beta[name], 1)
 		}
-		for i := range tg.Buffers {
-			bf := &tg.Buffers[i]
-			prod, _ := tg.Task(bf.From)
-			cons, _ := tg.Task(bf.To)
-			pProd, _ := c.Processor(prod.Processor)
-			pCons, _ := c.Processor(cons.Processor)
-			// (7) on the data queue a2→b1 (ι(b) tokens):
-			//     s(a2) + ϱ(a)·λ(a)·χ(a) − ι(b)·µ ≤ s(b1).
-			m.b.AddLE(
-				m.sExpr(actorKey{tg.Name, bf.From, 2}).
-					Plus(pProd.Replenishment*prod.WCET, m.lam[bf.From]).
-					PlusConst(-float64(bf.InitialTokens)*mu),
-				m.sExpr(actorKey{tg.Name, bf.To, 1}))
-			// (7) on the space queue b2→a1 (δ′(b) tokens, variable unless
-			// fixed by the buffer-first baseline):
-			//     s(b2) + ϱ(b)·λ(b)·χ(b) − δ′(b)·µ ≤ s(a1).
-			lhs := m.sExpr(actorKey{tg.Name, bf.To, 2}).
-				Plus(pCons.Replenishment*cons.WCET, m.lam[bf.To])
-			if fd, fixed := m.fixedDeltas[bf.Name]; fixed {
-				lhs = lhs.PlusConst(-mu * fd)
-			} else {
+		// (6) on each v1→v2 queue and (7) on every other queue with δ
+		// tokens: s(src) + ρ(src) − δ·µ ≤ s(dst). On a single-rate task's
+		// self-loop (one token) the start times cancel, leaving the rate
+		// constraint ϱ·λ(w)·χ(w) ≤ µ.
+		for _, q := range gm.md.Queues {
+			lhs := m.plusDuration(gm.sExpr(q.Src), gm, q.Src)
+			if q.Tokens != 0 {
+				lhs = lhs.PlusConst(-float64(q.Tokens) * mu)
+			}
+			free := q.Space && m.caps == nil
+			var bf *taskgraph.Buffer
+			if free {
+				// The space queue carries δ′(b) tokens.
+				bf = &gm.tg.Buffers[q.Buffer]
 				lhs = lhs.Plus(-mu, m.delta[bf.Name])
 			}
-			m.b.AddLE(lhs, m.sExpr(actorKey{tg.Name, bf.From, 1}))
-			if _, fixed := m.fixedDeltas[bf.Name]; fixed {
+			m.b.AddLE(lhs, gm.sExpr(q.Dst))
+			if !free {
 				continue
 			}
 			// δ′ ≥ 0.
@@ -315,17 +284,16 @@ func (m *model) addConstraints() error {
 	// the completion of sink's firing trails the activation of src's firing
 	// by s(v2_sink) + ϱ·λ·χ(sink) − s(v1_src), which is affine in the
 	// variables, so the bound slots straight into the cone program.
-	for _, tg := range c.Graphs {
-		for _, lc := range tg.Latencies {
-			sink, _ := tg.Task(lc.To)
-			pSink, _ := c.Processor(sink.Processor)
-			lhs := m.sExpr(actorKey{tg.Name, lc.To, 2}).
-				Plus(pSink.Replenishment*sink.WCET, m.lam[lc.To]).
-				Minus(m.sExpr(actorKey{tg.Name, lc.From, 1}))
-			m.b.AddLE(lhs, socp.Expr(lc.Bound))
+	for gi := range m.graphs {
+		gm := &m.graphs[gi]
+		for _, l := range gm.md.Latencies {
+			lhs := m.plusDuration(gm.sExpr(l.Dst), gm, l.Dst).Minus(gm.sExpr(l.Src))
+			m.b.AddLE(lhs, socp.Expr(l.Bound))
 		}
 	}
 
+	// The coupling rows collect their terms in one slice each: (9) and
+	// (10) touch every budget of a processor or every buffer of a memory.
 	// (9): per processor, ϱ(p) ≥ o(p) + Σ_{w∈τ(p)} (β′(w) + g).
 	for i := range c.Processors {
 		p := &c.Processors[i]
@@ -333,16 +301,16 @@ func (m *model) addConstraints() error {
 		if len(tasks) == 0 {
 			continue
 		}
-		sum := socp.Expr(p.Overhead + float64(len(tasks))*g)
+		sum := socp.Affine{Const: p.Overhead + float64(len(tasks))*g, Terms: make([]socp.Term, 0, len(tasks))}
 		for _, tn := range tasks {
-			sum = sum.Plus(1, m.beta[tn])
+			sum.Terms = append(sum.Terms, socp.Term{Var: m.beta[tn], Coef: 1})
 		}
 		m.b.AddLE(sum, socp.Expr(p.Replenishment))
 	}
 	// (10): per memory, ς(m) ≥ Σ_{b∈ψ(m)} (ι(b) + δ′(b) + 1)·ζ(b).
 	for i := range c.Memories {
 		mem := &c.Memories[i]
-		sum := socp.Expr(0)
+		var sum socp.Affine
 		nb := 0
 		for _, tg := range c.Graphs {
 			for j := range tg.Buffers {
@@ -351,11 +319,12 @@ func (m *model) addConstraints() error {
 					continue
 				}
 				z := float64(bf.EffectiveContainerSize())
-				if fd, fixed := m.fixedDeltas[bf.Name]; fixed {
-					// A fixed buffer occupies exactly γ·ζ = (ι + δ′)·ζ.
-					sum = sum.PlusConst(z * (float64(bf.InitialTokens) + fd))
+				if m.caps != nil {
+					// A fixed buffer occupies exactly γ·ζ.
+					sum.Const += z * float64(m.caps[bf.Name])
 				} else {
-					sum = sum.PlusConst(z*float64(bf.InitialTokens+1)).Plus(z, m.delta[bf.Name])
+					sum.Const += z * float64(bf.InitialTokens+1)
+					sum.Terms = append(sum.Terms, socp.Term{Var: m.delta[bf.Name], Coef: z})
 				}
 				nb++
 			}
@@ -364,7 +333,6 @@ func (m *model) addConstraints() error {
 			m.b.AddLE(sum, socp.Expr(float64(mem.Capacity)))
 		}
 	}
-	return nil
 }
 
 // addObjective emits the weighted objective (5):
@@ -375,11 +343,11 @@ func (m *model) addObjective() {
 			w := &tg.Tasks[i]
 			m.b.SetObjective(m.beta[w.Name], w.EffectiveBudgetWeight())
 		}
+		if m.caps != nil {
+			continue
+		}
 		for i := range tg.Buffers {
 			bf := &tg.Buffers[i]
-			if _, fixed := m.fixedDeltas[bf.Name]; fixed {
-				continue
-			}
 			m.b.SetObjective(m.delta[bf.Name],
 				bf.EffectiveSizeWeight()*float64(bf.EffectiveContainerSize()))
 		}

@@ -20,6 +20,15 @@
 // iteration, each task becomes q(w) two-actor copies fired in turn, and
 // ExpandBuffer turns each buffer into the data and space dependencies
 // between the copies.
+//
+// NewModel lists this translation once: the firing copies, the queues with
+// their constant tokens (and, when capacities are free, the buffer whose
+// δ′ a space queue adds), and the pinned actor of each weakly connected
+// component. BuildGraph gives it numbers for Verify and LatencyBound;
+// internal/core writes its queues as Constraints (6)/(7) of Algorithm 1,
+// as the rows of the budget-first baseline's buffer-sizing LP and as the
+// fixed-capacity cone programs of the buffer-first baseline, which is what
+// internal/mrate solves at each candidate capacity.
 package dfmodel
 
 import (
@@ -56,24 +65,28 @@ type Index struct {
 }
 
 // BuildGraph constructs the SRDF graph of one task graph under the given
-// mapping. Budgets must be positive and at most the replenishment interval;
+// mapping: the actors and queues of NewModel with the mapping's numbers.
+// Budgets must be positive and at most the replenishment interval;
 // capacities must cover the initial tokens and be at least one container.
+// The Period of a multi-rate graph is its iteration period: task w
+// completes q(w) firings per Period.
 func BuildGraph(c *taskgraph.Config, tg *taskgraph.TaskGraph, m *taskgraph.Mapping) (*srdf.Graph, *Index, error) {
-	for i := range tg.Buffers {
-		if tg.Buffers[i].EffectiveProd() != 1 || tg.Buffers[i].EffectiveCons() != 1 {
-			// Multi-rate graphs go through the HSDF expansion. The Period of
-			// such a graph is interpreted as the iteration period: task w
-			// completes q(w) firings per Period.
-			return buildExpandedGraph(c, tg, m)
-		}
+	md, err := NewModel(tg, m.Capacities)
+	if err != nil {
+		return nil, nil, err
 	}
-	g := srdf.NewGraph()
+	g := srdf.NewGraphSize(2*len(md.Firings), len(md.Queues))
 	idx := &Index{
-		Tasks:   make(map[string]TaskActors, len(tg.Tasks)),
-		Buffers: make(map[string]BufferEdges, len(tg.Buffers)),
+		Tasks:       make(map[string]TaskActors, len(tg.Tasks)),
+		Repetitions: md.Repetitions,
 	}
-	for i := range tg.Tasks {
-		w := &tg.Tasks[i]
+	if md.Repetitions == nil {
+		idx.Buffers = make(map[string]BufferEdges, len(tg.Buffers))
+	} else {
+		idx.TaskCopies = make(map[string][]TaskActors, len(tg.Tasks))
+	}
+	for _, f := range md.Firings {
+		w := &tg.Tasks[f.Task]
 		p, ok := c.Processor(w.Processor)
 		if !ok {
 			return nil, nil, fmt.Errorf("dfmodel: task %q on unknown processor %q", w.Name, w.Processor)
@@ -89,30 +102,32 @@ func BuildGraph(c *taskgraph.Config, tg *taskgraph.TaskGraph, m *taskgraph.Mappi
 			return nil, nil, fmt.Errorf("dfmodel: task %q budget %v exceeds replenishment interval %v",
 				w.Name, beta, p.Replenishment)
 		}
-		v1 := g.AddActor(w.Name+".v1", math.Max(0, p.Replenishment-beta))
-		v2 := g.AddActor(w.Name+".v2", p.Replenishment*w.WCET/beta)
-		g.AddEdge(w.Name+".v1v2", v1, v2, 0)
-		g.AddEdge(w.Name+".loop", v2, v2, 1)
-		idx.Tasks[w.Name] = TaskActors{V1: v1, V2: v2}
+		name := w.Name
+		if md.Repetitions != nil {
+			name = fmt.Sprintf("%s#%d", w.Name, f.Copy)
+		}
+		a := TaskActors{
+			V1: g.AddActor(name+".v1", math.Max(0, p.Replenishment-beta)),
+			V2: g.AddActor(name+".v2", p.Replenishment*w.WCET/beta),
+		}
+		if f.Copy == 0 {
+			idx.Tasks[w.Name] = a
+		}
+		if idx.TaskCopies != nil {
+			idx.TaskCopies[w.Name] = append(idx.TaskCopies[w.Name], a)
+		}
 	}
-	for i := range tg.Buffers {
-		b := &tg.Buffers[i]
-		gamma, ok := m.Capacities[b.Name]
-		if !ok {
-			return nil, nil, fmt.Errorf("dfmodel: no capacity for buffer %q", b.Name)
+	for _, q := range md.Queues {
+		e := g.AddEdge("", q.Src, q.Dst, q.Tokens)
+		if q.Buffer >= 0 && idx.Buffers != nil {
+			be := idx.Buffers[tg.Buffers[q.Buffer].Name]
+			if q.Space {
+				be.Space = e
+			} else {
+				be.Data = e
+			}
+			idx.Buffers[tg.Buffers[q.Buffer].Name] = be
 		}
-		if gamma < 1 {
-			return nil, nil, fmt.Errorf("dfmodel: buffer %q has capacity %d < 1", b.Name, gamma)
-		}
-		if gamma < b.InitialTokens {
-			return nil, nil, fmt.Errorf("dfmodel: buffer %q capacity %d below initial tokens %d",
-				b.Name, gamma, b.InitialTokens)
-		}
-		from := idx.Tasks[b.From]
-		to := idx.Tasks[b.To]
-		data := g.AddEdge(b.Name+".data", from.V2, to.V1, b.InitialTokens)
-		space := g.AddEdge(b.Name+".space", to.V2, from.V1, gamma-b.InitialTokens)
-		idx.Buffers[b.Name] = BufferEdges{Data: data, Space: space}
 	}
 	if err := g.Validate(); err != nil {
 		return nil, nil, err

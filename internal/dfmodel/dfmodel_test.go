@@ -267,3 +267,38 @@ func TestVerifyInvalidConfig(t *testing.T) {
 		t.Fatal("invalid config accepted")
 	}
 }
+
+// TestNewModelPinsOnePerComponent: NewModel pins copy 0 of the first task
+// of every weakly connected component and nothing else, and a multi-rate
+// graph needs fixed capacities.
+func TestNewModelPinsOnePerComponent(t *testing.T) {
+	tg := &taskgraph.TaskGraph{
+		Name: "two",
+		Tasks: []taskgraph.Task{
+			{Name: "a"}, {Name: "b"}, {Name: "c"}, {Name: "d"}, {Name: "e"},
+		},
+		// Components {a, c, e} (joined through the later tasks) and {b, d}.
+		Buffers: []taskgraph.Buffer{
+			{Name: "ec", From: "e", To: "c"},
+			{Name: "db", From: "d", To: "b"},
+			{Name: "ca", From: "c", To: "a"},
+		},
+	}
+	md, err := NewModel(tg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pinned []int
+	for _, f := range md.Firings {
+		if f.Pinned {
+			pinned = append(pinned, f.Task)
+		}
+	}
+	if len(pinned) != 2 || pinned[0] != 0 || pinned[1] != 1 {
+		t.Fatalf("pinned tasks %v, want [0 1] (a and b)", pinned)
+	}
+	tg.Buffers[0].Prod = 2
+	if _, err := NewModel(tg, nil); err == nil {
+		t.Fatal("multi-rate model with free capacities accepted")
+	}
+}

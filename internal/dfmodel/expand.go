@@ -5,7 +5,6 @@ import (
 	"math/big"
 	"sort"
 
-	"repro/internal/srdf"
 	"repro/internal/taskgraph"
 )
 
@@ -84,85 +83,6 @@ func Repetitions(tg *taskgraph.TaskGraph) (map[string]int, error) {
 	return out, nil
 }
 
-// buildExpandedGraph constructs the SRDF model of a multi-rate task graph:
-// each task w becomes q(w) two-actor firing copies (v1_j latency, v2_j rate)
-// with a sequencing cycle through the v2 copies (one token — firings of a
-// task are serial, exactly like the single-rate self-loop), and each buffer
-// becomes the expanded data and space dependencies of its token algebra.
-// For unit rates and q ≡ 1 this reduces to the §II-C construction.
-func buildExpandedGraph(c *taskgraph.Config, tg *taskgraph.TaskGraph, m *taskgraph.Mapping) (*srdf.Graph, *Index, error) {
-	reps, err := Repetitions(tg)
-	if err != nil {
-		return nil, nil, err
-	}
-	g := srdf.NewGraph()
-	idx := &Index{
-		Tasks:       map[string]TaskActors{},
-		TaskCopies:  map[string][]TaskActors{},
-		Buffers:     map[string]BufferEdges{},
-		Repetitions: reps,
-	}
-	for i := range tg.Tasks {
-		w := &tg.Tasks[i]
-		p, ok := c.Processor(w.Processor)
-		if !ok {
-			return nil, nil, fmt.Errorf("dfmodel: task %q on unknown processor %q", w.Name, w.Processor)
-		}
-		beta, ok := m.Budgets[w.Name]
-		if !ok || beta <= 0 || beta > p.Replenishment+1e-9 {
-			return nil, nil, fmt.Errorf("dfmodel: task %q has missing or invalid budget", w.Name)
-		}
-		q := reps[w.Name]
-		copies := make([]TaskActors, q)
-		for j := 0; j < q; j++ {
-			v1 := g.AddActor(fmt.Sprintf("%s#%d.v1", w.Name, j), maxf(0, p.Replenishment-beta))
-			v2 := g.AddActor(fmt.Sprintf("%s#%d.v2", w.Name, j), p.Replenishment*w.WCET/beta)
-			g.AddEdge(fmt.Sprintf("%s#%d.v1v2", w.Name, j), v1, v2, 0)
-			copies[j] = TaskActors{V1: v1, V2: v2}
-		}
-		for j := 0; j < q; j++ {
-			next := (j + 1) % q
-			tok := 0
-			if next == 0 {
-				tok = 1
-			}
-			g.AddEdge(fmt.Sprintf("%s.seq%d", w.Name, j), copies[j].V2, copies[next].V2, tok)
-		}
-		idx.Tasks[w.Name] = copies[0]
-		idx.TaskCopies[w.Name] = copies
-	}
-	for i := range tg.Buffers {
-		b := &tg.Buffers[i]
-		gamma, ok := m.Capacities[b.Name]
-		if !ok || gamma < 1 || gamma < b.InitialTokens {
-			return nil, nil, fmt.Errorf("dfmodel: buffer %q has missing or invalid capacity", b.Name)
-		}
-		deps, err := ExpandBuffer(b, reps[b.From], reps[b.To], gamma)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, d := range deps {
-			var src, dst srdf.ActorID
-			if d.Space {
-				src = idx.TaskCopies[b.To][d.SrcCopy].V2
-				dst = idx.TaskCopies[b.From][d.DstCopy].V1
-			} else {
-				src = idx.TaskCopies[b.From][d.SrcCopy].V2
-				dst = idx.TaskCopies[b.To][d.DstCopy].V1
-			}
-			kind := "data"
-			if d.Space {
-				kind = "space"
-			}
-			g.AddEdge(fmt.Sprintf("%s.%s[%d->%d]", b.Name, kind, d.SrcCopy, d.DstCopy), src, dst, d.Delta)
-		}
-	}
-	if err := g.Validate(); err != nil {
-		return nil, nil, err
-	}
-	return g, idx, nil
-}
-
 // BufferDep is one expanded dependency of a multi-rate buffer: the DstCopy-th
 // firing of the destination task waits for tokens produced Delta iterations
 // earlier by the SrcCopy-th firing of the source task. Space dependencies
@@ -203,7 +123,7 @@ func ExpandBuffer(b *taskgraph.Buffer, qFrom, qTo, gamma int) ([]BufferDep, erro
 	}
 	// Data: consumption index T of firing (nStar, j) maps back to the
 	// producing firing ⌊(T−ι)/p⌋.
-	nStar := (iota+gamma)/maxi(1, perIter) + 2
+	nStar := (iota+gamma)/max(1, perIter) + 2
 	for j := 0; j < qTo; j++ {
 		for k := 0; k < cRate; k++ {
 			t := (nStar*qTo+j)*cRate + k
@@ -254,18 +174,4 @@ func ExpandBuffer(b *taskgraph.Buffer, qFrom, qTo, gamma int) ([]BufferDep, erro
 		out = append(out, BufferDep{SrcCopy: k.src, DstCopy: k.dst, Delta: d, Space: k.space})
 	}
 	return out, nil
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -2,9 +2,11 @@ package dfmodel
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/taskgraph"
 )
 
@@ -372,5 +374,76 @@ func TestBuildGraphMultiRateErrors(t *testing.T) {
 		Capacities: map[string]int{"bab": 4, "b2": 4},
 	}); err == nil {
 		t.Fatal("inconsistent graph accepted")
+	}
+}
+
+// TestClosedFormMatchesExpansion: NewModel gives a single-rate buffer the
+// two-queue closed form, and that form must be exactly what ExpandBuffer
+// gives a unit-rate buffer with one firing per task: a data queue a2→b1
+// with ι tokens and a space queue b2→a1 with γ−ι tokens.
+func TestClosedFormMatchesExpansion(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  *taskgraph.Config
+	}{
+		{"T1", gen.PaperT1(0)},
+		{"T2", gen.PaperT2(0)},
+		{"chain20", gen.Chain(gen.ChainOptions{Tasks: 20})},
+		{"ring5", gen.Ring(5, 3)},
+		{"dag40", gen.RandomDAG(gen.DAGOptions{Seed: 3, Tasks: 40})},
+		{"jobs1", gen.RandomJobs(gen.RandomOptions{Seed: 1, Jobs: 3, MinTasks: 2, MaxTasks: 6, Processors: 3})},
+		{"jobs7", gen.RandomJobs(gen.RandomOptions{Seed: 7, Jobs: 5, MinTasks: 2, MaxTasks: 9, Processors: 4})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, tg := range tc.cfg.Graphs {
+				for extra := 0; extra < 3; extra++ {
+					caps := map[string]int{}
+					for i := range tg.Buffers {
+						b := &tg.Buffers[i]
+						caps[b.Name] = max(1, b.InitialTokens) + extra + i%2
+					}
+					md, err := NewModel(tg, caps)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if md.Repetitions != nil {
+						t.Fatalf("graph %s: single-rate graph expanded", tg.Name)
+					}
+					task := map[string]int{}
+					for i := range tg.Tasks {
+						task[tg.Tasks[i].Name] = i
+					}
+					got := map[int][]Queue{}
+					for _, q := range md.Queues {
+						if q.Buffer >= 0 {
+							got[q.Buffer] = append(got[q.Buffer], q)
+						}
+					}
+					for i := range tg.Buffers {
+						b := &tg.Buffers[i]
+						deps, err := ExpandBuffer(b, 1, 1, caps[b.Name])
+						if err != nil {
+							t.Fatal(err)
+						}
+						from, to := task[b.From], task[b.To]
+						var want []Queue
+						for _, d := range deps {
+							q := Queue{Src: V2(from + d.SrcCopy), Dst: V1(to + d.DstCopy), Tokens: d.Delta, Buffer: i}
+							if d.Space {
+								q = Queue{Src: V2(to + d.SrcCopy), Dst: V1(from + d.DstCopy), Tokens: d.Delta, Buffer: i, Space: true}
+							}
+							want = append(want, q)
+						}
+						if !slices.Equal(got[i], want) {
+							t.Fatalf("buffer %s at γ=%d: closed form %+v, expansion %+v", b.Name, caps[b.Name], got[i], want)
+						}
+						if want[0].Tokens != b.InitialTokens || want[1].Tokens != caps[b.Name]-b.InitialTokens {
+							t.Fatalf("buffer %s: tokens %d/%d, want ι=%d and γ−ι=%d", b.Name,
+								want[0].Tokens, want[1].Tokens, b.InitialTokens, caps[b.Name]-b.InitialTokens)
+						}
+					}
+				}
+			}
+		})
 	}
 }

@@ -60,7 +60,7 @@ func TestRepetitionsDownsampler(t *testing.T) {
 }
 
 func TestSolveDownsampler(t *testing.T) {
-	r, err := Solve(context.Background(), downsampler(0), Options{})
+	r, err := Solve(context.Background(), downsampler(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestSolveSingleRateMatchesCore(t *testing.T) {
 		if err != nil || want.Status != core.StatusOptimal {
 			t.Fatalf("core: %v %v", want.Status, err)
 		}
-		got, err := Solve(context.Background(), cfg, Options{})
+		got, err := Solve(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func TestSolveSingleRateMatchesCore(t *testing.T) {
 // TestSolveUncappedSingleRate: without caps the saturation bound must be
 // large enough to reach the true optimum (γ = 10, β = 4 on T1).
 func TestSolveUncappedSingleRate(t *testing.T) {
-	r, err := Solve(context.Background(), gen.PaperT1(0), Options{})
+	r, err := Solve(context.Background(), gen.PaperT1(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestSolveUncappedSingleRate(t *testing.T) {
 func TestSolveInfeasible(t *testing.T) {
 	c := downsampler(0)
 	c.Graphs[0].Period = 1 // wb needs 2 firings of 1 Mcycle work per 1 Mcycle
-	r, err := Solve(context.Background(), c, Options{})
+	r, err := Solve(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestSolveCapBelowInitialTokens(t *testing.T) {
 	c := downsampler(2)
 	c.Graphs[0].Buffers[0].InitialTokens = 2
 	c.Graphs[0].Buffers[0].MaxContainers = 1 // below ι → rejected by Validate
-	if _, err := Solve(context.Background(), c, Options{}); err == nil {
+	if _, err := Solve(context.Background(), c); err == nil {
 		t.Fatal("invalid bounds accepted")
 	}
 }
@@ -157,7 +157,7 @@ func TestSolveCapBelowInitialTokens(t *testing.T) {
 // completes no later than the expanded model's periodic schedule.
 func TestSimulateMultiRateMapping(t *testing.T) {
 	c := downsampler(0)
-	r, err := Solve(context.Background(), c, Options{})
+	r, err := Solve(context.Background(), c)
 	if err != nil || r.Status != core.StatusOptimal {
 		t.Fatalf("%v %v", r.Status, err)
 	}
@@ -223,7 +223,7 @@ func TestMultiRateChain(t *testing.T) {
 	if reps["src"] != 1 || reps["mid"] != 3 || reps["dst"] != 1 {
 		t.Fatalf("reps = %v", reps)
 	}
-	r, err := Solve(context.Background(), c, Options{})
+	r, err := Solve(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestRandomMultiRateChains(t *testing.T) {
 		if err := c.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		r, err := Solve(context.Background(), c, Options{})
+		r, err := Solve(context.Background(), c)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -325,5 +325,33 @@ func TestExpandBufferRateMismatch(t *testing.T) {
 	b := &taskgraph.Buffer{Name: "b", From: "a", To: "c", Prod: 2, Cons: 3}
 	if _, err := dfmodel.ExpandBuffer(b, 1, 1, 5); err == nil {
 		t.Fatal("inconsistent rates accepted")
+	}
+}
+
+// TestSolveLatencyBound: every candidate's cone program carries the latency
+// rows of Algorithm 1, so the search returns a mapping that meets a latency
+// bound instead of one that fails verification on it.
+func TestSolveLatencyBound(t *testing.T) {
+	c, err := taskgraph.ReadFile("../../testdata/downsampler.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Graphs[0].Latencies = []taskgraph.LatencyConstraint{{From: "wa", To: "wb", Bound: 40}}
+	r, err := Solve(context.Background(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Status != core.StatusOptimal {
+		t.Fatalf("status %v", r.Status)
+	}
+	if r.Verification == nil || !r.Verification.OK {
+		t.Fatalf("verification failed: %+v", r.Verification)
+	}
+	lat, err := dfmodel.LatencyBound(c, c.Graphs[0], r.Mapping, "wa", "wb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lat > 40 {
+		t.Fatalf("latency wa→wb = %v exceeds bound 40", lat)
 	}
 }

@@ -81,7 +81,7 @@ func (b *Builder) AddNonNeg(a Affine) int {
 // AddLE adds lhs ≤ rhs for affine expressions, as rhs − lhs ≥ 0, returning
 // the orthant row index.
 func (b *Builder) AddLE(lhs, rhs Affine) int {
-	d := Affine{Const: rhs.Const - lhs.Const}
+	d := Affine{Const: rhs.Const - lhs.Const, Terms: make([]Term, 0, len(rhs.Terms)+len(lhs.Terms))}
 	d.Terms = append(d.Terms, rhs.Terms...)
 	for _, t := range lhs.Terms {
 		d.Terms = append(d.Terms, Term{Var: t.Var, Coef: -t.Coef})
@@ -146,7 +146,20 @@ func (b *Builder) Build() (*Problem, error) {
 // are emitted in ascending order with exact zeros dropped — the
 // normalization NewSparseFromDense applies, entry for entry.
 func (b *Builder) buildSparseG(n, m int, h linalg.Vector) (*linalg.SparseMatrix, error) {
-	gs := &linalg.SparseMatrix{Rows: m, Cols: n, RowPtr: make([]int, m+1)}
+	// The term count bounds the nonzeros, so ColIdx and Val are sized once.
+	nt := 0
+	for _, a := range b.lin {
+		nt += len(a.Terms)
+	}
+	for _, blk := range b.soc {
+		for _, a := range blk {
+			nt += len(a.Terms)
+		}
+	}
+	gs := &linalg.SparseMatrix{
+		Rows: m, Cols: n, RowPtr: make([]int, m+1),
+		ColIdx: make([]int, 0, nt), Val: make([]float64, 0, nt),
+	}
 	scratch := make(linalg.Vector, n)
 	touched := make([]int, 0, 16)
 	r := 0

@@ -53,6 +53,16 @@ type Graph struct {
 // NewGraph returns an empty graph.
 func NewGraph() *Graph { return &Graph{} }
 
+// NewGraphSize returns an empty graph with room for the given numbers of
+// actors and edges, so a graph of known size allocates each list once.
+func NewGraphSize(actors, edges int) *Graph {
+	return &Graph{
+		actors: make([]Actor, 0, actors),
+		edges:  make([]Edge, 0, edges),
+		out:    make([][]EdgeID, 0, actors),
+	}
+}
+
 // AddActor adds an actor and returns its id.
 func (g *Graph) AddActor(name string, duration float64) ActorID {
 	g.actors = append(g.actors, Actor{Name: name, Duration: duration})

@@ -47,7 +47,7 @@ func TestSystemMatrix(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var mapping *taskgraph.Mapping
 			if tc.cfg.MultiRate() {
-				r, err := mrate.Solve(context.Background(), tc.cfg, mrate.Options{})
+				r, err := mrate.Solve(context.Background(), tc.cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -29,7 +29,7 @@ func TestTestdataConfigsSolve(t *testing.T) {
 				t.Fatal(err)
 			}
 			if cfg.MultiRate() {
-				r, err := mrate.Solve(context.Background(), cfg, mrate.Options{})
+				r, err := mrate.Solve(context.Background(), cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
