@@ -11,6 +11,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -315,6 +316,100 @@ func BenchmarkSolveColdLarge(b *testing.B) {
 	}
 }
 
+// kktPattern returns the pattern of the matrix a cold socp.Solve of p
+// hands to linalg.Analyze: every row of an SOC block carries the union of
+// the block rows' columns, rows of more than eight entries (the processor
+// and memory coupling rows) are split off H_s = GᵀG into a quasi-definite
+// KKT matrix [H_s+I Bᵀ; B −I], and without split rows H_s itself is
+// analyzed. It mirrors the socp sparse view and factorization pipeline,
+// which BenchmarkAnalyze checks through nnz(L) (the values
+// TestAMDOrderMatchesScanOnSolves pins for the same instances).
+func kktPattern(p *socp.Problem) *linalg.SparseMatrix {
+	g := p.GSparse
+	rows := make([][]int, g.Rows)
+	for r := 0; r < p.Dims.NonNeg; r++ {
+		rows[r] = g.ColIdx[g.RowPtr[r]:g.RowPtr[r+1]]
+	}
+	off := p.Dims.NonNeg
+	for _, q := range p.Dims.SOC {
+		var cols []int
+		for r := off; r < off+q; r++ {
+			cols = append(cols, g.ColIdx[g.RowPtr[r]:g.RowPtr[r+1]]...)
+		}
+		slices.Sort(cols)
+		cols = slices.Compact(cols)
+		for r := off; r < off+q; r++ {
+			rows[r] = cols
+		}
+		off += q
+	}
+	gs := linalg.NewSparseFromPattern(g.Rows, g.Cols, rows)
+	skip := make([]bool, gs.Rows)
+	var split []int
+	for r := range rows {
+		if len(rows[r]) > 8 {
+			skip[r] = true
+			split = append(split, r)
+		}
+	}
+	h := linalg.NewSparseAtASkip(gs, skip).Result
+	if len(split) == 0 {
+		return h
+	}
+	n := h.Rows
+	kkt := make([][]int, n+len(split))
+	for i := 0; i < n; i++ {
+		kkt[i] = append(kkt[i], h.ColIdx[h.RowPtr[i]:h.RowPtr[i+1]]...)
+		if h.Index(i, i) < 0 {
+			kkt[i] = append(kkt[i], i)
+		}
+	}
+	for k, r := range split {
+		for _, j := range rows[r] {
+			kkt[j] = append(kkt[j], n+k)
+		}
+		kkt[n+k] = append(append([]int(nil), rows[r]...), n+k)
+	}
+	for i := range kkt {
+		slices.Sort(kkt[i])
+	}
+	return linalg.NewSparseFromPattern(n+len(split), n+len(split), kkt)
+}
+
+// BenchmarkAnalyze times the symbolic analysis a cold solve runs once —
+// AMD ordering, elimination tree and column counts of L — on the KKT
+// patterns of the three largest map instances of the benchmark and of
+// chain-100, the chain its sweep workload analyzes on a pattern-cache
+// miss. nnzL is the fill of the ordering.
+func BenchmarkAnalyze(b *testing.B) {
+	for _, inst := range []struct {
+		name string
+		cfg  *taskgraph.Config
+		nnzL int
+	}{
+		{"chain380", gen.Chain(gen.ChainOptions{Tasks: 380}), 7201},
+		{"fanout200", gen.FanOut(gen.FanOutOptions{Width: 200}), 4620},
+		{"dag200", gen.RandomDAG(gen.DAGOptions{Seed: 1, Tasks: 200}), 6926},
+		{"chain100", gen.Chain(gen.ChainOptions{Tasks: 100}), 1881},
+	} {
+		p, err := core.BuildProblem(inst.cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m := kktPattern(p)
+		if got := linalg.Analyze(m, nil).NNZL(); got != inst.nnzL {
+			b.Fatalf("%s: nnz(L) = %d, want the solver's %d", inst.name, got, inst.nnzL)
+		}
+		b.Run(fmt.Sprintf("%s/n=%d", inst.name, m.Rows), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				linalg.Analyze(m, nil)
+			}
+			b.ReportMetric(float64(inst.nnzL), "nnzL")
+		})
+	}
+}
+
 // BenchmarkFactorizeSparse isolates one full factorize-and-solve cycle on
 // the normal-equations matrix H = GᵀG of real model instances: the paper's
 // T1 program and bbgen chains at 4× and 16× its size. Each sparse op
@@ -594,20 +689,36 @@ func BenchmarkBuildProblem(b *testing.B) {
 }
 
 // BenchmarkVerify measures dfmodel.Verify, which runs after every solve, on
-// solved mappings of the paper's T2 and of a 100-task chain.
+// solved mappings of the paper's T2 and of a 100-task chain, and on the
+// chain's mapping again with four end-to-end latency constraints (bounds at
+// the mapping's own latencies), which Verify checks on the SRDF graph it
+// builds for the period check.
 func BenchmarkVerify(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		cfg  *taskgraph.Config
+		lats [][2]string // latency constraints added after the solve
 	}{
-		{"T2", gen.PaperT2(5)},
-		{"chain100", gen.Chain(gen.ChainOptions{Tasks: 100})},
+		{"T2", gen.PaperT2(5), nil},
+		{"chain100", gen.Chain(gen.ChainOptions{Tasks: 100}), nil},
+		{"chain100-latency4", gen.Chain(gen.ChainOptions{Tasks: 100}),
+			[][2]string{{"w0", "w99"}, {"w0", "w49"}, {"w25", "w74"}, {"w50", "w99"}}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			tg := bc.cfg.Graphs[0]
+			tg.Latencies = nil
 			r, err := core.Solve(context.Background(), bc.cfg, core.Options{})
 			if err != nil || r.Status != core.StatusOptimal {
 				b.Fatalf("%v %v", r.Status, err)
 			}
+			for _, l := range bc.lats {
+				lat, err := dfmodel.LatencyBound(bc.cfg, tg, r.Mapping, l[0], l[1])
+				if err != nil {
+					b.Fatal(err)
+				}
+				tg.Latencies = append(tg.Latencies, taskgraph.LatencyConstraint{From: l[0], To: l[1], Bound: lat})
+			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				v, err := dfmodel.Verify(bc.cfg, r.Mapping)

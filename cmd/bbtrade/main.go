@@ -45,7 +45,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		parallel = fs.Int("parallel", 0,
 			"worker pool size for sweep experiments (0 = GOMAXPROCS, 1 = sequential)")
 		factor = fs.String("factor", "auto",
-			"KKT factorization: auto (by KKT dimension) | sparse (simplicial LDLT) | supernodal (blocked LDLT)")
+			"KKT factorization: auto (the simplicial default) | sparse (simplicial LDLT) | supernodal (blocked LDLT)")
 		factorWorkers = fs.Int("factorworkers", 0,
 			"supernodal factorization worker pool size (<=1 = serial; results are bitwise identical at every setting)")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")

@@ -12,8 +12,8 @@ import (
 // conservative ones before the failure is surfaced — a cold start when the
 // first attempt was warm, escalated static regularization (the cheap fix
 // that rescues most near-singular scalings, cf. ECOS's
-// delta-regularization), then the simplicial factorization when the solve
-// started on the supernodal one. Every attempt is recorded in a SolveReport
+// delta-regularization), then the simplicial factorization when the caller
+// asked for the supernodal one. Every attempt is recorded in a SolveReport
 // so operators can see which rung rescued a solve and how much it cost.
 
 // kktRegEscalation multiplies the effective static regularization on the
@@ -63,9 +63,10 @@ type SolveReport struct {
 	Recovered bool
 }
 
-// backendName names the KKT configuration an Options selects for a problem
-// whose reduced KKT system has dimension kktDim (a FactorAuto choice
-// resolves by dimension, so the report names the backend that actually ran).
+// backendName names the KKT factorization an Options selects for a problem
+// whose reduced KKT system has dimension kktDim: "supernodal" only when the
+// caller asked for it, "sparse" otherwise (FactorAuto resolves to the
+// simplicial backend at every dimension).
 func backendName(opt socp.Options, kktDim int) string {
 	if socp.ResolveFactorization(opt.Factorization, kktDim) == socp.FactorSupernodal {
 		return "supernodal"
@@ -77,7 +78,7 @@ func backendName(opt socp.Options, kktDim int) string {
 // own options first (so unfaulted solves are bit-identical to a direct
 // socp.Solve), then — when the first attempt was warm-started — the same
 // configuration from the cold start, then escalated regularization on the
-// same backend, then — when the resolved starting point was supernodal —
+// same backend, then — when the caller asked for the supernodal backend —
 // the simplicial factorization with the escalated regularization. Every
 // rung after the first runs cold: reusing a warm start that just failed
 // would re-import the failure. kktDim resolves FactorAuto.

@@ -87,6 +87,38 @@ func TestLadderFallsBackToSimplicial(t *testing.T) {
 	}
 }
 
+func TestDefaultSolveRunsSimplicial(t *testing.T) {
+	// chain-380's KKT system is past the 768 rows where auto once switched
+	// to the supernodal backend. A default solve now runs the simplicial
+	// one, and its ladder has no simplicial rung to fall back to.
+	cfg := gen.Chain(gen.ChainOptions{Tasks: 380})
+	p, err := BuildProblem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dim := len(p.C); dim < 768 {
+		t.Fatalf("chain-380 has %d variables, want at least 768", dim)
+	}
+	if steps := ladder(socp.Options{}, len(p.C)); len(steps) != 2 {
+		t.Fatalf("default ladder has %d rungs, want 2 (the caller's options and escalated KKTReg)", len(steps))
+	}
+	if steps := ladder(socp.Options{Factorization: socp.FactorSupernodal}, len(p.C)); len(steps) != 3 ||
+		steps[2].Factorization != socp.FactorSparse {
+		t.Fatalf("supernodal ladder = %+v, want a third, simplicial rung", steps)
+	}
+	res, err := Solve(context.Background(), cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := res.Report
+	if res.Status != StatusOptimal || rep == nil || len(rep.Attempts) != 1 {
+		t.Fatalf("status %v, report %+v: want one optimal attempt", res.Status, rep)
+	}
+	if rep.FinalBackend != "sparse" || rep.Attempts[0].Backend != "sparse" || rep.Recovered {
+		t.Fatalf("report = %+v, want an unrecovered solve on sparse", rep)
+	}
+}
+
 func TestLadderColdRetryRecovers(t *testing.T) {
 	// A warm-started solve whose first factorization breaks: the ladder's
 	// first retry drops the warm start and keeps everything else — the

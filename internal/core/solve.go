@@ -32,9 +32,10 @@ func BuildProblem(c *taskgraph.Config) (*socp.Problem, error) {
 // The context bounds the solve: cancellation or deadline expiry is observed
 // once per interior-point iteration and surfaces as StatusCanceled. A solve
 // that fails numerically is retried through the recovery ladder (escalated
-// regularization, then the simplicial factorization when the solve started
-// supernodal); every attempt is recorded in Result.Report. On instances that do not need
-// recovery, the result is identical to a single direct solver call.
+// regularization, then the simplicial factorization when the caller asked
+// for the supernodal one); every attempt is recorded in Result.Report. On
+// instances that do not need recovery, the result is identical to a single
+// direct solver call.
 func Solve(ctx context.Context, c *taskgraph.Config, opt Options) (*Result, error) {
 	res, _, err := solveWarm(ctx, c, opt, nil)
 	return res, err

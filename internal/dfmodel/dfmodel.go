@@ -188,11 +188,15 @@ func Verify(c *taskgraph.Config, m *taskgraph.Mapping) (*Verification, error) {
 		v.Problems = append(v.Problems, fmt.Sprintf(format, args...))
 	}
 
-	for _, tg := range c.Graphs {
-		g, _, err := BuildGraph(c, tg, m)
+	// The SRDF graph of each task graph, kept for its latency checks.
+	graphs := make([]*srdf.Graph, len(c.Graphs))
+	indexes := make([]*Index, len(c.Graphs))
+	for k, tg := range c.Graphs {
+		g, idx, err := BuildGraph(c, tg, m)
 		if err != nil {
 			return nil, err
 		}
+		graphs[k], indexes[k] = g, idx
 		cycle, mp, err := g.CriticalCycle()
 		if err == srdf.ErrDeadlock {
 			fail("graph %s: dataflow model deadlocks", tg.Name)
@@ -260,9 +264,9 @@ func Verify(c *taskgraph.Config, m *taskgraph.Mapping) (*Verification, error) {
 
 	// Latency constraints: the best schedule of the rounded mapping must
 	// meet each bound.
-	for _, tg := range c.Graphs {
+	for k, tg := range c.Graphs {
 		for _, lc := range tg.Latencies {
-			lat, err := LatencyBound(c, tg, m, lc.From, lc.To)
+			lat, err := latencyBound(graphs[k], indexes[k], tg.Period, lc.From, lc.To)
 			if err != nil {
 				fail("latency %s→%s: %v", lc.From, lc.To, err)
 				continue

@@ -78,6 +78,11 @@ type SymbolicFactor struct {
 	sn     *SupernodalSymbolic
 }
 
+// analyzeOrder is the ordering Analyze computes when the caller supplies
+// none. It is a variable only so tests can check AMDOrder on the matrices
+// real solves analyze; nothing else assigns it.
+var analyzeOrder = AMDOrder
+
 // Analyze runs the symbolic phase on the pattern of the square, structurally
 // symmetric matrix a: AMD ordering (or the caller's perm override, mostly
 // for tests), elimination tree, per-column counts of L, and the permuted
@@ -88,7 +93,7 @@ func Analyze(a *SparseMatrix, perm []int) *SymbolicFactor {
 	}
 	n := a.Rows
 	if perm == nil {
-		perm = AMDOrder(a)
+		perm = analyzeOrder(a)
 	}
 	if len(perm) != n {
 		panic("linalg: SparseCholesky ordering length mismatch")

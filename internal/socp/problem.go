@@ -153,9 +153,10 @@ type Options struct {
 	// factorization computed once per problem; numeric refactorization per
 	// iteration). FactorSupernodal runs the blocked supernodal LDLᵀ on the
 	// same symbolic analysis — dense column panels, register-blocked update
-	// kernels, and an optional worker pool (see FactorWorkers) — which wins
-	// on large systems where panels grow wide. FactorAuto picks between the
-	// two by KKT dimension (ResolveFactorization).
+	// kernels, and an optional worker pool (see FactorWorkers); it runs only
+	// when asked for, because on the KKT systems Algorithm 1 produces the
+	// simplicial kernel is faster. FactorAuto, the default, runs the
+	// simplicial backend (ResolveFactorization).
 	Factorization Factorization
 	// FactorWorkers bounds the supernodal backend's intra-factorization
 	// worker pool. Values ≤ 1 run serially — the default, because sweep
@@ -194,9 +195,8 @@ type Options struct {
 type Factorization int
 
 const (
-	// FactorAuto picks the fastest correct backend by KKT dimension: the
-	// blocked supernodal factorization on large systems, the simplicial one
-	// below the crossover (see ResolveFactorization).
+	// FactorAuto picks the default backend, the simplicial factorization,
+	// at every KKT dimension (see ResolveFactorization).
 	FactorAuto Factorization = iota
 	// FactorSparse forces the sparse simplicial factorization.
 	FactorSparse
@@ -218,23 +218,16 @@ func (f Factorization) String() string {
 	}
 }
 
-// supernodalAutoDim is the KKT dimension where FactorAuto switches from the
-// simplicial to the supernodal backend. Below it the simplicial kernel's
-// lower constant wins (panels stay narrow, the blocked kernels cannot
-// amortize their setup); above it supernode panels grow wide enough for the
-// blocked updates to pay off.
-const supernodalAutoDim = 768
-
 // ResolveFactorization maps a Factorization choice to the concrete backend
 // the solver will run for a KKT system of the given dimension (the
 // normal-equations dimension n, the number of variables). Explicit
-// choices resolve to themselves; FactorAuto resolves by dimension.
+// choices resolve to themselves; FactorAuto resolves to FactorSparse at
+// every dimension: on every KKT system of the paper's instances and the
+// benchmark's, the simplicial kernel is the faster one (EXPERIMENTS.md
+// §P16).
 func ResolveFactorization(f Factorization, dim int) Factorization {
 	if f != FactorAuto {
 		return f
-	}
-	if dim >= supernodalAutoDim {
-		return FactorSupernodal
 	}
 	return FactorSparse
 }

@@ -125,9 +125,9 @@ func TestValidateGCarriers(t *testing.T) {
 	}
 }
 
-// TestResolveFactorization pins the auto heuristic: explicit choices pass
-// through untouched, auto picks the supernodal backend at and above the
-// dimension threshold and the simplicial one below it.
+// TestResolveFactorization pins the routing: explicit choices pass through
+// untouched, and auto runs the simplicial backend at every dimension, on
+// both sides of the old 768-row crossover and far above it.
 func TestResolveFactorization(t *testing.T) {
 	for _, f := range []Factorization{FactorSparse, FactorSupernodal} {
 		if got := ResolveFactorization(f, 10); got != f {
@@ -137,11 +137,10 @@ func TestResolveFactorization(t *testing.T) {
 			t.Fatalf("ResolveFactorization(%v, 1e6) = %v, want passthrough", f, got)
 		}
 	}
-	if got := ResolveFactorization(FactorAuto, supernodalAutoDim-1); got != FactorSparse {
-		t.Fatalf("auto below threshold = %v, want sparse", got)
-	}
-	if got := ResolveFactorization(FactorAuto, supernodalAutoDim); got != FactorSupernodal {
-		t.Fatalf("auto at threshold = %v, want supernodal", got)
+	for _, dim := range []int{0, 767, 768, 1e6} {
+		if got := ResolveFactorization(FactorAuto, dim); got != FactorSparse {
+			t.Fatalf("ResolveFactorization(auto, %d) = %v, want sparse", dim, got)
+		}
 	}
 }
 
