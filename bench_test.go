@@ -193,6 +193,7 @@ func BenchmarkSweepWarmVsCold(b *testing.B) {
 		{"warm", core.Options{SkipVerification: true, Parallelism: 1, WarmChunk: len(caps)}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				pts, err := core.SweepBufferCaps(context.Background(), cfg, nil, caps, mode.opt)
 				if err != nil {
@@ -218,6 +219,7 @@ func BenchmarkSweepWarmVsCold(b *testing.B) {
 // d = 64 candidates, found in ≤ 1 + ⌈log₂ d⌉ warm-started solves.
 func BenchmarkDSEBisect(b *testing.B) {
 	cfg := gen.Chain(gen.ChainOptions{Tasks: 100})
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := core.DSEBisect(context.Background(), cfg, core.DSEOptions{MaxCap: 64},
 			core.Options{SkipVerification: true, Parallelism: 1})

@@ -116,7 +116,7 @@ func TwoPhaseBudgetFirst(ctx context.Context, c *taskgraph.Config, policy Budget
 	res.Mapping = mapping
 	res.Status = StatusOptimal
 	if !opt.SkipVerification {
-		v, err := dfmodel.Verify(c, mapping)
+		v, err := dfmodel.VerifyValidated(c, mapping)
 		if err != nil {
 			return nil, err
 		}
@@ -370,7 +370,7 @@ func TwoPhaseBufferFirst(ctx context.Context, c *taskgraph.Config, caps map[stri
 	res.Mapping = mapping
 	res.Status = StatusOptimal
 	if !opt.SkipVerification {
-		v, err := dfmodel.Verify(c, mapping)
+		v, err := dfmodel.VerifyValidated(c, mapping)
 		if err != nil {
 			return nil, err
 		}

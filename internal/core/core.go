@@ -158,6 +158,9 @@ type graphModel struct {
 	// sv maps each actor to the builder variable of its start time, or −1
 	// for a pinned actor (start time fixed to 0).
 	sv []int
+	// capRow maps each buffer, in Buffers order, to the row of h holding
+	// its cap bound max − ι, or −1 when the buffer has none.
+	capRow []int
 }
 
 // sExpr returns the affine expression for an actor's start time (0 for a
@@ -182,14 +185,11 @@ func (m *model) plusDuration(e socp.Affine, gm *graphModel, a srdf.ActorID) socp
 	return e.PlusConst(p.Replenishment).Plus(-1, m.beta[w.Name])
 }
 
-// buildModel constructs the full Algorithm 1 cone program for the
+// buildModel constructs the full Algorithm 1 cone program for a validated
 // configuration. When caps is non-nil it fixes every buffer's capacity
 // instead of creating δ′ variables (the buffer-first baseline, which also
 // accepts multi-rate graphs).
 func buildModel(c *taskgraph.Config, caps map[string]int) (*model, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
 	if caps == nil && c.MultiRate() {
 		return nil, fmt.Errorf("core: configuration has multi-rate buffers; use the hybrid solver in internal/mrate")
 	}
@@ -207,7 +207,10 @@ func buildModel(c *taskgraph.Config, caps map[string]int) (*model, error) {
 		if err != nil {
 			return nil, err
 		}
-		gm := graphModel{tg: tg, md: md, sv: make([]int, 2*len(md.Firings))}
+		gm := graphModel{tg: tg, md: md, sv: make([]int, 2*len(md.Firings)), capRow: make([]int, len(tg.Buffers))}
+		for i := range gm.capRow {
+			gm.capRow[i] = -1
+		}
 		for k, f := range md.Firings {
 			gm.sv[dfmodel.V1(k)] = -1
 			if !f.Pinned {
@@ -271,7 +274,7 @@ func (m *model) addConstraints() {
 			// (the bound is integral) and γ ≥ min ⟸ δ′ ≥ min − ι
 			// (conservative by at most one container).
 			if bf.MaxContainers > 0 {
-				m.b.AddLE(
+				gm.capRow[q.Buffer] = m.b.AddLE(
 					socp.Expr(0).Plus(1, m.delta[bf.Name]),
 					socp.Expr(float64(bf.MaxContainers-bf.InitialTokens)))
 			}

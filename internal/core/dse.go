@@ -60,8 +60,9 @@ type DSEResult struct {
 // feasibility can only appear and the optimal budget only shrink. DSEBisect
 // exploits this by probing MaxCap once (infeasible ⇒ no cap works, done in
 // one solve) and then bisecting, warm-starting every probe from the
-// previous probe's interior point and sharing one pattern cache across all
-// of them, so the later probes cost a fraction of a cold solve. The probe
+// previous probe's interior point and sharing one pattern cache and one
+// build of the cone program (see capFamily) across all of them, so the
+// later probes cost a fraction of a cold solve. The probe
 // sequence is deterministic; disabling reuse (Options.NoWarmStart /
 // NoPatternCache) changes solve times, not the sequence or the answer.
 //
@@ -92,20 +93,14 @@ func DSEBisect(ctx context.Context, c *taskgraph.Config, dse DSEOptions, opt Opt
 		}
 	}
 	sweepCache(&opt)
+	swept := func(bf *taskgraph.Buffer) bool { return dse.Buffers == nil || want[bf.Name] }
+	var fam capFamily
 
 	res := &DSEResult{Cap: -1}
 	var warm *socp.WarmStart
 	results := map[int]*Result{}
 	probe := func(cap int) (bool, error) {
-		cc := c.Clone()
-		for _, tg := range cc.Graphs {
-			for j := range tg.Buffers {
-				if bf := &tg.Buffers[j]; dse.Buffers == nil || want[bf.Name] {
-					bf.MaxContainers = cap
-				}
-			}
-		}
-		r, w, err := solveWarm(ctx, cc, opt, warm)
+		r, w, err := fam.solve(ctx, withCaps(c, cap, swept), opt, warm)
 		if err != nil {
 			return false, err
 		}

@@ -80,7 +80,7 @@ func ParetoFrontier(ctx context.Context, c *taskgraph.Config, steps int, opt Opt
 				tg.Buffers[j].SizeWeight = tg.Buffers[j].EffectiveSizeWeight() / bufferMean
 			}
 		}
-		r, w, err := solveWarm(ctx, cc, opt, warm)
+		r, w, err := buildSolve(ctx, cc, opt, warm)
 		if err != nil {
 			return ParetoPoint{}, nil, err
 		}

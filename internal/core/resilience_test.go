@@ -123,14 +123,14 @@ func TestLadderColdRetryRecovers(t *testing.T) {
 	// A warm-started solve whose first factorization breaks: the ladder's
 	// first retry drops the warm start and keeps everything else — the
 	// backend and the caller's own regularization.
-	_, warm, err := solveWarm(context.Background(), gen.PaperT1(3), Options{}, nil)
+	_, warm, err := buildSolve(context.Background(), gen.PaperT1(3), Options{}, nil)
 	if err != nil || warm == nil {
 		t.Fatalf("seed solve: warm %v err %v", warm, err)
 	}
 	defer faultinject.Activate(faultinject.Rule{
 		Site: faultinject.SiteSparseLDLT, Kind: faultinject.KindError, Count: 1,
 	})()
-	res, _, err := solveWarm(context.Background(), gen.PaperT1(4), Options{}, warm)
+	res, _, err := buildSolve(context.Background(), gen.PaperT1(4), Options{}, warm)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}

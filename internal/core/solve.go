@@ -19,11 +19,25 @@ const roundTol = 1e-6
 // the raw SOCP — e.g. pitting factorization backends against each other on
 // paper-sized KKT systems.
 func BuildProblem(c *taskgraph.Config) (*socp.Problem, error) {
-	m, err := buildModel(c, nil)
-	if err != nil {
+	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	return m.b.Build()
+	_, prob, err := buildProblem(c)
+	return prob, err
+}
+
+// buildProblem builds the Algorithm 1 model of a validated configuration
+// and its cone program.
+func buildProblem(c *taskgraph.Config) (*model, *socp.Problem, error) {
+	m, err := buildModel(c, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	prob, err := m.b.Build()
+	if err != nil {
+		return nil, nil, err
+	}
+	return m, prob, nil
 }
 
 // Solve computes budgets and buffer capacities for every task graph in the
@@ -37,24 +51,37 @@ func BuildProblem(c *taskgraph.Config) (*socp.Problem, error) {
 // instances that do not need recovery, the result is identical to a single
 // direct solver call.
 func Solve(ctx context.Context, c *taskgraph.Config, opt Options) (*Result, error) {
-	res, _, err := solveWarm(ctx, c, opt, nil)
+	res, _, err := buildSolve(ctx, c, opt, nil)
 	return res, err
 }
 
-// solveWarm is Solve plus warm-start threading: warm (which may be nil, the
-// cold start) seeds the solver's initial iterate, and the second return
-// value is the raw interior point of this solve's optimum for seeding the
-// next neighboring solve — nil when the solve did not end in a reusable
-// point or warm starts are disabled. The sweep drivers chain solves through
-// it; Solve itself is solveWarm with both sides cold.
-func solveWarm(ctx context.Context, c *taskgraph.Config, opt Options, warm *socp.WarmStart) (*Result, *socp.WarmStart, error) {
-	m, err := buildModel(c, nil)
+// buildSolve validates c, builds its cone program and solves it from warm.
+func buildSolve(ctx context.Context, c *taskgraph.Config, opt Options, warm *socp.WarmStart) (*Result, *socp.WarmStart, error) {
+	if err := c.Validate(); err != nil {
+		return nil, nil, err
+	}
+	m, prob, err := buildProblem(c)
 	if err != nil {
 		return nil, nil, err
 	}
-	prob, err := m.b.Build()
-	if err != nil {
-		return nil, nil, err
+	return solveWarm(ctx, c, m, prob, opt, warm)
+}
+
+// solveHook, when non-nil, sees every configuration and cone program
+// solveWarm is about to solve. Tests set it to check what the sweeps solve.
+var solveHook func(c *taskgraph.Config, prob *socp.Problem)
+
+// solveWarm solves prob, the cone program of the validated configuration c
+// built as m, then rounds and verifies the result. warm (which may be nil,
+// the cold start) seeds the solver's initial iterate, and the second return
+// value is the raw interior point of this solve's optimum for seeding the
+// next neighboring solve — nil when the solve did not end in a reusable
+// point or warm starts are disabled. Solve builds and then calls it once;
+// the sweep drivers build once per call and chain their points' solves
+// through it (see capFamily).
+func solveWarm(ctx context.Context, c *taskgraph.Config, m *model, prob *socp.Problem, opt Options, warm *socp.WarmStart) (*Result, *socp.WarmStart, error) {
+	if solveHook != nil {
+		solveHook(c, prob)
 	}
 	sopt := opt.Solver
 	if warm != nil && !opt.NoWarmStart {
@@ -126,7 +153,7 @@ func solveWarm(ctx context.Context, c *taskgraph.Config, opt Options, warm *socp
 	res.Status = StatusOptimal
 
 	if !opt.SkipVerification {
-		v, err := dfmodel.Verify(c, mapping)
+		v, err := dfmodel.VerifyValidated(c, mapping)
 		if err != nil {
 			return nil, nil, err
 		}

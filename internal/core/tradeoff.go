@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/socp"
 	"repro/internal/taskgraph"
@@ -27,7 +29,8 @@ type TradeoffPoint struct {
 // pattern cache of factorization pipelines (see Options.NoWarmStart,
 // NoPatternCache, and WarmChunk), which changes solve times but not —
 // beyond solver tolerance — the mappings, and not at all when both are
-// disabled.
+// disabled. Algorithm 1 is built once per call: the points differ only in
+// their cap bounds, so each rewrites those rows of h (see capFamily).
 //
 // Canceling the context stops the sweep promptly; the completed points are
 // still returned (unfinished points have a nil Result) together with the
@@ -61,21 +64,69 @@ func SweepBufferCaps(ctx context.Context, c *taskgraph.Config, buffers []string,
 		}
 	}
 	sweepCache(&opt)
+	var fam capFamily
 	return runWarmChunks(ctx, len(caps), opt, func(ctx context.Context, i int, warm *socp.WarmStart) (TradeoffPoint, *socp.WarmStart, error) {
-		cc := c.Clone()
-		for _, tg := range cc.Graphs {
-			for j := range tg.Buffers {
-				if bf := &tg.Buffers[j]; buffers == nil || want[bf.Name] {
-					bf.MaxContainers = caps[i]
-				}
-			}
-		}
-		r, w, err := solveWarm(ctx, cc, opt, warm)
+		cc := withCaps(c, caps[i], func(bf *taskgraph.Buffer) bool { return buffers == nil || want[bf.Name] })
+		r, w, err := fam.solve(ctx, cc, opt, warm)
 		if err != nil {
 			return TradeoffPoint{}, nil, err
 		}
 		return TradeoffPoint{Cap: caps[i], Result: r}, w, nil
 	})
+}
+
+// withCaps returns a copy of c in which every buffer that swept selects is
+// capped at cap containers.
+func withCaps(c *taskgraph.Config, cap int, swept func(*taskgraph.Buffer) bool) *taskgraph.Config {
+	cc := c.Clone()
+	for _, tg := range cc.Graphs {
+		for j := range tg.Buffers {
+			if bf := &tg.Buffers[j]; swept(bf) {
+				bf.MaxContainers = cap
+			}
+		}
+	}
+	return cc
+}
+
+// capFamily is Algorithm 1 built once for the configurations of one sweep
+// or bisection, which differ only in the caps (MaxContainers ≥ 1) of the
+// swept buffers. G, c and the cone dims are the same for all of them, and
+// so is h except at the cap rows δ′ ≤ max − ι. The first point to solve
+// builds the shared model and cone program from its own configuration;
+// every point then solves a copy of it with its own h, whose cap rows are
+// rewritten from its configuration, so it solves exactly the problem
+// BuildProblem gives for that configuration. The shared parts are only
+// read, so the points of a parallel sweep may solve concurrently.
+type capFamily struct {
+	once sync.Once
+	m    *model
+	prob *socp.Problem
+	err  error
+}
+
+// solve validates c, a member of the family, and solves it from warm. A
+// configuration that fails validation fails before any build or solve,
+// with the same error Solve would return for it.
+func (f *capFamily) solve(ctx context.Context, c *taskgraph.Config, opt Options, warm *socp.WarmStart) (*Result, *socp.WarmStart, error) {
+	if err := c.Validate(); err != nil {
+		return nil, nil, err
+	}
+	f.once.Do(func() { f.m, f.prob, f.err = buildProblem(c) })
+	if f.err != nil {
+		return nil, nil, f.err
+	}
+	prob := *f.prob
+	prob.H = slices.Clone(f.prob.H)
+	for gi, tg := range c.Graphs {
+		for j, r := range f.m.graphs[gi].capRow {
+			if r >= 0 {
+				bf := &tg.Buffers[j]
+				prob.H[r] = float64(bf.MaxContainers - bf.InitialTokens)
+			}
+		}
+	}
+	return solveWarm(ctx, c, f.m, &prob, opt, warm)
 }
 
 // BudgetSum returns the total allocated budget of a result's mapping, or NaN

@@ -26,6 +26,10 @@ import (
 //     part of the sweep's definition — never derived from Parallelism — so
 //     which points warm-start which is fixed and the sweep's output is
 //     bitwise reproducible at any parallelism.
+//
+// SweepBufferCaps and DSEBisect also share one build of Algorithm 1 per
+// call (capFamily). That reuse has no switch: every point solves exactly
+// the problem BuildProblem gives for its configuration.
 
 // sweepCache returns the pattern cache a sweep's solves share, honoring an
 // existing caller-configured cache and the NoPatternCache switch.

@@ -172,11 +172,20 @@ func cycleString(g *srdf.Graph, cycle []srdf.ActorID) string {
 
 // Verify checks a mapping end to end: per-graph throughput via SRDF
 // analysis, per-processor budget capacity (Constraint 4 with overhead), and
-// per-memory storage capacity. It never modifies its inputs.
+// per-memory storage capacity. It validates the configuration first and
+// never modifies its inputs.
 func Verify(c *taskgraph.Config, m *taskgraph.Mapping) (*Verification, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
+	return VerifyValidated(c, m)
+}
+
+// VerifyValidated is Verify for a configuration that has passed
+// Config.Validate and not changed since. The joint solve validates its
+// configuration before it builds the cone program, so it verifies the
+// rounded mapping with this and validates once per solve.
+func VerifyValidated(c *taskgraph.Config, m *taskgraph.Mapping) (*Verification, error) {
 	v := &Verification{
 		OK:              true,
 		GraphMinPeriods: map[string]float64{},

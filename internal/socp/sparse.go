@@ -1,7 +1,7 @@
 package socp
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/cone"
 	"repro/internal/linalg"
@@ -67,7 +67,7 @@ type socBlockView struct {
 // newSparseView builds the sparse structure for a validated problem
 // carrying GSparse, which the view uses directly.
 func newSparseView(p *Problem) *sparseView {
-	sv := &sparseView{dims: p.Dims, g: p.GSparse}
+	sv := &sparseView{dims: p.Dims, g: p.GSparse, socs: make([]socBlockView, 0, len(p.Dims.SOC))}
 	n := sv.g.Cols
 	pattern := make([][]int, sv.g.Rows)
 	for i := 0; i < p.Dims.NonNeg; i++ {
@@ -81,18 +81,12 @@ func newSparseView(p *Problem) *sparseView {
 		if q > maxQ {
 			maxQ = q
 		}
-		// Union of the block rows' patterns.
-		seen := map[int]bool{}
-		for r := off; r < off+q; r++ {
-			for k := sv.g.RowPtr[r]; k < sv.g.RowPtr[r+1]; k++ {
-				seen[sv.g.ColIdx[k]] = true
-			}
-		}
-		cols := make([]int, 0, len(seen))
-		for j := range seen {
-			cols = append(cols, j)
-		}
-		sort.Ints(cols)
+		// Union of the block rows' patterns: the block's column indices,
+		// sorted and compacted.
+		lo, hi := sv.g.RowPtr[off], sv.g.RowPtr[off+q]
+		cols := slices.Clone(sv.g.ColIdx[lo:hi])
+		slices.Sort(cols)
+		cols = slices.Compact(cols)
 		blk := socBlockView{off: off, q: q, cols: cols, gv: make([]float64, q*len(cols))}
 		for r := 0; r < q; r++ {
 			for k, j := range cols {

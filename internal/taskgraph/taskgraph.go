@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 )
 
@@ -381,15 +382,22 @@ type Mapping struct {
 	Objective float64 `json:"objective"`
 }
 
-// Clone returns a deep copy of the configuration.
+// Clone returns a deep copy of the configuration: every slice and task
+// graph is copied, nil ones stay nil, so the copy marshals to the same JSON.
 func (c *Config) Clone() *Config {
-	data, err := json.Marshal(c)
-	if err != nil {
-		panic(fmt.Sprintf("taskgraph: clone marshal: %v", err)) // cannot happen
-	}
-	var out Config
-	if err := json.Unmarshal(data, &out); err != nil {
-		panic(fmt.Sprintf("taskgraph: clone unmarshal: %v", err))
+	out := *c
+	out.Processors = slices.Clone(c.Processors)
+	out.Memories = slices.Clone(c.Memories)
+	out.Graphs = slices.Clone(c.Graphs)
+	for i, tg := range out.Graphs {
+		if tg == nil {
+			continue
+		}
+		g := *tg
+		g.Tasks = slices.Clone(tg.Tasks)
+		g.Buffers = slices.Clone(tg.Buffers)
+		g.Latencies = slices.Clone(tg.Latencies)
+		out.Graphs[i] = &g
 	}
 	return &out
 }
