@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"repro/internal/binding"
+	"repro/internal/cone"
 	"repro/internal/core"
 	"repro/internal/dfmodel"
 	"repro/internal/experiments"
@@ -318,15 +319,16 @@ func BenchmarkSolveColdLarge(b *testing.B) {
 	}
 }
 
-// kktPattern returns the pattern of the matrix a cold socp.Solve of p
-// hands to linalg.Analyze: every row of an SOC block carries the union of
-// the block rows' columns, rows of more than eight entries (the processor
-// and memory coupling rows) are split off H_s = GᵀG into a quasi-definite
-// KKT matrix [H_s+I Bᵀ; B −I], and without split rows H_s itself is
-// analyzed. It mirrors the socp sparse view and factorization pipeline,
-// which BenchmarkAnalyze checks through nnz(L) (the values
-// TestAMDOrderMatchesScanOnSolves pins for the same instances).
-func kktPattern(p *socp.Problem) *linalg.SparseMatrix {
+// kktMatrix returns the matrix a cold socp.Solve of p hands to
+// linalg.Analyze, with the values of its first factorization (W = I): every
+// row of an SOC block carries the union of the block rows' columns, rows of
+// more than eight entries (the processor and memory coupling rows) are split
+// off H_s = GᵀG into a quasi-definite KKT matrix [H_s+reg·I Bᵀ; B −I], and
+// without split rows H_s itself is returned. It mirrors the
+// socp sparse view and factorization pipeline, which BenchmarkAnalyze checks
+// through nnz(L) (the values TestAMDOrderMatchesScanOnSolves pins for the
+// same instances).
+func kktMatrix(p *socp.Problem, reg float64) *linalg.SparseMatrix {
 	g := p.GSparse
 	rows := make([][]int, g.Rows)
 	for r := 0; r < p.Dims.NonNeg; r++ {
@@ -346,6 +348,11 @@ func kktPattern(p *socp.Problem) *linalg.SparseMatrix {
 		off += q
 	}
 	gs := linalg.NewSparseFromPattern(g.Rows, g.Cols, rows)
+	for r := range rows {
+		for t := gs.RowPtr[r]; t < gs.RowPtr[r+1]; t++ {
+			gs.Val[t] = g.At(r, gs.ColIdx[t])
+		}
+	}
 	skip := make([]bool, gs.Rows)
 	var split []int
 	for r := range rows {
@@ -354,7 +361,9 @@ func kktPattern(p *socp.Problem) *linalg.SparseMatrix {
 			split = append(split, r)
 		}
 	}
-	h := linalg.NewSparseAtASkip(gs, skip).Result
+	ata := linalg.NewSparseAtASkip(gs, skip)
+	ata.Compute(gs)
+	h := ata.Result
 	if len(split) == 0 {
 		return h
 	}
@@ -375,7 +384,22 @@ func kktPattern(p *socp.Problem) *linalg.SparseMatrix {
 	for i := range kkt {
 		slices.Sort(kkt[i])
 	}
-	return linalg.NewSparseFromPattern(n+len(split), n+len(split), kkt)
+	m := linalg.NewSparseFromPattern(n+len(split), n+len(split), kkt)
+	for i := 0; i < n; i++ {
+		for t := h.RowPtr[i]; t < h.RowPtr[i+1]; t++ {
+			m.Val[m.Index(i, h.ColIdx[t])] = h.Val[t]
+		}
+		m.Val[m.Index(i, i)] += reg
+	}
+	for k, r := range split {
+		for t := gs.RowPtr[r]; t < gs.RowPtr[r+1]; t++ {
+			j := gs.ColIdx[t]
+			m.Val[m.Index(n+k, j)] = gs.Val[t]
+			m.Val[m.Index(j, n+k)] = gs.Val[t]
+		}
+		m.Val[m.Index(n+k, n+k)] = -1
+	}
+	return m
 }
 
 // BenchmarkAnalyze times the symbolic analysis a cold solve runs once —
@@ -398,7 +422,7 @@ func BenchmarkAnalyze(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		m := kktPattern(p)
+		m := kktMatrix(p, 0)
 		if got := linalg.Analyze(m, nil).NNZL(); got != inst.nnzL {
 			b.Fatalf("%s: nnz(L) = %d, want the solver's %d", inst.name, got, inst.nnzL)
 		}
@@ -409,6 +433,85 @@ func BenchmarkAnalyze(b *testing.B) {
 			}
 			b.ReportMetric(float64(inst.nnzL), "nnzL")
 		})
+	}
+}
+
+// BenchmarkKKTKernels times the kernels of one interior-point iteration,
+// one sub-benchmark each, on the KKT matrix the solver factors (kktMatrix):
+// a 6×6 RandomJobs instance, the size of the serve workload's requests, and
+// chain-380, the largest map instance. The kernels are the numeric
+// factorization, the triangular solve (a copy of the right-hand side plus
+// SparseCholesky.Solve), the products G·x and Gᵀ·z, and the W² application
+// of an NT scaling. Their per-op times are the per-stage numbers a profile
+// of a whole solve splits up.
+func BenchmarkKKTKernels(b *testing.B) {
+	for _, inst := range []struct {
+		name string
+		cfg  *taskgraph.Config
+	}{
+		{"jobs6x6", gen.RandomJobs(gen.RandomOptions{Seed: 1, Jobs: 6, MinTasks: 6, MaxTasks: 6, Processors: 8})},
+		{"chain380", gen.Chain(gen.ChainOptions{Tasks: 380})},
+	} {
+		p, err := core.BuildProblem(inst.cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		// Both instances split their coupling rows off H, so the solver
+		// factors the quasi-definite KKT matrix.
+		const reg = 1e-10
+		m := kktMatrix(p, reg)
+		if m.Rows == len(p.C) {
+			b.Fatalf("%s: no row split off H", inst.name)
+		}
+		chol := linalg.NewSparseCholesky(m, nil)
+		if err := chol.FactorizeQuasiDef(m, reg); err != nil {
+			b.Fatal(err)
+		}
+		g := p.GSparse
+		// Deterministic operands; s and z are the cone identity plus a
+		// perturbation small enough to stay strictly interior.
+		rhs, sol := linalg.NewVector(m.Rows), linalg.NewVector(m.Rows)
+		x, gtz := linalg.NewVector(g.Cols), linalg.NewVector(g.Cols)
+		gx := linalg.NewVector(g.Rows)
+		s, z, w2 := linalg.NewVector(g.Rows), linalg.NewVector(g.Rows), linalg.NewVector(g.Rows)
+		for i := range rhs {
+			rhs[i] = 1 + float64(i%7)
+		}
+		for i := range x {
+			x[i] = float64(i%5) - 2
+		}
+		p.Dims.Identity(s)
+		p.Dims.Identity(z)
+		for i := range s {
+			s[i] += 0.1 * float64(i%7) / 7
+			z[i] += 0.1 * float64(i%5) / 5
+		}
+		w, err := cone.NewScaling(p.Dims, s, z)
+		if err != nil {
+			b.Fatal(err)
+		}
+		name := fmt.Sprintf("%s/kkt=%d", inst.name, m.Rows)
+		for _, k := range []struct {
+			name string
+			run  func(b *testing.B)
+		}{
+			{"factor", func(b *testing.B) {
+				if err := chol.FactorizeQuasiDef(m, reg); err != nil {
+					b.Fatal(err)
+				}
+			}},
+			{"solve", func(*testing.B) { sol.CopyFrom(rhs); chol.Solve(sol) }},
+			{"G", func(*testing.B) { g.MulVec(gx, x) }},
+			{"Gt", func(*testing.B) { g.MulVecTAdd(gtz, 1, z) }},
+			{"W2", func(*testing.B) { w.ApplySq(w2, z) }},
+		} {
+			b.Run(name+"/"+k.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					k.run(b)
+				}
+			})
+		}
 	}
 }
 

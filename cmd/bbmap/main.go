@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 
@@ -84,6 +85,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	var res *core.Result
+	// counted names what res.SolverIterations counts for the method that
+	// ran; "" when the method reports no count.
+	counted := "interior-point iterations"
 	switch *method {
 	case "joint":
 		if cfg.MultiRate() {
@@ -101,6 +105,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 				ContinuousDeltas:  map[string]float64{},
 				Verification:      mr.Verification,
 			}
+			counted = ""
 			break
 		}
 		res, err = core.Solve(ctx, cfg, core.Options{})
@@ -115,6 +120,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		res, err = core.TwoPhaseBudgetFirst(ctx, cfg, pol, core.Options{})
+		counted = "simplex pivots" // phase 2 is the buffer-sizing LP
 	case "buffer-first":
 		res, err = core.TwoPhaseBufferFirst(ctx, cfg, nil, core.Options{})
 	default:
@@ -131,7 +137,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if !*quiet {
-		report(stdout, cfg, res)
+		report(stdout, cfg, res, counted)
 	}
 	if *outPath != "" {
 		if err := res.Mapping.WriteFile(*outPath); err != nil {
@@ -142,19 +148,26 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func report(w io.Writer, cfg *taskgraph.Config, res *core.Result) {
-	fmt.Fprintf(w, "status: %v (%d interior-point iterations)\n\n", res.Status, res.SolverIterations)
+// report prints the mapping with the relaxed values it was rounded from.
+// counted names what res.SolverIterations counts ("" prints no count), and
+// a relaxed value the method never computed prints as "-".
+func report(w io.Writer, cfg *taskgraph.Config, res *core.Result, counted string) {
+	if counted == "" {
+		fmt.Fprintf(w, "status: %v\n\n", res.Status)
+	} else {
+		fmt.Fprintf(w, "status: %v (%d %s)\n\n", res.Status, res.SolverIterations, counted)
+	}
 	bt := textplot.NewTable("task", "processor", "budget (Mcycles)", "relaxed value")
 	for _, tg := range cfg.Graphs {
 		for _, task := range tg.Tasks {
-			bt.AddRow(task.Name, task.Processor, res.Mapping.Budgets[task.Name], res.ContinuousBudgets[task.Name])
+			bt.AddRow(task.Name, task.Processor, res.Mapping.Budgets[task.Name], relaxed(res.ContinuousBudgets, task.Name))
 		}
 	}
 	fmt.Fprintln(w, bt.String())
 	ct := textplot.NewTable("buffer", "memory", "capacity (containers)", "relaxed tokens")
 	for _, tg := range cfg.Graphs {
 		for _, b := range tg.Buffers {
-			ct.AddRow(b.Name, b.Memory, res.Mapping.Capacities[b.Name], res.ContinuousDeltas[b.Name])
+			ct.AddRow(b.Name, b.Memory, res.Mapping.Capacities[b.Name], relaxed(res.ContinuousDeltas, b.Name))
 		}
 	}
 	fmt.Fprintln(w, ct.String())
@@ -170,4 +183,13 @@ func report(w io.Writer, cfg *taskgraph.Config, res *core.Result) {
 			fmt.Fprintf(w, "  graph %s: model min period %.6g\n", g, v.GraphMinPeriods[g])
 		}
 	}
+}
+
+// relaxed returns the relaxed value of name, or NaN, which the table prints
+// as "-", when the method did not compute one.
+func relaxed(values map[string]float64, name string) float64 {
+	if v, ok := values[name]; ok {
+		return v
+	}
+	return math.NaN()
 }

@@ -114,3 +114,57 @@ func TestRunUsageErrors(t *testing.T) {
 		t.Fatalf("missing file: exit %d", code)
 	}
 }
+
+// TestReportLabelsMethodCounts checks that the report names the count of
+// the method that ran and prints "-" for relaxed values the method never
+// computed: budget-first runs a simplex on fixed budgets and relaxes
+// nothing, buffer-first relaxes only the budgets, and joint relaxes both.
+func TestReportLabelsMethodCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name, config, method string
+		status               string
+		budgets, tokens      bool // relaxed columns filled
+	}{
+		{"budget-first", filepath.Join("..", "..", "testdata", "multijob.json"), "budget-first", "status: optimal (31 simplex pivots)", false, false},
+		{"buffer-first", writeConfig(t, gen.PaperT1(5)), "buffer-first", "interior-point iterations)", true, false},
+		{"joint", writeConfig(t, gen.PaperT1(5)), "joint", "interior-point iterations)", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out, errb bytes.Buffer
+			if code := run(context.Background(), []string{"-config", tc.config, "-method", tc.method}, &out, &errb); code != 0 {
+				t.Fatalf("exit %d: %s", code, errb.String())
+			}
+			text := out.String()
+			first, _, _ := strings.Cut(text, "\n")
+			if !strings.Contains(first, tc.status) {
+				t.Fatalf("status line %q, want it to contain %q", first, tc.status)
+			}
+			if tc.method == "budget-first" && strings.Contains(text, "interior-point") {
+				t.Fatalf("budget-first report names interior-point iterations:\n%s", text)
+			}
+			cfg, err := taskgraph.ReadFile(tc.config)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The relaxed column is the last one of every task and buffer row.
+			last := map[string]string{}
+			for _, line := range strings.Split(text, "\n") {
+				if f := strings.Fields(line); len(f) == 4 {
+					last[f[0]] = f[3]
+				}
+			}
+			for _, tg := range cfg.Graphs {
+				for _, w := range tg.Tasks {
+					if got := last[w.Name]; got == "" || (got == "-") == tc.budgets || got == "0" {
+						t.Errorf("task %s: relaxed value %q, want filled %v", w.Name, got, tc.budgets)
+					}
+				}
+				for _, b := range tg.Buffers {
+					if got := last[b.Name]; got == "" || (got == "-") == tc.tokens || got == "0" {
+						t.Errorf("buffer %s: relaxed tokens %q, want filled %v", b.Name, got, tc.tokens)
+					}
+				}
+			}
+		})
+	}
+}

@@ -53,19 +53,6 @@ func (d Dims) Dim() int {
 // 1 and each second-order cone block contributes 1.
 func (d Dims) Degree() int { return d.NonNeg + len(d.SOC) }
 
-// visit calls f for every block: kind is 'l' for the (single) orthant slice
-// and 'q' for each SOC block, with [lo, hi) the index range.
-func (d Dims) visit(f func(kind byte, lo, hi int)) {
-	if d.NonNeg > 0 {
-		f('l', 0, d.NonNeg)
-	}
-	off := d.NonNeg
-	for _, q := range d.SOC {
-		f('q', off, off+q)
-		off += q
-	}
-}
-
 // Identity writes the cone identity element e into dst: ones in the orthant,
 // (1, 0, …, 0) in each SOC block.
 func (d Dims) Identity(dst linalg.Vector) {
@@ -111,27 +98,25 @@ func (d Dims) Interior(x linalg.Vector) bool {
 	return true
 }
 
-// InteriorMargin returns the largest θ such that x − θ·e … more precisely it
-// returns min over blocks of the "slack": for the orthant min(xᵢ) and for a
-// SOC block x₀ − ‖x₁‖. A positive margin means strictly interior; callers use
-// −margin as the shift needed to push x inside.
+// InteriorMargin returns the smallest slack of x over the blocks of K:
+// min xᵢ over the orthant and x₀ − ‖x₁‖ for each SOC block. A positive
+// margin means strictly interior; callers use −margin as the shift along
+// the identity e that pushes x inside. A zero-dimensional cone has margin 0.
 func (d Dims) InteriorMargin(x linalg.Vector) float64 {
 	d.checkLen(x)
 	margin := math.Inf(1)
-	d.visit(func(kind byte, lo, hi int) {
-		switch kind {
-		case 'l':
-			for i := lo; i < hi; i++ {
-				if x[i] < margin {
-					margin = x[i]
-				}
-			}
-		case 'q':
-			if r := socResidual(x[lo:hi]); r < margin {
-				margin = r
-			}
+	for _, xi := range x[:d.NonNeg] {
+		if xi < margin {
+			margin = xi
 		}
-	})
+	}
+	off := d.NonNeg
+	for _, q := range d.SOC {
+		if r := socResidual(x[off : off+q]); r < margin {
+			margin = r
+		}
+		off += q
+	}
 	if math.IsInf(margin, 1) { // zero-dimensional cone
 		return 0
 	}
@@ -144,25 +129,22 @@ func (d Dims) Product(dst, x, y linalg.Vector) {
 	d.checkLen(dst)
 	d.checkLen(x)
 	d.checkLen(y)
-	d.visit(func(kind byte, lo, hi int) {
-		switch kind {
-		case 'l':
-			for i := lo; i < hi; i++ {
-				dst[i] = x[i] * y[i]
-			}
-		case 'q':
-			xb, yb := x[lo:hi], y[lo:hi]
-			dot := linalg.Dot(xb, yb)
-			x0, y0 := xb[0], yb[0]
-			// Write the tail first so aliasing with dst==x or dst==y is safe
-			// for everything except the head, which we saved.
-			db := dst[lo:hi]
-			for i := 1; i < len(db); i++ {
-				db[i] = x0*yb[i] + y0*xb[i]
-			}
-			db[0] = dot
+	for i := 0; i < d.NonNeg; i++ {
+		dst[i] = x[i] * y[i]
+	}
+	off := d.NonNeg
+	for _, q := range d.SOC {
+		xb, yb, db := x[off:off+q], y[off:off+q], dst[off:off+q]
+		dot := linalg.Dot(xb, yb)
+		x0, y0 := xb[0], yb[0]
+		// Write the tail first so aliasing with dst==x or dst==y is safe
+		// for everything except the head, which we saved.
+		for i := 1; i < q; i++ {
+			db[i] = x0*yb[i] + y0*xb[i]
 		}
-	})
+		db[0] = dot
+		off += q
+	}
 }
 
 // Div writes into dst the solution u of λ∘u = b (Jordan division). λ must be
@@ -171,25 +153,23 @@ func (d Dims) Div(dst, lambda, b linalg.Vector) {
 	d.checkLen(dst)
 	d.checkLen(lambda)
 	d.checkLen(b)
-	d.visit(func(kind byte, lo, hi int) {
-		switch kind {
-		case 'l':
-			for i := lo; i < hi; i++ {
-				dst[i] = b[i] / lambda[i]
-			}
-		case 'q':
-			lb, bb, db := lambda[lo:hi], b[lo:hi], dst[lo:hi]
-			l0 := lb[0]
-			det := l0*l0 - sq(linalg.Norm2(lb[1:]))
-			// u₀ = (λ₀b₀ − λ₁ᵀb₁)/det(λ); u₁ = (b₁ − u₀λ₁)/λ₀.
-			dot1 := linalg.Dot(lb[1:], bb[1:])
-			u0 := (l0*bb[0] - dot1) / det
-			for i := 1; i < len(db); i++ {
-				db[i] = (bb[i] - u0*lb[i]) / l0
-			}
-			db[0] = u0
+	for i := 0; i < d.NonNeg; i++ {
+		dst[i] = b[i] / lambda[i]
+	}
+	off := d.NonNeg
+	for _, q := range d.SOC {
+		lb, bb, db := lambda[off:off+q], b[off:off+q], dst[off:off+q]
+		l0 := lb[0]
+		det := l0*l0 - sq(linalg.Norm2(lb[1:]))
+		// u₀ = (λ₀b₀ − λ₁ᵀb₁)/det(λ); u₁ = (b₁ − u₀λ₁)/λ₀.
+		dot1 := linalg.Dot(lb[1:], bb[1:])
+		u0 := (l0*bb[0] - dot1) / det
+		for i := 1; i < q; i++ {
+			db[i] = (bb[i] - u0*lb[i]) / l0
 		}
-	})
+		db[0] = u0
+		off += q
+	}
 }
 
 func sq(x float64) float64 { return x * x }
@@ -201,22 +181,21 @@ func (d Dims) StepToBoundary(x, dx linalg.Vector) float64 {
 	d.checkLen(x)
 	d.checkLen(dx)
 	t := math.Inf(1)
-	d.visit(func(kind byte, lo, hi int) {
-		switch kind {
-		case 'l':
-			for i := lo; i < hi; i++ {
-				if dx[i] < 0 {
-					if cand := -x[i] / dx[i]; cand < t {
-						t = cand
-					}
-				}
-			}
-		case 'q':
-			if cand := socStep(x[lo:hi], dx[lo:hi]); cand < t {
+	xl := x[:d.NonNeg]
+	for i, di := range dx[:len(xl)] {
+		if di < 0 {
+			if cand := -xl[i] / di; cand < t {
 				t = cand
 			}
 		}
-	})
+	}
+	off := d.NonNeg
+	for _, q := range d.SOC {
+		if cand := socStep(x[off:off+q], dx[off:off+q]); cand < t {
+			t = cand
+		}
+		off += q
+	}
 	return t
 }
 

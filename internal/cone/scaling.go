@@ -25,7 +25,8 @@ var ErrNotInterior = errors.New("cone: point is not strictly interior")
 //
 // A Scaling owns all of its storage. An interior-point method allocates one
 // per solve and calls Update at every iteration, which rewrites d, λ and the
-// per-block v, v⁻¹ in place; Apply and ApplyInv need no scratch at all.
+// per-block v, v⁻¹ in place; Apply, ApplyInv and their squares need no
+// scratch at all.
 type Scaling struct {
 	dims Dims
 	// Orthant diagonal: d[i] = sqrt(s_i / z_i), indexed from 0..NonNeg-1.
@@ -173,6 +174,20 @@ func jnorm(x linalg.Vector) float64 {
 //
 //bbvet:hotpath
 func applyP(v linalg.Vector, detV float64, dst, u linalg.Vector) {
+	if len(u) == 3 && len(v) == 3 && len(dst) == 3 {
+		// The 3-row cone of every Algorithm 1 block, unrolled with the
+		// arithmetic of the loop below: the dot product accumulates from 0
+		// in index order, as linalg.Dot does.
+		dot := 0.0
+		dot += v[0] * u[0]
+		dot += v[1] * u[1]
+		dot += v[2] * u[2]
+		u0, u1, u2 := u[0], u[1], u[2]
+		dst[0] = 2*v[0]*dot - detV*u0
+		dst[1] = 2*v[1]*dot + detV*u1
+		dst[2] = 2*v[2]*dot + detV*u2
+		return
+	}
 	dot := linalg.Dot(v, u)
 	dst[0] = 2*v[0]*dot - detV*u[0]
 	for i := 1; i < len(u); i++ {
@@ -202,6 +217,29 @@ func (w *Scaling) Apply(dst, x linalg.Vector) {
 	}
 }
 
+// ApplySq writes W² x = W (W x) into dst with the arithmetic of two Apply
+// calls, in one pass per block. dst may be x itself; any other overlap is
+// not allowed.
+//
+//bbvet:hotpath
+func (w *Scaling) ApplySq(dst, x linalg.Vector) {
+	w.dims.checkLen(dst)
+	w.dims.checkLen(x)
+	d := w.d[:w.dims.NonNeg]
+	dl, xl := dst[:len(d)], x[:len(d)]
+	for i, di := range d {
+		dl[i] = di * (di * xl[i])
+	}
+	off := w.dims.NonNeg
+	for bi, q := range w.dims.SOC {
+		blk := &w.blocks[bi]
+		db := dst[off : off+q]
+		applyP(blk.v, blk.detV, db, x[off:off+q])
+		applyP(blk.v, blk.detV, db, db)
+		off += q
+	}
+}
+
 // ApplyInv writes W⁻¹ x into dst. dst may be x itself; any other overlap is
 // not allowed. Uses P(v)⁻¹ = P(v⁻¹) with v⁻¹ = J v / det(v).
 //
@@ -216,6 +254,30 @@ func (w *Scaling) ApplyInv(dst, x linalg.Vector) {
 	for bi, q := range w.dims.SOC {
 		blk := &w.blocks[bi]
 		applyP(blk.vinv, 1/blk.detV, dst[off:off+q], x[off:off+q])
+		off += q
+	}
+}
+
+// ApplyInvSq writes W⁻² x = W⁻¹ (W⁻¹ x) into dst with the arithmetic of
+// two ApplyInv calls, in one pass per block. dst may be x itself; any other
+// overlap is not allowed.
+//
+//bbvet:hotpath
+func (w *Scaling) ApplyInvSq(dst, x linalg.Vector) {
+	w.dims.checkLen(dst)
+	w.dims.checkLen(x)
+	d := w.d[:w.dims.NonNeg]
+	dl, xl := dst[:len(d)], x[:len(d)]
+	for i, di := range d {
+		dl[i] = xl[i] / di / di
+	}
+	off := w.dims.NonNeg
+	for bi, q := range w.dims.SOC {
+		blk := &w.blocks[bi]
+		db := dst[off : off+q]
+		inv := 1 / blk.detV
+		applyP(blk.vinv, inv, db, x[off:off+q])
+		applyP(blk.vinv, inv, db, db)
 		off += q
 	}
 }

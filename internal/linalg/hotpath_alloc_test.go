@@ -7,10 +7,11 @@ import (
 
 // TestHotpathRefactorizationAllocFree requires that every function
 // annotated //bbvet:hotpath in this package — the AᵀA refill, the numeric
-// LDLᵀ refactorization (both the SPD and the quasi-definite kernels), and
-// the triangular solves — does not allocate once the symbolic analysis has
-// been done. The hotalloc analyzer checks only the annotated bodies
-// themselves; this guard is the only check of the calls they make.
+// LDLᵀ refactorization (both the SPD and the quasi-definite kernels), the
+// triangular solves, and the CSR products and residuals — does not allocate
+// once the symbolic analysis has been done. The hotalloc analyzer checks
+// only the annotated bodies themselves; this guard is the only check of the
+// calls they make.
 func TestHotpathRefactorizationAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	_, as := randomSparseSPD(rng, 60, 0.1)
@@ -35,6 +36,10 @@ func TestHotpathRefactorizationAllocFree(t *testing.T) {
 		}
 		sc.Solve(b)
 		sc.SolveRefined(h, b, x)
+		h.MulVec(x, b)
+		h.MulVecTAdd(x, 1, b)
+		h.Residual(x, b, x)
+		h.ResidualAdd(x, b, x, b)
 		if err := sc.FactorizeQuasiDef(h, 1e-10); err != nil {
 			ferr = err
 		}

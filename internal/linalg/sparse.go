@@ -122,45 +122,82 @@ func (s *SparseMatrix) Clone() *SparseMatrix {
 }
 
 // MulVec computes dst = A x.
+//
+//bbvet:hotpath
 func (s *SparseMatrix) MulVec(dst, x Vector) {
 	if len(dst) != s.Rows || len(x) != s.Cols {
 		panic(fmt.Sprintf("linalg: sparse MulVec dims %dx%d with |dst|=%d |x|=%d", s.Rows, s.Cols, len(dst), len(x)))
 	}
-	for i := 0; i < s.Rows; i++ {
-		var sum float64
-		for k := s.RowPtr[i]; k < s.RowPtr[i+1]; k++ {
-			sum += s.Val[k] * x[s.ColIdx[k]]
-		}
-		dst[i] = sum
+	rp := s.RowPtr[:len(dst)+1]
+	for i := range dst {
+		dst[i] = s.rowDot(rp[i], rp[i+1], x)
 	}
 }
 
-// MulVecAdd computes dst += alpha * A x.
-func (s *SparseMatrix) MulVecAdd(dst Vector, alpha float64, x Vector) {
-	if len(dst) != s.Rows || len(x) != s.Cols {
-		panic("linalg: sparse MulVecAdd dimension mismatch")
+// Residual computes dst = b − A x, each row in the pass that forms its
+// product. dst may be b itself.
+//
+//bbvet:hotpath
+func (s *SparseMatrix) Residual(dst, b, x Vector) {
+	if len(dst) != s.Rows || len(b) != s.Rows || len(x) != s.Cols {
+		panic("linalg: sparse Residual dimension mismatch")
 	}
-	for i := 0; i < s.Rows; i++ {
-		var sum float64
-		for k := s.RowPtr[i]; k < s.RowPtr[i+1]; k++ {
-			sum += s.Val[k] * x[s.ColIdx[k]]
-		}
-		dst[i] += alpha * sum
+	rp := s.RowPtr[:len(dst)+1]
+	b = b[:len(dst)]
+	for i := range dst {
+		dst[i] = b[i] - s.rowDot(rp[i], rp[i+1], x)
 	}
+}
+
+// ResidualAdd computes dst = (b − A x) + y, each row in the pass that forms
+// its product. dst may be b or y itself.
+//
+//bbvet:hotpath
+func (s *SparseMatrix) ResidualAdd(dst, b, x, y Vector) {
+	if len(dst) != s.Rows || len(b) != s.Rows || len(y) != s.Rows || len(x) != s.Cols {
+		panic("linalg: sparse ResidualAdd dimension mismatch")
+	}
+	rp := s.RowPtr[:len(dst)+1]
+	b, y = b[:len(dst)], y[:len(dst)]
+	for i := range dst {
+		dst[i] = (b[i] - s.rowDot(rp[i], rp[i+1], x)) + y[i]
+	}
+}
+
+// rowDot returns the dot product of the stored entries [lo, hi) of a row
+// with x, summed in storage order from 0.
+//
+//bbvet:hotpath
+func (s *SparseMatrix) rowDot(lo, hi int, x Vector) float64 {
+	vals := s.Val[lo:hi]
+	cols := s.ColIdx[lo:hi]
+	cols = cols[:len(vals)]
+	var sum float64
+	for k, v := range vals {
+		sum += v * x[cols[k]]
+	}
+	return sum
 }
 
 // MulVecTAdd computes dst += alpha * Aᵀ x.
+//
+//bbvet:hotpath
 func (s *SparseMatrix) MulVecTAdd(dst Vector, alpha float64, x Vector) {
 	if len(dst) != s.Cols || len(x) != s.Rows {
 		panic("linalg: sparse MulVecTAdd dimension mismatch")
 	}
-	for i := 0; i < s.Rows; i++ {
-		xi := alpha * x[i]
+	rp := s.RowPtr[:len(x)+1]
+	for i, xv := range x {
+		xi := alpha * xv
 		if xi == 0 {
 			continue
 		}
-		for k := s.RowPtr[i]; k < s.RowPtr[i+1]; k++ {
-			dst[s.ColIdx[k]] += xi * s.Val[k]
+		lo, hi := rp[i], rp[i+1]
+		vals := s.Val[lo:hi]
+		cols := s.ColIdx[lo:hi]
+		cols = cols[:len(vals)]
+		for k, v := range vals {
+			dst[cols[k]] += xi * v
 		}
 	}
 }

@@ -119,15 +119,13 @@ func TestSparseMulVecMatchesDense(t *testing.T) {
 			}
 		}
 
-		s.MulVecAdd(gotR, 0.5, x)
-		ax := NewVector(rows)
-		d.MulVec(ax, x)
-		wantR.AddScaled(0.5, ax)
+		s.Residual(gotR, y, x)
+		Sub(wantR, y, wantR)
 		s.MulVecTAdd(gotC, -2, y)
 		d.MulVecTAdd(wantC, -2, y)
 		for i := range gotR {
 			if math.Abs(gotR[i]-wantR[i]) > 1e-12 {
-				t.Fatalf("trial %d: MulVecAdd mismatch at %d", trial, i)
+				t.Fatalf("trial %d: Residual mismatch at %d", trial, i)
 			}
 		}
 		for i := range gotC {

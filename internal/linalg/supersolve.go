@@ -126,10 +126,7 @@ func (c *SupernodalCholesky) SolveRefined(a *SparseMatrix, b, x Vector) {
 	x.CopyFrom(b)
 	c.Solve(x)
 	r := c.scratch
-	a.MulVec(r, x)
-	for i := range r {
-		r[i] = b[i] - r[i]
-	}
+	a.Residual(r, b, x)
 	c.Solve(r)
 	x.AddScaled(1, r)
 }

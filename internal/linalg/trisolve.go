@@ -1,47 +1,53 @@
 package linalg
 
 // Solve solves A x = b in place against the current numeric factorization:
-// the right-hand side is permuted, run through the unit-lower forward solve,
-// the diagonal scaling, and the transposed backward solve, then permuted
-// back. Only the stored nonzeros of L are visited, so a solve costs
-// O(n + nnz(L)).
+// the right-hand side is permuted, run through the unit-lower forward solve
+// and then the transposed backward solve, which divides each entry by its
+// pivot as it reaches it, and permuted back. Only the stored nonzeros of L
+// are visited, so a solve costs O(n + nnz(L)).
 //
 //bbvet:hotpath
 func (c *SparseCholesky) Solve(b Vector) {
 	sym := c.sym
-	if len(b) != sym.n {
+	n := sym.n
+	if len(b) != n {
 		panic("linalg: SparseCholesky.Solve dimension mismatch")
 	}
-	n, w := sym.n, c.w
-	perm, lp := sym.perm, sym.lp
-	for k := 0; k < n; k++ {
-		w[k] = b[perm[k]]
+	w, d := c.w[:n], c.d[:n]
+	perm, lp := sym.perm[:n], sym.lp[:n+1]
+	li, lx := c.li[:lp[n]], c.lx[:lp[n]]
+	for k, pk := range perm {
+		w[k] = b[pk]
 	}
 	// L w = w: column-oriented forward substitution. When column k is
 	// reached every update from columns < k has been applied, so w[k] is
 	// final and scatters into the rows below.
-	for k := 0; k < n; k++ {
+	for k := range w {
 		if wk := w[k]; wk != 0 {
-			for p := lp[k]; p < lp[k+1]; p++ {
-				w[c.li[p]] -= c.lx[p] * wk
+			lo, hi := lp[k], lp[k+1]
+			rows, vals := li[lo:hi], lx[lo:hi]
+			rows = rows[:len(vals)]
+			for p, v := range vals {
+				w[rows[p]] -= v * wk
 			}
 		}
 	}
-	// D w = w.
-	for k := 0; k < n; k++ {
-		w[k] /= c.d[k]
-	}
-	// Lᵀ w = w: the transposed solve gathers from the rows below, walking
-	// the columns backwards.
+	// D Lᵀ w = w: the transposed solve gathers from the rows below, walking
+	// the columns backwards. The rows below k are final when column k is
+	// reached, and w[k] itself is untouched since the forward pass, so
+	// dividing it by its pivot here is the separate diagonal solve.
 	for k := n - 1; k >= 0; k-- {
-		wk := w[k]
-		for p := lp[k]; p < lp[k+1]; p++ {
-			wk -= c.lx[p] * w[c.li[p]]
+		wk := w[k] / d[k]
+		lo, hi := lp[k], lp[k+1]
+		rows, vals := li[lo:hi], lx[lo:hi]
+		rows = rows[:len(vals)]
+		for p, v := range vals {
+			wk -= v * w[rows[p]]
 		}
 		w[k] = wk
 	}
-	for k := 0; k < n; k++ {
-		b[perm[k]] = w[k]
+	for k, pk := range perm {
+		b[pk] = w[k]
 	}
 }
 
@@ -58,10 +64,7 @@ func (c *SparseCholesky) SolveRefined(a *SparseMatrix, b, x Vector) {
 	x.CopyFrom(b)
 	c.Solve(x)
 	r := c.scratch
-	a.MulVec(r, x)
-	for i := range r {
-		r[i] = b[i] - r[i]
-	}
+	a.Residual(r, b, x)
 	c.Solve(r)
 	x.AddScaled(1, r)
 }

@@ -1,12 +1,16 @@
-// Package linalg provides the dense linear-algebra kernels used by the
-// interior-point and simplex solvers in this repository: vectors, matrices,
-// Cholesky and LDLᵀ factorizations with static regularization, triangular
-// solves, and iterative refinement.
+// Package linalg provides the sparse linear-algebra kernels of the
+// interior-point solver in this repository: dense vectors, compressed-row
+// (CSR) matrices with their products and residuals, the AᵀA assembly of the
+// normal equations, a fill-reducing ordering and symbolic analysis, and
+// sparse LDLᵀ factorizations (simplicial and supernodal) with static
+// regularization, triangular solves and iterative refinement.
 //
-// The package is deliberately small and dependency-free (stdlib only). All
-// matrices are dense and row-major; the problem sizes produced by the
-// budget/buffer mapping flow are modest (tens to a few thousand variables),
-// where dense factorizations are both simplest and fastest.
+// The package is deliberately small and dependency-free (stdlib only). The
+// cone programs of the budget/buffer mapping flow have tens to a few
+// thousand variables, but most constraint rows touch only a handful of
+// them, so every kernel an iteration runs visits stored nonzeros only. A
+// dense row-major Matrix remains for problems given with a dense constraint
+// matrix, which are converted to CSR before a solve.
 package linalg
 
 import (

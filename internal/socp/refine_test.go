@@ -71,7 +71,7 @@ func TestRefinementStopRule(t *testing.T) {
 		first, best := math.NaN(), math.Inf(1)
 		checks, reason := 0, capped
 		for checks < maxRefineChecks {
-			f.residual(bx, bz, x, z)
+			f.residual(bx, bz, x, z, nil)
 			res := kktResidual(ws)
 			checks++
 			if checks == 1 {
@@ -101,7 +101,7 @@ func TestRefinementStopRule(t *testing.T) {
 			t.Errorf("seed %d: %d factored solves for %d residual checks (stop reason %d, residuals fell to %.3g, tolerance %.3g)",
 				seed, solves, checks, reason, best, tol)
 		}
-		f.residual(bx, bz, dx, dz)
+		f.residual(bx, bz, dx, dz, nil)
 		if got := kktResidual(ws); got != best || got > first {
 			t.Errorf("seed %d: returned residual %.3g, want the best checked %.3g (first %.3g)", seed, got, best, first)
 		}

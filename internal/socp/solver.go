@@ -107,7 +107,7 @@ type workspace struct {
 	bestX, bestZ linalg.Vector // best iterate seen
 	corX, corZ   linalg.Vector // correction step
 
-	// solveOnce scratch.
+	// solveOnce scratch; t ends holding G·dx of the last solveOnce.
 	t, rhs     linalg.Vector // m, n
 	full, fsol linalg.Vector // n+nd, nil when H is factored alone
 
@@ -243,10 +243,13 @@ func (f *kktFactor) solve(bx, bz linalg.Vector) (dx, dz linalg.Vector) {
 	ws := &f.st.ws
 	cx, cz := ws.curX, ws.curZ
 	f.solveOnce(bx, bz, cx, cz)
+	// solveOnce left G·cx in ws.t, so the first check forms no product.
+	gx := ws.t
 	tol := refineTol * (1 + max(linalg.NormInf(bx), linalg.NormInf(bz)))
 	bestRes := math.Inf(1)
 	for check := 1; ; check++ {
-		f.residual(bx, bz, cx, cz)
+		f.residual(bx, bz, cx, cz, gx)
+		gx = nil
 		res := max(linalg.NormInf(ws.r1), linalg.NormInf(ws.r2))
 		if res < bestRes {
 			bestRes = res
@@ -266,29 +269,34 @@ func (f *kktFactor) solve(bx, bz linalg.Vector) (dx, dz linalg.Vector) {
 }
 
 // residual computes the residual of the 2x2 block KKT system at (x, z) into
-// the workspace vectors r1 and r2.
+// the workspace vectors r1 and r2. gx, when non-nil, holds G·x already, and
+// the second block is then formed without a product.
 //
 //bbvet:hotpath
-func (f *kktFactor) residual(bx, bz, x, z linalg.Vector) {
+func (f *kktFactor) residual(bx, bz, x, z, gx linalg.Vector) {
 	st := f.st
 	ws := &st.ws
 	r1 := ws.r1 // bx − Gᵀz
 	r1.CopyFrom(bx)
 	st.sv.g.MulVecTAdd(r1, -1, z)
-	r2 := ws.r2 // bz − (Gx − W²z)
-	r2.CopyFrom(bz)
-	st.sv.g.MulVecAdd(r2, -1, x)
-	w2z := ws.w2z
-	w2z.CopyFrom(z)
+	w2z := z // W²z, with W = I when f.w is nil
 	if f.w != nil {
-		f.w.Apply(w2z, w2z)
-		f.w.Apply(w2z, w2z)
+		w2z = ws.w2z
+		f.w.ApplySq(w2z, z)
 	}
-	linalg.Add(r2, r2, w2z)
+	r2 := ws.r2 // bz − (Gx − W²z)
+	if gx == nil {
+		st.sv.g.ResidualAdd(r2, bz, x, w2z)
+		return
+	}
+	for i := range r2 {
+		r2[i] = (bz[i] - gx[i]) + w2z[i]
+	}
 }
 
 // solveOnce performs the factored solve without refinement, writing the
-// result into the caller-provided dx, dz buffers.
+// result into the caller-provided dx, dz buffers. It leaves G·dx in ws.t,
+// which kktFactor.solve's first residual check reads.
 //
 //bbvet:hotpath
 func (f *kktFactor) solveOnce(bx, bz, dx, dz linalg.Vector) {
@@ -296,11 +304,10 @@ func (f *kktFactor) solveOnce(bx, bz, dx, dz linalg.Vector) {
 	ws := &st.ws
 	st.linearSolves++
 	// t = W⁻² bz.
-	t := ws.t
-	t.CopyFrom(bz)
+	t := bz
 	if f.w != nil {
-		f.w.ApplyInv(t, t)
-		f.w.ApplyInv(t, t)
+		t = ws.t
+		f.w.ApplyInvSq(t, bz)
 	}
 	// rhs = bx + Gᵀ W⁻² bz.
 	rhs := ws.rhs
@@ -322,12 +329,15 @@ func (f *kktFactor) solveOnce(bx, bz, dx, dz linalg.Vector) {
 		f.schol.SolveRefined(f.hs, full, sol)
 		copy(dx, sol[:n])
 	}
-	// dz = W⁻² (G dx − bz).
-	st.sv.g.MulVec(dz, dx)
-	dz.AddScaled(-1, bz)
+	// dz = W⁻² (G dx − bz), with G dx kept in ws.t, which is dead once rhs
+	// is built.
+	gdx := ws.t
+	st.sv.g.MulVec(gdx, dx)
+	for i := range dz {
+		dz[i] = gdx[i] - bz[i]
+	}
 	if f.w != nil {
-		f.w.ApplyInv(dz, dz)
-		f.w.ApplyInv(dz, dz)
+		f.w.ApplyInvSq(dz, dz)
 	}
 }
 

@@ -202,7 +202,7 @@ func TestQuasiDefRefinesAgainstUnregularized(t *testing.T) {
 			}
 		}
 		dx, dz := f.solve(bx, bz)
-		f.residual(bx, bz, dx, dz)
+		f.residual(bx, bz, dx, dz, nil)
 		ws := &st.ws
 		res := math.Max(linalg.NormInf(ws.r1), linalg.NormInf(ws.r2))
 		scale := 1 + math.Max(linalg.NormInf(dx), linalg.NormInf(dz))
