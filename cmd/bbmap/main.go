@@ -9,6 +9,11 @@
 //	      [-policy minimal-rate|fair-share] [-bind exhaustive|greedy]
 //	      [-out mapping.json] [-quiet]
 //
+// The buffer-first baseline fixes every buffer's capacity at its
+// maxContainers and sizes only the budgets, so it needs a configuration that
+// sets maxContainers on every buffer; otherwise bbmap exits 1 and names the
+// first buffer without one.
+//
 // The configuration format is the JSON encoding of taskgraph.Config; see
 // cmd/bbgen for generators and examples/ for programmatic construction.
 package main
@@ -42,7 +47,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		configPath = fs.String("config", "", "configuration JSON file (required)")
-		method     = fs.String("method", "joint", "joint | budget-first | buffer-first")
+		method     = fs.String("method", "joint", "joint | budget-first | buffer-first (buffer-first takes every capacity from the buffer's maxContainers)")
 		policy     = fs.String("policy", "minimal-rate", "budget-first phase-1 policy: minimal-rate | fair-share")
 		bind       = fs.String("bind", "", "also search task/buffer bindings: exhaustive | greedy")
 		outPath    = fs.String("out", "", "write the mapping as JSON to this file")

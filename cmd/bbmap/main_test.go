@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -41,6 +42,24 @@ func TestRunJoint(t *testing.T) {
 	if m.Capacities["bab"] != 4 {
 		t.Fatalf("written mapping wrong: %+v", m)
 	}
+	// The per-graph min periods come from a map; the report must print
+	// them in name order on every run, whatever order the map yields.
+	multijob := filepath.Join("..", "..", "testdata", "multijob.json")
+	for i := 0; i < 100; i++ {
+		out.Reset()
+		if code := run(context.Background(), []string{"-config", multijob}, &out, &errb); code != 0 {
+			t.Fatalf("multijob: exit %d: %s", code, errb.String())
+		}
+		var graphs []string
+		for _, line := range strings.Split(out.String(), "\n") {
+			if g, ok := strings.CutPrefix(line, "  graph "); ok && strings.Contains(g, "model min period") {
+				graphs = append(graphs, g)
+			}
+		}
+		if len(graphs) != 2 || !slices.IsSorted(graphs) {
+			t.Fatalf("run %d: min-period lines %q, want both graphs in name order", i, graphs)
+		}
+	}
 }
 
 func TestRunBudgetFirst(t *testing.T) {
@@ -64,6 +83,16 @@ func TestRunBufferFirst(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run(context.Background(), []string{"-config", path, "-method", "buffer-first", "-quiet"}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d: %s", code, errb.String())
+	}
+	// Buffer-first takes every capacity from the buffer's maxContainers, so
+	// a configuration that leaves one unset fails and names the buffer.
+	errb.Reset()
+	multijob := filepath.Join("..", "..", "testdata", "multijob.json")
+	if code := run(context.Background(), []string{"-config", multijob, "-method", "buffer-first"}, &out, &errb); code != 1 {
+		t.Fatalf("multijob: exit %d, want 1", code)
+	}
+	if want := "bbmap: core: buffer-first baseline needs a capacity for buffer \"j0b0\"\n"; errb.String() != want {
+		t.Fatalf("multijob: stderr %q, want %q", errb.String(), want)
 	}
 }
 

@@ -109,18 +109,14 @@ func serveAndDrain(ctx context.Context, ln net.Listener, srv *serve.Server, drai
 	// The drain deliberately does NOT inherit ctx: ctx is the shutdown
 	// signal itself and is already canceled here — deriving from it would
 	// turn every graceful drain into an instant force-cancel.
-	//bbvet:allow ctxflow ctx is already canceled; the drain needs a fresh bound
 	dctx, dcancel := cli.WithTimeout(context.Background(), drainTimeout)
 	defer dcancel()
-	//bbvet:allow ctxflow ctx is already canceled; the drain needs a fresh bound
 	drainErr := srv.Drain(dctx)
 
 	// All solves are done (or canceled); now close the listener and let any
 	// remaining response writes and idle keep-alives wind down.
-	//bbvet:allow ctxflow ctx is already canceled; shutdown needs a fresh bound
 	sctx, scancel := cli.WithTimeout(context.Background(), drainTimeout)
 	defer scancel()
-	//bbvet:allow ctxflow ctx is already canceled; shutdown needs a fresh bound
 	if err := hs.Shutdown(sctx); err != nil {
 		fmt.Fprintln(stderr, "bbserve: http shutdown:", err)
 	}

@@ -56,8 +56,6 @@ func NewScaling(dims Dims, s, z linalg.Vector) (*Scaling, error) {
 // strictly interior to K. It allocates only when dims differs in shape from
 // the previous call's. On error the scaling is unusable until the next
 // successful Update.
-//
-//bbvet:hotpath
 func (w *Scaling) Update(dims Dims, s, z linalg.Vector) error {
 	dims.checkLen(s)
 	dims.checkLen(z)
@@ -171,8 +169,6 @@ func jnorm(x linalg.Vector) float64 {
 // applyP writes P(v) u into dst for a SOC block: 2 v (vᵀu) − det(v)·J u.
 // dst may be u itself, since element i of the result reads only vᵀu and uᵢ;
 // any other overlap is not allowed.
-//
-//bbvet:hotpath
 func applyP(v linalg.Vector, detV float64, dst, u linalg.Vector) {
 	if len(u) == 3 && len(v) == 3 && len(dst) == 3 {
 		// The 3-row cone of every Algorithm 1 block, unrolled with the
@@ -201,8 +197,6 @@ func (w *Scaling) Lambda() linalg.Vector { return w.lambda }
 
 // Apply writes W x into dst. dst may be x itself; any other overlap is not
 // allowed.
-//
-//bbvet:hotpath
 func (w *Scaling) Apply(dst, x linalg.Vector) {
 	w.dims.checkLen(dst)
 	w.dims.checkLen(x)
@@ -220,8 +214,6 @@ func (w *Scaling) Apply(dst, x linalg.Vector) {
 // ApplySq writes W² x = W (W x) into dst with the arithmetic of two Apply
 // calls, in one pass per block. dst may be x itself; any other overlap is
 // not allowed.
-//
-//bbvet:hotpath
 func (w *Scaling) ApplySq(dst, x linalg.Vector) {
 	w.dims.checkLen(dst)
 	w.dims.checkLen(x)
@@ -242,8 +234,6 @@ func (w *Scaling) ApplySq(dst, x linalg.Vector) {
 
 // ApplyInv writes W⁻¹ x into dst. dst may be x itself; any other overlap is
 // not allowed. Uses P(v)⁻¹ = P(v⁻¹) with v⁻¹ = J v / det(v).
-//
-//bbvet:hotpath
 func (w *Scaling) ApplyInv(dst, x linalg.Vector) {
 	w.dims.checkLen(dst)
 	w.dims.checkLen(x)
@@ -261,8 +251,6 @@ func (w *Scaling) ApplyInv(dst, x linalg.Vector) {
 // ApplyInvSq writes W⁻² x = W⁻¹ (W⁻¹ x) into dst with the arithmetic of
 // two ApplyInv calls, in one pass per block. dst may be x itself; any other
 // overlap is not allowed.
-//
-//bbvet:hotpath
 func (w *Scaling) ApplyInvSq(dst, x linalg.Vector) {
 	w.dims.checkLen(dst)
 	w.dims.checkLen(x)
@@ -284,8 +272,6 @@ func (w *Scaling) ApplyInvSq(dst, x linalg.Vector) {
 
 // OrthantInv returns the inverse diagonal entry 1/dᵢ of W for orthant row i
 // (0 ≤ i < Dims.NonNeg): the factor that row i of G picks up in W⁻¹G.
-//
-//bbvet:hotpath
 func (w *Scaling) OrthantInv(i int) float64 { return 1 / w.d[i] }
 
 // ApplyInvSOC writes P(v⁻¹) x into dst for SOC block bi; both vectors must
@@ -293,8 +279,6 @@ func (w *Scaling) OrthantInv(i int) float64 { return 1 / w.d[i] }
 // lets callers apply W⁻¹ blockwise to matrix columns without materializing
 // dense cone-dimension vectors — the building block of the sparse
 // normal-equations assembly.
-//
-//bbvet:hotpath
 func (w *Scaling) ApplyInvSOC(bi int, dst, x linalg.Vector) {
 	blk := w.blocks[bi]
 	if len(dst) != len(blk.v) || len(x) != len(blk.v) {

@@ -322,4 +322,18 @@ func TestBudgetSumHelper(t *testing.T) {
 	if !math.IsNaN(pt.BudgetSum()) {
 		t.Fatal("BudgetSum of infeasible point should be NaN")
 	}
+	// Float addition is not associative: these budgets sum to different
+	// bits in different orders, so BudgetSum must add them in name order
+	// on every call, whatever order the map yields.
+	budgets := map[string]float64{"a": 1e16, "b": 1, "c": 1, "d": 1}
+	var want float64
+	for _, name := range []string{"a", "b", "c", "d"} {
+		want += budgets[name]
+	}
+	pt.Result = &Result{Status: StatusOptimal, Mapping: &taskgraph.Mapping{Budgets: budgets}}
+	for i := 0; i < 200; i++ {
+		if got := pt.BudgetSum(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: BudgetSum = %v, want %v summed in name order", i, got, want)
+		}
+	}
 }

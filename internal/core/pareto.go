@@ -133,7 +133,6 @@ func nondominated(points []ParetoPoint) []ParetoPoint {
 		}
 	}
 	sort.Slice(out, func(a, b int) bool {
-		//bbvet:allow floatcmp sort comparator needs an exact, self-consistent ordering
 		if out[a].BudgetTotal != out[b].BudgetTotal {
 			return out[a].BudgetTotal < out[b].BudgetTotal
 		}

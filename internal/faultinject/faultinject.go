@@ -8,7 +8,8 @@
 //
 //   - Zero cost when idle. With no active plan every site check is a single
 //     atomic pointer load and no allocation, so the hooks are safe inside
-//     //bbvet:hotpath functions.
+//     the per-iteration kernels whose testing.AllocsPerRun guards require
+//     zero allocations.
 //   - Deterministic. A rule fires on exact hit numbers of its site
 //     (After/Count), and each site keeps its own counter, so which hits fire
 //     does not depend on goroutine interleaving across sites.

@@ -154,8 +154,6 @@ func NewSparseAtASkip(a *SparseMatrix, skip []bool) *SparseAtA {
 
 // Compute rewrites Result's values as AᵀA for the current values of a,
 // which must have the pattern given at construction.
-//
-//bbvet:hotpath
 func (p *SparseAtA) Compute(a *SparseMatrix) {
 	if a.NNZ() != p.nnzA {
 		panic("linalg: SparseAtA.Compute pattern differs from the analyzed one")

@@ -122,8 +122,6 @@ func (s *SparseMatrix) Clone() *SparseMatrix {
 }
 
 // MulVec computes dst = A x.
-//
-//bbvet:hotpath
 func (s *SparseMatrix) MulVec(dst, x Vector) {
 	if len(dst) != s.Rows || len(x) != s.Cols {
 		panic(fmt.Sprintf("linalg: sparse MulVec dims %dx%d with |dst|=%d |x|=%d", s.Rows, s.Cols, len(dst), len(x)))
@@ -136,8 +134,6 @@ func (s *SparseMatrix) MulVec(dst, x Vector) {
 
 // Residual computes dst = b − A x, each row in the pass that forms its
 // product. dst may be b itself.
-//
-//bbvet:hotpath
 func (s *SparseMatrix) Residual(dst, b, x Vector) {
 	if len(dst) != s.Rows || len(b) != s.Rows || len(x) != s.Cols {
 		panic("linalg: sparse Residual dimension mismatch")
@@ -151,8 +147,6 @@ func (s *SparseMatrix) Residual(dst, b, x Vector) {
 
 // ResidualAdd computes dst = (b − A x) + y, each row in the pass that forms
 // its product. dst may be b or y itself.
-//
-//bbvet:hotpath
 func (s *SparseMatrix) ResidualAdd(dst, b, x, y Vector) {
 	if len(dst) != s.Rows || len(b) != s.Rows || len(y) != s.Rows || len(x) != s.Cols {
 		panic("linalg: sparse ResidualAdd dimension mismatch")
@@ -166,8 +160,6 @@ func (s *SparseMatrix) ResidualAdd(dst, b, x, y Vector) {
 
 // rowDot returns the dot product of the stored entries [lo, hi) of a row
 // with x, summed in storage order from 0.
-//
-//bbvet:hotpath
 func (s *SparseMatrix) rowDot(lo, hi int, x Vector) float64 {
 	vals := s.Val[lo:hi]
 	cols := s.ColIdx[lo:hi]
@@ -180,8 +172,6 @@ func (s *SparseMatrix) rowDot(lo, hi int, x Vector) float64 {
 }
 
 // MulVecTAdd computes dst += alpha * Aᵀ x.
-//
-//bbvet:hotpath
 func (s *SparseMatrix) MulVecTAdd(dst Vector, alpha float64, x Vector) {
 	if len(dst) != s.Cols || len(x) != s.Rows {
 		panic("linalg: sparse MulVecTAdd dimension mismatch")

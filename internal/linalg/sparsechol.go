@@ -18,8 +18,6 @@ var ErrNotPositiveDefinite = errors.New("linalg: matrix is not positive definite
 // is needed). If a pivot still comes out non-positive and reg > 0, the
 // factorization retries with increasing extra shifts reg, 10·reg, … up to
 // 1e8·reg before giving up with ErrNotPositiveDefinite.
-//
-//bbvet:hotpath
 func (c *SparseCholesky) Factorize(a *SparseMatrix, shift, reg float64) error {
 	c.checkPattern(a)
 	if faultinject.Enabled() {
@@ -49,8 +47,6 @@ func (c *SparseCholesky) Factorize(a *SparseMatrix, shift, reg float64) error {
 // pattern. Diagonal pivots whose magnitude falls below eps are floored at
 // ±eps preserving sign, matching the dense LDLT policy; the factorization
 // fails only on NaN breakdown.
-//
-//bbvet:hotpath
 func (c *SparseCholesky) FactorizeQuasiDef(a *SparseMatrix, eps float64) error {
 	c.checkPattern(a)
 	if faultinject.Enabled() {
@@ -65,7 +61,6 @@ func (c *SparseCholesky) FactorizeQuasiDef(a *SparseMatrix, eps float64) error {
 	return nil
 }
 
-//bbvet:hotpath
 func (c *SparseCholesky) checkPattern(a *SparseMatrix) {
 	if a.Rows != c.sym.n || a.Cols != c.sym.n || a.NNZ() != c.sym.nnzA {
 		panic("linalg: SparseCholesky.Factorize pattern differs from the analyzed one")
@@ -79,8 +74,6 @@ func (c *SparseCholesky) checkPattern(a *SparseMatrix) {
 // contributing column exactly once. The symbolic structure (up/ui/usrc,
 // etree, column pointers) is read through the shared immutable
 // SymbolicFactor; only this workspace's numeric buffers are written.
-//
-//bbvet:hotpath
 func (c *SparseCholesky) tryFactorize(a *SparseMatrix, shift float64, quasiDef bool, eps float64) bool {
 	sym := c.sym
 	n := sym.n

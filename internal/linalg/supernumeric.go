@@ -165,8 +165,6 @@ func (c *SupernodalCholesky) Shift() float64 { return c.shift }
 // same escalation policy as SparseCholesky.Factorize: on a non-positive
 // pivot the whole factorization retries with extra shifts reg, 10·reg, …
 // up to 1e8·reg before giving up with ErrNotPositiveDefinite.
-//
-//bbvet:hotpath
 func (c *SupernodalCholesky) Factorize(a *SparseMatrix, shift, reg float64) error {
 	c.checkPattern(a)
 	if faultinject.Enabled() {
@@ -199,8 +197,6 @@ func (c *SupernodalCholesky) Factorize(a *SparseMatrix, shift, reg float64) erro
 // analyzed pattern, flooring small diagonal pivots at ±eps preserving sign
 // — identical semantics to SparseCholesky.FactorizeQuasiDef; the
 // factorization fails only on NaN breakdown.
-//
-//bbvet:hotpath
 func (c *SupernodalCholesky) FactorizeQuasiDef(a *SparseMatrix, eps float64) error {
 	c.checkPattern(a)
 	if faultinject.Enabled() {
@@ -219,7 +215,6 @@ func (c *SupernodalCholesky) FactorizeQuasiDef(a *SparseMatrix, eps float64) err
 	return nil
 }
 
-//bbvet:hotpath
 func (c *SupernodalCholesky) checkPattern(a *SparseMatrix) {
 	if a.Rows != c.sym.n || a.Cols != c.sym.n || a.NNZ() != c.sym.nnzA {
 		panic("linalg: SupernodalCholesky.Factorize pattern differs from the analyzed one")
@@ -229,8 +224,6 @@ func (c *SupernodalCholesky) checkPattern(a *SparseMatrix) {
 // tryFactorize runs one full blocked factorization attempt. It reports
 // whether every pivot was acceptable; a non-nil error is an injected fault
 // and aborts the retry loop.
-//
-//bbvet:hotpath
 func (c *SupernodalCholesky) tryFactorize(a *SparseMatrix, shift float64, quasiDef bool, eps float64) (bool, error) {
 	ss := c.ss
 	c.injErr = nil
@@ -274,7 +267,6 @@ func (c *SupernodalCholesky) tryFactorize(a *SparseMatrix, shift float64, quasiD
 	var wg sync.WaitGroup
 	wg.Add(p)
 	for wk := 0; wk < p; wk++ {
-		//bbvet:allow hotalloc parallel scheduling spawns goroutines by design; the zero-alloc guarantee covers the serial path
 		go c.worker(&c.wsc[wk], &wg, a, shift, quasiDef, eps)
 	}
 	wg.Wait()
@@ -413,8 +405,6 @@ func (ss *SupernodalSymbolic) stripeCount(s int32) int {
 // ranges and each runs its fixed arithmetic start to finish on one worker,
 // so neither the stripe schedule nor the worker count can change a bit of
 // the result.
-//
-//bbvet:hotpath
 func (c *SupernodalCholesky) processStripe(ws *snScratch, s int32, st int, a *SparseMatrix, shift float64, quasiDef bool, eps float64) bool {
 	ss := c.ss
 	c0 := int(ss.colPtr[s])
@@ -481,8 +471,6 @@ func (c *SupernodalCholesky) processStripe(ws *snScratch, s int32, st int, a *Sp
 // update stripe has landed. In the parallel schedule the worker that
 // completes the last stripe calls it; the inputs it reads are complete and
 // schedule-independent either way.
-//
-//bbvet:hotpath
 func (c *SupernodalCholesky) finishPanel(ws *snScratch, s int32, quasiDef bool, eps float64) bool {
 	ss := c.ss
 	c0 := int(ss.colPtr[s])
@@ -494,8 +482,6 @@ func (c *SupernodalCholesky) finishPanel(ws *snScratch, s int32, quasiDef bool, 
 
 // snLowerBound returns the first index in rows[lo:hi) whose value is ≥ x,
 // assuming ascending order.
-//
-//bbvet:hotpath
 func snLowerBound(rows []int32, lo, hi int, x int32) int {
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -516,8 +502,6 @@ func snLowerBound(rows []int32, lo, hi int, x int32) int {
 // rows and the target's rows are both ascending, the descendant rows landing
 // in the stripe form a contiguous range found by binary search, so a stripe
 // pays only for its own rows, not a scan of the whole update.
-//
-//bbvet:hotpath
 func (c *SupernodalCholesky) applyUpdate(ws *snScratch, c0 int, P []float64, wS int, upd snUpdate, r0 int, gr0, gr1 int32) {
 	ss := c.ss
 	d := upd.d
@@ -646,8 +630,6 @@ func (c *SupernodalCholesky) applyUpdate(ws *snScratch, c0 int, P []float64, wS 
 // updateRow1 subtracts pk·U[ii,:]ᵀ from prow at the panel columns ci[ii] for
 // ii < iiMax: the 1×2 register-blocked fallback for triangular rows, padding
 // stragglers, and odd row counts.
-//
-//bbvet:hotpath
 func updateRow1(U []float64, ci []int32, pk, prow []float64, wd, iiMax int) {
 	ii := 0
 	for ; ii+1 < iiMax; ii += 2 {
@@ -689,8 +671,6 @@ func updateRow1(U []float64, ci []int32, pk, prow []float64, wd, iiMax int) {
 // two descendant rows against two update columns per step, so every load
 // feeds two multiply-adds and the eight accumulators keep independent
 // dependency chains in flight.
-//
-//bbvet:hotpath
 func updateRow2(U []float64, ci []int32, pk0, pk1, prow0, prow1 []float64, wd, nI int) {
 	ii := 0
 	for ; ii+1 < nI; ii += 2 {
@@ -756,8 +736,6 @@ func updateRow2(U []float64, ci []int32, pk0, pk1, prow0, prow1 []float64, wd, n
 // writes. Zero-padding the hoisted values to width 3 adds multiplications
 // by exactly 0.0, which leave every sum's value unchanged (at most the
 // sign of an exact zero, which no later product or sum can amplify).
-//
-//bbvet:hotpath
 func updateRow4Narrow(U []float64, ci []int32, k0, k1, k2, k3, prow0, prow1, prow2, prow3 []float64, wd, nI int) {
 	var p00, p01, p02, p10, p11, p12 float64
 	var p20, p21, p22, p30, p31, p32 float64
@@ -804,8 +782,6 @@ func updateRow4Narrow(U []float64, ci []int32, k0, k1, k2, k3, prow0, prow1, pro
 // maxSupernodeWidth): the same shape as updateRow4W with a runtime trip
 // count, re-slicing every row to exactly wd so the bounds checks hoist out
 // of the inner loop.
-//
-//bbvet:hotpath
 func updateRow4G(U []float64, ci []int32, k0, k1, k2, k3, prow0, prow1, prow2, prow3 []float64, wd, nI int) {
 	k0 = k0[:wd:wd]
 	k1 = k1[:wd:wd]
@@ -867,8 +843,6 @@ func updateRow4G(U []float64, ci []int32, k0, k1, k2, k3, prow0, prow1, prow2, p
 // trip counts, eliminating every inner-loop bounds check — and
 // amalgamation drives most panels to full width, so the bulk of the
 // factorization's flops run through this kernel.
-//
-//bbvet:hotpath
 func updateRow4W(U []float64, ci []int32, k0, k1, k2, k3, prow0, prow1, prow2, prow3 []float64, nI int) {
 	const wd = maxSupernodeWidth
 	pk0 := (*[wd]float64)(k0)
@@ -929,8 +903,6 @@ func updateRow4W(U []float64, ci []int32, k0, k1, k2, k3, prow0, prow1, prow2, p
 // simplicial kernel: NaN always fails; non-quasi-definite mode fails on a
 // non-positive pivot (triggering the caller's shift escalation);
 // quasi-definite mode floors |pivot| < eps at ±eps preserving sign.
-//
-//bbvet:hotpath
 func (c *SupernodalCholesky) factorPanel(ws *snScratch, P []float64, w, nr, c0 int, quasiDef bool, eps float64) bool {
 	col := ws.col
 	for cc := 0; cc < w; cc++ {

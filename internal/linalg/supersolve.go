@@ -35,8 +35,6 @@ var (
 // (forward) / descending (backward) order; within a panel the dense
 // diagonal-block triangular solve and a panel-row mat-vec replace the
 // per-column scatter of the simplicial solve.
-//
-//bbvet:hotpath
 func (c *SupernodalCholesky) Solve(b Vector) {
 	sym, ss := c.sym, c.ss
 	if len(b) != sym.n {
@@ -117,8 +115,6 @@ func (c *SupernodalCholesky) Solve(b Vector) {
 // sweeps out the error introduced by diagonal regularization. The solution
 // is written into x; b is not modified. The residual scratch is owned by
 // the workspace, so steady-state refined solves allocate nothing.
-//
-//bbvet:hotpath
 func (c *SupernodalCholesky) SolveRefined(a *SparseMatrix, b, x Vector) {
 	if len(x) != c.sym.n || len(b) != c.sym.n {
 		panic("linalg: SupernodalCholesky.SolveRefined dimension mismatch")

@@ -5,8 +5,6 @@ package linalg
 // and then the transposed backward solve, which divides each entry by its
 // pivot as it reaches it, and permuted back. Only the stored nonzeros of L
 // are visited, so a solve costs O(n + nnz(L)).
-//
-//bbvet:hotpath
 func (c *SparseCholesky) Solve(b Vector) {
 	sym := c.sym
 	n := sym.n
@@ -55,8 +53,6 @@ func (c *SparseCholesky) Solve(b Vector) {
 // the matrix a — normally the unshifted original, so the refinement also
 // sweeps out the error introduced by diagonal regularization. The solution
 // is written into x; b is not modified.
-//
-//bbvet:hotpath
 func (c *SparseCholesky) SolveRefined(a *SparseMatrix, b, x Vector) {
 	if len(x) != c.sym.n || len(b) != c.sym.n {
 		panic("linalg: SparseCholesky.SolveRefined dimension mismatch")

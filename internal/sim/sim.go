@@ -166,7 +166,6 @@ type eventHeap []event
 
 func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
-	//bbvet:allow floatcmp heap comparator needs an exact, self-consistent ordering; seq breaks ties
 	if h[i].time != h[j].time {
 		return h[i].time < h[j].time
 	}

@@ -121,8 +121,6 @@ func key(gs *linalg.SparseMatrix, backend Factorization) uint64 {
 // pattern — shape, row pointers, and column indices; never the values. Two
 // matrices with equal patterns hash equally on any platform and across
 // process runs (the hash is a pure FNV-1a fold, no per-process seed).
-//
-//bbvet:hotpath
 func patternHash(a *linalg.SparseMatrix) uint64 {
 	const offset64 = 14695981039346656037
 	h := uint64(offset64)
@@ -138,8 +136,6 @@ func patternHash(a *linalg.SparseMatrix) uint64 {
 }
 
 // fnvMix folds one value into an FNV-1a state, byte-wise.
-//
-//bbvet:hotpath
 func fnvMix(h, v uint64) uint64 {
 	const prime64 = 1099511628211
 	h ^= v & 0xff
@@ -155,8 +151,6 @@ func fnvMix(h, v uint64) uint64 {
 
 // matches reports whether the entry serves exactly this pattern on this
 // backend.
-//
-//bbvet:hotpath
 func (e *patternEntry) matches(gs *linalg.SparseMatrix, backend Factorization) bool {
 	return e.backend == backend && gs.Rows == e.gsRows && gs.Cols == e.gsCols &&
 		slices.Equal(gs.RowPtr, e.gsRowPtr) && slices.Equal(gs.ColIdx, e.gsColIdx)
@@ -166,8 +160,6 @@ func (e *patternEntry) matches(gs *linalg.SparseMatrix, backend Factorization) b
 // resolved backend: an idle one when the pattern has one (supernodal worker
 // bound refreshed), otherwise a freshly built one registered under the
 // pattern. The caller owns the pipeline until release.
-//
-//bbvet:hotpath
 func (pc *PatternCache) acquire(sv *sparseView, backend Factorization, workers int) *neFactor {
 	e, f := pc.take(sv.gs, backend)
 	if f != nil {
@@ -203,8 +195,6 @@ func (e *patternEntry) build(sv *sparseView, backend Factorization, workers int)
 // take finds the entry of a pattern and backend, registering it on
 // first sight, counts one more of its pipelines in flight, and pops its
 // most recently released idle pipeline (nil when it has none).
-//
-//bbvet:hotpath
 func (pc *PatternCache) take(gs *linalg.SparseMatrix, backend Factorization) (*patternEntry, *neFactor) {
 	h := key(gs, backend)
 	pc.mu.Lock()
@@ -218,7 +208,6 @@ func (pc *PatternCache) take(gs *linalg.SparseMatrix, backend Factorization) (*p
 		pc.mu.Lock()
 		if e = pc.lookup(h, gs, backend); e == nil {
 			e = ne
-			//bbvet:allow hotalloc first sighting of this pattern, measured cold
 			pc.entries[h] = append(pc.entries[h], e)
 		}
 	}
@@ -228,8 +217,6 @@ func (pc *PatternCache) take(gs *linalg.SparseMatrix, backend Factorization) (*p
 
 // lookup returns the registered entry of a pattern and backend, nil when
 // there is none. The caller holds pc.mu.
-//
-//bbvet:hotpath
 func (pc *PatternCache) lookup(h uint64, gs *linalg.SparseMatrix, backend Factorization) *patternEntry {
 	for _, e := range pc.entries[h] {
 		if e.matches(gs, backend) {
@@ -253,8 +240,6 @@ func newPatternEntry(h uint64, gs *linalg.SparseMatrix, backend Factorization) *
 
 // pop takes the most recently released idle pipeline of e, nil when there
 // is none. The caller holds pc.mu.
-//
-//bbvet:hotpath
 func (pc *PatternCache) pop(e *patternEntry) *neFactor {
 	k := len(e.free) - 1
 	if k < 0 {
@@ -275,8 +260,6 @@ func (pc *PatternCache) pop(e *patternEntry) *neFactor {
 // patterns while their footprint exceeds the budget. Pipelines built
 // outside any cache (cacheEntry == nil) are ignored. The caller must not
 // use f after releasing it.
-//
-//bbvet:hotpath
 func (pc *PatternCache) release(f *neFactor) {
 	if f == nil || f.cacheEntry == nil {
 		return
@@ -288,7 +271,6 @@ func (pc *PatternCache) release(f *neFactor) {
 	if len(e.free) > 0 {
 		pc.unlink(e)
 	}
-	//bbvet:allow hotalloc grows only to the pattern's peak number of pipelines in flight, then stays within capacity
 	e.free = append(e.free, f)
 	pc.idleBytes += f.bytes
 	pc.pushFront(e)
@@ -303,8 +285,6 @@ func (pc *PatternCache) release(f *neFactor) {
 
 // pushFront links e at the head of the recency list. The caller holds
 // pc.mu.
-//
-//bbvet:hotpath
 func (pc *PatternCache) pushFront(e *patternEntry) {
 	e.prev, e.next = nil, pc.head
 	if pc.head != nil {
@@ -316,8 +296,6 @@ func (pc *PatternCache) pushFront(e *patternEntry) {
 }
 
 // unlink removes e from the recency list. The caller holds pc.mu.
-//
-//bbvet:hotpath
 func (pc *PatternCache) unlink(e *patternEntry) {
 	if e.prev != nil {
 		e.prev.next = e.next

@@ -122,11 +122,11 @@ func TestPatternCacheReacquireAllocFree(t *testing.T) {
 // the sparse per-iteration pipeline end to end: NT rescale of the fixed
 // W⁻¹G pattern, AᵀA refill, KKT refill and numeric refactorization — for
 // the plain normal equations and for the quasi-definite KKT matrix with
-// split rows — allocate nothing after the first
-// iteration's symbolic analysis. The hotalloc analyzer checks only the
-// bodies of //bbvet:hotpath functions; this guard and
-// TestSolveAllocsIndependentOfIterations are the only check of the calls
-// those functions make.
+// split rows — allocate nothing after the first iteration's symbolic
+// analysis. This guard, TestSolveAllocsIndependentOfIterations and
+// TestPatternCacheReacquireAllocFree here, with
+// TestHotpathRefactorizationAllocFree in linalg, are the only allocation
+// check of the per-iteration path; each measures the whole call tree.
 func TestPerIterationRefactorizationAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, tc := range allocCases(rng) {

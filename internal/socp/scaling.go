@@ -35,7 +35,6 @@ func equilibrateSparse(p *Problem, csr *linalg.SparseMatrix) (*Problem, *eqScale
 	c := p.C.Clone()
 	c.Scale(1 / costScale)
 
-	//bbvet:allow csralias the pattern is immutable and shared by design; only Val is private
 	g := &linalg.SparseMatrix{
 		Rows: csr.Rows, Cols: csr.Cols,
 		RowPtr: csr.RowPtr, ColIdx: csr.ColIdx,

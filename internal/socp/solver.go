@@ -192,8 +192,6 @@ func (st *state) factor(w *cone.Scaling) (*kktFactor, error) {
 // computed on first use. Without split rows it factorizes H directly with a
 // static diagonal shift; otherwise it factorizes the quasi-definite KKT
 // matrix with the ±reg diagonal floor.
-//
-//bbvet:hotpath
 func (st *state) factorSparse(f *kktFactor) (*kktFactor, error) {
 	ne := st.sv.normalEq(st.opt.Cache, st.factorBackend, st.opt.FactorWorkers)
 	ne.ata.Compute(st.sv.gs)
@@ -237,8 +235,6 @@ const maxRefineChecks = 4
 // best iterate seen; a correction that would not be checked is never
 // computed. The returned vectors are workspace-owned and valid only until
 // the next solve call; callers that keep them must clone.
-//
-//bbvet:hotpath
 func (f *kktFactor) solve(bx, bz linalg.Vector) (dx, dz linalg.Vector) {
 	ws := &f.st.ws
 	cx, cz := ws.curX, ws.curZ
@@ -271,8 +267,6 @@ func (f *kktFactor) solve(bx, bz linalg.Vector) (dx, dz linalg.Vector) {
 // residual computes the residual of the 2x2 block KKT system at (x, z) into
 // the workspace vectors r1 and r2. gx, when non-nil, holds G·x already, and
 // the second block is then formed without a product.
-//
-//bbvet:hotpath
 func (f *kktFactor) residual(bx, bz, x, z, gx linalg.Vector) {
 	st := f.st
 	ws := &st.ws
@@ -297,8 +291,6 @@ func (f *kktFactor) residual(bx, bz, x, z, gx linalg.Vector) {
 // solveOnce performs the factored solve without refinement, writing the
 // result into the caller-provided dx, dz buffers. It leaves G·dx in ws.t,
 // which kktFactor.solve's first residual check reads.
-//
-//bbvet:hotpath
 func (f *kktFactor) solveOnce(bx, bz, dx, dz linalg.Vector) {
 	st := f.st
 	ws := &st.ws
@@ -549,8 +541,6 @@ func (st *state) run() (*Solution, error) {
 // complementarity term u = λ\dc, returning (dx, dz, ds). The returned
 // vectors are workspace-owned; they stay valid until the next newton or
 // kktFactor.solve call.
-//
-//bbvet:hotpath
 func (st *state) newton(f *kktFactor, w *cone.Scaling, rx, rz, u linalg.Vector) (dx, dz, ds linalg.Vector) {
 	ws := &st.ws
 	bx := ws.nbx

@@ -72,8 +72,7 @@ func newSparseView(p *Problem) *sparseView {
 	pattern := make([][]int, sv.g.Rows)
 	for i := 0; i < p.Dims.NonNeg; i++ {
 		lo, hi := sv.g.RowPtr[i], sv.g.RowPtr[i+1]
-		//bbvet:allow csralias transient pattern view; NewSparseFromPattern copies it below
-		pattern[i] = sv.g.ColIdx[lo:hi]
+		pattern[i] = sv.g.ColIdx[lo:hi] // a view; NewSparseFromPattern copies it below
 	}
 	off := p.Dims.NonNeg
 	maxQ := 0
@@ -116,8 +115,6 @@ func newSparseView(p *Problem) *sparseView {
 
 // fillScaled overwrites the values of gs with W⁻¹G for the given NT scaling
 // (W = I when w is nil). The symbolic pattern never changes.
-//
-//bbvet:hotpath
 func (sv *sparseView) fillScaled(w *cone.Scaling) {
 	// Orthant rows: gs shares g's pattern there, so the value ranges line up
 	// slot for slot.

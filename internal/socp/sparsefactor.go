@@ -184,8 +184,6 @@ var newSparseChol = func(m *linalg.SparseMatrix, sym *linalg.SymbolicFactor, bac
 // gs (the current W⁻¹G) and the given static regularization: the H block is
 // copied through the scatter map, the B blocks from gs, and the diagonal
 // becomes H(i,i)+reg on the variable block and −1 on the split block.
-//
-//bbvet:hotpath
 func (f *neFactor) fillKKT(gs *linalg.SparseMatrix, reg float64) {
 	hv := f.ata.Result.Val
 	kv := f.kkt.Val
@@ -206,8 +204,6 @@ func (f *neFactor) fillKKT(gs *linalg.SparseMatrix, reg float64) {
 
 // setDiag writes H(i,i)+reg on the variable block of the KKT diagonal,
 // leaving the split block's −1.
-//
-//bbvet:hotpath
 func (f *neFactor) setDiag(reg float64) {
 	hv, kv := f.ata.Result.Val, f.kkt.Val
 	for i, t := range f.hDiag {
@@ -223,8 +219,6 @@ func (f *neFactor) setDiag(reg float64) {
 // factorization holds it, leaving the unregularized KKT matrix for
 // SolveRefined to refine against — the values fillKKT(gs, 0) writes, at
 // O(n) instead of a refill.
-//
-//bbvet:hotpath
 func (f *neFactor) unshift() { f.setDiag(0) }
 
 // hMax returns the largest entry of the full H = H_s + BᵀB, the scale of
@@ -232,8 +226,6 @@ func (f *neFactor) unshift() { f.setDiag(0) }
 // on its diagonal, H(i,i) = H_s(i,i) + Σ_r b_ri²: O(n + nnz(B)), where
 // forming BᵀB would cost the O(w²) per row the split avoids. Without split
 // rows it is H_s's own largest entry.
-//
-//bbvet:hotpath
 func (f *neFactor) hMax(gs *linalg.SparseMatrix) float64 {
 	h := f.ata.Result
 	if f.nd == 0 {
@@ -257,8 +249,6 @@ func (f *neFactor) hMax(gs *linalg.SparseMatrix) float64 {
 // it from the pattern cache (when one is configured) or running the
 // symbolic analysis locally on first use. backend must be resolved (never
 // FactorAuto); pipelines are cached per (pattern, backend) pair.
-//
-//bbvet:hotpath
 func (sv *sparseView) normalEq(pc *PatternCache, backend Factorization, workers int) *neFactor {
 	if sv.ne == nil {
 		if pc != nil {

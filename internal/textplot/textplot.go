@@ -151,7 +151,6 @@ func (p *Plot) String() string {
 	if math.IsInf(ymin, 1) {
 		return p.title + " (no finite data)\n"
 	}
-	//bbvet:allow floatcmp degenerate-axis guard: exact collapse check before widening the range
 	if ymax == ymin {
 		ymax = ymin + 1
 	}
