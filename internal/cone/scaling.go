@@ -3,6 +3,7 @@ package cone
 import (
 	"errors"
 	"math"
+	"slices"
 
 	"repro/internal/linalg"
 )
@@ -23,10 +24,12 @@ var ErrNotInterior = errors.New("cone: point is not strictly interior")
 //
 //	P(v) u = 2 v (vᵀu) − det(v)·J u,   J u = (u₀, −u₁).
 //
-// A Scaling owns all of its storage. An interior-point method allocates one
-// per solve and calls Update at every iteration, which rewrites d, λ and the
-// per-block v, v⁻¹ in place; Apply, ApplyInv and their squares need no
-// scratch at all.
+// A Scaling owns all of its storage, its copy of the cone shape included.
+// An interior-point method keeps one and calls Update at every iteration,
+// which rewrites d, λ and the per-block v, v⁻¹ in place; Apply, ApplyInv
+// and their squares need no scratch at all. A Scaling may outlive a solve:
+// Update reads nothing the previous pair left, so a pooled Scaling reused
+// for the next solve of the same cone computes what a fresh one does.
 type Scaling struct {
 	dims Dims
 	// Orthant diagonal: d[i] = sqrt(s_i / z_i), indexed from 0..NonNeg-1.
@@ -65,7 +68,6 @@ func (w *Scaling) Update(dims Dims, s, z linalg.Vector) error {
 	if !w.shaped(dims) {
 		w.reshape(dims)
 	}
-	w.dims = dims
 	for i := 0; i < dims.NonNeg; i++ {
 		w.d[i] = math.Sqrt(s[i] / z[i])
 		w.lambda[i] = math.Sqrt(s[i] * z[i])
@@ -98,8 +100,10 @@ func (w *Scaling) shaped(dims Dims) bool {
 	return true
 }
 
-// reshape allocates w's storage for dims.
+// reshape allocates w's storage for dims and keeps a copy of its shape, so
+// a caller that reuses or rewrites its Dims cannot change w's.
 func (w *Scaling) reshape(dims Dims) {
+	w.dims = Dims{NonNeg: dims.NonNeg, SOC: slices.Clone(dims.SOC)}
 	nsoc := dims.Dim() - dims.NonNeg
 	w.d = linalg.NewVector(dims.NonNeg)
 	w.lambda = linalg.NewVector(dims.Dim())

@@ -14,8 +14,9 @@ import (
 // cacheRaceConfigs builds the serving mix the shared pattern cache sees in
 // bbserve: several instances of the SAME topology with different numeric
 // parameters (they share one cache pattern and hammer the same pooled
-// pipelines) plus structurally distinct topologies (each with its own
-// pattern, exercising the cache's per-pattern isolation).
+// solve spaces), a cap family whose members differ only in h, plus
+// structurally distinct topologies (each with its own pattern, exercising
+// the cache's per-pattern isolation).
 func cacheRaceConfigs() []*taskgraph.Config {
 	base := gen.Chain(gen.ChainOptions{Tasks: 10})
 	configs := []*taskgraph.Config{base}
@@ -27,6 +28,11 @@ func cacheRaceConfigs() []*taskgraph.Config {
 			}
 		}
 		configs = append(configs, c)
+	}
+	// A cap family: one G pattern, other cap rows of h at every cap, as
+	// the points of a sweep.
+	for _, cap := range []int{3, 4, 6} {
+		configs = append(configs, gen.Chain(gen.ChainOptions{Tasks: 10, MaxContainers: cap}))
 	}
 	configs = append(configs,
 		gen.FanOut(gen.FanOutOptions{Width: 6}),

@@ -51,6 +51,9 @@ func buildProblem(c *taskgraph.Config) (*model, *socp.Problem, error) {
 // instances that do not need recovery, the result is identical to a single
 // direct solver call.
 func Solve(ctx context.Context, c *taskgraph.Config, opt Options) (*Result, error) {
+	// One solve chains no warm start: NoWarmStart spares solveWarm the copy
+	// of the optimum that nothing would read.
+	opt.NoWarmStart = true
 	res, _, err := buildSolve(ctx, c, opt, nil)
 	return res, err
 }

@@ -26,7 +26,7 @@ type TradeoffPoint struct {
 // buffers is nil). The input configuration is not modified. The per-cap
 // solves run on a worker pool bounded by Options.Parallelism, with
 // deterministic output ordering; neighboring points share warm starts and a
-// pattern cache of factorization pipelines (see Options.NoWarmStart,
+// pattern cache of solve spaces (see Options.NoWarmStart,
 // NoPatternCache, and WarmChunk), which changes solve times but not —
 // beyond solver tolerance — the mappings, and not at all when both are
 // disabled. Algorithm 1 is built once per call: the points differ only in

@@ -15,8 +15,9 @@ import (
 //
 //   - A shared socp.PatternCache: every point of a sweep solves the same
 //     topology, so the pattern-keyed symbolic work (orderings, elimination
-//     trees, scatter plans) is computed once and the numeric workspaces are
-//     pooled across the worker pool.
+//     trees, scatter plans) is computed once and the solve spaces (numeric
+//     workspaces and every other solver buffer) are pooled across the
+//     worker pool.
 //   - Warm-start chains: the sweep is partitioned into fixed-length chunks;
 //     chunks are dispatched to the bounded worker pool, and within a chunk
 //     the points run in order, each seeding its successor with its interior

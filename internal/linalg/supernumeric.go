@@ -154,9 +154,6 @@ func (c *SupernodalCholesky) Parallelism() int { return c.workers }
 // Symbolic returns the shared symbolic phase of the factorization.
 func (c *SupernodalCholesky) Symbolic() *SymbolicFactor { return c.sym }
 
-// Perm returns a copy of the fill-reducing ordering in use.
-func (c *SupernodalCholesky) Perm() []int { return append([]int(nil), c.sym.perm...) }
-
 // Shift returns the extra diagonal regularization the last Factorize had to
 // apply beyond its static shift (0 if the matrix factorized cleanly).
 func (c *SupernodalCholesky) Shift() float64 { return c.shift }

@@ -198,11 +198,6 @@ func (c *SparseCholesky) Symbolic() *SymbolicFactor { return c.sym }
 // NNZL returns the number of stored below-diagonal entries of L.
 func (c *SparseCholesky) NNZL() int { return c.sym.NNZL() }
 
-// Perm returns a copy of the fill-reducing ordering in use. (A copy: the
-// live ordering is part of the factorization's fixed pattern and must not
-// be aliased by callers.)
-func (c *SparseCholesky) Perm() []int { return append([]int(nil), c.sym.perm...) }
-
 // Shift returns the extra diagonal regularization the last Factorize had to
 // apply beyond its static shift (0 if the matrix factorized cleanly).
 func (c *SparseCholesky) Shift() float64 { return c.shift }

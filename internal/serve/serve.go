@@ -23,7 +23,8 @@
 //   - Shared-pattern fast path: all solves share one socp.PatternCache,
 //     keyed by the sparsity pattern of the solver's constraint matrix,
 //     so a request whose matrix carries a pattern seen before skips the
-//     symbolic analysis and reuses an idle factorization pipeline.
+//     symbolic analysis and reuses an idle solve space: the factorization
+//     pipeline and every other buffer of the solve.
 //     taskgraph.StructureHash only labels responses and log lines (their
 //     pattern field); nothing is keyed or stored by it.
 //

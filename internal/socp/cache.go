@@ -5,92 +5,113 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/cone"
 	"repro/internal/linalg"
 )
 
-// PatternCache shares the per-solve symbolic work of the sparse KKT
-// pipeline across solves whose constraint matrices carry the same sparsity
-// pattern. A sweep solves the same topology dozens of times — only bounds,
-// weights, and the NT scaling values change — so the pattern-dependent
-// setup (the AᵀA scatter plan for H = (W⁻¹G)ᵀ(W⁻¹G), the fill-reducing AMD
-// ordering, the elimination tree, the symbolic factorization, and the
-// KKT scatter maps) is identical at every point. The cache keeps released
-// pipelines (neFactor) on a free list per pattern:
+// PatternCache pools whole solve spaces across solves whose constraint
+// matrices carry the same sparsity pattern. A sweep solves the same
+// topology dozens of times — only bounds, weights, and the NT scaling
+// values change — so everything a solve allocates is sized by G's pattern,
+// the cone dims and the factorization backend alone, and the cache keeps it
+// (a space) on a free list per (pattern, dims, backend) key:
 //
-//   - a hit skips every symbolic step and goes straight to numeric
-//     refactorization, allocation-free;
-//   - a miss builds a new pipeline but shares the factorization's symbolic
+//   - the equilibration buffers: scaled c, G values, h and row scales;
+//   - the sparse view: the W⁻¹G pattern and values, the SOC block
+//     templates and the split lists;
+//   - the factorization pipeline (neFactor): the AᵀA scatter plan, the
+//     KKT scatter maps and the numeric factor, bound to the symbolic
+//     analysis (AMD ordering, elimination tree, symbolic factorization);
+//   - the NT scaling's storage, the warm-start buffers, the iterates and
+//     every iteration buffer.
+//
+// A solve on a pooled space allocates only its Solution and the Solution's
+// X, S and Z, which never alias pooled storage. Hits and misses are counted
+// at a solve's first factorization:
+//
+//   - a hit is a pooled space that already holds its pipeline: the solve
+//     skips the view's pattern build and every symbolic step, and goes
+//     straight to numeric refactorization, allocation-free;
+//   - a miss builds the pipeline but shares the factorization's symbolic
 //     analysis, which each pattern entry runs once, so concurrent first
 //     solves of one pattern analyze it once. The analysis lives as long as
 //     its entry.
 //
+// A solve that ends before it factors (a warm start that already meets the
+// tolerances) counts neither.
+//
 // The free lists are plain mutex-guarded stacks, so whether an acquire hits
 // depends only on the order of acquires and releases — never on which
 // processor ran the goroutine or on garbage collection. A release always
-// keeps its pipeline, so a pattern holds at most as many pipelines as it
-// has had in flight at once, whatever the worker counts of the callers.
-// All idle pipelines together are bounded by their estimated size,
-// idleBudget bytes; past it, idle pipelines of the least recently released
+// keeps its space, so a pattern holds at most as many spaces as it has had
+// in flight at once, whatever the worker counts of the callers. All idle
+// spaces together are bounded by their estimated size (space.footprint),
+// idleBudget bytes; past it, idle spaces of the least recently released
 // patterns are dropped, and a pattern with nothing idle and nothing in
 // flight is forgotten. Least-recently-used eviction has a cliff: a stream
 // that cycles through more patterns than the budget holds evicts each one
 // just before it comes round again, and misses on every solve.
 //
-// Pooled pipelines carry no values from previous solves into new results:
-// every numeric buffer a solve reads is fully rewritten before use (AᵀA
-// values, KKT values, factor columns), so a pooled pipeline holds no
-// per-problem state except its scheduling bound. Solves through a cache are
-// bit-identical to solves without one.
+// Pooled spaces carry no values from previous solves into new results:
+// every buffer a solve reads is rewritten before use, and an idle space
+// holds no reference to a caller's problem, options or solution. Solves
+// through a cache are bit-identical to solves without one.
 //
-// Keys are canonical hashes of the scaled-G pattern, verified
+// Keys are canonical hashes of G's pattern and the cone dims, verified
 // entry-for-entry on every lookup, so hash collisions degrade to a miss
 // rather than a wrong reuse. The zero value is not usable; call
-// NewPatternCache. All methods are safe for concurrent use.
+// NewPatternCache. All methods are safe for concurrent use, and a nil
+// *PatternCache is an uncached solve's: acquire builds a fresh space and
+// release drops it.
 type PatternCache struct {
 	maxIdleBytes int // bound on idleBytes, fixed at construction
 
 	mu      sync.Mutex
 	entries map[uint64][]*patternEntry
 	// head and tail end the recency list of the entries that have idle
-	// pipelines, most recently released first.
+	// spaces, most recently released first.
 	head, tail *patternEntry
-	idleBytes  int // footprint of the pipelines on all free lists
+	idleBytes  int // footprint of the spaces on all free lists
 
 	hits   atomic.Int64
 	misses atomic.Int64
 }
 
-// idleBudget bounds the estimated bytes (neFactor.footprint) of the idle
-// pipelines a cache keeps. A pipeline of a bbserve-sized topology (6 jobs
-// of 6 tasks) is estimated at 0.07 MB, one of chain-380 at 0.7 MB and one
-// of dag-2000 at 6 MB (EXPERIMENTS.md §P10), so a daemon keeps hundreds of
-// topologies warm; a single pipeline larger than the budget is never kept.
+// idleBudget bounds the estimated bytes (space.footprint) of the idle
+// spaces a cache keeps. The space of a bbserve-sized topology (6 jobs of 6
+// tasks) is estimated at 0.18 MB, one of chain-380 at 1.9 MB and one of
+// dag-2000 at 13 MB, two to three times their pipelines (EXPERIMENTS.md
+// §P20), so a daemon keeps hundreds of topologies warm; a single space
+// larger than the budget is never kept.
 const idleBudget = 64 << 20
 
-// patternEntry keeps the factorization pipelines of one (pattern, backend)
-// pair and the symbolic analysis they share. The pattern copy rules out
-// hash collisions; the backend is part of the
-// identity because a pooled pipeline's numeric workspace is built for one
-// factorization layout — a simplicial pipeline must never be handed to a
-// solve that asked for the supernodal backend.
+// patternEntry keeps the solve spaces of one (pattern, dims, backend) key
+// and the symbolic analysis their pipelines share. The copies of the
+// pattern and the dims rule out hash collisions and are what the entry's
+// spaces read; the backend is part of the identity because a pooled
+// pipeline's numeric workspace is built for one factorization layout — a
+// simplicial space must never be handed to a solve that asked for the
+// supernodal backend.
 type patternEntry struct {
-	h              uint64 // key of the entry in PatternCache.entries
-	gsRows, gsCols int
-	gsRowPtr       []int
-	gsColIdx       []int
-	backend        Factorization
+	h       uint64               // key of the entry in PatternCache.entries
+	pat     *linalg.SparseMatrix // G's shape, RowPtr and ColIdx; no values
+	dims    cone.Dims
+	backend Factorization
+	// splitAt is maxNormalEqRow when the entry was made; the split rows,
+	// and with them the pipeline's shape, depend on it.
+	splitAt int
 
 	// sym is the symbolic analysis of the factored matrix, whose pattern
-	// the scaled-G pattern fixes. The entry's first build runs it under symOnce;
-	// every later build shares it. nil when the factorization has no
-	// symbolic phase.
+	// the entry's key fixes. The entry's first pipeline build runs it under
+	// symOnce; every later build shares it. nil when the factorization has
+	// no symbolic phase.
 	symOnce sync.Once
 	sym     *linalg.SymbolicFactor
 
-	// free holds the idle pipelines, inFlight counts the acquired ones not
+	// free holds the idle spaces, inFlight counts the acquired ones not
 	// yet released, and prev/next link the entry into the cache's recency
 	// list while free is non-empty. All are guarded by PatternCache.mu.
-	free       []*neFactor
+	free       []*space
 	inFlight   int
 	prev, next *patternEntry
 }
@@ -103,18 +124,23 @@ func NewPatternCache() *PatternCache {
 	}
 }
 
-// Stats reports the cache's lifetime hits (symbolic and numeric work
-// skipped entirely) and misses (pipeline built; only the pattern's first
-// build runs the factorization's symbolic analysis).
+// Stats reports the cache's lifetime hits (a solve's first factorization
+// found its space's pipeline built: symbolic and numeric setup skipped) and
+// misses (pipeline built; only the pattern's first build runs the
+// factorization's symbolic analysis).
 func (pc *PatternCache) Stats() (hits, misses int64) {
 	return pc.hits.Load(), pc.misses.Load()
 }
 
-// key combines the canonical pattern hash of the scaled-G template with the
+// key combines the canonical pattern hash of G with the cone dims and the
 // resolved factorization backend.
-func key(gs *linalg.SparseMatrix, backend Factorization) uint64 {
+func key(g *linalg.SparseMatrix, dims cone.Dims, backend Factorization) uint64 {
 	const prime64 = 1099511628211
-	return (patternHash(gs) ^ uint64(backend)) * prime64
+	h := fnvMix(patternHash(g), uint64(dims.NonNeg))
+	for _, q := range dims.SOC {
+		h = fnvMix(h, uint64(q))
+	}
+	return (h ^ uint64(backend)) * prime64
 }
 
 // patternHash returns a canonical 64-bit hash of a matrix's sparsity
@@ -149,36 +175,34 @@ func fnvMix(h, v uint64) uint64 {
 	return h
 }
 
-// matches reports whether the entry serves exactly this pattern on this
+// matches reports whether the entry serves exactly this pattern, cone and
 // backend.
-func (e *patternEntry) matches(gs *linalg.SparseMatrix, backend Factorization) bool {
-	return e.backend == backend && gs.Rows == e.gsRows && gs.Cols == e.gsCols &&
-		slices.Equal(gs.RowPtr, e.gsRowPtr) && slices.Equal(gs.ColIdx, e.gsColIdx)
+func (e *patternEntry) matches(g *linalg.SparseMatrix, dims cone.Dims, backend Factorization) bool {
+	return e.backend == backend && e.splitAt == maxNormalEqRow &&
+		g.Rows == e.pat.Rows && g.Cols == e.pat.Cols &&
+		dims.NonNeg == e.dims.NonNeg && slices.Equal(dims.SOC, e.dims.SOC) &&
+		slices.Equal(g.RowPtr, e.pat.RowPtr) && slices.Equal(g.ColIdx, e.pat.ColIdx)
 }
 
-// acquire returns a factorization pipeline for the view's pattern on the
-// resolved backend: an idle one when the pattern has one (supernodal worker
-// bound refreshed), otherwise a freshly built one registered under the
-// pattern. The caller owns the pipeline until release.
-func (pc *PatternCache) acquire(sv *sparseView, backend Factorization, workers int) *neFactor {
-	e, f := pc.take(sv.gs, backend)
-	if f != nil {
-		pc.hits.Add(1)
-		// The worker bound is a per-solve setting, not part of the pooled
-		// identity; refresh it (scheduling only — results never change).
-		if sc, ok := f.chol.(*linalg.SupernodalCholesky); ok {
-			sc.SetParallelism(workers)
-		}
-		return f
+// acquire returns a solve space for G's pattern, the cone dims and the
+// resolved backend: an idle one when the key has one, otherwise a fresh one
+// registered under the key. The caller owns the space until release. On a
+// nil cache it returns a fresh space that shares g's pattern arrays.
+func (pc *PatternCache) acquire(g *linalg.SparseMatrix, dims cone.Dims, backend Factorization) *space {
+	if pc == nil {
+		return newSpace(g, dims, backend)
 	}
-	pc.misses.Add(1)
-	return e.build(sv, backend, workers)
+	e, sp := pc.take(g, dims, backend)
+	if sp == nil {
+		sp = newSpace(e.pat, e.dims, backend)
+		sp.pc, sp.entry = pc, e
+	}
+	return sp
 }
 
-// build returns a new pipeline for the entry's pattern, registered
-// under the entry. The entry's first build runs the symbolic analysis and
-// keeps it; every other build, concurrent ones included, waits for that
-// one and shares its analysis.
+// build returns a new pipeline for a space of the entry. The entry's first
+// build runs the symbolic analysis and keeps it; every other build,
+// concurrent ones included, waits for that one and shares its analysis.
 func (e *patternEntry) build(sv *sparseView, backend Factorization, workers int) *neFactor {
 	var f *neFactor
 	e.symOnce.Do(func() {
@@ -188,25 +212,24 @@ func (e *patternEntry) build(sv *sparseView, backend Factorization, workers int)
 	if f == nil {
 		f = newNEFactor(sv, e.sym, backend, workers)
 	}
-	f.cacheEntry = e
 	return f
 }
 
-// take finds the entry of a pattern and backend, registering it on
-// first sight, counts one more of its pipelines in flight, and pops its
-// most recently released idle pipeline (nil when it has none).
-func (pc *PatternCache) take(gs *linalg.SparseMatrix, backend Factorization) (*patternEntry, *neFactor) {
-	h := key(gs, backend)
+// take finds the entry of a key, registering it on first sight, counts one
+// more of its spaces in flight, and pops its most recently released idle
+// space (nil when it has none).
+func (pc *PatternCache) take(g *linalg.SparseMatrix, dims cone.Dims, backend Factorization) (*patternEntry, *space) {
+	h := key(g, dims, backend)
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	e := pc.lookup(h, gs, backend)
+	e := pc.lookup(h, g, dims, backend)
 	if e == nil {
 		// Copy the pattern without holding the lock; a concurrent take of
-		// the same pattern may register it first.
+		// the same key may register it first.
 		pc.mu.Unlock()
-		ne := newPatternEntry(h, gs, backend)
+		ne := newPatternEntry(h, g, dims, backend)
 		pc.mu.Lock()
-		if e = pc.lookup(h, gs, backend); e == nil {
+		if e = pc.lookup(h, g, dims, backend); e == nil {
 			e = ne
 			pc.entries[h] = append(pc.entries[h], e)
 		}
@@ -215,64 +238,68 @@ func (pc *PatternCache) take(gs *linalg.SparseMatrix, backend Factorization) (*p
 	return e, pc.pop(e)
 }
 
-// lookup returns the registered entry of a pattern and backend, nil when
-// there is none. The caller holds pc.mu.
-func (pc *PatternCache) lookup(h uint64, gs *linalg.SparseMatrix, backend Factorization) *patternEntry {
+// lookup returns the registered entry of a key, nil when there is none.
+// The caller holds pc.mu.
+func (pc *PatternCache) lookup(h uint64, g *linalg.SparseMatrix, dims cone.Dims, backend Factorization) *patternEntry {
 	for _, e := range pc.entries[h] {
-		if e.matches(gs, backend) {
+		if e.matches(g, dims, backend) {
 			return e
 		}
 	}
 	return nil
 }
 
-// newPatternEntry returns an entry for a pattern and backend, with a copy
-// of the pattern for collision verification.
-func newPatternEntry(h uint64, gs *linalg.SparseMatrix, backend Factorization) *patternEntry {
+// newPatternEntry returns an entry for a key, with copies of the pattern
+// and the dims for collision verification and for its spaces to share.
+func newPatternEntry(h uint64, g *linalg.SparseMatrix, dims cone.Dims, backend Factorization) *patternEntry {
 	return &patternEntry{
-		h:      h,
-		gsRows: gs.Rows, gsCols: gs.Cols,
-		gsRowPtr: append([]int(nil), gs.RowPtr...),
-		gsColIdx: append([]int(nil), gs.ColIdx...),
-		backend:  backend,
+		h: h,
+		pat: &linalg.SparseMatrix{
+			Rows: g.Rows, Cols: g.Cols,
+			RowPtr: slices.Clone(g.RowPtr),
+			ColIdx: slices.Clone(g.ColIdx),
+		},
+		dims:    cone.Dims{NonNeg: dims.NonNeg, SOC: slices.Clone(dims.SOC)},
+		backend: backend,
+		splitAt: maxNormalEqRow,
 	}
 }
 
-// pop takes the most recently released idle pipeline of e, nil when there
-// is none. The caller holds pc.mu.
-func (pc *PatternCache) pop(e *patternEntry) *neFactor {
+// pop takes the most recently released idle space of e, nil when there is
+// none. The caller holds pc.mu.
+func (pc *PatternCache) pop(e *patternEntry) *space {
 	k := len(e.free) - 1
 	if k < 0 {
 		return nil
 	}
-	f := e.free[k]
+	sp := e.free[k]
 	e.free[k] = nil
 	e.free = e.free[:k]
-	pc.idleBytes -= f.bytes
+	pc.idleBytes -= sp.bytes
 	if k == 0 {
 		pc.unlink(e)
 	}
-	return f
+	return sp
 }
 
-// release returns a pipeline acquired from this cache to its pattern's
-// free list, then drops idle pipelines of the least recently released
-// patterns while their footprint exceeds the budget. Pipelines built
-// outside any cache (cacheEntry == nil) are ignored. The caller must not
-// use f after releasing it.
-func (pc *PatternCache) release(f *neFactor) {
-	if f == nil || f.cacheEntry == nil {
+// release returns a space acquired from this cache to its key's free list,
+// then drops idle spaces of the least recently released patterns while
+// their footprint exceeds the budget. On a nil cache it does nothing. The
+// caller must not use sp after releasing it.
+func (pc *PatternCache) release(sp *space) {
+	if pc == nil {
 		return
 	}
-	e := f.cacheEntry
+	e := sp.entry
+	sp.bytes = sp.footprint()
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	e.inFlight--
 	if len(e.free) > 0 {
 		pc.unlink(e)
 	}
-	e.free = append(e.free, f)
-	pc.idleBytes += f.bytes
+	e.free = append(e.free, sp)
+	pc.idleBytes += sp.bytes
 	pc.pushFront(e)
 	for pc.idleBytes > pc.maxIdleBytes {
 		lru := pc.tail
@@ -310,7 +337,7 @@ func (pc *PatternCache) unlink(e *patternEntry) {
 	e.prev, e.next = nil, nil
 }
 
-// forget removes an entry with no pipelines left from the index, so a
+// forget removes an entry with no spaces left from the index, so a
 // long tail of one-off patterns does not accumulate. The caller holds
 // pc.mu.
 func (pc *PatternCache) forget(e *patternEntry) {

@@ -13,7 +13,7 @@ import (
 // structural change must.
 func TestPatternHashIgnoresValues(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	a := newSparseView(withCSR(randomProblem(rng, 12, 8, 2, 0.3))).gs
+	a := testView(withCSR(randomProblem(rng, 12, 8, 2, 0.3))).gs
 	h := patternHash(a)
 	b := a.Clone()
 	for i := range b.Val {
@@ -35,87 +35,111 @@ func TestPatternHashIgnoresValues(t *testing.T) {
 
 // TestPatternCacheSharesOneAnalysis pins where a pattern's symbolic
 // analysis lives: on its cache entry. Every pipeline of one entry — built
-// by concurrent first acquires or by a later miss — shares one analysis,
+// by concurrent first solves or by a later miss — shares one analysis,
 // distinct patterns get distinct ones, and an entry the cache forgets takes
 // its analysis with it, so reacquiring the pattern analyzes it afresh.
 func TestPatternCacheSharesOneAnalysis(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	views := []*sparseView{
-		newSparseView(withCSR(randomProblem(rng, 10, 8, 2, 0.3))),
-		newSparseView(withCSR(longRowProblem(rng, 12, 8, 2))),
+	probs := []*Problem{
+		withCSR(randomProblem(rng, 10, 8, 2, 0.3)),
+		withCSR(longRowProblem(rng, 12, 8, 2)),
 	}
 	for _, backend := range []Factorization{FactorSparse, FactorSupernodal} {
 		pc := NewPatternCache()
 
-		// Eight concurrent first acquires of one pattern: eight pipelines,
+		// Eight concurrent first acquires of one pattern: eight spaces,
 		// one analysis.
-		fs := make([]*neFactor, 8)
+		sps := make([]*space, 8)
 		start := make(chan struct{})
 		var wg sync.WaitGroup
-		for i := range fs {
+		for i := range sps {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
 				<-start
-				fs[i] = pc.acquire(views[0], backend, 1)
+				sps[i] = acquirePipeline(pc, probs[0], backend, 1)
 			}(i)
 		}
 		close(start)
 		wg.Wait()
-		sym := fs[0].chol.Symbolic()
+		sym := sps[0].ne.chol.Symbolic()
 		if sym == nil {
 			t.Fatalf("backend=%v: pipeline has no symbolic analysis", backend)
 		}
-		for i, f := range fs {
-			if f.chol.Symbolic() != sym {
+		for i, sp := range sps {
+			if sp.ne.chol.Symbolic() != sym {
 				t.Fatalf("backend=%v: concurrent acquire %d analyzed the pattern again", backend, i)
 			}
 		}
 		// A miss after the first builds shares the analysis too.
-		extra := pc.acquire(views[0], backend, 1)
-		if extra.chol.Symbolic() != sym {
+		extra := acquirePipeline(pc, probs[0], backend, 1)
+		if extra.ne.chol.Symbolic() != sym {
 			t.Fatalf("backend=%v: a later miss analyzed the pattern again", backend)
 		}
 		if hits, misses := pc.Stats(); hits != 0 || misses != 9 {
 			t.Fatalf("backend=%v: hits=%d misses=%d, want 0/9", backend, hits, misses)
 		}
 
-		other := pc.acquire(views[1], backend, 1)
-		if other.chol.Symbolic() == sym {
+		other := acquirePipeline(pc, probs[1], backend, 1)
+		if other.ne.chol.Symbolic() == sym {
 			t.Fatalf("backend=%v: distinct patterns share a symbolic analysis", backend)
 		}
 
 		// With no idle budget every release evicts, and the entries go.
 		pc.maxIdleBytes = 0
-		for _, f := range append(fs, extra, other) {
-			pc.release(f)
+		for _, sp := range append(sps, extra, other) {
+			pc.release(sp)
 		}
 		if len(pc.entries) != 0 {
 			t.Fatalf("backend=%v: %d entries left after eviction", backend, len(pc.entries))
 		}
-		again := pc.acquire(views[0], backend, 1)
-		if again.chol.Symbolic() == sym {
+		again := acquirePipeline(pc, probs[0], backend, 1)
+		if again.ne.chol.Symbolic() == sym {
 			t.Fatalf("backend=%v: a forgotten pattern's analysis outlived its entry", backend)
 		}
-		if again.chol.Symbolic().NNZL() != sym.NNZL() {
-			t.Fatalf("backend=%v: fresh analysis has nnz(L) %d, want %d", backend, again.chol.Symbolic().NNZL(), sym.NNZL())
+		if again.ne.chol.Symbolic().NNZL() != sym.NNZL() {
+			t.Fatalf("backend=%v: fresh analysis has nnz(L) %d, want %d", backend, again.ne.chol.Symbolic().NNZL(), sym.NNZL())
 		}
 	}
 }
 
+// TestPatternCacheKeysOnDims: two problems with one G pattern but
+// different cone dims are different keys, so neither is served the
+// other's space.
+func TestPatternCacheKeysOnDims(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	a := withCSR(randomProblem(rng, 8, 6, 2, 0.4)) // 6 orthant rows, two 3-row cones
+	b := *a
+	b.Dims.NonNeg, b.Dims.SOC = a.Dims.NonNeg+3, a.Dims.SOC[1:]
+	pc := NewPatternCache()
+	sa := acquirePipeline(pc, a, FactorSparse, 1)
+	pc.release(sa)
+	sb := acquirePipeline(pc, &b, FactorSparse, 1)
+	if sb == sa {
+		t.Fatal("a space of one cone was served to a problem of another")
+	}
+	if got := len(sb.sv.socs); got != len(b.Dims.SOC) {
+		t.Fatalf("space has %d SOC blocks, want %d", got, len(b.Dims.SOC))
+	}
+	if hits, misses := pc.Stats(); hits != 0 || misses != 2 {
+		t.Fatalf("hits=%d misses=%d, want 0/2", hits, misses)
+	}
+}
+
 // TestPatternCacheFreeListBounds pins the free-list policy: a release
-// always keeps its pipeline, so a pattern holds as many pipelines as it had
-// in flight at once; past the byte budget the least recently released
-// pattern loses its idle pipelines, and a pattern left with nothing idle
-// and nothing in flight is forgotten. Hits and misses follow from the order
-// of acquires and releases alone.
+// always keeps its space, so a pattern holds as many spaces as it had in
+// flight at once; past the byte budget the least recently released
+// pattern loses its idle spaces, and a pattern left with nothing idle and
+// nothing in flight is forgotten. Hits and misses follow from the order of
+// acquires and releases alone.
 func TestPatternCacheFreeListBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	var views []*sparseView
+	var probs []*Problem
 	for k := 0; k < 3; k++ {
-		views = append(views, newSparseView(withCSR(randomProblem(rng, 6+k, 6, 1, 0.3))))
+		probs = append(probs, withCSR(randomProblem(rng, 6+k, 6, 1, 0.3)))
 	}
 	pc := NewPatternCache()
+	acquire := func(k int) *space { return acquirePipeline(pc, probs[k], FactorSparse, 1) }
 	want := func(hits, misses int64, entries int) {
 		t.Helper()
 		if h, m := pc.Stats(); h != hits || m != misses {
@@ -126,55 +150,55 @@ func TestPatternCacheFreeListBounds(t *testing.T) {
 		}
 	}
 
-	// Three pipelines of one pattern in flight, more than any worker
-	// bound: all three are kept and reacquired.
-	fs := make([]*neFactor, 3)
-	for i := range fs {
-		fs[i] = pc.acquire(views[0], FactorSparse, 1)
+	// Three spaces of one pattern in flight, more than any worker bound:
+	// all three are kept and reacquired.
+	sps := make([]*space, 3)
+	for i := range sps {
+		sps[i] = acquire(0)
 	}
-	for _, f := range fs {
-		pc.release(f)
+	for _, sp := range sps {
+		pc.release(sp)
 	}
 	want(0, 3, 1)
-	if pc.idleBytes != 3*fs[0].bytes || fs[0].bytes <= 0 {
-		t.Fatalf("idle bytes %d, want 3·%d", pc.idleBytes, fs[0].bytes)
+	if pc.idleBytes != 3*sps[0].bytes || sps[0].bytes <= sps[0].ne.bytes {
+		t.Fatalf("idle bytes %d, want 3·%d, more than the pipeline's %d", pc.idleBytes, sps[0].bytes, sps[0].ne.bytes)
 	}
-	for i := range fs {
-		if got := pc.acquire(views[0], FactorSparse, 1); got != fs[2-i] {
-			t.Fatalf("reacquire %d did not return the most recently released pipeline", i)
+	for i := range sps {
+		if got := acquire(0); got != sps[2-i] {
+			t.Fatalf("reacquire %d did not return the most recently released space", i)
 		}
 	}
 	want(3, 3, 1)
-	for _, f := range fs[1:] {
-		pc.release(f)
+	for _, sp := range sps[1:] {
+		pc.release(sp)
 	}
-	pc.release(fs[0])
+	pc.release(sps[0])
 
 	// A budget that holds patterns 1 and 2: releasing them evicts pattern
 	// 0, released least recently, and forgets it; patterns 1 and 2 hit.
-	f1, f2 := pc.acquire(views[1], FactorSparse, 1), pc.acquire(views[2], FactorSparse, 1)
-	pc.maxIdleBytes = f1.bytes + f2.bytes
-	pc.release(f1)
-	pc.release(f2)
+	s1, s2 := acquire(1), acquire(2)
+	pc.maxIdleBytes = s1.footprint() + s2.footprint()
+	pc.release(s1)
+	pc.release(s2)
 	want(3, 5, 2)
-	if pc.idleBytes != f1.bytes+f2.bytes {
-		t.Fatalf("idle bytes %d, want %d", pc.idleBytes, f1.bytes+f2.bytes)
+	if pc.idleBytes != s1.bytes+s2.bytes {
+		t.Fatalf("idle bytes %d, want %d", pc.idleBytes, s1.bytes+s2.bytes)
 	}
-	for _, sv := range views[1:] {
-		pc.release(pc.acquire(sv, FactorSparse, 1))
+	for k := 1; k <= 2; k++ {
+		pc.release(acquire(k))
 	}
 	want(5, 5, 2)
 
 	// Pattern 0 is back as a new entry; pattern 1, now least recent, goes.
-	pc.release(pc.acquire(views[0], FactorSparse, 1))
+	pc.release(acquire(0))
 	want(5, 6, 2)
-	if pc.tail == nil || pc.tail.matches(views[1].gs, FactorSparse) {
+	if pc.tail == nil || pc.tail.matches(probs[1].GSparse, probs[1].Dims, FactorSparse) {
 		t.Fatal("pattern 1 still idle after eviction")
 	}
 
-	// A pattern still in flight keeps its entry when its idle pipelines
-	// are evicted, so its release finds it.
-	a, b := pc.acquire(views[2], FactorSparse, 1), pc.acquire(views[2], FactorSparse, 1)
+	// A pattern still in flight keeps its entry when its idle spaces are
+	// evicted, so its release finds it.
+	a, b := acquire(2), acquire(2)
 	want(6, 7, 2)
 	pc.maxIdleBytes = 0
 	pc.release(a)

@@ -1,6 +1,7 @@
 package socp
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/linalg"
@@ -96,8 +97,37 @@ func UseUnsplitNormalEq() (restore func()) {
 // backend, how many rows of W⁻¹G are split off H, the nonzeros of H, the
 // dimension of the factored matrix, and the nonzeros of its L factor.
 func KKTStructure(p *Problem) (split, nnzH, dim, nnzL int) {
-	sv := newSparseView(p)
-	ne := sv.normalEq(nil, FactorSparse, 1)
+	sv := newSparseView(p.GSparse, p.Dims)
+	ne := newNEFactor(sv, nil, FactorSparse, 1)
 	sym := ne.chol.Symbolic()
 	return len(sv.split), ne.ata.Result.NNZ(), sym.N(), sym.NNZL()
+}
+
+// testView returns the sparse view of p, which must carry GSparse, loaded
+// with p's values.
+func testView(p *Problem) *sparseView {
+	sv := newSparseView(p.GSparse, p.Dims)
+	sv.load()
+	return sv
+}
+
+// unscaledState returns a solver state on a fresh space holding p itself,
+// not equilibrated, on the simplicial backend: what the tests of the
+// factored solve drive. p must carry GSparse.
+func unscaledState(p *Problem) *state {
+	sp := newSpace(p.GSparse, p.Dims, FactorSparse)
+	sp.prob.C.CopyFrom(p.C)
+	copy(sp.prob.GSparse.Val, p.GSparse.Val)
+	sp.prob.H.CopyFrom(p.H)
+	sp.sv.load()
+	return sp.start(context.Background(), Options{}.withDefaults())
+}
+
+// acquirePipeline acquires a space for p's pattern from pc and takes its
+// factorization pipeline, as a solve's first factorization does; it counts
+// one hit or miss. p must carry GSparse.
+func acquirePipeline(pc *PatternCache, p *Problem, backend Factorization, workers int) *space {
+	sp := pc.acquire(p.GSparse, p.Dims, backend)
+	sp.pipeline(workers)
+	return sp
 }

@@ -77,24 +77,27 @@ func interiorScaling(t *testing.T, rng *rand.Rand, dims cone.Dims) *cone.Scaling
 }
 
 // TestPatternCacheReacquireAllocFree pins the steady state of the pattern
-// cache: once a pipeline for a pattern has been built and released, the
-// acquire → refactorize → release cycle a cached
-// sweep solve performs is allocation-free. (The first acquire of a pattern
-// pays the build; every later one must not.)
+// cache: once a space for a pattern has been built and released, the
+// acquire → equilibrate → load → refactorize → release cycle a cached sweep
+// solve performs outside its iterations is allocation-free. (The first
+// acquire of a pattern pays the build; every later one must not.)
 func TestPatternCacheReacquireAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, tc := range allocCases(rng) {
 		for _, backend := range []Factorization{FactorSparse, FactorSupernodal} {
-			sv := newSparseView(withCSR(tc.p))
+			p := withCSR(tc.p)
 			pc := NewPatternCache()
 			w := interiorScaling(t, rng, tc.p.Dims)
 			cycle := func() error {
-				ne := pc.acquire(sv, backend, 1)
-				defer pc.release(ne)
+				sp := pc.acquire(p.GSparse, p.Dims, backend)
+				defer pc.release(sp)
+				sp.eq.equilibrate(&sp.prob, p, p.GSparse)
+				sp.sv.load()
+				ne := sp.pipeline(1)
 				if (ne.nd > 0) != tc.split {
 					t.Fatalf("%s: pipeline has %d split rows", tc.name, ne.nd)
 				}
-				return refactorize(sv, ne, w)
+				return refactorize(sp.sv, ne, w)
 			}
 			if err := cycle(); err != nil { // build + register the pattern
 				t.Fatal(err)
@@ -131,8 +134,8 @@ func TestPerIterationRefactorizationAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, tc := range allocCases(rng) {
 		for _, backend := range []Factorization{FactorSparse, FactorSupernodal} {
-			sv := newSparseView(withCSR(tc.p))
-			ne := sv.normalEq(nil, backend, 1)
+			sv := testView(withCSR(tc.p))
+			ne := newNEFactor(sv, nil, backend, 1)
 			if (ne.nd > 0) != tc.split {
 				t.Fatalf("%s: pipeline has %d split rows", tc.name, ne.nd)
 			}

@@ -1,7 +1,6 @@
 package socp
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -53,9 +52,7 @@ func TestKKTResidualMatchesReference(t *testing.T) {
 		for _, tc := range allocCases(rng) {
 			for _, scaled := range []bool{false, true} {
 				p := withCSR(tc.p)
-				st := &state{ctx: context.Background(), p: p, opt: Options{}.withDefaults()}
-				st.n, st.m = p.NumVars(), p.Dims.Dim()
-				st.initWorkspace()
+				st := unscaledState(p)
 				var w *cone.Scaling
 				if scaled {
 					w = interiorScaling(t, rng, p.Dims)
@@ -72,7 +69,7 @@ func TestKKTResidualMatchesReference(t *testing.T) {
 				}
 				dx, dz := linalg.NewVector(st.n), linalg.NewVector(st.m)
 				f.solveOnce(bx, bz, dx, dz)
-				ws := &st.ws
+				ws := st.ws
 
 				gdx := linalg.NewVector(st.m)
 				st.sv.g.MulVec(gdx, dx)

@@ -173,14 +173,15 @@ type Options struct {
 	// is the cold start, and a solve with WarmStart == nil is bit-identical
 	// to one on a build without warm-start support.
 	WarmStart *WarmStart
-	// Cache optionally shares the pattern-keyed symbolic work of the sparse
-	// KKT pipeline — AᵀA scatter plans, AMD orderings, elimination trees,
-	// symbolic factorizations, and their pooled numeric workspaces — across
-	// solves whose constraint matrices have the same sparsity pattern (every
-	// point of a sweep over one topology). The cache is safe for concurrent
-	// solves and only ever changes where buffers come from, never any
-	// computed value: solves with and without a cache are bit-identical.
-	// nil (the default) rebuilds the symbolic work per solve.
+	// Cache optionally pools the whole solve space — the symbolic work of
+	// the sparse KKT pipeline (AᵀA scatter plans, AMD orderings,
+	// elimination trees, symbolic factorizations), its numeric workspace
+	// and every other buffer a solve uses — across solves whose constraint
+	// matrices have the same sparsity pattern and cone (every point of a
+	// sweep over one topology). The cache is safe for concurrent solves and
+	// only ever changes where buffers come from, never any computed value:
+	// solves with and without a cache are bit-identical. nil (the default)
+	// builds the space per solve.
 	Cache *PatternCache
 	// Trace enables per-iteration progress output (debugging).
 	Trace bool

@@ -1,7 +1,6 @@
 package socp
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -48,9 +47,7 @@ func TestRefinementStopRule(t *testing.T) {
 				g.Val[k] *= math.Pow(10, float64(j%3)*1.5)
 			}
 		}
-		st := &state{ctx: context.Background(), p: p, opt: Options{}.withDefaults()}
-		st.n, st.m = p.NumVars(), p.Dims.Dim()
-		st.initWorkspace()
+		st := unscaledState(p)
 		f, err := st.factor(nil) // W = I
 		if err != nil {
 			t.Fatal(err)
@@ -64,7 +61,7 @@ func TestRefinementStopRule(t *testing.T) {
 		tol := refineTol * (1 + max(linalg.NormInf(bx), linalg.NormInf(bz)))
 
 		// Replay: residual checks of the refinement, in the solve's order.
-		ws := &st.ws
+		ws := st.ws
 		x, z := linalg.NewVector(st.n), linalg.NewVector(st.m)
 		cx, cz := linalg.NewVector(st.n), linalg.NewVector(st.m)
 		f.solveOnce(bx, bz, x, z)

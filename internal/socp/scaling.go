@@ -6,42 +6,43 @@ import (
 	"repro/internal/linalg"
 )
 
-// eqScales records the diagonal scalings equilibrateSparse applied, so solutions
+// eqScales records the diagonal scalings equilibrate applied, so solutions
 // can be mapped back to the original coordinates and caller-supplied warm
-// starts can be mapped forward into the equilibrated ones.
+// starts can be mapped forward into the equilibrated ones. Its rowScale is
+// a space's buffer, rewritten by every equilibrate.
 type eqScales struct {
 	costScale float64       // c̃ = c / σc
 	rowScale  linalg.Vector // row i of (G̃ | h̃) = row i of (G | h) / rowScale[i]
 }
 
-// equilibrateSparse rescales the problem so the interior-point iterations
-// are well conditioned regardless of the magnitudes of objective weights,
-// constraint coefficients, or resource capacities:
+// equilibrate writes into dst the equilibrated copy of p, whose
+// constraint matrix in CSR form is csr, and records the scales it applied.
+// The rescaling keeps the interior-point iterations well conditioned
+// regardless of the magnitudes of objective weights, constraint
+// coefficients, or resource capacities:
 //
 //   - every orthant row of (G | h) is divided by its coefficient inf-norm
 //     (one uniform factor per second-order-cone block, which preserves the
 //     cone);
 //   - the cost vector is divided by max(1, ‖c‖∞).
 //
-// It returns the scaled problem plus the applied scales; unscale restores
-// the solution of the original problem (x is unchanged; slacks, duals, and
-// objective values are rescaled). csr is p's constraint matrix in CSR form;
-// the scaled copy shares its immutable pattern arrays and clones only the
-// values.
-func equilibrateSparse(p *Problem, csr *linalg.SparseMatrix) (*Problem, *eqScales) {
+// dst is a space's problem: its c, h and G values are overwritten, and its
+// G already carries csr's pattern. unscale restores the solution of the
+// original problem (x is unchanged; slacks, duals, and objective values are
+// rescaled).
+func (sc *eqScales) equilibrate(dst, p *Problem, csr *linalg.SparseMatrix) {
 	m := p.Dims.Dim()
 
-	costScale := math.Max(1, linalg.NormInf(p.C))
-	c := p.C.Clone()
-	c.Scale(1 / costScale)
+	sc.costScale = math.Max(1, linalg.NormInf(p.C))
+	c := dst.C
+	c.CopyFrom(p.C)
+	c.Scale(1 / sc.costScale)
 
-	g := &linalg.SparseMatrix{
-		Rows: csr.Rows, Cols: csr.Cols,
-		RowPtr: csr.RowPtr, ColIdx: csr.ColIdx,
-		Val: append([]float64(nil), csr.Val...),
-	}
-	h := p.H.Clone()
-	rowScale := make(linalg.Vector, m)
+	g := dst.GSparse
+	copy(g.Val, csr.Val)
+	h := dst.H
+	h.CopyFrom(p.H)
+	rowScale := sc.rowScale
 	rowNorm := func(i int) float64 {
 		return linalg.NormInf(g.Val[g.RowPtr[i]:g.RowPtr[i+1]])
 	}
@@ -80,9 +81,6 @@ func equilibrateSparse(p *Problem, csr *linalg.SparseMatrix) (*Problem, *eqScale
 		}
 		h[i] *= inv
 	}
-
-	sp := &Problem{C: c, GSparse: g, H: h, Dims: p.Dims}
-	return sp, &eqScales{costScale: costScale, rowScale: rowScale}
 }
 
 // unscale maps a solution of the equilibrated problem back to the original
@@ -106,29 +104,31 @@ func (sc *eqScales) unscale(sol *Solution) {
 }
 
 // scaleWarm maps a warm start given in the original coordinates into the
-// equilibrated ones — the inverse of unscale, applied to a fresh copy (the
-// caller's vectors are never written). Iterates with mismatched dimensions
-// or non-finite entries return nil, which makes the solver fall back to the
-// cold start instead of polluting the iteration.
-func (sc *eqScales) scaleWarm(w *WarmStart, n int) *WarmStart {
+// equilibrated ones — the inverse of unscale — writing it into x, s and z
+// (the caller's vectors are never written). Iterates with mismatched
+// dimensions or non-finite entries return false, which makes the solver
+// fall back to the cold start instead of polluting the iteration.
+func (sc *eqScales) scaleWarm(w *WarmStart, x, s, z linalg.Vector) bool {
 	if w == nil {
-		return nil
+		return false
 	}
 	m := len(sc.rowScale)
-	if len(w.X) != n || len(w.S) != m || len(w.Z) != m {
-		return nil
+	if len(w.X) != len(x) || len(w.S) != m || len(w.Z) != m {
+		return false
 	}
-	sw := &WarmStart{X: w.X.Clone(), S: w.S.Clone(), Z: w.Z.Clone()}
+	x.CopyFrom(w.X)
+	s.CopyFrom(w.S)
+	z.CopyFrom(w.Z)
 	for i := 0; i < m; i++ {
-		sw.S[i] /= sc.rowScale[i]
-		sw.Z[i] *= sc.rowScale[i] / sc.costScale
+		s[i] /= sc.rowScale[i]
+		z[i] *= sc.rowScale[i] / sc.costScale
 	}
-	for _, v := range [][]float64{sw.X, sw.S, sw.Z} {
-		for _, x := range v {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return nil
+	for _, v := range [][]float64{x, s, z} {
+		for _, e := range v {
+			if math.IsNaN(e) || math.IsInf(e, 0) {
+				return false
 			}
 		}
 	}
-	return sw
+	return true
 }

@@ -33,27 +33,149 @@ func SolveContext(ctx context.Context, p *Problem, opt Options) (*Solution, erro
 	if g == nil {
 		g = linalg.NewSparseFromDense(p.G)
 	}
-	sp, scales := equilibrateSparse(p, g)
-	s := &state{ctx: ctx, p: sp, opt: opt.withDefaults()}
-	// The warm start arrives in the original coordinates; map it into the
-	// equilibrated ones (nil on dimension mismatch or non-finite entries,
-	// which silently selects the cold start).
-	s.warm = scales.scaleWarm(s.opt.WarmStart, len(p.C))
-	sol, err := s.run()
-	if sol != nil {
-		sol.LinearSolves = s.linearSolves
-	}
-	// Return the borrowed factorization pipeline to the pattern cache. The
-	// sparse view is per-solve, so nothing references it after this.
-	if pc := s.opt.Cache; pc != nil && s.sv != nil {
-		pc.release(s.sv.ne)
-		s.sv.ne = nil
-	}
-	scales.unscale(sol)
+	opt = opt.withDefaults()
+	sp := opt.Cache.acquire(g, p.Dims, ResolveFactorization(opt.Factorization, len(p.C)))
+	sol, err := sp.solve(ctx, p, g, opt)
+	// Only here: a solve that panics drops its space, which may hold a
+	// factorization cut off midway.
+	opt.Cache.release(sp)
 	return sol, err
 }
 
-// state carries the iterates and workspace of one solve.
+// space is everything one solve reads and writes except the Solution it
+// returns: the equilibrated problem and its scales, the sparse view, the
+// factorization pipeline, the NT scaling, every iteration buffer and the
+// solve's state. All of it is sized by G's pattern, the cone dims and the
+// factorization backend alone, so it is the unit the pattern cache pools;
+// an uncached solve builds one and drops it. Every buffer is rewritten
+// before it is read, so a space carries no value from one solve into the
+// next, and a solve on a reused space is bit-identical to one on a fresh
+// space.
+type space struct {
+	// prob is the equilibrated problem: c, h and G's values rewritten per
+	// solve, G's pattern shared with the pattern entry (or, uncached, with
+	// the caller's matrix). eq holds the scales that map it back.
+	prob Problem
+	eq   eqScales
+
+	sv *sparseView // the view of prob.GSparse
+	// ne is the factorization pipeline, built on the space's first
+	// factorization (see pipeline), so a solve that ends before its first
+	// factorization runs no symbolic analysis.
+	ne      *neFactor
+	backend Factorization // resolved: FactorSparse or FactorSupernodal
+
+	scaling cone.Scaling // NT scaling of the current iterate
+	ws      workspace
+	st      state // the solve in progress; zero while the space is idle
+
+	// pc and entry are the cache and pattern entry that pool the space,
+	// both nil for an uncached space; bytes is the footprint the cache
+	// counts while the space is idle.
+	pc    *PatternCache
+	entry *patternEntry
+	bytes int
+}
+
+// newSpace allocates a space for the pattern of pat, a constraint matrix of
+// the cone dims (only pat's shape, RowPtr and ColIdx are read, and the
+// space's G shares the last two), factored on the resolved backend.
+func newSpace(pat *linalg.SparseMatrix, dims cone.Dims, backend Factorization) *space {
+	n, m := pat.Cols, dims.Dim()
+	g := &linalg.SparseMatrix{
+		Rows: pat.Rows, Cols: n,
+		RowPtr: pat.RowPtr, ColIdx: pat.ColIdx,
+		Val: make([]float64, len(pat.ColIdx)),
+	}
+	sp := &space{
+		prob:    Problem{C: linalg.NewVector(n), GSparse: g, H: linalg.NewVector(m), Dims: dims},
+		eq:      eqScales{rowScale: linalg.NewVector(m)},
+		sv:      newSparseView(g, dims),
+		backend: backend,
+	}
+	sp.ws.init(n, m, len(sp.sv.split))
+	return sp
+}
+
+// solve runs one solve of p, whose constraint matrix in CSR form is g, on
+// the space. The returned Solution's vectors are the solve's own; the space
+// keeps no reference to p, opt or the Solution afterwards.
+func (sp *space) solve(ctx context.Context, p *Problem, g *linalg.SparseMatrix, opt Options) (*Solution, error) {
+	sp.eq.equilibrate(&sp.prob, p, g)
+	sp.sv.load()
+	st := sp.start(ctx, opt)
+	// The warm start arrives in the original coordinates; map it into the
+	// equilibrated ones (false on dimension mismatch or non-finite entries,
+	// which silently selects the cold start).
+	st.warm = sp.eq.scaleWarm(opt.WarmStart, sp.ws.x, sp.ws.s, sp.ws.z)
+	sol, err := st.run()
+	if sol != nil {
+		sol.LinearSolves = st.linearSolves
+		// The iterates live in the space; the caller gets copies.
+		sol.X, sol.S, sol.Z = detach(sol.X), detach(sol.S), detach(sol.Z)
+	}
+	sp.eq.unscale(sol)
+	sp.st = state{}
+	return sol, err
+}
+
+// start resets the space's state for a solve of its equilibrated problem
+// with the given options (defaults applied) and returns it.
+func (sp *space) start(ctx context.Context, opt Options) *state {
+	sp.st = state{
+		ctx: ctx, p: &sp.prob, opt: opt,
+		n: len(sp.prob.C), m: sp.prob.Dims.Dim(),
+		sp: sp, sv: sp.sv, ws: &sp.ws,
+	}
+	return &sp.st
+}
+
+// detach returns a copy of a vector that lives in a space, nil for nil.
+func detach(v linalg.Vector) linalg.Vector {
+	if v == nil {
+		return nil
+	}
+	return v.Clone()
+}
+
+// pipeline returns the space's factorization pipeline, building it on the
+// space's first factorization: on the pattern entry's shared symbolic
+// analysis when the space is pooled, on a local one otherwise. For a pooled
+// space it counts a cache hit when the pipeline was already there and a
+// miss when it had to be built.
+func (sp *space) pipeline(workers int) *neFactor {
+	if sp.ne == nil {
+		if sp.entry == nil {
+			sp.ne = newNEFactor(sp.sv, nil, sp.backend, workers)
+			return sp.ne
+		}
+		sp.pc.misses.Add(1)
+		sp.ne = sp.entry.build(sp.sv, sp.backend, workers)
+		return sp.ne
+	}
+	sp.pc.hits.Add(1)
+	// The worker bound is a per-solve setting, not part of the pooled
+	// identity; refresh it (scheduling only — results never change).
+	if sc, ok := sp.ne.chol.(*linalg.SupernodalCholesky); ok {
+		sc.SetParallelism(workers)
+	}
+	return sp.ne
+}
+
+// footprint estimates the bytes the space holds: its vectors, the sparse
+// view, the factorization pipeline once built, and the NT scaling (d, λ, v
+// and v⁻¹, at most three values per cone row).
+func (sp *space) footprint() int {
+	p := &sp.prob
+	b := 8*(len(p.C)+len(p.GSparse.Val)+len(p.H)+len(sp.eq.rowScale)+sp.ws.floats+3*len(p.H)) + sp.sv.footprint()
+	if sp.ne != nil {
+		b += sp.ne.bytes
+	}
+	return b
+}
+
+// state carries the iterates and workspace of one solve. It lives in its
+// space, which start resets for every solve.
 type state struct {
 	ctx context.Context
 	p   *Problem
@@ -61,9 +183,10 @@ type state struct {
 
 	n, m int // variables, cone dim
 
-	// warm is the caller's warm start mapped into the equilibrated
-	// coordinates; nil selects the cold least-squares starting point.
-	warm *WarmStart
+	// warm records that ws.x, ws.s and ws.z hold the caller's warm start
+	// mapped into the equilibrated coordinates; false selects the cold
+	// least-squares starting point.
+	warm bool
 	// warmActive records that the iterate was installed from the warm start
 	// without the interior-margin shift: the shift is deferred until the
 	// run loop decides it actually has to take a step, so a warm point that
@@ -71,40 +194,40 @@ type state struct {
 	// without ever factorizing.
 	warmActive bool
 
-	x     linalg.Vector
-	s, z  linalg.Vector
-	e     linalg.Vector // cone identity
 	hnorm float64
 	cnorm float64
 
-	// sv is the sparse view of the (equilibrated) problem's constraint
-	// matrix, built by initWorkspace.
+	// sp is the space the solve runs on; sv and ws are its sparse view and
+	// buffers, and ne is its factorization pipeline once the solve has
+	// factored.
+	sp *space
 	sv *sparseView
-	// factorBackend is the resolved sparse factorization backend
-	// (FactorSparse or FactorSupernodal, never FactorAuto).
-	factorBackend Factorization
-	ws            workspace
+	ws *workspace
+	ne *neFactor
 
-	// scaling is the NT scaling of the current iterate, updated in place at
-	// every iteration; kkt is the one factorized KKT system, whose storage
-	// the factorization pipeline owns.
-	scaling cone.Scaling
-	kkt     kktFactor
+	// kkt is the one factorized KKT system, whose storage the factorization
+	// pipeline owns.
+	kkt kktFactor
 
 	// linearSolves counts the factored solves (solveOnce calls) so far,
 	// reported as Solution.LinearSolves.
 	linearSolves int
 }
 
-// workspace holds every buffer the solver reuses across iterations, so that
-// after initWorkspace and the first NT scaling an iteration allocates
-// nothing.
+// workspace holds every vector a solve reuses across iterations, the
+// iterates included, so that after the first NT scaling an iteration
+// allocates nothing. All of them are cut from one allocation.
 type workspace struct {
+	// Iterates and the cone identity: x is n long, the others m.
+	x, s, z, e linalg.Vector
+	// topX, topS and topZ hold the best iterate of the solve.
+	topX, topS, topZ linalg.Vector
+
 	// kktFactor.solve: iterative-refinement scratch.
 	r1, r2       linalg.Vector // n, m residuals
 	w2z          linalg.Vector // m
 	curX, curZ   linalg.Vector // running refined iterate
-	bestX, bestZ linalg.Vector // best iterate seen
+	bestX, bestZ linalg.Vector // best refined iterate of one solve call
 	corX, corZ   linalg.Vector // correction step
 
 	// solveOnce scratch; t ends holding G·dx of the last solveOnce.
@@ -119,44 +242,41 @@ type workspace struct {
 	uaff               linalg.Vector // m, scaled complementarity term
 	wds, wdz, corr, dc linalg.Vector // m, Mehrotra corrector
 	ns, nz             linalg.Vector // m, step back-off double buffers
+
+	floats int // values in all the vectors above
 }
 
-// initWorkspace builds the sparse view and allocates the per-solve buffers
-// once; the iteration loop reuses them instead of calling Clone each pass.
-// The factorization pipeline owns its own pattern-sized buffers.
-func (st *state) initWorkspace() {
-	n, m := st.n, st.m
-	ws := &st.ws
-	st.sv = newSparseView(st.p)
-	st.factorBackend = ResolveFactorization(st.opt.Factorization, n)
-	if nd := len(st.sv.split); nd > 0 {
-		ws.full = linalg.NewVector(n + nd)
-		ws.fsol = linalg.NewVector(n + nd)
+// init allocates the buffers of a problem with n variables, cone dimension
+// m and nd rows split off H.
+func (ws *workspace) init(n, m, nd int) {
+	full := 0
+	if nd > 0 {
+		full = n + nd
 	}
-	ws.r1 = linalg.NewVector(n)
-	ws.r2 = linalg.NewVector(m)
-	ws.w2z = linalg.NewVector(m)
-	ws.curX, ws.curZ = linalg.NewVector(n), linalg.NewVector(m)
-	ws.bestX, ws.bestZ = linalg.NewVector(n), linalg.NewVector(m)
-	ws.corX, ws.corZ = linalg.NewVector(n), linalg.NewVector(m)
-	ws.t = linalg.NewVector(m)
-	ws.rhs = linalg.NewVector(n)
-	ws.rx = linalg.NewVector(n)
-	ws.rz = linalg.NewVector(m)
-	ws.gz = linalg.NewVector(n)
-	ws.gx = linalg.NewVector(m)
-	ws.nbx = linalg.NewVector(n)
-	ws.nbz = linalg.NewVector(m)
-	ws.nwu = linalg.NewVector(m)
-	ws.nt = linalg.NewVector(m)
-	ws.nds = linalg.NewVector(m)
-	ws.uaff = linalg.NewVector(m)
-	ws.wds = linalg.NewVector(m)
-	ws.wdz = linalg.NewVector(m)
-	ws.corr = linalg.NewVector(m)
-	ws.dc = linalg.NewVector(m)
-	ws.ns = linalg.NewVector(m)
-	ws.nz = linalg.NewVector(m)
+	ws.floats = 10*n + 24*m + 2*full // the vectors cut below
+	buf := make([]float64, ws.floats)
+	cut := func(k int) linalg.Vector {
+		v := linalg.Vector(buf[:k:k])
+		buf = buf[k:]
+		return v
+	}
+	ws.x, ws.s, ws.z, ws.e = cut(n), cut(m), cut(m), cut(m)
+	ws.topX, ws.topS, ws.topZ = cut(n), cut(m), cut(m)
+	if nd > 0 {
+		ws.full, ws.fsol = cut(full), cut(full)
+	}
+	ws.r1, ws.r2, ws.w2z = cut(n), cut(m), cut(m)
+	ws.curX, ws.curZ = cut(n), cut(m)
+	ws.bestX, ws.bestZ = cut(n), cut(m)
+	ws.corX, ws.corZ = cut(n), cut(m)
+	ws.t, ws.rhs = cut(m), cut(n)
+	ws.rx, ws.rz = cut(n), cut(m)
+	ws.gz, ws.gx = cut(n), cut(m)
+	ws.nbx, ws.nbz, ws.nwu = cut(n), cut(m), cut(m)
+	ws.nt, ws.nds = cut(m), cut(m)
+	ws.uaff = cut(m)
+	ws.wds, ws.wdz, ws.corr, ws.dc = cut(m), cut(m), cut(m), cut(m)
+	ws.ns, ws.nz = cut(m), cut(m)
 }
 
 // kktFactor is a factorized KKT system for a fixed NT scaling. It solves
@@ -193,7 +313,7 @@ func (st *state) factor(w *cone.Scaling) (*kktFactor, error) {
 // static diagonal shift; otherwise it factorizes the quasi-definite KKT
 // matrix with the ±reg diagonal floor.
 func (st *state) factorSparse(f *kktFactor) (*kktFactor, error) {
-	ne := st.sv.normalEq(st.opt.Cache, st.factorBackend, st.opt.FactorWorkers)
+	ne := st.pipeline()
 	ne.ata.Compute(st.sv.gs)
 	h := ne.ata.Result
 	reg := st.opt.KKTReg * (1 + ne.hMax(st.sv.gs))
@@ -218,6 +338,15 @@ func (st *state) factorSparse(f *kktFactor) (*kktFactor, error) {
 	return f, nil
 }
 
+// pipeline returns the solve's factorization pipeline, taking it from the
+// space on the solve's first factorization.
+func (st *state) pipeline() *neFactor {
+	if st.ne == nil {
+		st.ne = st.sp.pipeline(st.opt.FactorWorkers)
+	}
+	return st.ne
+}
+
 // refineTol is the accuracy at which kktFactor.solve stops refining: a KKT
 // residual of at most refineTol·(1 + ‖b‖∞) is as good as the working
 // precision delivers. It is ECOS's LINSYSACC (Domahidi, Chu & Boyd, 2013).
@@ -236,7 +365,7 @@ const maxRefineChecks = 4
 // computed. The returned vectors are workspace-owned and valid only until
 // the next solve call; callers that keep them must clone.
 func (f *kktFactor) solve(bx, bz linalg.Vector) (dx, dz linalg.Vector) {
-	ws := &f.st.ws
+	ws := f.st.ws
 	cx, cz := ws.curX, ws.curZ
 	f.solveOnce(bx, bz, cx, cz)
 	// solveOnce left G·cx in ws.t, so the first check forms no product.
@@ -269,7 +398,7 @@ func (f *kktFactor) solve(bx, bz linalg.Vector) (dx, dz linalg.Vector) {
 // the second block is then formed without a product.
 func (f *kktFactor) residual(bx, bz, x, z, gx linalg.Vector) {
 	st := f.st
-	ws := &st.ws
+	ws := st.ws
 	r1 := ws.r1 // bx − Gᵀz
 	r1.CopyFrom(bx)
 	st.sv.g.MulVecTAdd(r1, -1, z)
@@ -293,7 +422,7 @@ func (f *kktFactor) residual(bx, bz, x, z, gx linalg.Vector) {
 // which kktFactor.solve's first residual check reads.
 func (f *kktFactor) solveOnce(bx, bz, dx, dz linalg.Vector) {
 	st := f.st
-	ws := &st.ws
+	ws := st.ws
 	st.linearSolves++
 	// t = W⁻² bz.
 	t := bz
@@ -335,13 +464,10 @@ func (f *kktFactor) solveOnce(bx, bz, dx, dz linalg.Vector) {
 
 func (st *state) run() (*Solution, error) {
 	p := st.p
-	st.n = p.NumVars()
-	st.m = p.Dims.Dim()
-	st.e = linalg.NewVector(st.m)
-	p.Dims.Identity(st.e)
+	ws := st.ws
+	p.Dims.Identity(ws.e)
 	st.hnorm = linalg.Norm2(p.H)
 	st.cnorm = linalg.Norm2(p.C)
-	st.initWorkspace()
 
 	if err := st.initPoint(); err != nil {
 		return st.failed(err)
@@ -350,11 +476,8 @@ func (st *state) run() (*Solution, error) {
 	nu := float64(p.Dims.Degree())
 	sol := &Solution{Status: StatusMaxIterations}
 	best := &Solution{Status: StatusMaxIterations}
-	best.X = linalg.NewVector(st.n)
-	best.S = linalg.NewVector(st.m)
-	best.Z = linalg.NewVector(st.m)
+	best.X, best.S, best.Z = ws.topX, ws.topS, ws.topZ
 	bestScore := math.Inf(1)
-	ws := &st.ws
 
 	for iter := 0; iter <= st.opt.MaxIter; iter++ {
 		// Cancellation is observed once per iteration: deadlines and Ctrl-C
@@ -373,21 +496,21 @@ func (st *state) run() (*Solution, error) {
 		// Residuals.
 		rx := ws.rx // rx = c + Gᵀz
 		rx.CopyFrom(p.C)
-		st.sv.g.MulVecTAdd(rx, 1, st.z)
+		st.sv.g.MulVecTAdd(rx, 1, ws.z)
 		rz := ws.rz // rz = Gx + s − h
-		st.sv.g.MulVec(rz, st.x)
-		linalg.Add(rz, rz, st.s)
+		st.sv.g.MulVec(rz, ws.x)
+		linalg.Add(rz, rz, ws.s)
 		rz.AddScaled(-1, p.H)
 
-		pcost := linalg.Dot(p.C, st.x)
-		hz := linalg.Dot(p.H, st.z)
+		pcost := linalg.Dot(p.C, ws.x)
+		hz := linalg.Dot(p.H, ws.z)
 		dcost := -hz
-		gap := linalg.Dot(st.s, st.z)
+		gap := linalg.Dot(ws.s, ws.z)
 		relgap := gap / math.Max(1, math.Abs(pcost))
 		pres := linalg.Norm2(rz) / math.Max(1, st.hnorm)
 		dres := linalg.Norm2(rx) / math.Max(1, st.cnorm)
 
-		sol.X, sol.S, sol.Z = st.x, st.s, st.z
+		sol.X, sol.S, sol.Z = ws.x, ws.s, ws.z
 		sol.PrimalObj, sol.DualObj = pcost, dcost
 		sol.Gap, sol.RelGap, sol.PrimalRes, sol.DualRes = gap, relgap, pres, dres
 		sol.Iterations = iter
@@ -410,18 +533,18 @@ func (st *state) run() (*Solution, error) {
 			gz.CopyFrom(rx)
 			gz.AddScaled(-1, p.C)
 			if linalg.Norm2(gz)/(-hz) <= st.opt.FeasTol {
-				scaleCert(st.z, -1/hz)
+				scaleCert(ws.z, -1/hz)
 				sol.Status = StatusPrimalInfeasible
 				return sol, nil
 			}
 		}
 		if pcost < 0 {
 			gx := ws.gx
-			st.sv.g.MulVec(gx, st.x)
-			linalg.Add(gx, gx, st.s)
+			st.sv.g.MulVec(gx, ws.x)
+			linalg.Add(gx, gx, ws.s)
 			if linalg.Norm2(gx)/(-pcost) <= st.opt.FeasTol {
-				scaleCert(st.x, -1/pcost)
-				scaleCert(st.s, -1/pcost)
+				scaleCert(ws.x, -1/pcost)
+				scaleCert(ws.s, -1/pcost)
 				sol.Status = StatusDualInfeasible
 				return sol, nil
 			}
@@ -454,19 +577,19 @@ func (st *state) run() (*Solution, error) {
 		// neighbor iterate sits on. The shift moves s and z, so the
 		// residuals and gap that feed the step are recomputed.
 		if st.warmActive && iter == 0 {
-			st.shiftWarm(st.s)
-			st.shiftWarm(st.z)
+			st.shiftWarm(ws.s)
+			st.shiftWarm(ws.z)
 			rx.CopyFrom(p.C)
-			st.sv.g.MulVecTAdd(rx, 1, st.z)
-			st.sv.g.MulVec(rz, st.x)
-			linalg.Add(rz, rz, st.s)
+			st.sv.g.MulVecTAdd(rx, 1, ws.z)
+			st.sv.g.MulVec(rz, ws.x)
+			linalg.Add(rz, rz, ws.s)
 			rz.AddScaled(-1, p.H)
-			gap = linalg.Dot(st.s, st.z)
+			gap = linalg.Dot(ws.s, ws.z)
 		}
 
 		// NT scaling and KKT factorization.
-		w := &st.scaling
-		if err := w.Update(p.Dims, st.s, st.z); err != nil {
+		w := &st.sp.scaling
+		if err := w.Update(p.Dims, ws.s, ws.z); err != nil {
 			return breakdown(sol, best, bestScore), nil
 		}
 		lambda := w.Lambda()
@@ -484,9 +607,9 @@ func (st *state) run() (*Solution, error) {
 		_, dza, dsa := st.newton(f, w, rx, rz, u)
 
 		alphaAff := math.Min(1, math.Min(
-			p.Dims.StepToBoundary(st.s, dsa),
-			p.Dims.StepToBoundary(st.z, dza)))
-		gapAff := affGap(st.s, dsa, st.z, dza, alphaAff)
+			p.Dims.StepToBoundary(ws.s, dsa),
+			p.Dims.StepToBoundary(ws.z, dza)))
+		gapAff := affGap(ws.s, dsa, ws.z, dza, alphaAff)
 		sigma := math.Pow(math.Max(0, gapAff/gap), 3)
 		if sigma > 1 {
 			sigma = 1
@@ -504,28 +627,28 @@ func (st *state) run() (*Solution, error) {
 		p.Dims.Product(dc, lambda, lambda)
 		dc.Scale(-1)
 		dc.AddScaled(-1, corr)
-		dc.AddScaled(sigma*mu, st.e)
+		dc.AddScaled(sigma*mu, ws.e)
 		p.Dims.Div(u, lambda, dc)
 		dx, dz, ds := st.newton(f, w, rx, rz, u)
 
 		alpha := math.Min(1, st.opt.StepFrac*math.Min(
-			p.Dims.StepToBoundary(st.s, ds),
-			p.Dims.StepToBoundary(st.z, dz)))
+			p.Dims.StepToBoundary(ws.s, ds),
+			p.Dims.StepToBoundary(ws.z, dz)))
 
 		// Take the step, backing off if rounding pushed an iterate onto the
-		// boundary. ns/nz double-buffer against st.s/st.z: on acceptance the
+		// boundary. ns/nz double-buffer against s/z: on acceptance the
 		// slices swap roles, so each try rebuilds the candidate from the
 		// untouched current iterate.
 		ns, nz := ws.ns, ws.nz
 		for tries := 0; ; tries++ {
-			ns.CopyFrom(st.s)
+			ns.CopyFrom(ws.s)
 			ns.AddScaled(alpha, ds)
-			nz.CopyFrom(st.z)
+			nz.CopyFrom(ws.z)
 			nz.AddScaled(alpha, dz)
 			if p.Dims.Interior(ns) && p.Dims.Interior(nz) {
-				ws.ns, ws.nz = st.s, st.z
-				st.s, st.z = ns, nz
-				st.x.AddScaled(alpha, dx)
+				ws.s, ws.ns = ns, ws.s
+				ws.z, ws.nz = nz, ws.z
+				ws.x.AddScaled(alpha, dx)
 				break
 			}
 			if tries >= 30 {
@@ -542,7 +665,7 @@ func (st *state) run() (*Solution, error) {
 // vectors are workspace-owned; they stay valid until the next newton or
 // kktFactor.solve call.
 func (st *state) newton(f *kktFactor, w *cone.Scaling, rx, rz, u linalg.Vector) (dx, dz, ds linalg.Vector) {
-	ws := &st.ws
+	ws := st.ws
 	bx := ws.nbx
 	bx.CopyFrom(rx)
 	bx.Scale(-1)
@@ -636,39 +759,34 @@ func (st *state) initPoint() error {
 	return st.coldPoint()
 }
 
-// warmPoint moves the scaled warm start into the iterate slots. The primal
-// slack is recomputed against this problem's h (s = h − Gx) whenever the
-// result stays strictly interior, so a sweep step that only moved a bound
-// starts with a zero primal residual. When the raw pair (s, z) is strictly
-// interior it is installed unshifted and warmActive is set: the run loop
-// gives it one free convergence check and only shifts to the margin floor
-// if it actually has to iterate. Otherwise the pair is shifted here, and a
-// pair that still fails the interior check (e.g. non-finite) reports false,
-// leaving the cold start to run.
+// warmPoint starts from the scaled warm start in ws.x, ws.s and ws.z. The
+// primal slack is recomputed against this problem's h (s = h − Gx) whenever
+// the result stays strictly interior, so a sweep step that only moved a
+// bound starts with a zero primal residual. When the pair (s, z) is
+// strictly interior it is kept unshifted and warmActive is set: the run
+// loop gives it one free convergence check and only shifts to the margin
+// floor if it actually has to iterate. Otherwise the pair is shifted here,
+// and a pair that still fails the interior check (e.g. non-finite) reports
+// false, leaving the cold start to run.
 func (st *state) warmPoint() bool {
-	w := st.warm
-	if w == nil {
+	if !st.warm {
 		return false
 	}
-	s := linalg.NewVector(st.m)
-	st.sv.g.MulVec(s, w.X)
+	ws := st.ws
+	s := ws.ns // step scratch, free until the first step
+	st.sv.g.MulVec(s, ws.x)
 	s.Scale(-1)
 	linalg.Add(s, s, st.p.H)
 	if st.p.Dims.Interior(s) {
-		w.S = s
+		ws.s, ws.ns = s, ws.s
 	}
-	if st.p.Dims.Interior(w.S) && st.p.Dims.Interior(w.Z) {
-		st.x, st.s, st.z = w.X, w.S, w.Z
+	if st.p.Dims.Interior(ws.s) && st.p.Dims.Interior(ws.z) {
 		st.warmActive = true
 		return true
 	}
-	st.shiftWarm(w.S)
-	st.shiftWarm(w.Z)
-	if !st.p.Dims.Interior(w.S) || !st.p.Dims.Interior(w.Z) {
-		return false
-	}
-	st.x, st.s, st.z = w.X, w.S, w.Z
-	return true
+	st.shiftWarm(ws.s)
+	st.shiftWarm(ws.z)
+	return st.p.Dims.Interior(ws.s) && st.p.Dims.Interior(ws.z)
 }
 
 // shiftWarm raises v's interior margin to the warm floor by moving along
@@ -676,7 +794,7 @@ func (st *state) warmPoint() bool {
 func (st *state) shiftWarm(v linalg.Vector) {
 	floor := warmMarginFrac * (1 + linalg.NormInf(v))
 	if th := st.p.Dims.InteriorMargin(v); th < floor {
-		v.AddScaled(floor-th, st.e)
+		v.AddScaled(floor-th, st.ws.e)
 	}
 }
 
@@ -684,26 +802,32 @@ func (st *state) shiftWarm(v linalg.Vector) {
 // into the interior of the cone.
 func (st *state) coldPoint() error {
 	p := st.p
+	ws := st.ws
 	f, err := st.factor(nil) // W = I
 	if err != nil {
 		return fmt.Errorf("socp: initial factorization failed: %w", err)
 	}
-	// Primal: minimize ‖Gx − h‖; s = h − Gx, shifted inward.
-	zero := linalg.NewVector(st.n)
+	// Primal: minimize ‖Gx − h‖; s = h − Gx, shifted inward. The
+	// right-hand sides live in main-loop scratch, free until the loop runs.
+	zero := ws.rx
+	zero.Zero()
 	x, ztilde := f.solve(zero, p.H)
-	st.x = x.Clone() // the solve results are workspace-backed
-	st.s = ztilde.Clone()
-	st.s.Scale(-1) // s = h − Gx = −z̃
-	if th := p.Dims.InteriorMargin(st.s); th <= 0 {
-		st.s.AddScaled(1-th, st.e)
+	ws.x.CopyFrom(x) // the solve results are scratch
+	ws.s.CopyFrom(ztilde)
+	ws.s.Scale(-1) // s = h − Gx = −z̃
+	if th := p.Dims.InteriorMargin(ws.s); th <= 0 {
+		ws.s.AddScaled(1-th, ws.e)
 	}
 	// Dual: minimize ‖z‖ s.t. Gᵀz = −c; shifted inward.
-	negc := p.C.Clone()
+	negc := ws.rx
+	negc.CopyFrom(p.C)
 	negc.Scale(-1)
-	_, z := f.solve(negc, linalg.NewVector(st.m))
-	st.z = z.Clone()
-	if th := p.Dims.InteriorMargin(st.z); th <= 0 {
-		st.z.AddScaled(1-th, st.e)
+	zeroM := ws.rz
+	zeroM.Zero()
+	_, z := f.solve(negc, zeroM)
+	ws.z.CopyFrom(z)
+	if th := p.Dims.InteriorMargin(ws.z); th <= 0 {
+		ws.z.AddScaled(1-th, ws.e)
 	}
 	return nil
 }

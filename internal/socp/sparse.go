@@ -26,6 +26,10 @@ import (
 // split off (split): H covers the short rows only, and the long ones enter
 // the factorization as extra rows of the quasi-definite KKT matrix (see
 // neFactor), where they cost O(w) instead of O(w²).
+//
+// Everything but the values of g, gs and the block templates depends on
+// G's pattern and the cone dims alone, so a view serves every solve of its
+// pattern: load takes in the values of the next problem.
 type sparseView struct {
 	g  *linalg.SparseMatrix // exact pattern of G
 	gs *linalg.SparseMatrix // W⁻¹G template; values rewritten by fillScaled
@@ -40,11 +44,6 @@ type sparseView struct {
 	splitMask []bool
 
 	colBuf, outBuf linalg.Vector // gather/scatter scratch, len = max block size
-
-	// ne is the sparse factorization pipeline (normal equations or KKT
-	// matrix), built lazily on the first sparse-backend factor call because its
-	// symbolic analysis only depends on the fixed gs pattern.
-	ne *neFactor
 }
 
 // maxNormalEqRow is the longest row of W⁻¹G whose outer product is
@@ -60,23 +59,25 @@ type socBlockView struct {
 	q    int   // block size
 	cols []int // sorted union of the block rows' column patterns
 	// gv is the q×len(cols) row-major dense copy of G's block entries:
-	// gv[r*len(cols)+k] = G[off+r][cols[k]].
+	// gv[r*len(cols)+k] = G[off+r][cols[k]]. load rewrites it.
 	gv []float64
 }
 
-// newSparseView builds the sparse structure for a validated problem
-// carrying GSparse, which the view uses directly.
-func newSparseView(p *Problem) *sparseView {
-	sv := &sparseView{dims: p.Dims, g: p.GSparse, socs: make([]socBlockView, 0, len(p.Dims.SOC))}
+// newSparseView builds the sparse structure of g, a constraint matrix of
+// the cone dims. It reads g's pattern only; call load once g holds the
+// values to solve with. The view keeps g and dims, and reads g's values at
+// every load.
+func newSparseView(g *linalg.SparseMatrix, dims cone.Dims) *sparseView {
+	sv := &sparseView{dims: dims, g: g, socs: make([]socBlockView, 0, len(dims.SOC))}
 	n := sv.g.Cols
 	pattern := make([][]int, sv.g.Rows)
-	for i := 0; i < p.Dims.NonNeg; i++ {
+	for i := 0; i < dims.NonNeg; i++ {
 		lo, hi := sv.g.RowPtr[i], sv.g.RowPtr[i+1]
 		pattern[i] = sv.g.ColIdx[lo:hi] // a view; NewSparseFromPattern copies it below
 	}
-	off := p.Dims.NonNeg
+	off := dims.NonNeg
 	maxQ := 0
-	for _, q := range p.Dims.SOC {
+	for _, q := range dims.SOC {
 		if q > maxQ {
 			maxQ = q
 		}
@@ -86,13 +87,7 @@ func newSparseView(p *Problem) *sparseView {
 		cols := slices.Clone(sv.g.ColIdx[lo:hi])
 		slices.Sort(cols)
 		cols = slices.Compact(cols)
-		blk := socBlockView{off: off, q: q, cols: cols, gv: make([]float64, q*len(cols))}
-		for r := 0; r < q; r++ {
-			for k, j := range cols {
-				blk.gv[r*len(cols)+k] = sv.g.At(off+r, j)
-			}
-		}
-		sv.socs = append(sv.socs, blk)
+		sv.socs = append(sv.socs, socBlockView{off: off, q: q, cols: cols, gv: make([]float64, q*len(cols))})
 		for r := off; r < off+q; r++ {
 			pattern[r] = cols
 		}
@@ -111,6 +106,35 @@ func newSparseView(p *Problem) *sparseView {
 	sv.colBuf = linalg.NewVector(maxQ)
 	sv.outBuf = linalg.NewVector(maxQ)
 	return sv
+}
+
+// load copies g's current SOC block entries into the block templates,
+// zero where a block row has no entry in a column of the block's union.
+// Rows of a CSR matrix have strictly increasing columns, so every entry
+// has exactly one slot.
+func (sv *sparseView) load() {
+	g := sv.g
+	for bi := range sv.socs {
+		blk := &sv.socs[bi]
+		clear(blk.gv)
+		nc := len(blk.cols)
+		for r := 0; r < blk.q; r++ {
+			for t := g.RowPtr[blk.off+r]; t < g.RowPtr[blk.off+r+1]; t++ {
+				k, _ := slices.BinarySearch(blk.cols, g.ColIdx[t])
+				blk.gv[r*nc+k] = g.Val[t]
+			}
+		}
+	}
+}
+
+// footprint estimates the bytes the view holds: the W⁻¹G template's values
+// and indices, the block templates and the split mask.
+func (sv *sparseView) footprint() int {
+	b := 16*sv.gs.NNZ() + 8*len(sv.gs.RowPtr) + len(sv.splitMask) + 8*len(sv.split)
+	for _, blk := range sv.socs {
+		b += 8*len(blk.cols) + 8*len(blk.gv)
+	}
+	return b
 }
 
 // fillScaled overwrites the values of gs with W⁻¹G for the given NT scaling

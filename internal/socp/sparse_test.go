@@ -105,7 +105,7 @@ func TestSparseAssemblyMatchesDenseOracle(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		p := randomProblem(rng, 2+rng.Intn(5), 1+rng.Intn(4), rng.Intn(3), 0.8)
 		n := p.NumVars()
-		sv := newSparseView(withCSR(p))
+		sv := testView(withCSR(p))
 		ata := linalg.NewSparseAtA(sv.gs)
 		want := linalg.NewMatrix(n, n)
 		for k, w := range realScalings(t, p) {
@@ -177,7 +177,7 @@ func TestSparseFactorMatchesDenseOracle(t *testing.T) {
 func TestSparseViewPattern(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	p := randomProblem(rng, 2+rng.Intn(5), 1+rng.Intn(4), rng.Intn(3), 0.8)
-	sv := newSparseView(withCSR(p))
+	sv := testView(withCSR(p))
 	// Unscaled fill (w = nil) must reproduce G on the shared pattern.
 	sv.fillScaled(nil)
 	for k, m := range []*linalg.SparseMatrix{sv.g, sv.gs} {

@@ -2,13 +2,14 @@ package socp
 
 import "repro/internal/linalg"
 
-// neFactor is the sparse factorization pipeline of one solve. The symbolic
-// work — the AᵀA scatter plan for H = (W⁻¹G)ᵀ(W⁻¹G), the fill-reducing AMD
-// ordering, the elimination tree, and the symbolic factorization — is done
-// once per problem, because the scaled-G pattern the sparse view fixes makes
-// H's pattern iteration-invariant. Each interior-point iteration then only
-// refills numeric values and runs the numeric refactorization, dropping the
-// per-iteration factor cost from the dense O(n³) to O(nnz(L)·row-width).
+// neFactor is the sparse factorization pipeline of one solve space. The
+// symbolic work — the AᵀA scatter plan for H = (W⁻¹G)ᵀ(W⁻¹G), the
+// fill-reducing AMD ordering, the elimination tree, and the symbolic
+// factorization — is done once per space, because the scaled-G pattern
+// the sparse view fixes makes H's pattern iteration-invariant. Each
+// interior-point iteration then only refills numeric values and runs the
+// numeric refactorization, dropping the per-iteration factor cost from the
+// dense O(n³) to O(nnz(L)·row-width).
 //
 // H covers only the short rows of W⁻¹G (H_s). The long rows the sparse view
 // splits off (B) enter a quasi-definite KKT matrix instead:
@@ -39,14 +40,9 @@ type neFactor struct {
 
 	hii linalg.Vector // scratch of hMax, len n (nd > 0)
 
-	// bytes estimates the memory the pipeline holds (see footprint); the
-	// pattern cache bounds its idle pipelines by it.
+	// bytes estimates the memory the pipeline holds (see footprint); it
+	// is part of its space's footprint, which bounds the pattern cache.
 	bytes int
-
-	// cacheEntry backlinks a cache-built pipeline to its pattern's free
-	// list so PatternCache.release can return it; nil for uncached
-	// pipelines.
-	cacheEntry *patternEntry
 }
 
 // newNEFactor builds the factorization pipeline for the sparse view's
@@ -243,19 +239,4 @@ func (f *neFactor) hMax(gs *linalg.SparseMatrix) float64 {
 		d[gs.ColIdx[src]] += v * v
 	}
 	return linalg.NormInf(d)
-}
-
-// normalEq returns the sparse factorization pipeline of the view, acquiring
-// it from the pattern cache (when one is configured) or running the
-// symbolic analysis locally on first use. backend must be resolved (never
-// FactorAuto); pipelines are cached per (pattern, backend) pair.
-func (sv *sparseView) normalEq(pc *PatternCache, backend Factorization, workers int) *neFactor {
-	if sv.ne == nil {
-		if pc != nil {
-			sv.ne = pc.acquire(sv, backend, workers)
-		} else {
-			sv.ne = newNEFactor(sv, nil, backend, workers)
-		}
-	}
-	return sv.ne
 }

@@ -1,7 +1,6 @@
 package socp
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -58,11 +57,11 @@ func TestSplitKKTSolvesNormalEquations(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	p := longRowProblem(rng, 12, 12, 2)
 	n := p.NumVars()
-	sv := newSparseView(withCSR(p))
+	sv := testView(withCSR(p))
 	if len(sv.split) != 1 || sv.split[0] != 0 {
 		t.Fatalf("split rows %v, want [0]", sv.split)
 	}
-	ne := sv.normalEq(nil, FactorSparse, 1)
+	ne := newNEFactor(sv, nil, FactorSparse, 1)
 	if ne.kkt == nil || ne.nd != 1 || ne.kkt.Rows != n+1 {
 		t.Fatalf("KKT pipeline with %d split rows, want 1", ne.nd)
 	}
@@ -147,8 +146,8 @@ func TestSplitSolveMatchesOracles(t *testing.T) {
 func TestSplitRegScaleMatchesFullH(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	p := longRowProblem(rng, 12, 12, 2)
-	sv := newSparseView(withCSR(p))
-	ne := sv.normalEq(nil, FactorSparse, 1)
+	sv := testView(withCSR(p))
+	ne := newNEFactor(sv, nil, FactorSparse, 1)
 	for k, w := range realScalings(t, p) {
 		sv.fillScaled(w)
 		ne.ata.Compute(sv.gs)
@@ -176,14 +175,12 @@ func TestQuasiDefRefinesAgainstUnregularized(t *testing.T) {
 	rng := rand.New(rand.NewSource(65))
 	p := withCSR(longRowProblem(rng, 14, 12, 2))
 	for k, w := range realScalings(t, p) {
-		st := &state{ctx: context.Background(), p: p, opt: Options{}.withDefaults()}
-		st.n, st.m = p.NumVars(), p.Dims.Dim()
-		st.initWorkspace()
+		st := unscaledState(p)
 		f, err := st.factor(w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ne := st.sv.ne
+		ne := st.ne
 		if ne.kkt == nil || ne.nd != 1 || f.hs != ne.kkt {
 			t.Fatal("split-row problem does not factor the KKT matrix")
 		}
@@ -203,7 +200,7 @@ func TestQuasiDefRefinesAgainstUnregularized(t *testing.T) {
 		}
 		dx, dz := f.solve(bx, bz)
 		f.residual(bx, bz, dx, dz, nil)
-		ws := &st.ws
+		ws := st.ws
 		res := math.Max(linalg.NormInf(ws.r1), linalg.NormInf(ws.r2))
 		scale := 1 + math.Max(linalg.NormInf(dx), linalg.NormInf(dz))
 		if res > 1e-9*scale {

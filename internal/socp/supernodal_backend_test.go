@@ -144,38 +144,37 @@ func TestResolveFactorization(t *testing.T) {
 	}
 }
 
-// TestPatternCacheBackendKeying: a released simplicial pipeline must never
+// TestPatternCacheBackendKeying: a released simplicial space must never
 // satisfy a supernodal acquire of the same pattern (and vice versa) — the
 // pooled numeric workspace is built for one factorization layout.
 func TestPatternCacheBackendKeying(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
-	p := randomProblem(rng, 14, 10, 2, 0.3)
-	sv := newSparseView(withCSR(p))
+	p := withCSR(randomProblem(rng, 14, 10, 2, 0.3))
 	pc := NewPatternCache()
 
-	fsp := pc.acquire(sv, FactorSparse, 1)
-	if _, ok := fsp.chol.(*linalg.SparseCholesky); !ok {
-		t.Fatalf("sparse acquire built %T", fsp.chol)
+	fsp := acquirePipeline(pc, p, FactorSparse, 1)
+	if _, ok := fsp.ne.chol.(*linalg.SparseCholesky); !ok {
+		t.Fatalf("sparse acquire built %T", fsp.ne.chol)
 	}
 	pc.release(fsp)
 
-	fsn := pc.acquire(sv, FactorSupernodal, 2)
-	if _, ok := fsn.chol.(*linalg.SupernodalCholesky); !ok {
-		t.Fatalf("supernodal acquire served %T — backend missing from the pool key", fsn.chol)
+	fsn := acquirePipeline(pc, p, FactorSupernodal, 2)
+	if _, ok := fsn.ne.chol.(*linalg.SupernodalCholesky); !ok {
+		t.Fatalf("supernodal acquire served %T — backend missing from the pool key", fsn.ne.chol)
 	}
 	if fsn == fsp {
-		t.Fatal("supernodal acquire returned the pooled simplicial pipeline")
+		t.Fatal("supernodal acquire returned the pooled simplicial space")
 	}
 	pc.release(fsn)
 	if hits, misses := pc.Stats(); hits != 0 || misses != 2 {
 		t.Fatalf("stats hits=%d misses=%d, want 0 hits / 2 misses across backends", hits, misses)
 	}
 
-	again := pc.acquire(sv, FactorSupernodal, 4)
+	again := acquirePipeline(pc, p, FactorSupernodal, 4)
 	if again != fsn {
-		t.Fatal("supernodal reacquire missed its own pooled pipeline")
+		t.Fatal("supernodal reacquire missed its own pooled space")
 	}
-	if got := again.chol.(*linalg.SupernodalCholesky).Parallelism(); got != 4 {
+	if got := again.ne.chol.(*linalg.SupernodalCholesky).Parallelism(); got != 4 {
 		t.Fatalf("pooled hit kept stale parallelism %d, want refresh to 4", got)
 	}
 }
