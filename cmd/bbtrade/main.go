@@ -15,7 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/bits"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -52,7 +52,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file after the experiments finish")
 		timeout    = fs.Duration("timeout", 0, "abort the experiments after this duration (0 = no limit)")
 		dseTasks   = fs.Int("dse-tasks", 100, "dse: chain length of the explored instance")
-		dseCap     = fs.Int("dse-cap", 64, "dse: largest buffer capacity considered (the d of O(log d))")
+		dseCap     = fs.Int("dse-cap", 64, "dse: largest buffer capacity considered")
 		dseBound   = fs.Float64("dse-bound", 0, "dse: total budget bound a capacity must meet to count as feasible (0 = any optimal solve)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -179,9 +179,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, "Latency/budget trade-off on T1 (wa → wb bound):")
 			fmt.Fprintln(stdout, experiments.RenderLatencyTradeoff(points))
 		case "dse":
-			// The PREESM-style dichotomy: smallest buffer capacity that still
-			// admits a feasible mapping (optionally under a budget bound), in
-			// O(log d) warm-started solves instead of a d-point sweep.
+			// Smallest buffer capacity that still admits a feasible mapping
+			// (optionally under a budget bound): one min-cap cone program
+			// gives a lower bound t*, and the search probes up from ⌈t*⌉
+			// instead of sweeping all d caps.
 			cfg := gen.Chain(gen.ChainOptions{Tasks: *dseTasks})
 			res, err := core.DSEBisect(ctx, cfg, core.DSEOptions{MaxCap: *dseCap, BudgetBound: *dseBound}, opt)
 			if err != nil {
@@ -196,13 +197,21 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 				fmt.Fprint(stdout, tb.CSV())
 				return 0
 			}
-			fmt.Fprintf(stdout, "DSE bisection over %s, caps 1..%d (≤ %d solves allowed):\n",
-				cfg.Name, *dseCap, 1+bits.Len(uint(*dseCap-1)))
+			minCap := fmt.Sprintf("t* = %.4f, probes from ⌈t*⌉", res.MinCap)
+			if math.IsNaN(res.MinCap) {
+				a := res.MinCapReport.Attempts
+				minCap = fmt.Sprintf("%v, probes", a[len(a)-1].Status)
+			}
+			fmt.Fprintf(stdout, "DSE over %s, caps 1..%d: min-cap program %s:\n", cfg.Name, *dseCap, minCap)
 			fmt.Fprintln(stdout, tb.String())
+			solves := "solves"
+			if res.Solves == 1 {
+				solves = "solve"
+			}
 			if res.Cap < 0 {
-				fmt.Fprintf(stdout, "no feasible capacity ≤ %d (settled in %d solve)\n", *dseCap, res.Solves)
+				fmt.Fprintf(stdout, "no feasible capacity ≤ %d (settled in %d %s)\n", *dseCap, res.Solves, solves)
 			} else {
-				fmt.Fprintf(stdout, "smallest feasible capacity: %d (found in %d solves)\n", res.Cap, res.Solves)
+				fmt.Fprintf(stdout, "smallest feasible capacity: %d (found in %d %s)\n", res.Cap, res.Solves, solves)
 			}
 		case "pareto":
 			points, err := core.ParetoFrontier(ctx, gen.PaperT1(0), 13, opt)

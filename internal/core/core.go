@@ -231,7 +231,7 @@ func buildModel(c *taskgraph.Config, caps map[string]int) (*model, error) {
 		m.graphs = append(m.graphs, gm)
 	}
 	m.addConstraints()
-	m.addObjective()
+	m.addObjective(1)
 	return m, nil
 }
 
@@ -338,13 +338,14 @@ func (m *model) addConstraints() {
 	}
 }
 
-// addObjective emits the weighted objective (5):
-// Σ a(w)·β′(w) + Σ b(e)·ζ(e)·δ′(e).
-func (m *model) addObjective() {
+// addObjective adds scale times the weighted objective (5),
+// Σ a(w)·β′(w) + Σ b(e)·ζ(e)·δ′(e), to the builder's objective: scale 1
+// emits it, −1 cancels it exactly.
+func (m *model) addObjective(scale float64) {
 	for _, tg := range m.cfg.Graphs {
 		for i := range tg.Tasks {
 			w := &tg.Tasks[i]
-			m.b.SetObjective(m.beta[w.Name], w.EffectiveBudgetWeight())
+			m.b.SetObjective(m.beta[w.Name], scale*w.EffectiveBudgetWeight())
 		}
 		if m.caps != nil {
 			continue
@@ -352,7 +353,7 @@ func (m *model) addObjective() {
 		for i := range tg.Buffers {
 			bf := &tg.Buffers[i]
 			m.b.SetObjective(m.delta[bf.Name],
-				bf.EffectiveSizeWeight()*float64(bf.EffectiveContainerSize()))
+				scale*(bf.EffectiveSizeWeight()*float64(bf.EffectiveContainerSize())))
 		}
 	}
 }

@@ -100,15 +100,19 @@ func solveWarm(ctx context.Context, c *taskgraph.Config, m *model, prob *socp.Pr
 		}
 		return res, nil, err
 	}
-	var warmOut *socp.WarmStart
-	if !opt.NoWarmStart {
-		warmOut = sol.Warm()
-	}
 	res.SolverStatus = sol.Status
 	res.SolverIterations = sol.Iterations
+	var warmOut *socp.WarmStart
 	switch sol.Status {
 	case socp.StatusOptimal:
-		// proceed
+		if !opt.NoWarmStart {
+			// The successor's seed is this optimum's own X/S/Z, not a copy:
+			// the solver detached them from its pooled space, the next
+			// solve only reads a warm start (scaleWarm copies it into its
+			// own iterates), and the rounding below only reads X, so no
+			// one writes these vectors again.
+			warmOut = &socp.WarmStart{X: sol.X, S: sol.S, Z: sol.Z}
+		}
 	case socp.StatusPrimalInfeasible:
 		res.Status = StatusInfeasible
 		return res, nil, nil

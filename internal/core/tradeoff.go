@@ -76,21 +76,27 @@ func SweepBufferCaps(ctx context.Context, c *taskgraph.Config, buffers []string,
 }
 
 // withCaps returns a copy of c in which every buffer that swept selects is
-// capped at cap containers.
+// capped at cap containers. Only what the caps change is copied: the graph
+// list, each graph and its buffers. Tasks, latencies, processors and
+// memories are shared with c and must only be read.
 func withCaps(c *taskgraph.Config, cap int, swept func(*taskgraph.Buffer) bool) *taskgraph.Config {
-	cc := c.Clone()
-	for _, tg := range cc.Graphs {
-		for j := range tg.Buffers {
-			if bf := &tg.Buffers[j]; swept(bf) {
+	cc := *c
+	cc.Graphs = make([]*taskgraph.TaskGraph, len(c.Graphs))
+	for i, tg := range c.Graphs {
+		g := *tg
+		g.Buffers = slices.Clone(tg.Buffers)
+		for j := range g.Buffers {
+			if bf := &g.Buffers[j]; swept(bf) {
 				bf.MaxContainers = cap
 			}
 		}
+		cc.Graphs[i] = &g
 	}
-	return cc
+	return &cc
 }
 
 // capFamily is Algorithm 1 built once for the configurations of one sweep
-// or bisection, which differ only in the caps (MaxContainers ≥ 1) of the
+// or DSE call, which differ only in the caps (MaxContainers ≥ 1) of the
 // swept buffers. G, c and the cone dims are the same for all of them, and
 // so is h except at the cap rows δ′ ≤ max − ι. The first point to solve
 // builds the shared model and cone program from its own configuration;
@@ -105,16 +111,28 @@ type capFamily struct {
 	err  error
 }
 
-// solve validates c, a member of the family, and solves it from warm. A
-// configuration that fails validation fails before any build or solve,
-// with the same error Solve would return for it.
-func (f *capFamily) solve(ctx context.Context, c *taskgraph.Config, opt Options, warm *socp.WarmStart) (*Result, *socp.WarmStart, error) {
-	if err := c.Validate(); err != nil {
-		return nil, nil, err
+// build checks c, a member of the family, and builds the family's model
+// and cone program from the first member that passes. c must be withCaps
+// of a validated configuration, so only its buffers' capacity bounds are
+// checked (Buffer.ValidateCapacity, in Validate's order): a member whose
+// cap fails fails with the error Solve would return for it.
+func (f *capFamily) build(c *taskgraph.Config) error {
+	for _, tg := range c.Graphs {
+		for j := range tg.Buffers {
+			if err := tg.Buffers[j].ValidateCapacity(); err != nil {
+				return err
+			}
+		}
 	}
 	f.once.Do(func() { f.m, f.prob, f.err = buildProblem(c) })
-	if f.err != nil {
-		return nil, nil, f.err
+	return f.err
+}
+
+// solve checks c, a member of the family (see build), and solves it from
+// warm. A member whose cap fails fails before any build or solve.
+func (f *capFamily) solve(ctx context.Context, c *taskgraph.Config, opt Options, warm *socp.WarmStart) (*Result, *socp.WarmStart, error) {
+	if err := f.build(c); err != nil {
+		return nil, nil, err
 	}
 	prob := *f.prob
 	prob.H = slices.Clone(f.prob.H)

@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
+	"math/bits"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/socp"
 	"repro/internal/taskgraph"
 )
 
@@ -151,50 +154,132 @@ func TestSweepWarmParallelismInvariant(t *testing.T) {
 	}
 }
 
-// TestDSEBisectMatchesLinearScan checks the bisection against the ground
+// TestDSEBisectMatchesLinearScan checks the DSE search against the ground
 // truth it replaces: the first feasible point of a full linear sweep, under
-// a budget bound that leaves a nontrivial threshold, in no more than
-// 1 + ⌈log₂ MaxCap⌉ solves.
+// budget bounds that leave a nontrivial threshold, in no more than
+// 1 + ⌈log₂ MaxCap⌉ solves. The instances cover the benchmark's chain-100
+// questions, the paper's T2 under its bound, a swept subset of buffers, a
+// MaxCap below every feasible cap, and a buffer whose initial tokens put
+// the min-cap optimum t* exactly on an integer (t ≥ ι + δ′ with δ′ ≥ 0),
+// where rounding t* up without its tolerance would skip the answer.
 func TestDSEBisectMatchesLinearScan(t *testing.T) {
-	cfg := gen.Chain(gen.ChainOptions{Tasks: 12})
-	const maxCap = 16
+	tokens := gen.Chain(gen.ChainOptions{Tasks: 12})
+	tokens.Graphs[0].Buffers[0].InitialTokens = 3
+	cases := []struct {
+		name    string
+		cfg     *taskgraph.Config
+		buffers []string
+		maxCap  int
+		bounds  []float64
+	}{
+		{"chain-12", gen.Chain(gen.ChainOptions{Tasks: 12}), nil, 16, []float64{0, 50, 60, 100, 1e9}},
+		{"chain-100", gen.Chain(gen.ChainOptions{Tasks: 100}), nil, 64, []float64{0, 1000, 500}},
+		{"T2", gen.PaperT2(0), nil, 10, []float64{45}},
+		{"chain-12 subset", gen.Chain(gen.ChainOptions{Tasks: 12}), []string{"b2", "b5", "b9"}, 16, []float64{0, 60}},
+		{"chain-12 infeasible", gen.Chain(gen.ChainOptions{Tasks: 12}), nil, 8, []float64{50}},
+		{"chain-12 tokens", tokens, []string{"b0"}, 16, []float64{0}},
+	}
 	opt := Options{SkipVerification: true, Parallelism: 1}
-	for _, bound := range []float64{0, 50, 60, 100, 1e9} {
-		res, err := DSEBisect(context.Background(), cfg, DSEOptions{MaxCap: maxCap, BudgetBound: bound}, opt)
-		if err != nil {
-			t.Fatalf("bound %v: %v", bound, err)
+	for _, tc := range cases {
+		want := map[string]bool{}
+		for _, b := range tc.buffers {
+			want[b] = true
 		}
-		if res.Solves > 5 { // 1 + ⌈log₂ 16⌉
-			t.Fatalf("bound %v: %d solves, want ≤ 5", bound, res.Solves)
-		}
-		// Ground truth: linear scan, cold.
-		want := -1
-		for cap := 1; cap <= maxCap; cap++ {
-			cc := cfg.Clone()
-			for _, tg := range cc.Graphs {
-				for j := range tg.Buffers {
-					tg.Buffers[j].MaxContainers = cap
+		swept := func(bf *taskgraph.Buffer) bool { return tc.buffers == nil || want[bf.Name] }
+		for _, bound := range tc.bounds {
+			res, err := DSEBisect(context.Background(), tc.cfg, DSEOptions{Buffers: tc.buffers, MaxCap: tc.maxCap, BudgetBound: bound}, opt)
+			if err != nil {
+				t.Fatalf("%s bound %v: %v", tc.name, bound, err)
+			}
+			if lim := 1 + bits.Len(uint(tc.maxCap-1)); res.Solves > lim { // 1 + ⌈log₂ MaxCap⌉
+				t.Fatalf("%s bound %v: %d solves, want ≤ %d", tc.name, bound, res.Solves, lim)
+			}
+			// Ground truth: linear scan, cold. A cap below a swept
+			// buffer's initial tokens is no configuration at all.
+			want := -1
+			for cap := 1; cap <= tc.maxCap; cap++ {
+				cc := withCaps(tc.cfg, cap, swept)
+				if cc.Validate() != nil {
+					continue
+				}
+				r, err := Solve(context.Background(), cc,
+					Options{SkipVerification: true, NoWarmStart: true, NoPatternCache: true})
+				if err != nil {
+					t.Fatalf("%s bound %v cap %d: %v", tc.name, bound, cap, err)
+				}
+				ok := r.Status == StatusOptimal
+				if ok && bound > 0 {
+					ok = (TradeoffPoint{Result: r}).BudgetSum() <= bound
+				}
+				if ok {
+					want = cap
+					break
 				}
 			}
-			r, err := Solve(context.Background(), cc,
-				Options{SkipVerification: true, NoWarmStart: true, NoPatternCache: true})
-			if err != nil {
-				t.Fatalf("bound %v cap %d: %v", bound, cap, err)
+			if res.Cap != want {
+				t.Fatalf("%s bound %v: DSE found cap %d (t* = %v), linear scan %d", tc.name, bound, res.Cap, res.MinCap, want)
 			}
-			ok := r.Status == StatusOptimal
-			if ok && bound > 0 {
-				ok = (TradeoffPoint{Result: r}).BudgetSum() <= bound
-			}
-			if ok {
-				want = cap
-				break
+			if want >= 1 && (res.Result == nil || res.Result.Status != StatusOptimal) {
+				t.Fatalf("%s bound %v: missing result at answering cap", tc.name, bound)
 			}
 		}
-		if res.Cap != want {
-			t.Fatalf("bound %v: bisection found cap %d, linear scan %d", bound, res.Cap, want)
+	}
+}
+
+// TestDSESearchFallsBackToBisection runs the search on a stub predicate
+// that accepts every cap from a threshold on: from every start the min-cap
+// solve could give (0 when it ended undecided, otherwise any lower bound
+// on the threshold), the search must find the threshold, probe start
+// first, and stay within one probe of a bisection's count.
+func TestDSESearchFallsBackToBisection(t *testing.T) {
+	const maxCap = 64
+	for threshold := 1; threshold <= maxCap+1; threshold++ {
+		for start := 0; start <= min(threshold, maxCap); start++ {
+			var probes []int
+			got, err := dseSearch(start, maxCap, func(cap int) (bool, error) {
+				probes = append(probes, cap)
+				return cap >= threshold, nil
+			})
+			want := threshold
+			if threshold > maxCap {
+				want = -1
+			}
+			switch {
+			case err != nil:
+				t.Fatalf("threshold %d start %d: %v", threshold, start, err)
+			case got != want:
+				t.Fatalf("threshold %d start %d: found %d, want %d (probes %v)", threshold, start, got, want, probes)
+			case start > 0 && probes[0] != start:
+				t.Fatalf("threshold %d start %d: first probe %d", threshold, start, probes[0])
+			case start == 0 && probes[0] != maxCap:
+				t.Fatalf("threshold %d start 0: first probe %d, want MaxCap", threshold, probes[0])
+			case start == threshold && len(probes) != 1:
+				t.Fatalf("threshold %d: accepted start took %d probes", threshold, len(probes))
+			case len(probes) > 2+bits.Len(uint(maxCap-1)):
+				t.Fatalf("threshold %d start %d: %d probes %v", threshold, start, len(probes), probes)
+			}
 		}
-		if want >= 1 && (res.Result == nil || res.Result.Status != StatusOptimal) {
-			t.Fatalf("bound %v: missing result at answering cap", bound)
-		}
+	}
+	boom := errors.New("boom")
+	if got, err := dseSearch(3, maxCap, func(int) (bool, error) { return false, boom }); got != -1 || err != boom {
+		t.Fatalf("failing probe: %d, %v", got, err)
+	}
+}
+
+// TestDSECanceledMinCapSolve: a min-cap solve cut short by the context is
+// no verdict. The search stops with the context's error after that one
+// solve, probing nothing.
+func TestDSECanceledMinCapSolve(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := DSEBisect(ctx, gen.Chain(gen.ChainOptions{Tasks: 12}), DSEOptions{MaxCap: 16}, Options{})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res.Cap != -1 || res.Solves != 1 || len(res.Probes) != 0 || !math.IsNaN(res.MinCap) {
+		t.Fatalf("result = %+v, want one canceled solve and no probe", res)
+	}
+	if a := res.MinCapReport.Attempts; len(a) != 1 || a[0].Status != socp.StatusCanceled {
+		t.Fatalf("min-cap report = %+v, want one canceled attempt", res.MinCapReport)
 	}
 }

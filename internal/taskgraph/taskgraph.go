@@ -315,16 +315,8 @@ func (c *Config) Validate() error {
 			if !finite(b.SizeWeight) || b.SizeWeight < 0 {
 				return fmt.Errorf("taskgraph: buffer %q has invalid size weight %v", b.Name, b.SizeWeight)
 			}
-			if b.MaxContainers < 0 || b.MinContainers < 0 ||
-				b.MaxContainers > maxIntField || b.MinContainers > maxIntField {
-				return fmt.Errorf("taskgraph: buffer %q has capacity bound outside [0, 2^31]", b.Name)
-			}
-			if b.MaxContainers > 0 && b.MinContainers > b.MaxContainers {
-				return fmt.Errorf("taskgraph: buffer %q has min containers %d above max %d",
-					b.Name, b.MinContainers, b.MaxContainers)
-			}
-			if b.MaxContainers > 0 && b.InitialTokens > b.MaxContainers {
-				return fmt.Errorf("taskgraph: buffer %q has more initial tokens than max capacity", b.Name)
+			if err := b.ValidateCapacity(); err != nil {
+				return err
 			}
 			if b.Prod < 0 || b.Cons < 0 || b.Prod > maxIntField || b.Cons > maxIntField {
 				return fmt.Errorf("taskgraph: buffer %q has rates outside [0, 2^31]", b.Name)
@@ -341,6 +333,25 @@ func (c *Config) Validate() error {
 				return fmt.Errorf("taskgraph: latency constraint %s→%s has invalid bound %v", lc.From, lc.To, lc.Bound)
 			}
 		}
+	}
+	return nil
+}
+
+// ValidateCapacity runs the checks Validate makes of a buffer's capacity
+// bounds, in Validate's order and with its error text. A sweep over caps
+// validates its configuration once and then only this per point: a cap
+// changes nothing else Validate looks at.
+func (b *Buffer) ValidateCapacity() error {
+	if b.MaxContainers < 0 || b.MinContainers < 0 ||
+		b.MaxContainers > maxIntField || b.MinContainers > maxIntField {
+		return fmt.Errorf("taskgraph: buffer %q has capacity bound outside [0, 2^31]", b.Name)
+	}
+	if b.MaxContainers > 0 && b.MinContainers > b.MaxContainers {
+		return fmt.Errorf("taskgraph: buffer %q has min containers %d above max %d",
+			b.Name, b.MinContainers, b.MaxContainers)
+	}
+	if b.MaxContainers > 0 && b.InitialTokens > b.MaxContainers {
+		return fmt.Errorf("taskgraph: buffer %q has more initial tokens than max capacity", b.Name)
 	}
 	return nil
 }
