@@ -290,7 +290,11 @@ func BenchmarkSolverRaw(b *testing.B) {
 // each touch hundreds of variables: chain-380, fanout-200 and dag-200. The
 // op is the whole interior-point run — sparse view, symbolic analysis,
 // every iteration's refactorization — without warm start or pattern cache.
-// linsolves/op counts its factored KKT solves (Solution.LinearSolves).
+// linsolves/op counts its factored KKT solves (Solution.LinearSolves). A
+// solve makes two KKT solves for its starting point and two per iteration;
+// more than 2.5 factored solves per KKT solve fails the benchmark, since
+// refinement whose tolerance follows the iterate's residuals takes 1.4–2.1
+// here and refinement to working accuracy in every iteration 2.8–3.1.
 func BenchmarkSolveColdLarge(b *testing.B) {
 	for _, inst := range []struct {
 		name string
@@ -311,6 +315,10 @@ func BenchmarkSolveColdLarge(b *testing.B) {
 				sol, err := socp.Solve(p, socp.Options{})
 				if err != nil || sol.Status != socp.StatusOptimal {
 					b.Fatalf("%v %v", sol.Status, err)
+				}
+				if kkt := 2*sol.Iterations + 2; 2*sol.LinearSolves > 5*kkt {
+					b.Fatalf("%d linear solves for %d KKT solves (%d iterations), want at most 2.5 per KKT solve",
+						sol.LinearSolves, kkt, sol.Iterations)
 				}
 				iters, linSolves = sol.Iterations, sol.LinearSolves
 			}

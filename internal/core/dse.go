@@ -103,10 +103,14 @@ func DSEBisect(ctx context.Context, c *taskgraph.Config, dse DSEOptions, opt Opt
 		want[b] = true
 	}
 	found := map[string]bool{}
+	// Caps below a swept buffer's initial tokens or minimum capacity are no
+	// configuration at all: every cap below least fails by definition.
+	least := 1
 	for _, tg := range c.Graphs {
 		for i := range tg.Buffers {
 			if bf := &tg.Buffers[i]; dse.Buffers == nil || want[bf.Name] {
 				found[bf.Name] = true
+				least = max(least, bf.InitialTokens, bf.MinContainers)
 			}
 		}
 	}
@@ -147,7 +151,7 @@ func DSEBisect(ctx context.Context, c *taskgraph.Config, dse DSEOptions, opt Opt
 	if err != nil || start < 0 {
 		return res, err
 	}
-	cap, err := dseSearch(start, dse.MaxCap, probe)
+	cap, err := dseSearch(start, least-1, dse.MaxCap, probe)
 	if err != nil || cap < 0 {
 		return res, err
 	}
@@ -192,16 +196,16 @@ func solveMinCap(ctx context.Context, c *taskgraph.Config, fam *capFamily, swept
 }
 
 // dseSearch returns the smallest cap in [1, maxCap] that probe accepts, or
-// −1 when it accepts none. No cap below start may pass: start ≥ 1 is
-// probed first and is the answer when accepted. Otherwise — and from the
-// start when start is 0, no bound being known — it probes maxCap and then
-// bisects between the largest cap known to fail and the smallest known to
-// pass, which assumes that the predicate is monotone in the cap.
-func dseSearch(start, maxCap int, probe func(cap int) (bool, error)) (int, error) {
+// −1 when it accepts none. Every cap ≤ lo fails without a probe (lo ≥ 0),
+// and no cap below start may pass: a start above lo is probed first and is
+// the answer when accepted. Otherwise — and from the start when start ≤ lo,
+// no bound beyond lo being known — it probes maxCap and then bisects
+// between the largest cap known to fail and the smallest known to pass,
+// which assumes that the predicate is monotone in the cap.
+func dseSearch(start, lo, maxCap int, probe func(cap int) (bool, error)) (int, error) {
 	// Invariant: every cap ≤ lo fails (0 is a virtual "no buffers"
 	// sentinel, infeasible by definition since caps start at 1).
-	lo := 0
-	if start > 0 {
+	if start > lo {
 		ok, err := probe(start)
 		if err != nil {
 			return -1, err

@@ -330,9 +330,11 @@ func TestSolveUnfaultedMatchesDirectSolver(t *testing.T) {
 // TestLinearSolvesPerKKTSolve bounds the iterative refinement of a cold
 // chain-100 solve. The solve makes two KKT solves for its starting point and
 // two per iteration, each one factored solve plus one per refinement
-// correction. Refinement that stops once the residual reaches working
-// accuracy averages fewer than three factored solves per KKT solve here;
-// refining until the residual stops falling takes 3.6–4.
+// correction. Refinement whose tolerance follows the iterate's residuals
+// (the inexact-Newton forcing term of kktFactor.solve) takes one factored
+// solve in the early iterations and averages about 1.4 per KKT solve here;
+// refining every KKT solve to working accuracy takes 2.65, and refining
+// until the residual stops falling 3.6–4.
 func TestLinearSolvesPerKKTSolve(t *testing.T) {
 	res, err := Solve(context.Background(), gen.Chain(gen.ChainOptions{Tasks: 100}), Options{})
 	if err != nil {
@@ -343,8 +345,8 @@ func TestLinearSolvesPerKKTSolve(t *testing.T) {
 	}
 	a := res.Report.Attempts[0]
 	kktSolves := 2*a.Iterations + 2
-	if a.LinearSolves < kktSolves || a.LinearSolves > 3*kktSolves {
-		t.Fatalf("%d linear solves for %d KKT solves (%d iterations), want between 1 and 3 per KKT solve",
+	if a.LinearSolves < kktSolves || a.LinearSolves > 2*kktSolves {
+		t.Fatalf("%d linear solves for %d KKT solves (%d iterations), want between 1 and 2 per KKT solve",
 			a.LinearSolves, kktSolves, a.Iterations)
 	}
 }

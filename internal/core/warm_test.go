@@ -5,8 +5,10 @@ import (
 	"errors"
 	"math"
 	"math/bits"
+	"slices"
 	"testing"
 
+	"repro/internal/faultinject"
 	"repro/internal/gen"
 	"repro/internal/socp"
 	"repro/internal/taskgraph"
@@ -229,41 +231,88 @@ func TestDSEBisectMatchesLinearScan(t *testing.T) {
 // TestDSESearchFallsBackToBisection runs the search on a stub predicate
 // that accepts every cap from a threshold on: from every start the min-cap
 // solve could give (0 when it ended undecided, otherwise any lower bound
-// on the threshold), the search must find the threshold, probe start
-// first, and stay within one probe of a bisection's count.
+// on the threshold) and every lower end lo below the threshold that the
+// swept buffers' initial tokens could give, the search must find the
+// threshold, probe start first when it lies above lo, never probe a cap
+// ≤ lo, and stay within one probe of a bisection's count.
 func TestDSESearchFallsBackToBisection(t *testing.T) {
 	const maxCap = 64
 	for threshold := 1; threshold <= maxCap+1; threshold++ {
 		for start := 0; start <= min(threshold, maxCap); start++ {
-			var probes []int
-			got, err := dseSearch(start, maxCap, func(cap int) (bool, error) {
-				probes = append(probes, cap)
-				return cap >= threshold, nil
-			})
-			want := threshold
-			if threshold > maxCap {
-				want = -1
-			}
-			switch {
-			case err != nil:
-				t.Fatalf("threshold %d start %d: %v", threshold, start, err)
-			case got != want:
-				t.Fatalf("threshold %d start %d: found %d, want %d (probes %v)", threshold, start, got, want, probes)
-			case start > 0 && probes[0] != start:
-				t.Fatalf("threshold %d start %d: first probe %d", threshold, start, probes[0])
-			case start == 0 && probes[0] != maxCap:
-				t.Fatalf("threshold %d start 0: first probe %d, want MaxCap", threshold, probes[0])
-			case start == threshold && len(probes) != 1:
-				t.Fatalf("threshold %d: accepted start took %d probes", threshold, len(probes))
-			case len(probes) > 2+bits.Len(uint(maxCap-1)):
-				t.Fatalf("threshold %d start %d: %d probes %v", threshold, start, len(probes), probes)
+			for _, lo := range []int{0, min(threshold, maxCap) - 1} {
+				var probes []int
+				got, err := dseSearch(start, lo, maxCap, func(cap int) (bool, error) {
+					probes = append(probes, cap)
+					return cap >= threshold, nil
+				})
+				want := threshold
+				if threshold > maxCap {
+					want = -1
+				}
+				switch {
+				case err != nil:
+					t.Fatalf("threshold %d start %d lo %d: %v", threshold, start, lo, err)
+				case got != want:
+					t.Fatalf("threshold %d start %d lo %d: found %d, want %d (probes %v)", threshold, start, lo, got, want, probes)
+				case slices.Min(probes) <= lo:
+					t.Fatalf("threshold %d start %d lo %d: probes %v reach a cap ≤ lo", threshold, start, lo, probes)
+				case start > lo && probes[0] != start:
+					t.Fatalf("threshold %d start %d lo %d: first probe %d", threshold, start, lo, probes[0])
+				case start <= lo && probes[0] != maxCap:
+					t.Fatalf("threshold %d start %d lo %d: first probe %d, want MaxCap", threshold, start, lo, probes[0])
+				case start == threshold && len(probes) != 1:
+					t.Fatalf("threshold %d: accepted start took %d probes", threshold, len(probes))
+				case len(probes) > 2+bits.Len(uint(maxCap-1)):
+					t.Fatalf("threshold %d start %d lo %d: %d probes %v", threshold, start, lo, len(probes), probes)
+				}
 			}
 		}
 	}
 	boom := errors.New("boom")
-	if got, err := dseSearch(3, maxCap, func(int) (bool, error) { return false, boom }); got != -1 || err != boom {
+	if got, err := dseSearch(3, 0, maxCap, func(int) (bool, error) { return false, boom }); got != -1 || err != boom {
 		t.Fatalf("failing probe: %d, %v", got, err)
 	}
+}
+
+// TestDSEFallbackSkipsCapsBelowInitialTokens forces the min-cap solve of
+// chain-12, whose b0 holds 3 initial tokens, to end undecided: every rung
+// of its ladder breaks down in its first iteration. The fallback bisection
+// must then start above the caps that cannot hold b0's tokens, which are
+// no configuration at all, and find the answer the min-cap path finds
+// (TestDSEBisectMatchesLinearScan, "chain-12 tokens"), instead of failing
+// the call with a validation error from probing a cap below 3.
+func TestDSEFallbackSkipsCapsBelowInitialTokens(t *testing.T) {
+	cfg := gen.Chain(gen.ChainOptions{Tasks: 12})
+	cfg.Graphs[0].Buffers[0].InitialTokens = 3
+	dse := DSEOptions{Buffers: []string{"b0"}, MaxCap: 16}
+	opt := Options{SkipVerification: true, Parallelism: 1}
+	clean, err := DSEBisect(context.Background(), cfg, dse, opt)
+	if err != nil || clean.Cap < 3 {
+		t.Fatalf("min-cap path: cap %d, err %v", clean.Cap, err)
+	}
+	// The min-cap solve is the call's first: no warm start and a simplicial
+	// KKT system, so its ladder has two rungs, and each rung's first
+	// iteration is one hit of the site.
+	restore := faultinject.Activate(faultinject.Rule{
+		Site: faultinject.SiteIPMIteration, Kind: faultinject.KindError, Count: 2,
+	})
+	res, err := DSEBisect(context.Background(), cfg, dse, opt)
+	restore()
+	if err != nil {
+		t.Fatalf("fallback: %v (probes %+v)", err, res.Probes)
+	}
+	if a := res.MinCapReport.Attempts; len(a) != 2 || a[0].Status != socp.StatusNumericalError || a[1].Status != socp.StatusNumericalError {
+		t.Fatalf("min-cap report %+v, want two numerical errors", res.MinCapReport)
+	}
+	if !math.IsNaN(res.MinCap) || res.Cap != clean.Cap {
+		t.Fatalf("fallback found cap %d (t* = %v), the min-cap path %d", res.Cap, res.MinCap, clean.Cap)
+	}
+	for _, p := range res.Probes {
+		if p.Cap < 3 {
+			t.Fatalf("fallback probed cap %d below b0's 3 initial tokens: %+v", p.Cap, res.Probes)
+		}
+	}
+	t.Logf("fallback probes %+v", res.Probes)
 }
 
 // TestDSECanceledMinCapSolve: a min-cap solve cut short by the context is

@@ -131,3 +131,16 @@ func acquirePipeline(pc *PatternCache, p *Problem, backend Factorization, worker
 	sp.pipeline(workers)
 	return sp
 }
+
+// FullTolerance reports whether sol, the result of a solve of p with opt,
+// meets the run loop's full stopping rule, not only the reduced tolerances
+// of acceptReduced. The rule reads the gap of the equilibrated problem,
+// which is sol.Gap before unscale multiplied it by p's cost scale.
+func FullTolerance(p *Problem, sol *Solution, opt Options) bool {
+	opt = opt.withDefaults()
+	sp := newSpace(p.GSparse, p.Dims, FactorSparse)
+	sp.eq.equilibrate(&sp.prob, p, p.GSparse)
+	gap := sol.Gap / sp.eq.costScale
+	return sol.PrimalRes <= opt.FeasTol && sol.DualRes <= opt.FeasTol &&
+		(gap <= opt.AbsTol || sol.RelGap <= opt.RelTol)
+}

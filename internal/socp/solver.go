@@ -212,6 +212,11 @@ type state struct {
 	// linearSolves counts the factored solves (solveOnce calls) so far,
 	// reported as Solution.LinearSolves.
 	linearSolves int
+
+	// forceTol is kktFactor.solve's forcing tolerance (see refineForcing).
+	// It is 0 until the run loop has scored an iterate, so the starting
+	// point's solves refine to refineTol.
+	forceTol float64
 }
 
 // workspace holds every vector a solve reuses across iterations, the
@@ -355,22 +360,31 @@ const refineTol = 1e-14
 // maxRefineChecks caps the KKT residual checks of one kktFactor.solve.
 const maxRefineChecks = 4
 
+// refineForcing is the inexact-Newton forcing factor η: an iteration whose
+// best iterate so far scores max(pres, dres, relgap) = σ refines its KKT
+// solves only to η·min(1, σ)·(1 + ‖b‖∞), or to refineTol when that is
+// looser. A Newton direction needs no more accuracy than the residuals it
+// reduces (Dembo, Eisenstat & Steihaug, 1982), so early iterations take one
+// factored solve, and as σ falls to the stopping tolerances the rule
+// tightens back to refineTol by itself.
+const refineForcing = 1e-4
+
 // solve computes (x, z) for right-hand sides (bx, bz) with full-space
 // iterative refinement, which keeps the dual residual accurate even when the
 // NT scaling is nearly singular at the end of the solve. Every factored
 // solve is followed by a check of the KKT residual. Refinement stops at the
-// first check that meets refineTol·(1 + ‖b‖∞), that fails to improve on the
-// best residual so far, or that is the maxRefineChecks-th, and returns the
-// best iterate seen; a correction that would not be checked is never
-// computed. The returned vectors are workspace-owned and valid only until
-// the next solve call; callers that keep them must clone.
+// first check that meets max(refineTol, forceTol)·(1 + ‖b‖∞), that fails
+// to improve on the best residual so far, or that is the maxRefineChecks-th,
+// and returns the best iterate seen; a correction that would not be checked
+// is never computed. The returned vectors are workspace-owned and valid only
+// until the next solve call; callers that keep them must clone.
 func (f *kktFactor) solve(bx, bz linalg.Vector) (dx, dz linalg.Vector) {
 	ws := f.st.ws
 	cx, cz := ws.curX, ws.curZ
 	f.solveOnce(bx, bz, cx, cz)
 	// solveOnce left G·cx in ws.t, so the first check forms no product.
 	gx := ws.t
-	tol := refineTol * (1 + max(linalg.NormInf(bx), linalg.NormInf(bz)))
+	tol := max(refineTol, f.st.forceTol) * (1 + max(linalg.NormInf(bx), linalg.NormInf(bz)))
 	bestRes := math.Inf(1)
 	for check := 1; ; check++ {
 		f.residual(bx, bz, cx, cz, gx)
@@ -566,6 +580,7 @@ func (st *state) run() (*Solution, error) {
 			// return the best iterate instead of the deteriorated one.
 			return reportBest(sol, best, acceptReduced(best)), nil
 		}
+		st.forceTol = refineForcing * min(1, bestScore)
 
 		if iter == st.opt.MaxIter {
 			return reportBest(sol, best, acceptReduced(best)), nil
