@@ -90,9 +90,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	var res *core.Result
-	// counted names what res.SolverIterations counts for the method that
-	// ran; "" when the method reports no count.
-	counted := "interior-point iterations"
 	switch *method {
 	case "joint":
 		if cfg.MultiRate() {
@@ -107,10 +104,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 				Status:            mr.Status,
 				Mapping:           mr.Mapping,
 				ContinuousBudgets: mr.ContinuousBudgets,
-				ContinuousDeltas:  map[string]float64{},
 				Verification:      mr.Verification,
 			}
-			counted = ""
 			break
 		}
 		res, err = core.Solve(ctx, cfg, core.Options{})
@@ -125,7 +120,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		res, err = core.TwoPhaseBudgetFirst(ctx, cfg, pol, core.Options{})
-		counted = "simplex pivots" // phase 2 is the buffer-sizing LP
 	case "buffer-first":
 		res, err = core.TwoPhaseBufferFirst(ctx, cfg, nil, core.Options{})
 	default:
@@ -138,11 +132,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	if res.Status != core.StatusOptimal {
-		fmt.Fprintf(stdout, "status: %v (solver: %v)\n", res.Status, res.SolverStatus)
+		// A flow that stopped before the cone solver has no solver status.
+		if res.Report != nil {
+			fmt.Fprintf(stdout, "status: %v (solver: %v)\n", res.Status, res.SolverStatus)
+		} else {
+			fmt.Fprintf(stdout, "status: %v\n", res.Status)
+		}
 		return 1
 	}
 	if !*quiet {
-		report(stdout, cfg, res, counted)
+		report(stdout, cfg, res)
 	}
 	if *outPath != "" {
 		if err := res.Mapping.WriteFile(*outPath); err != nil {
@@ -154,13 +153,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 }
 
 // report prints the mapping with the relaxed values it was rounded from.
-// counted names what res.SolverIterations counts ("" prints no count), and
-// a relaxed value the method never computed prints as "-".
-func report(w io.Writer, cfg *taskgraph.Config, res *core.Result, counted string) {
-	if counted == "" {
+// The status line counts the cone solver's iterations when a single cone
+// solve produced the result, and a relaxed value the method never computed
+// prints as "-".
+func report(w io.Writer, cfg *taskgraph.Config, res *core.Result) {
+	if res.Report == nil {
 		fmt.Fprintf(w, "status: %v\n\n", res.Status)
 	} else {
-		fmt.Fprintf(w, "status: %v (%d %s)\n\n", res.Status, res.SolverIterations, counted)
+		fmt.Fprintf(w, "status: %v (%d interior-point iterations)\n\n", res.Status, res.SolverIterations)
 	}
 	bt := textplot.NewTable("task", "processor", "budget (Mcycles)", "relaxed value")
 	for _, tg := range cfg.Graphs {

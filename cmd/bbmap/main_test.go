@@ -145,16 +145,16 @@ func TestRunUsageErrors(t *testing.T) {
 }
 
 // TestReportLabelsMethodCounts checks that the report names the count of
-// the method that ran and prints "-" for relaxed values the method never
-// computed: budget-first runs a simplex on fixed budgets and relaxes
-// nothing, buffer-first relaxes only the budgets, and joint relaxes both.
+// the cone solve that ran and prints "-" for relaxed values the method never
+// computed: budget-first relaxes only the buffer tokens, buffer-first only
+// the budgets, and joint relaxes both.
 func TestReportLabelsMethodCounts(t *testing.T) {
 	for _, tc := range []struct {
 		name, config, method string
 		status               string
 		budgets, tokens      bool // relaxed columns filled
 	}{
-		{"budget-first", filepath.Join("..", "..", "testdata", "multijob.json"), "budget-first", "status: optimal (31 simplex pivots)", false, false},
+		{"budget-first", filepath.Join("..", "..", "testdata", "multijob.json"), "budget-first", "interior-point iterations)", false, true},
 		{"buffer-first", writeConfig(t, gen.PaperT1(5)), "buffer-first", "interior-point iterations)", true, false},
 		{"joint", writeConfig(t, gen.PaperT1(5)), "joint", "interior-point iterations)", true, true},
 	} {
@@ -167,9 +167,6 @@ func TestReportLabelsMethodCounts(t *testing.T) {
 			first, _, _ := strings.Cut(text, "\n")
 			if !strings.Contains(first, tc.status) {
 				t.Fatalf("status line %q, want it to contain %q", first, tc.status)
-			}
-			if tc.method == "budget-first" && strings.Contains(text, "interior-point") {
-				t.Fatalf("budget-first report names interior-point iterations:\n%s", text)
 			}
 			cfg, err := taskgraph.ReadFile(tc.config)
 			if err != nil {
@@ -193,6 +190,35 @@ func TestReportLabelsMethodCounts(t *testing.T) {
 						t.Errorf("buffer %s: relaxed tokens %q, want filled %v", b.Name, got, tc.tokens)
 					}
 				}
+			}
+		})
+	}
+}
+
+// TestRunInfeasibleStatusLine checks that the status line of a failed
+// flow names a solver status only when the cone solver ran. Budget-first's
+// phase 1 rejects fair-share budgets below the rate minimum (twelve tasks
+// on one processor) before any solve; at buffer cap 4, rate-minimal budgets
+// reach phase 2, whose program the solver proves infeasible.
+func TestRunInfeasibleStatusLine(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  *taskgraph.Config
+		args []string
+		want string
+	}{
+		{"phase 1", gen.Chain(gen.ChainOptions{Tasks: 12, SharedProcessors: 1, Period: 10}),
+			[]string{"-policy", "fair-share"}, "status: infeasible\n"},
+		{"phase 2", gen.PaperT1(4), nil, "status: infeasible (solver: primal infeasible)\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			args := append([]string{"-config", writeConfig(t, tc.cfg), "-method", "budget-first"}, tc.args...)
+			var out, errb bytes.Buffer
+			if code := run(context.Background(), args, &out, &errb); code != 1 {
+				t.Fatalf("exit %d, want 1: %s", code, errb.String())
+			}
+			if out.String() != tc.want {
+				t.Fatalf("output %q, want %q", out.String(), tc.want)
 			}
 		})
 	}

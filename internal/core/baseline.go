@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/dfmodel"
-	"repro/internal/lp"
-	"repro/internal/socp"
 	"repro/internal/taskgraph"
 )
 
@@ -47,19 +44,37 @@ func (p BudgetPolicy) String() string {
 }
 
 // TwoPhaseBudgetFirst runs the classical flow: phase 1 fixes budgets by the
-// given policy, phase 2 computes minimal buffer capacities by linear
-// programming (solved with the independent simplex in internal/lp).
+// given policy, phase 2 computes minimal buffer capacities with Algorithm 1
+// restricted to the fixed budgets — a linear program, solved by the same
+// interior-point method as the joint solve. A phase-1 rejection returns
+// StatusInfeasible with a nil Report, since no solver ran.
 func TwoPhaseBudgetFirst(ctx context.Context, c *taskgraph.Config, policy BudgetPolicy, opt Options) (*Result, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
+	if c.MultiRate() {
+		// Phase 2 sizes buffers by the δ′ of Algorithm 1, which exists for
+		// single-rate buffers only.
+		return nil, fmt.Errorf("core: budget-first baseline: configuration has multi-rate buffers, whose capacities it cannot size")
+	}
 	if err := ctx.Err(); err != nil {
 		return &Result{Status: StatusCanceled}, err
 	}
-	res := &Result{SolverStatus: socp.StatusOptimal}
-	g := c.EffectiveGranularity()
+	budgets, err := budgetFirstBudgets(c, policy)
+	if err != nil {
+		return nil, err
+	}
+	if budgets == nil {
+		return &Result{Status: StatusInfeasible}, nil
+	}
+	return solveFixed(ctx, c, nil, budgets, opt)
+}
 
-	// ---- Phase 1: budgets without buffer knowledge ----
+// budgetFirstBudgets is the budget-first phase 1: it fixes every budget by
+// policy, without buffer knowledge, and returns nil when the budgets
+// cannot sustain their tasks' rates or overload a processor.
+func budgetFirstBudgets(c *taskgraph.Config, policy BudgetPolicy) (map[string]float64, error) {
+	g := c.EffectiveGranularity()
 	budgets := map[string]float64{}
 	for _, tg := range c.Graphs {
 		for i := range tg.Tasks {
@@ -74,15 +89,15 @@ func TwoPhaseBudgetFirst(ctx context.Context, c *taskgraph.Config, policy Budget
 				n := float64(len(c.TasksOn(w.Processor)))
 				beta = g * math.Floor(((p.Replenishment-p.Overhead)/n)/g+roundTol)
 				if beta < rateMin {
-					res.Status = StatusInfeasible
-					return res, nil
+					return nil, nil
 				}
 			default:
 				return nil, fmt.Errorf("core: unknown budget policy %v", policy)
 			}
-			if beta <= 0 || beta > p.Replenishment {
-				res.Status = StatusInfeasible
-				return res, nil
+			// The last test is the task's self-loop, ϱχ/β ≤ µ: with β fixed
+			// the phase-2 program has no variable in that row.
+			if beta <= 0 || beta > p.Replenishment || p.Replenishment*w.WCET/beta > tg.Period*(1+1e-12) {
+				return nil, nil
 			}
 			budgets[w.Name] = beta
 		}
@@ -95,189 +110,16 @@ func TwoPhaseBudgetFirst(ctx context.Context, c *taskgraph.Config, policy Budget
 			load += budgets[tn]
 		}
 		if load > p.Replenishment*(1+1e-12) {
-			res.Status = StatusInfeasible
-			return res, nil
+			return nil, nil
 		}
 	}
-
-	// ---- Phase 2: buffer sizing LP with fixed budgets ----
-	capacities, lpIter, feasible, err := bufferSizingLP(c, budgets)
-	if err != nil {
-		return nil, err
-	}
-	res.SolverIterations = lpIter
-	if !feasible {
-		res.Status = StatusInfeasible
-		return res, nil
-	}
-
-	mapping := &taskgraph.Mapping{Budgets: budgets, Capacities: capacities}
-	mapping.Objective = objective(c, mapping)
-	res.Mapping = mapping
-	res.Status = StatusOptimal
-	if !opt.SkipVerification {
-		v, err := dfmodel.VerifyValidated(c, mapping)
-		if err != nil {
-			return nil, err
-		}
-		res.Verification = v
-		if !v.OK {
-			res.Status = StatusError
-			return res, fmt.Errorf("core: budget-first mapping failed verification: %v", v.Problems)
-		}
-	}
-	return res, nil
-}
-
-// bufferSizingLP solves the phase-2 LP: minimal weighted buffer capacities
-// for fixed budgets, subject to Constraints (6), (7), (10) and the
-// per-buffer bounds. Returns the rounded capacities.
-func bufferSizingLP(c *taskgraph.Config, budgets map[string]float64) (map[string]int, int, bool, error) {
-	// Variable layout: start times per actor (free), then δ′ per buffer,
-	// graph by graph.
-	type lpGraph struct {
-		tg *taskgraph.TaskGraph
-		md *dfmodel.Model
-		sv []int // start-time variable per actor, −1 when pinned
-		d  []int // δ′ variable per buffer
-	}
-	var free []bool
-	var obj []float64
-	addVar := func(isFree bool, cost float64) int {
-		free = append(free, isFree)
-		obj = append(obj, cost)
-		return len(free) - 1
-	}
-	graphs := make([]lpGraph, 0, len(c.Graphs))
-	for _, tg := range c.Graphs {
-		md, err := dfmodel.NewModel(tg, nil)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		lg := lpGraph{tg: tg, md: md, sv: make([]int, 2*len(md.Firings)), d: make([]int, len(tg.Buffers))}
-		for k, f := range md.Firings {
-			lg.sv[dfmodel.V1(k)] = -1
-			if !f.Pinned {
-				lg.sv[dfmodel.V1(k)] = addVar(true, 0)
-			}
-			lg.sv[dfmodel.V2(k)] = addVar(true, 0)
-		}
-		for i := range tg.Buffers {
-			bf := &tg.Buffers[i]
-			lg.d[i] = addVar(false, bf.EffectiveSizeWeight()*float64(bf.EffectiveContainerSize()))
-		}
-		graphs = append(graphs, lg)
-	}
-
-	var rows [][]float64
-	var rhs []float64
-	n := len(free)
-	addRow := func(b float64) []float64 {
-		row := make([]float64, n)
-		rows = append(rows, row)
-		rhs = append(rhs, b)
-		return row
-	}
-
-	for _, lg := range graphs {
-		mu := lg.tg.Period
-		for _, q := range lg.md.Queues {
-			// The firing duration of the source actor at the fixed budget:
-			// ϱ − β for a v1 actor, ϱ·χ/β for a v2 actor.
-			f, v2 := lg.md.Firing(q.Src)
-			w := &lg.tg.Tasks[f.Task]
-			p, _ := c.Processor(w.Processor)
-			dur := p.Replenishment - budgets[w.Name]
-			if v2 {
-				dur = p.Replenishment * w.WCET / budgets[w.Name]
-			}
-			if q.Src == q.Dst {
-				// A self-loop's start times cancel: rate feasibility
-				// ϱχ/β ≤ µ must hold or no PAS exists.
-				if dur > float64(q.Tokens)*mu*(1+1e-12) {
-					return nil, 0, false, nil
-				}
-				continue
-			}
-			// (6)/(7): s(src) − s(dst) [− µ·δ′] ≤ δ·µ − ρ(src).
-			b := -dur
-			if q.Tokens != 0 {
-				b = float64(q.Tokens)*mu - dur
-			}
-			row := addRow(b)
-			if i := lg.sv[q.Src]; i >= 0 {
-				row[i] += 1
-			}
-			if i := lg.sv[q.Dst]; i >= 0 {
-				row[i] -= 1
-			}
-			if !q.Space {
-				continue
-			}
-			bf := &lg.tg.Buffers[q.Buffer]
-			id := lg.d[q.Buffer]
-			row[id] -= mu
-			// Bounds.
-			if bf.MaxContainers > 0 {
-				addRow(float64(bf.MaxContainers - bf.InitialTokens))[id] = 1
-			}
-			if lo := bf.MinContainers - bf.InitialTokens; lo > 0 {
-				addRow(-float64(lo))[id] = -1
-			}
-		}
-	}
-	// (10): Σ (ι + δ′ + 1)·ζ ≤ ς per memory.
-	for i := range c.Memories {
-		mem := &c.Memories[i]
-		row := make([]float64, n)
-		base := 0.0
-		nb := 0
-		for _, lg := range graphs {
-			for j := range lg.tg.Buffers {
-				bf := &lg.tg.Buffers[j]
-				if bf.Memory != mem.Name {
-					continue
-				}
-				z := float64(bf.EffectiveContainerSize())
-				row[lg.d[j]] += z
-				base += z * float64(bf.InitialTokens+1)
-				nb++
-			}
-		}
-		if nb > 0 {
-			rows = append(rows, row)
-			rhs = append(rhs, float64(mem.Capacity)-base)
-		}
-	}
-
-	sol, err := lp.Solve(&lp.Problem{C: obj, A: rows, B: rhs, Free: free})
-	if err != nil {
-		return nil, 0, false, err
-	}
-	if sol.Status != lp.StatusOptimal {
-		return nil, sol.Iterations, false, nil
-	}
-	capacities := map[string]int{}
-	for _, lg := range graphs {
-		for i := range lg.tg.Buffers {
-			bf := &lg.tg.Buffers[i]
-			gamma := bf.InitialTokens + int(math.Ceil(sol.X[lg.d[i]]-roundTol))
-			if gamma < 1 {
-				gamma = 1
-			}
-			if bf.MinContainers > 0 && gamma < bf.MinContainers {
-				gamma = bf.MinContainers
-			}
-			capacities[bf.Name] = gamma
-		}
-	}
-	return capacities, sol.Iterations, true, nil
+	return budgets, nil
 }
 
 // TwoPhaseBufferFirst runs the reverse classical flow: phase 1 fixes every
 // buffer capacity (from caps, or from each buffer's MaxContainers when caps
-// is nil), phase 2 minimizes the weighted sum of budgets with the cone
-// program restricted to fixed δ′.
+// is nil), phase 2 minimizes the weighted sum of budgets with Algorithm 1
+// restricted to the fixed capacities.
 func TwoPhaseBufferFirst(ctx context.Context, c *taskgraph.Config, caps map[string]int, opt Options) (*Result, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -322,7 +164,14 @@ func TwoPhaseBufferFirst(ctx context.Context, c *taskgraph.Config, caps map[stri
 		}
 	}
 
-	m, err := buildModel(c, capacities)
+	return solveFixed(ctx, c, capacities, nil, opt)
+}
+
+// solveFixed solves Algorithm 1 with the capacities or budgets a baseline's
+// phase 1 fixed, and rounds and verifies what it relaxed exactly like the
+// joint solve.
+func solveFixed(ctx context.Context, c *taskgraph.Config, caps map[string]int, budgets map[string]float64, opt Options) (*Result, error) {
+	m, err := buildModel(c, caps, budgets)
 	if err != nil {
 		return nil, err
 	}
@@ -330,55 +179,8 @@ func TwoPhaseBufferFirst(ctx context.Context, c *taskgraph.Config, caps map[stri
 	if err != nil {
 		return nil, err
 	}
-	sol, report, err := solveConic(ctx, prob, opt.Solver)
-	res.Report = report
-	if err != nil {
-		res.Status = StatusError
-		if sol != nil {
-			res.SolverStatus = sol.Status
-			res.SolverIterations = sol.Iterations
-		}
-		return res, err
-	}
-	res.SolverStatus = sol.Status
-	res.SolverIterations = sol.Iterations
-	switch sol.Status {
-	case socp.StatusOptimal:
-	case socp.StatusPrimalInfeasible:
-		res.Status = StatusInfeasible
-		return res, nil
-	case socp.StatusCanceled:
-		res.Status = StatusCanceled
-		return res, nil
-	default:
-		res.Status = StatusError
-		return res, nil
-	}
-	res.ContinuousObjective = sol.PrimalObj
-	res.ContinuousBudgets = map[string]float64{}
-	g := c.EffectiveGranularity()
-	mapping := &taskgraph.Mapping{Budgets: map[string]float64{}, Capacities: capacities}
-	for _, tg := range c.Graphs {
-		for i := range tg.Tasks {
-			w := &tg.Tasks[i]
-			bp := sol.X[m.beta[w.Name]]
-			res.ContinuousBudgets[w.Name] = bp
-			mapping.Budgets[w.Name] = g * math.Ceil(bp/g-roundTol)
-		}
-	}
-	mapping.Objective = objective(c, mapping)
-	res.Mapping = mapping
-	res.Status = StatusOptimal
-	if !opt.SkipVerification {
-		v, err := dfmodel.VerifyValidated(c, mapping)
-		if err != nil {
-			return nil, err
-		}
-		res.Verification = v
-		if !v.OK {
-			res.Status = StatusError
-			return res, fmt.Errorf("core: buffer-first mapping failed verification: %v", v.Problems)
-		}
-	}
-	return res, nil
+	// A baseline solves once, so it chains no warm start.
+	opt.NoWarmStart = true
+	res, _, err := solveWarm(ctx, c, m, prob, opt, nil)
+	return res, err
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -207,5 +208,70 @@ func TestBaselineErrors(t *testing.T) {
 	if _, err := TwoPhaseBudgetFirst(context.Background(), gen.PaperT1(0), BudgetPolicy(9), Options{}); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
+	_, err := TwoPhaseBudgetFirst(context.Background(), gen.RandomMultiRateChain(1, 3, 0), BudgetMinimalRate, Options{})
+	if err == nil || !strings.Contains(err.Error(), "budget-first baseline") {
+		t.Fatalf("multi-rate configuration: error %v, want one naming the budget-first baseline", err)
+	}
 	_ = taskgraph.DefaultGranularity
+}
+
+// TestBaselinesRelaxOnlyWhatTheySolve pins the Result of each flow: a
+// relaxed-value map is nil for what the flow fixed before its one cone
+// solve, the fixed values enter the mapping unrounded, and a flow that
+// stops before the solver has no Report.
+func TestBaselinesRelaxOnlyWhatTheySolve(t *testing.T) {
+	ctx := context.Background()
+	bud, err := TwoPhaseBudgetFirst(ctx, gen.PaperT1(0), BudgetMinimalRate, Options{})
+	if err != nil || bud.Status != StatusOptimal {
+		t.Fatalf("budget-first: %v %v", bud.Status, err)
+	}
+	if bud.Report == nil || bud.ContinuousBudgets != nil || len(bud.ContinuousDeltas) != 1 {
+		t.Fatalf("budget-first: report %v, relaxed budgets %v, relaxed deltas %v",
+			bud.Report, bud.ContinuousBudgets, bud.ContinuousDeltas)
+	}
+	if got := bud.Mapping.Budgets["wb"]; got != 4 {
+		t.Fatalf("budget-first: budget %v, want the phase-1 budget 4", got)
+	}
+	buf, err := TwoPhaseBufferFirst(ctx, gen.PaperT1(0), map[string]int{"bab": 4}, Options{})
+	if err != nil || buf.Status != StatusOptimal {
+		t.Fatalf("buffer-first: %v %v", buf.Status, err)
+	}
+	if buf.Report == nil || buf.ContinuousDeltas != nil || len(buf.ContinuousBudgets) != 2 {
+		t.Fatalf("buffer-first: report %v, relaxed budgets %v, relaxed deltas %v",
+			buf.Report, buf.ContinuousBudgets, buf.ContinuousDeltas)
+	}
+	if got := buf.Mapping.Capacities["bab"]; got != 4 {
+		t.Fatalf("buffer-first: capacity %d, want the phase-1 capacity 4", got)
+	}
+	// Twelve tasks on one processor: phase 1 rejects fair-share budgets.
+	c := gen.Chain(gen.ChainOptions{Tasks: 12, SharedProcessors: 1, Period: 10})
+	rej, err := TwoPhaseBudgetFirst(ctx, c, BudgetFairShare, Options{})
+	if err != nil || rej.Status != StatusInfeasible || rej.Report != nil {
+		t.Fatalf("phase-1 rejection: status %v, report %v, err %v", rej.Status, rej.Report, err)
+	}
+}
+
+// TestBudgetFirstHonorsLatency: phase 2 is Algorithm 1 with fixed budgets,
+// latency rows included. On T1 the rate-minimal budgets (4 Mcycles) give
+// wa→wb a latency of (40−4) + 10 + (40−4) + 10 = 92 in any schedule, so a
+// tighter bound is infeasible in phase 2 rather than a mapping that fails
+// verification, and a looser one yields a verified mapping.
+func TestBudgetFirstHonorsLatency(t *testing.T) {
+	for _, tc := range []struct {
+		bound float64
+		want  Status
+	}{{60, StatusInfeasible}, {91, StatusInfeasible}, {93, StatusOptimal}} {
+		c := gen.PaperT1(0)
+		c.Graphs[0].Latencies = []taskgraph.LatencyConstraint{{From: "wa", To: "wb", Bound: tc.bound}}
+		r, err := TwoPhaseBudgetFirst(context.Background(), c, BudgetMinimalRate, Options{})
+		if err != nil {
+			t.Fatalf("bound %v: %v", tc.bound, err)
+		}
+		if r.Status != tc.want {
+			t.Fatalf("bound %v: status %v, want %v", tc.bound, r.Status, tc.want)
+		}
+		if r.Status == StatusOptimal && (r.Verification == nil || !r.Verification.OK) {
+			t.Fatalf("bound %v: verification %+v", tc.bound, r.Verification)
+		}
+	}
 }

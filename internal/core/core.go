@@ -114,12 +114,17 @@ type Result struct {
 	Mapping *taskgraph.Mapping // nil unless StatusOptimal
 
 	// ContinuousBudgets and ContinuousDeltas are the relaxed (pre-rounding)
-	// optimizer values β′(w) and δ′(b).
+	// optimizer values β′(w) and δ′(b). A map is nil for what a flow fixed
+	// before solving: the budgets in TwoPhaseBudgetFirst, the δ′ in
+	// TwoPhaseBufferFirst. The joint solve fills both.
 	ContinuousBudgets map[string]float64
 	ContinuousDeltas  map[string]float64
-	// ContinuousObjective is the relaxed optimum of Algorithm 1's objective.
+	// ContinuousObjective is the relaxed optimum of Algorithm 1's objective,
+	// over the terms of the variables the flow did not fix.
 	ContinuousObjective float64
 
+	// SolverStatus and SolverIterations describe the cone solve; they mean
+	// something only when Report is non-nil.
 	SolverStatus     socp.Status
 	SolverIterations int
 
@@ -140,7 +145,8 @@ type model struct {
 
 	// graphs holds the SRDF model of each task graph, in Graphs order.
 	graphs []graphModel
-	// beta and lam map task name to the β′ and λ variables.
+	// beta and lam map task name to the β′ and λ variables; both are
+	// empty when budgets fixes every budget.
 	beta map[string]int
 	lam  map[string]int
 	// delta maps buffer name to the δ′ variable (space-queue tokens); it
@@ -149,6 +155,9 @@ type model struct {
 	// caps optionally fixes every buffer's capacity (buffer-first
 	// baseline). nil means all δ′ are variables.
 	caps map[string]int
+	// budgets optionally fixes every task's budget (budget-first
+	// baseline). nil means all β′ and λ are variables.
+	budgets map[string]float64
 }
 
 // graphModel is one task graph's SRDF model with its start-time variables.
@@ -174,11 +183,19 @@ func (gm *graphModel) sExpr(a srdf.ActorID) socp.Affine {
 }
 
 // plusDuration returns e plus the firing duration of actor a: ϱ − β′(w)
-// for a v1 actor and ϱ·χ(w)·λ(w) for a v2 actor of task w.
+// for a v1 actor and ϱ·χ(w)·λ(w) for a v2 actor of task w. With fixed
+// budgets the durations are the constants ϱ − β(w) and ϱ·χ(w)/β(w).
 func (m *model) plusDuration(e socp.Affine, gm *graphModel, a srdf.ActorID) socp.Affine {
 	f, v2 := gm.md.Firing(a)
 	w := &gm.tg.Tasks[f.Task]
 	p, _ := m.cfg.Processor(w.Processor)
+	if beta, ok := m.budgets[w.Name]; ok {
+		d := p.Replenishment - beta
+		if v2 {
+			d = p.Replenishment * w.WCET / beta
+		}
+		return e.PlusConst(d)
+	}
 	if v2 {
 		return e.Plus(p.Replenishment*w.WCET, m.lam[w.Name])
 	}
@@ -188,19 +205,22 @@ func (m *model) plusDuration(e socp.Affine, gm *graphModel, a srdf.ActorID) socp
 // buildModel constructs the full Algorithm 1 cone program for a validated
 // configuration. When caps is non-nil it fixes every buffer's capacity
 // instead of creating δ′ variables (the buffer-first baseline, which also
-// accepts multi-rate graphs).
-func buildModel(c *taskgraph.Config, caps map[string]int) (*model, error) {
+// accepts multi-rate graphs). When budgets is non-nil it fixes every task's
+// budget instead of creating β′ and λ variables (the budget-first
+// baseline): the program is then the linear one of minimal buffers.
+func buildModel(c *taskgraph.Config, caps map[string]int, budgets map[string]float64) (*model, error) {
 	if caps == nil && c.MultiRate() {
 		return nil, fmt.Errorf("core: configuration has multi-rate buffers; use the hybrid solver in internal/mrate")
 	}
 	m := &model{
-		cfg:    c,
-		b:      socp.NewBuilder(),
-		graphs: make([]graphModel, 0, len(c.Graphs)),
-		beta:   map[string]int{},
-		lam:    map[string]int{},
-		delta:  map[string]int{},
-		caps:   caps,
+		cfg:     c,
+		b:       socp.NewBuilder(),
+		graphs:  make([]graphModel, 0, len(c.Graphs)),
+		beta:    map[string]int{},
+		lam:     map[string]int{},
+		delta:   map[string]int{},
+		caps:    caps,
+		budgets: budgets,
 	}
 	for _, tg := range c.Graphs {
 		md, err := dfmodel.NewModel(tg, caps)
@@ -217,7 +237,7 @@ func buildModel(c *taskgraph.Config, caps map[string]int) (*model, error) {
 				gm.sv[dfmodel.V1(k)] = m.b.AddVar()
 			}
 			gm.sv[dfmodel.V2(k)] = m.b.AddVar()
-			if k+1 == len(md.Firings) || md.Firings[k+1].Task != f.Task {
+			if budgets == nil && (k+1 == len(md.Firings) || md.Firings[k+1].Task != f.Task) {
 				name := tg.Tasks[f.Task].Name
 				m.beta[name] = m.b.AddVar()
 				m.lam[name] = m.b.AddVar()
@@ -244,15 +264,22 @@ func (m *model) addConstraints() {
 		gm := &m.graphs[gi]
 		mu := gm.tg.Period
 		// (8): λ(w)·β′(w) ≥ 1 as a second-order cone.
-		for i := range gm.tg.Tasks {
-			name := gm.tg.Tasks[i].Name
-			m.b.AddProductGE(m.lam[name], m.beta[name], 1)
+		if m.budgets == nil {
+			for i := range gm.tg.Tasks {
+				name := gm.tg.Tasks[i].Name
+				m.b.AddProductGE(m.lam[name], m.beta[name], 1)
+			}
 		}
 		// (6) on each v1→v2 queue and (7) on every other queue with δ
 		// tokens: s(src) + ρ(src) − δ·µ ≤ s(dst). On a single-rate task's
 		// self-loop (one token) the start times cancel, leaving the rate
-		// constraint ϱ·λ(w)·χ(w) ≤ µ.
+		// constraint ϱ·λ(w)·χ(w) ≤ µ. With fixed budgets that row has no
+		// variable left: it is the rate check of the budget-first phase 1,
+		// so it is not emitted.
 		for _, q := range gm.md.Queues {
+			if m.budgets != nil && q.Src == q.Dst {
+				continue
+			}
 			lhs := m.plusDuration(gm.sExpr(q.Src), gm, q.Src)
 			if q.Tokens != 0 {
 				lhs = lhs.PlusConst(-float64(q.Tokens) * mu)
@@ -297,8 +324,12 @@ func (m *model) addConstraints() {
 
 	// The coupling rows collect their terms in one slice each: (9) and
 	// (10) touch every budget of a processor or every buffer of a memory.
-	// (9): per processor, ϱ(p) ≥ o(p) + Σ_{w∈τ(p)} (β′(w) + g).
+	// (9): per processor, ϱ(p) ≥ o(p) + Σ_{w∈τ(p)} (β′(w) + g). Fixed
+	// budgets were checked against their processors before the build.
 	for i := range c.Processors {
+		if m.budgets != nil {
+			break
+		}
 		p := &c.Processors[i]
 		tasks := c.TasksOn(p.Name)
 		if len(tasks) == 0 {
@@ -310,8 +341,12 @@ func (m *model) addConstraints() {
 		}
 		m.b.AddLE(sum, socp.Expr(p.Replenishment))
 	}
-	// (10): per memory, ς(m) ≥ Σ_{b∈ψ(m)} (ι(b) + δ′(b) + 1)·ζ(b).
+	// (10): per memory, ς(m) ≥ Σ_{b∈ψ(m)} (ι(b) + δ′(b) + 1)·ζ(b). Fixed
+	// capacities were checked against their memories before the build.
 	for i := range c.Memories {
+		if m.caps != nil {
+			break
+		}
 		mem := &c.Memories[i]
 		var sum socp.Affine
 		nb := 0
@@ -322,13 +357,8 @@ func (m *model) addConstraints() {
 					continue
 				}
 				z := float64(bf.EffectiveContainerSize())
-				if m.caps != nil {
-					// A fixed buffer occupies exactly γ·ζ.
-					sum.Const += z * float64(m.caps[bf.Name])
-				} else {
-					sum.Const += z * float64(bf.InitialTokens+1)
-					sum.Terms = append(sum.Terms, socp.Term{Var: m.delta[bf.Name], Coef: z})
-				}
+				sum.Const += z * float64(bf.InitialTokens+1)
+				sum.Terms = append(sum.Terms, socp.Term{Var: m.delta[bf.Name], Coef: z})
 				nb++
 			}
 		}
@@ -340,12 +370,15 @@ func (m *model) addConstraints() {
 
 // addObjective adds scale times the weighted objective (5),
 // Σ a(w)·β′(w) + Σ b(e)·ζ(e)·δ′(e), to the builder's objective: scale 1
-// emits it, −1 cancels it exactly.
+// emits it, −1 cancels it exactly. Fixed budgets or capacities contribute
+// no terms.
 func (m *model) addObjective(scale float64) {
 	for _, tg := range m.cfg.Graphs {
 		for i := range tg.Tasks {
 			w := &tg.Tasks[i]
-			m.b.SetObjective(m.beta[w.Name], scale*w.EffectiveBudgetWeight())
+			if m.budgets == nil {
+				m.b.SetObjective(m.beta[w.Name], scale*w.EffectiveBudgetWeight())
+			}
 		}
 		if m.caps != nil {
 			continue

@@ -29,7 +29,7 @@ func BuildProblem(c *taskgraph.Config) (*socp.Problem, error) {
 // buildProblem builds the Algorithm 1 model of a validated configuration
 // and its cone program.
 func buildProblem(c *taskgraph.Config) (*model, *socp.Problem, error) {
-	m, err := buildModel(c, nil)
+	m, err := buildModel(c, nil, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -81,7 +81,8 @@ var solveHook func(c *taskgraph.Config, prob *socp.Problem)
 // next neighboring solve — nil when the solve did not end in a reusable
 // point or warm starts are disabled. Solve builds and then calls it once;
 // the sweep drivers build once per call and chain their points' solves
-// through it (see capFamily).
+// through it (see capFamily), and the two-phase baselines call it once on
+// a model whose budgets or capacities their phase 1 fixed.
 func solveWarm(ctx context.Context, c *taskgraph.Config, m *model, prob *socp.Problem, opt Options, warm *socp.WarmStart) (*Result, *socp.WarmStart, error) {
 	if solveHook != nil {
 		solveHook(c, prob)
@@ -124,35 +125,41 @@ func solveWarm(ctx context.Context, c *taskgraph.Config, m *model, prob *socp.Pr
 		return res, nil, nil
 	}
 
+	// Round what the model relaxed; what it fixed enters the mapping as is.
 	res.ContinuousObjective = sol.PrimalObj
-	res.ContinuousBudgets = map[string]float64{}
-	res.ContinuousDeltas = map[string]float64{}
-	mapping := &taskgraph.Mapping{
-		Budgets:    map[string]float64{},
-		Capacities: map[string]int{},
-	}
-	g := c.EffectiveGranularity()
-	for _, tg := range c.Graphs {
-		for i := range tg.Tasks {
-			w := &tg.Tasks[i]
-			bp := sol.X[m.beta[w.Name]]
-			res.ContinuousBudgets[w.Name] = bp
-			// β = g·⌈β′/g⌉ (conservative: Constraint (9) pre-paid +g).
-			mapping.Budgets[w.Name] = g * math.Ceil(bp/g-roundTol)
+	mapping := &taskgraph.Mapping{Budgets: m.budgets, Capacities: m.caps}
+	if m.budgets == nil {
+		res.ContinuousBudgets = map[string]float64{}
+		mapping.Budgets = map[string]float64{}
+		g := c.EffectiveGranularity()
+		for _, tg := range c.Graphs {
+			for i := range tg.Tasks {
+				w := &tg.Tasks[i]
+				bp := sol.X[m.beta[w.Name]]
+				res.ContinuousBudgets[w.Name] = bp
+				// β = g·⌈β′/g⌉ (conservative: Constraint (9) pre-paid +g).
+				mapping.Budgets[w.Name] = g * math.Ceil(bp/g-roundTol)
+			}
 		}
-		for i := range tg.Buffers {
-			bf := &tg.Buffers[i]
-			dp := sol.X[m.delta[bf.Name]]
-			res.ContinuousDeltas[bf.Name] = dp
-			// γ = ι + ⌈δ′⌉, at least one container (γ: B → N*).
-			gamma := bf.InitialTokens + int(math.Ceil(dp-roundTol))
-			if gamma < 1 {
-				gamma = 1
+	}
+	if m.caps == nil {
+		res.ContinuousDeltas = map[string]float64{}
+		mapping.Capacities = map[string]int{}
+		for _, tg := range c.Graphs {
+			for i := range tg.Buffers {
+				bf := &tg.Buffers[i]
+				dp := sol.X[m.delta[bf.Name]]
+				res.ContinuousDeltas[bf.Name] = dp
+				// γ = ι + ⌈δ′⌉, at least one container (γ: B → N*).
+				gamma := bf.InitialTokens + int(math.Ceil(dp-roundTol))
+				if gamma < 1 {
+					gamma = 1
+				}
+				if bf.MinContainers > 0 && gamma < bf.MinContainers {
+					gamma = bf.MinContainers
+				}
+				mapping.Capacities[bf.Name] = gamma
 			}
-			if bf.MinContainers > 0 && gamma < bf.MinContainers {
-				gamma = bf.MinContainers
-			}
-			mapping.Capacities[bf.Name] = gamma
 		}
 	}
 	mapping.Objective = objective(c, mapping)

@@ -26,9 +26,9 @@
 // δ′ a space queue adds), and the pinned actor of each weakly connected
 // component. BuildGraph gives it numbers for Verify and LatencyBound;
 // internal/core writes its queues as Constraints (6)/(7) of Algorithm 1,
-// as the rows of the budget-first baseline's buffer-sizing LP and as the
-// fixed-capacity cone programs of the buffer-first baseline, which is what
-// internal/mrate solves at each candidate capacity.
+// also with every budget fixed (the budget-first baseline's buffer-sizing
+// LP) or every capacity fixed (the buffer-first baseline's cone program,
+// which is what internal/mrate solves at each candidate capacity).
 package dfmodel
 
 import (

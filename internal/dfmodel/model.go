@@ -46,10 +46,10 @@ type Latency struct {
 
 // Model lists the SRDF model of one task graph (§II-C) once, for every
 // reader: BuildGraph turns it into a numeric srdf.Graph for Verify, and
-// internal/core writes its queues as Constraints (6)/(7) of Algorithm 1
-// and as the rows of the two-phase baselines. A graph whose rates are all 1
-// takes the two-queue closed form per buffer; a multi-rate graph goes
-// through Repetitions and ExpandBuffer.
+// internal/core writes its queues as Constraints (6)/(7) of Algorithm 1,
+// which the two-phase baselines solve with budgets or capacities fixed. A
+// graph whose rates are all 1 takes the two-queue closed form per buffer; a
+// multi-rate graph goes through Repetitions and ExpandBuffer.
 type Model struct {
 	// Firings lists the firing copies task by task, in Tasks order, copies
 	// in order within a task.

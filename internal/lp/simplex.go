@@ -4,10 +4,10 @@
 //	minimize    cᵀx
 //	subject to  A x ≤ b,   x free or x ≥ 0 per variable.
 //
-// It exists for two reasons: (1) it independently cross-validates the
-// interior-point solver in internal/socp on the LP subclass, and (2) it is
-// the buffer-sizing engine of the classical two-phase mapping baseline that
-// the paper improves upon (budgets fixed first, buffer sizes by LP second).
+// It is a test oracle, imported only by tests: it independently
+// cross-validates the interior-point solver in internal/socp on the LP
+// subclass, and the budget-first baseline's phase 2 (buffer sizes for fixed
+// budgets), which production solves with that interior-point solver.
 //
 // The implementation converts the program to standard computational form
 // (free variables split, slacks added), runs a Phase-I simplex to find a
